@@ -98,7 +98,7 @@ from .core import (HBAR, SPEED_OF_LIGHT, BubbleGeometry, DomainError,
                    EmissionSummary, MediumTransition, NumericalError,
                    SpectralDensity)
 from .homogeneous import POLARIZATIONS, _check_consistent
-from .specfun import sph_jn_table, sph_yn_table, wronskian_kernel
+from .specfun import sph_jn_table, sph_yn_table
 
 # Smooth (phase-averaged) mode normalization, per side; see module docstring.
 A_NU_SQ_SMOOTH = 1.0 / (2.0 * SPEED_OF_LIGHT**2)
@@ -108,6 +108,12 @@ _PANEL_WIDTH = 0.5 * math.pi
 # In-side integration starts at this fraction of the cutoff; the kernel
 # vanishes like a power of w_in at the origin so nothing is lost.
 _OMEGA_IN_FLOOR = 1e-6
+# AUTO l truncation fails when the l_hard term is at least this fraction
+# of the l sum.
+_L_TAIL_TOL = 1e-4
+# |u^2 - v^2| < _DIAGONAL_WIDTH * u^2 selects the analytic diagonal of
+# the Lommel kernel; the direct quotient loses ~9 digits there.
+_DIAGONAL_WIDTH = 1e-9
 
 
 @dataclass(frozen=True)
@@ -136,26 +142,25 @@ class ModeMatch:
 class FiniteSpectrumConfig:
     """Controls for the finite-volume spectrum evaluation.
 
-    l_max=None means AUTO truncation: sum at least to ceil(K R) and stop
-    once a term contributes less than l_tail_tol of the running total.
-    grid_points sets the number of samples up to the cutoff; the grid
-    continues at the same spacing to grid_extend * cutoff so the smeared
-    roll-off is part of the curve.
+    l_max=None means AUTO truncation: sum every l up to
+    l_hard = ceil(K R) + 40 + ceil(4 (K R)^(1/3)) and raise NumericalError
+    if the l_hard term is still 1e-4 of the sum or more.  An explicit
+    l_max sums l = 1..l_max.  grid_points sets the number of samples up
+    to the cutoff; the grid continues at the same spacing to
+    grid_extend * cutoff so the smeared roll-off is part of the curve.
     """
 
     l_max: int | None = None
     quad_rel_tol: float = 1e-6
-    l_tail_tol: float = 1e-4
     grid_points: int = 200
     grid_extend: float = 1.3
 
     def __post_init__(self) -> None:
         if self.l_max is not None and self.l_max < 1:
             raise DomainError("explicit l_max must be >= 1")
-        for name in ("quad_rel_tol", "l_tail_tol"):
-            val = getattr(self, name)
-            if not (0.0 < val < 1.0):
-                raise DomainError(f"{name} must lie in (0, 1), got {val!r}")
+        if not (0.0 < self.quad_rel_tol < 1.0):
+            raise DomainError(
+                f"quad_rel_tol must lie in (0, 1), got {self.quad_rel_tol!r}")
         if self.grid_points < 2:
             raise DomainError("grid_points must be >= 2")
         if not (1.0 <= self.grid_extend <= 4.0):
@@ -214,33 +219,6 @@ def match_modes(l: int, omega: float, n_inside: float, n_outside: float,
                      amp_regular=b_amp, amp_irregular=c_amp, a_nu_sq=a_nu_sq)
 
 
-def finite_kernel(l: int, omega_in: float, omega_out: float, n_gas_in: float,
-                  n_gas_out: float, n_liquid: float, radius: float) -> float:
-    """The omega_in integrand for one l, per unit (2l+1) and (1/4) R^2 (Dn)^2.
-
-    [(n_gas_out w_out^2 + n_gas_in w_in^2) / (w_out + w_in)]^2 times the
-    squared Wronskian kernel and the smooth mode normalizations (see
-    module docstring); finite and continuous across the wavevector
-    resonance n_gas_in w_in = n_gas_out w_out.  Dimension s^2/m^2, so
-    that (1/4) R^2 (Dn)^2 * sum (2l+1) * int dw_in gives dN/dw_out in
-    seconds (per polarization).
-    """
-    if l < 1:
-        raise DomainError(f"finite_kernel needs l >= 1, got {l!r}")
-    for name, val in (("omega_in", omega_in), ("omega_out", omega_out),
-                      ("n_gas_in", n_gas_in), ("n_gas_out", n_gas_out),
-                      ("n_liquid", n_liquid), ("radius", radius)):
-        if not (val > 0.0) or not math.isfinite(val):
-            raise DomainError(f"{name} must be positive and finite, got {val!r}")
-    c = SPEED_OF_LIGHT
-    a = n_gas_out * omega_out / c
-    b = n_gas_in * omega_in / c
-    bracket = (n_gas_out * omega_out**2 + n_gas_in * omega_in**2) \
-        / (omega_in + omega_out)
-    wk = wronskian_kernel(l + 0.5, a, b, radius)
-    return bracket**2 * (4.0 * A_NU_SQ_SMOOTH**2) * wk * wk
-
-
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -261,6 +239,35 @@ def _panel_breaks(v_min: float, v_max: float, resonance: float,
     return breaks
 
 
+def _lommel_kernel(u: float, v: np.ndarray, ju: np.ndarray,
+                   jv: np.ndarray) -> np.ndarray:
+    """Dimensionless Lommel kernel lambda_l(u, v) for l = 1..L.
+
+    lambda_l(u, v) = (2 sqrt(uv)/pi) [v j_l(u) j_{l-1}(v) - u j_{l-1}(u) j_l(v)]
+                     / (u^2 - v^2),
+    the wall-Wronskian overlap of the module docstring in the variables
+    u = a R, v = b R; symmetric in (u, v).  ju holds j_l(u) and jv holds
+    j_l(v) for l = 0..L (shapes (L + 1,) and (L + 1, len(v))); the result
+    has shape (L, len(v)).  Within |u^2 - v^2| < _DIAGONAL_WIDTH u^2 the
+    removable singularity takes its limit lambda_l(u, u).
+    """
+    pref = 2.0 * np.sqrt(u * v) / math.pi
+    denom = (u - v) * (u + v)
+    # row l-1 holds v j_l(u) j_{l-1}(v) - u j_{l-1}(u) j_l(v)
+    num = (v * jv[0:-1] * ju[1:, None] - u * jv[1:] * ju[0:-1, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = pref * num / denom
+    close = np.abs(denom) < _DIAGONAL_WIDTH * u * u
+    if np.any(close):
+        ls = np.arange(1, ju.size, dtype=float)
+        jl = ju[1:]
+        jlm1 = ju[0:-1]
+        diag = (u / math.pi) * ((jlm1 - (ls + 0.5) / u * jl)**2
+                                + (1.0 - ((ls + 0.5) / u)**2) * jl**2)
+        lam = np.where(close[None, :], diag[:, None], lam)
+    return lam
+
+
 class _SpectrumEngine:
     """Vectorized evaluation of the l-summed omega_in integral at one u.
 
@@ -274,10 +281,10 @@ class _SpectrumEngine:
                  config: FiniteSpectrumConfig):
         self.n_in = n_gas_in
         self.n_out = n_gas_out
-        self.kr = kr
         self.config = config
         self.l_hard = config.l_max if config.l_max is not None else \
             math.ceil(kr) + 40 + math.ceil(4.0 * kr**(1.0 / 3.0))
+        self.l_weights = 2.0 * np.arange(1, self.l_hard + 1) + 1.0
         self.v_min = _OMEGA_IN_FLOOR * kr
         self.v_max = kr
 
@@ -292,31 +299,13 @@ class _SpectrumEngine:
 
         ju = sph_jn_table(self.l_hard, np.array([u]))[:, 0]
         jv = sph_jn_table(self.l_hard, v)
-
-        # lambda_l(u,v) = (2 sqrt(uv)/pi) [v j_l(u) j_{l-1}(v) - u j_{l-1}(u) j_l(v)]
-        #                 / (u^2 - v^2), the dimensionless Lommel kernel.
-        pref = 2.0 * np.sqrt(u * v) / math.pi
-        denom = (u - v) * (u + v)
-        num = (v * jv[0:-1] * ju[1:, None] - u * jv[1:] * ju[0:-1, None])
-        # num rows are l = 1..l_hard: row l-1 holds v j_l(u) j_{l-1}(v) - ...
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lam = pref * num / denom
-        close = np.abs(denom) < 1e-9 * u * u
-        if np.any(close):
-            # removable singularity: lambda(u,u) in spherical form
-            ls = np.arange(1, self.l_hard + 1, dtype=float)
-            jl = ju[1:]
-            jlm1 = ju[0:-1]
-            diag = (u / math.pi) * ((jlm1 - (ls + 0.5) / u * jl)**2
-                                    + (1.0 - ((ls + 0.5) / u)**2) * jl**2)
-            lam = np.where(close[None, :], diag[:, None], lam)
-
+        lam = _lommel_kernel(u, v, ju, jv)
         weight = ((u * u * self.n_in + v * v * self.n_out)
                   / (u * self.n_in + v * self.n_out))**2
         return (lam * lam) @ (weight * gw)
 
     def sum_at(self, u: float) -> float:
-        """sum_l (2l+1) I_l(u) with AUTO or explicit l truncation."""
+        """sum_l (2l+1) I_l(u) over every l = 1..l_hard."""
         cfg = self.config
         breaks = _panel_breaks(self.v_min, self.v_max, u, _PANEL_WIDTH)
         prev = None
@@ -328,37 +317,23 @@ class _SpectrumEngine:
                 breaks = refined
             cur = self._integrals_per_l(u, breaks, order)
             if prev is not None:
-                total = float(np.sum((2.0 * np.arange(1, self.l_hard + 1) + 1.0)
-                                     * cur))
+                terms = self.l_weights * cur
+                total = float(np.sum(terms))
                 scale = abs(total) if total != 0.0 else 1.0
-                err = float(np.sum((2.0 * np.arange(1, self.l_hard + 1) + 1.0)
-                                   * np.abs(cur - prev)))
+                err = float(np.sum(self.l_weights * np.abs(cur - prev)))
                 if err <= cfg.quad_rel_tol * scale or scale == 0.0:
-                    return self._truncate(cur, u)
+                    if cfg.l_max is None and total > 0.0 \
+                            and terms[-1] >= _L_TAIL_TOL * total:
+                        raise NumericalError(
+                            f"l sum not converged by l={self.l_hard} at "
+                            f"x_out={u!r} (last relative term "
+                            f"{terms[-1] / total:.3e})")
+                    return total
             prev = cur
         worst = int(np.argmax(np.abs(cur - prev))) + 1
         raise NumericalError(
             f"omega_in quadrature failed to reach rel tol "
             f"{cfg.quad_rel_tol} at x_out={u!r} (worst l={worst})")
-
-    def _truncate(self, integrals: np.ndarray, u: float) -> float:
-        cfg = self.config
-        weights = 2.0 * np.arange(1, self.l_hard + 1) + 1.0
-        terms = weights * integrals
-        if cfg.l_max is not None:
-            return float(np.sum(terms[:cfg.l_max]))
-        l_floor = min(math.ceil(self.kr), self.l_hard)
-        total = 0.0
-        for idx, term in enumerate(terms):
-            total += float(term)
-            l = idx + 1
-            if l >= l_floor and total > 0.0 and term < cfg.l_tail_tol * total:
-                return total
-        if total == 0.0:
-            return 0.0
-        raise NumericalError(
-            f"l sum not converged by l={self.l_hard} at x_out={u!r} "
-            f"(last relative term {terms[-1] / total:.3e})")
 
 
 def spectral_grid(geometry: BubbleGeometry,

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from . import __version__
 from .bubble import FiniteSpectrumConfig, spectral_grid, spectrum_finite, totals_finite
-from .core import (DomainError, MediumTransition, NumericalError,
-                   build_geometry, build_geometry_from_kr, fs_to_s,
+from .core import (BubbleGeometry, DomainError, MediumTransition,
+                   NumericalError, build_geometry_from_kr, fs_to_s,
                    joule_to_ev, nm_to_m)
 from .homogeneous import (POLARIZATIONS, photons_from_count_formula,
                           spectrum_infinite, total_photons_closed_form,
@@ -45,16 +45,19 @@ class RunConfig:
     params: dict
 
 
+class _Failure(Exception):
+    """A usage (EXIT_USAGE) or I/O (EXIT_IO) failure and its exit code."""
+
+    def __init__(self, message: str, exit_code: int):
+        super().__init__(message)
+        self.exit_code = exit_code
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; the contract here is 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit_usage(message)
-
-
-class SystemExit_usage(Exception):
-    def __init__(self, message):
-        self.message = message
+        raise _Failure(message, EXIT_USAGE)
 
 
 _COMMON_DEFAULTS = {
@@ -64,27 +67,30 @@ _COMMON_DEFAULTS = {
     "k_obs_r": 15.0,
 }
 
+# CLI key -> FiniteSpectrumConfig field; the field defaults are the CLI's.
+_NUMERICS_FIELDS = {"grid_points": "grid_points", "tol": "quad_rel_tol",
+                    "lmax": "l_max", "grid_extend": "grid_extend"}
+_NUMERICS_DEFAULTS = {key: getattr(FiniteSpectrumConfig(), field)
+                      for key, field in _NUMERICS_FIELDS.items()}
+
 _DEFAULTS = {
     "spectrum": {
-        **_COMMON_DEFAULTS,
+        **_COMMON_DEFAULTS, **_NUMERICS_DEFAULTS,
         "n_gas_in": None, "n_gas_out": None, "model": "both",
-        "t0_fs": 1.0, "grid_points": 200, "tol": 1e-6, "l_tail_tol": 1e-4,
-        "lmax": None, "grid_extend": 1.3, "output": None,
+        "t0_fs": 1.0, "output": None,
     },
     "totals": {
-        **_COMMON_DEFAULTS,
+        **_COMMON_DEFAULTS, **_NUMERICS_DEFAULTS,
         "n_in": None, "n_out": None, "model": "infinite",
-        "t0_fs": 1.0, "grid_points": 200, "tol": 1e-6, "l_tail_tol": 1e-4,
-        "lmax": None, "grid_extend": 1.3, "output": None,
+        "t0_fs": 1.0, "output": None,
     },
     "solve-nin": {
         "n_out": None, "target": None, "n_liquid": 1.3, "k_obs_r": 15.0,
         "output": None,
     },
     "table1": {
-        **_COMMON_DEFAULTS,
-        "grid_points": 200, "tol": 1e-6, "l_tail_tol": 1e-4,
-        "lmax": None, "grid_extend": 1.3, "output": None,
+        **_COMMON_DEFAULTS, **_NUMERICS_DEFAULTS,
+        "output": None,
     },
     "sweep": {
         "target": 1e6, "n_out_min": 1.0, "n_out_max": 100.0,
@@ -94,8 +100,7 @@ _DEFAULTS = {
 }
 
 _FLOAT_KEYS = {"n_liquid", "radius_nm", "cutoff_nm", "k_obs_r", "n_gas_in",
-               "n_gas_out", "n_in", "n_out", "tol", "l_tail_tol",
-               "grid_extend", "target", "n_out_min", "n_out_max", "t0_fs"}
+               "n_gas_out", "n_in", "n_out", "tol", "grid_extend", "target", "n_out_min", "n_out_max", "t0_fs"}
 _INT_KEYS = {"grid_points", "lmax", "n_out_points"}
 
 
@@ -118,16 +123,17 @@ def _build_parser() -> _Parser:
                        help="dimensionless k_observed * R (default 15)")
 
     def add_numerics(p):
+        d = _NUMERICS_DEFAULTS
         p.add_argument("--grid-points", type=int, default=None,
-                       help="frequency samples up to the cutoff (default 200)")
+                       help="frequency samples up to the cutoff "
+                            f"(default {d['grid_points']})")
         p.add_argument("--tol", type=float, default=None,
-                       help="relative quadrature tolerance (default 1e-6)")
-        p.add_argument("--l-tail-tol", type=float, default=None,
-                       help="angular-momentum tail tolerance (default 1e-4)")
+                       help=f"relative quadrature tolerance (default {d['tol']})")
         p.add_argument("--lmax", type=int, default=None,
                        help="explicit angular-momentum cutoff (default auto)")
         p.add_argument("--grid-extend", type=float, default=None,
-                       help="grid extension factor past the cutoff (default 1.3)")
+                       help="grid extension factor past the cutoff "
+                            f"(default {d['grid_extend']})")
 
     def add_common(p):
         p.add_argument("--config", type=str, default=None,
@@ -197,13 +203,9 @@ def _read_config_file(path: str) -> dict:
                 key, _, val = line.partition("=")
                 values[key.strip().replace("-", "_")] = val.strip()
     except OSError as exc:
-        raise _IOFailure(f"cannot read config file {path}: {exc}") from exc
+        raise _Failure(f"cannot read config file {path}: {exc}",
+                       EXIT_IO) from exc
     return values
-
-
-class _IOFailure(Exception):
-    def __init__(self, message):
-        self.message = message
 
 
 def _coerce(key: str, raw: str):
@@ -243,18 +245,15 @@ def _require(params: dict, *names: str) -> None:
 def _geometry(params: dict, n_out: float):
     radius = nm_to_m(params["radius_nm"])
     if params.get("cutoff_nm") is not None:
-        return build_geometry(radius, params["n_liquid"],
+        return BubbleGeometry(radius, params["n_liquid"],
                               nm_to_m(params["cutoff_nm"]), n_out)
     return build_geometry_from_kr(params["k_obs_r"], params["n_liquid"],
                                   n_out, radius)
 
 
 def _finite_config(params: dict) -> FiniteSpectrumConfig:
-    return FiniteSpectrumConfig(l_max=params.get("lmax"),
-                                quad_rel_tol=params["tol"],
-                                l_tail_tol=params["l_tail_tol"],
-                                grid_points=params["grid_points"],
-                                grid_extend=params["grid_extend"])
+    return FiniteSpectrumConfig(**{field: params[key]
+                                   for key, field in _NUMERICS_FIELDS.items()})
 
 
 def _fmt(value) -> str:
@@ -288,7 +287,7 @@ def _emit(lines: list[str], output: str | None) -> None:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _IOFailure(f"cannot write {output}: {exc}") from exc
+        raise _Failure(f"cannot write {output}: {exc}", EXIT_IO) from exc
 
 
 def cmd_spectrum(config: RunConfig) -> int:
@@ -444,15 +443,12 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_USAGE
         config = _merge(args.command, args)
         return _HANDLERS[args.command](config)
-    except SystemExit_usage as exc:
-        sys.stderr.write(f"error: {exc.message}\n")
-        return EXIT_USAGE
+    except _Failure as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return exc.exit_code
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except _IOFailure as exc:
-        sys.stderr.write(f"error: {exc.message}\n")
-        return EXIT_IO
     except NumericalError as exc:
         sys.stderr.write(f"numerical error: {exc}\n")
         return EXIT_NUMERICAL

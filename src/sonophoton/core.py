@@ -26,44 +26,18 @@ class NumericalError(RuntimeError):
     """A numerical procedure failed to converge or lost all precision."""
 
 
-def physical_constants() -> tuple[float, float]:
-    """Return (c, hbar) in SI units: m/s and J s."""
-    return SPEED_OF_LIGHT, HBAR
-
-
 # unit helpers -------------------------------------------------------------
 
 def nm_to_m(x: float) -> float:
     return x * 1e-9
 
 
-def m_to_nm(x: float) -> float:
-    return x * 1e9
-
-
 def fs_to_s(x: float) -> float:
     return x * 1e-15
 
 
-def s_to_fs(x: float) -> float:
-    return x * 1e15
-
-
 def joule_to_ev(x: float) -> float:
     return x / ELECTRON_VOLT
-
-
-def ev_to_joule(x: float) -> float:
-    return x * ELECTRON_VOLT
-
-
-def rad_s_to_phz(omega: float) -> float:
-    """Angular frequency (rad/s) to ordinary frequency in PHz."""
-    return omega / (2.0 * math.pi) * 1e-15
-
-
-def phz_to_rad_s(nu: float) -> float:
-    return nu * 2.0 * math.pi * 1e15
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -157,13 +131,6 @@ class BubbleGeometry:
         return self.k_observed * self.radius
 
 
-def build_geometry(radius: float, n_liquid: float, lambda_obs: float,
-                   n_out: float) -> BubbleGeometry:
-    """Construct a BubbleGeometry from physical inputs (SI units)."""
-    return BubbleGeometry(radius=radius, n_liquid=n_liquid,
-                          lambda_obs=lambda_obs, n_out=n_out)
-
-
 def build_geometry_from_kr(k_obs_r: float, n_liquid: float, n_out: float,
                            radius: float = 500e-9) -> BubbleGeometry:
     """Construct a geometry with a prescribed dimensionless k_observed * R.
@@ -193,6 +160,10 @@ class EmissionSummary:
     mean_over_cutoff: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (
+                self.photon_count, self.total_energy, self.mean_energy,
+                self.mean_over_cutoff)):
+            raise DomainError("emission totals must be finite")
         if self.photon_count < 0.0 or self.total_energy < 0.0:
             raise DomainError("photon_count and total_energy must be >= 0")
 
@@ -221,6 +192,9 @@ class SpectralDensity:
     def __post_init__(self) -> None:
         if len(self.grid) != len(self.values):
             raise DomainError("grid and values must have equal length")
+        if not all(math.isfinite(v) for v in (
+                *self.grid, *self.values, *(self.dimensionless_x or ()))):
+            raise DomainError("grid, values and dimensionless_x must be finite")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise DomainError("grid must be strictly increasing")
         if any(v < 0.0 for v in self.values):
@@ -228,20 +202,3 @@ class SpectralDensity:
         if self.dimensionless_x is not None and \
                 len(self.dimensionless_x) != len(self.grid):
             raise DomainError("dimensionless_x length mismatch")
-
-    def trapezoid(self, weight=None) -> float:
-        """Trapezoidal integral of values (optionally weighted) over grid.
-
-        Accumulated with compensated summation in grid order, so the
-        result is bit-identical however the samples were produced.
-        """
-        terms = []
-        for i in range(len(self.grid) - 1):
-            h = self.grid[i + 1] - self.grid[i]
-            y0 = self.values[i]
-            y1 = self.values[i + 1]
-            if weight is not None:
-                y0 *= weight(self.grid[i])
-                y1 *= weight(self.grid[i + 1])
-            terms.append(0.5 * h * (y0 + y1))
-        return math.fsum(terms)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from sonophoton import (MediumTransition, build_geometry,
+from sonophoton import (BubbleGeometry, MediumTransition,
                         build_geometry_from_kr)
 from sonophoton.bubble import (FiniteSpectrumConfig, match_modes,
                                spectrum_finite, totals_finite)
@@ -22,8 +22,9 @@ from sonophoton.homogeneous import (beta_sq_density, beta_sq_density_log,
                                     tail_log_slope, total_photons_closed_form,
                                     totals_closed_form)
 from sonophoton.inverse import solve_n_in
-from sonophoton.specfun import (spherical_j, spherical_y, wronskian_kernel)
+from sonophoton.specfun import (spherical_j, spherical_y)
 
+from kernel_oracle import wronskian_kernel
 from mode_oracle import R500, normalization_slope, omega_for
 from oracles import fit_line, oracle_j, rel_err
 
@@ -131,7 +132,7 @@ def test_criterion_4_exponential_tail():
 def test_criterion_5_figure2_shape():
     n_liq = 1.3
     tr = MediumTransition(n_in=2e4, n_out=1.0)
-    geom = build_geometry(500e-9, n_liq, 200e-9, 1.0)
+    geom = BubbleGeometry(500e-9, n_liq, 200e-9, 1.0)
     kr = geom.k_gas_cutoff * geom.radius
     cfg = FiniteSpectrumConfig()
     dens = spectrum_finite(tr, n_liq, geom, cfg)

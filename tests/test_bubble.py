@@ -5,15 +5,17 @@ import pytest
 
 from sonophoton import (DomainError, MediumTransition,
                         build_geometry_from_kr)
-from sonophoton.bubble import (A_NU_SQ_SMOOTH, FiniteSpectrumConfig,
-                               finite_kernel, match_modes, spectral_grid,
-                               spectrum_finite, totals_finite)
+from sonophoton.bubble import (_DIAGONAL_WIDTH, A_NU_SQ_SMOOTH,
+                               FiniteSpectrumConfig, _lommel_kernel,
+                               match_modes, spectral_grid, spectrum_finite,
+                               totals_finite)
 from sonophoton.core import SPEED_OF_LIGHT as C
 from sonophoton.homogeneous import POLARIZATIONS, total_photons_closed_form
 from sonophoton.specfun import sph_jn_table, sph_yn_table
 
+from kernel_oracle import finite_kernel
 from mode_oracle import R500, mode_profile, normalization_slope, omega_for
-from oracles import rel_err
+from oracles import rel_err, trapz
 
 
 class TestMatchModes:
@@ -127,12 +129,48 @@ class TestFiniteKernel:
             w_out = dens.grid[idx]
             total = 0.0
             for l in range(1, l_max + 1):
-                vals = [finite_kernel(l, w, w_out, n_in, n_out, n_liq, R500)
-                        for w in w_in]
+                vals = finite_kernel(l, w_in, w_out, n_in, n_out, n_liq, R500)
                 total += (2 * l + 1) * np.trapezoid(vals, w_in)
             direct = (POLARIZATIONS * 0.25 * geom.radius**2
                       * (n_in - n_out)**2 * total)
             assert rel_err(direct, dens.values[idx]) < 5e-3, idx
+
+
+def lommel(u, v, lmax):
+    """The engine's lambda_l(u, v), l = 1..lmax, at one u and an array v."""
+    v = np.asarray(v, dtype=float)
+    ju = sph_jn_table(lmax, np.array([u]))[:, 0]
+    return _lommel_kernel(u, v, ju, sph_jn_table(lmax, v))
+
+
+class TestLommelKernel:
+    def test_continuity_across_diagonal_switch(self):
+        # |u^2 - v^2| < w u^2 switches at v = u (1 + w/2).  Probes at half
+        # and twice that offset land on either side of it; the rows are
+        # l < u, the oscillatory regime where the spectrum integrand lives
+        half_width = 0.5 * _DIAGONAL_WIDTH
+        offsets = half_width * np.array([-2.0, -0.5, 0.5, 2.0])
+        for u in (6.0, 12.0, 40.0, 150.0, 392.0):
+            lmax = math.ceil(u) - 1
+            lam = lommel(u, u * (1.0 + offsets), lmax)
+            assert np.all(np.isfinite(lam))
+            for inner, outer in ((1, 0), (2, 3)):
+                assert np.all(np.abs(lam[:, inner] - lam[:, outer])
+                              <= 1e-5 * np.abs(lam[:, outer])), u
+            crossing = lommel(u, u * (1.0 + np.linspace(-5e-9, 5e-9, 101)),
+                              lmax)
+            assert np.all(np.isfinite(crossing))
+
+    def test_symmetric_in_u_and_v(self):
+        rng = np.random.default_rng(31)
+        lmax = 30
+        for u in rng.uniform(0.5, 40.0, size=8):
+            vs = rng.uniform(0.5, 40.0, size=6)
+            forward = lommel(float(u), vs, lmax)
+            for i, v in enumerate(vs):
+                back = lommel(float(v), [u], lmax)[:, 0]
+                scale = np.max(np.abs(forward[:, i]))
+                assert np.all(np.abs(forward[:, i] - back) <= 1e-10 * scale)
 
 
 class TestSpectrumFinite:
@@ -220,7 +258,7 @@ class TestSpectrumFinite:
                               spectral=dens)
         # totals adds one Richardson step on the same grid, so plain
         # trapezoid agrees to the quadrature (grid) tolerance
-        assert rel_err(dens.trapezoid(), total.photon_count) < 2e-3
+        assert rel_err(trapz(dens.values, dens.grid), total.photon_count) < 2e-3
 
     def test_bulk_quadratic_rise(self):
         # the smeared curve climbs quadratically through the bulk of the

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sonophoton import (DomainError, MediumTransition, build_geometry,
+from sonophoton import (BubbleGeometry, DomainError, MediumTransition,
                         build_geometry_from_kr)
 from sonophoton.homogeneous import (beta_sq_density, beta_sq_density_log,
                                     epsilon_profile, omega_sudden,
@@ -158,7 +158,7 @@ def test_bogolubov_normalization_guard():
 class TestSpectrumInfinite:
     def setup_method(self):
         self.tr = MediumTransition(n_in=2e4, n_out=1.0)
-        self.geom = build_geometry(500e-9, 1.3, 200e-9, 1.0)
+        self.geom = BubbleGeometry(500e-9, 1.3, 200e-9, 1.0)
 
     def test_cutoff(self):
         just_above = self.geom.omega_max * (1.0 + 1e-9)
@@ -213,7 +213,7 @@ class TestSpectrumInfinite:
             spectrum_infinite(self.tr, self.geom, -1.0)
 
     def test_rejects_mismatched_geometry(self):
-        geom = build_geometry(500e-9, 1.3, 200e-9, 2.0)
+        geom = BubbleGeometry(500e-9, 1.3, 200e-9, 2.0)
         with pytest.raises(DomainError):
             spectrum_infinite(self.tr, geom, 1e15)
 
@@ -262,7 +262,7 @@ class TestClosedFormTotals:
 
     def test_mean_energy_electron_volts(self):
         tr = MediumTransition(n_in=1.0, n_out=12.0)
-        geom = build_geometry(500e-9, 1.3, 200e-9, 12.0)
+        geom = BubbleGeometry(500e-9, 1.3, 200e-9, 12.0)
         summary = totals_closed_form(tr, geom)
         ev = summary.mean_energy / 1.602176634e-19
         assert rel_err(ev, 3.576467260304791) < 1e-12

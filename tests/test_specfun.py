@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from sonophoton import DomainError
-from sonophoton.specfun import (BesselOrder, cylinder_j, cylinder_pair_at,
-                                log_sinh, spherical_j, spherical_j_prime,
-                                spherical_y, spherical_y_prime,
-                                wronskian_kernel)
+from sonophoton.specfun import (log_sinh, sph_jn_table, spherical_j,
+                                spherical_j_prime, spherical_y,
+                                spherical_y_prime)
 
+from kernel_oracle import cylinder_j, cylinder_pair_at, wronskian_kernel
 from oracles import (assert_close, oracle_j, oracle_wronskian_fd, oracle_y,
                      rel_err)
 
@@ -41,6 +41,18 @@ class TestSphericalJ:
             for l in (2, 5, 11):
                 assert_close(spherical_j(l, x), oracle_j(l, x), rel=1e-12,
                              what=f"j_{l}({x}) near sin zero")
+
+    def test_table_over_benchmark_range(self):
+        # the orders and arguments the benchmark table reaches (l_hard up
+        # to 463, x up to K R = 392 and a little past it), on both
+        # recurrence branches: x < lmax goes downward, x >= lmax upward
+        xs = np.array([92.0, 137.5, 250.0, 391.9, 462.5, 470.0])
+        for lmax in (100, 300, 400, 463):
+            tab = sph_jn_table(lmax, xs)
+            for l in sorted({100, lmax}):
+                for x, got in zip(xs, tab[l]):
+                    assert_close(got, oracle_j(l, float(x)), rel=1e-12,
+                                 what=f"j_{l}({x}) in a table to {lmax}")
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -214,13 +226,3 @@ class TestLogSinh:
         assert log_sinh(0.0) == -math.inf
         with pytest.raises(DomainError):
             log_sinh(-1e-9)
-
-
-class TestBesselOrder:
-    def test_nu_relation(self):
-        for l in (0, 1, 5, 40):
-            assert BesselOrder(l).nu == l + 0.5
-
-    def test_rejects_negative(self):
-        with pytest.raises(DomainError):
-            BesselOrder(-2)
