@@ -9,8 +9,8 @@ from .bubble import (FiniteSpectrumConfig, ModeMatch, match_modes,
 from .core import (HBAR, SPEED_OF_LIGHT, BubbleGeometry, DomainError,
                    EmissionSummary, MediumTransition, NumericalError,
                    SpectralDensity, build_geometry_from_kr)
-from .homogeneous import (POLARIZATIONS, SuddenApproxScale, beta_sq_density,
-                          beta_sq_density_log, epsilon_profile, omega_sudden,
+from .homogeneous import (POLARIZATIONS, beta_sq_density, beta_sq_density_log,
+                          epsilon_profile, omega_sudden,
                           photons_from_count_formula, spectrum_infinite,
                           sudden_beta_sq, tail_log_slope,
                           total_photons_closed_form, totals_closed_form)
@@ -23,7 +23,6 @@ __all__ = [
     "HBAR", "SPEED_OF_LIGHT", "POLARIZATIONS",
     "BubbleGeometry", "MediumTransition", "EmissionSummary",
     "SpectralDensity", "BranchPair", "ModeMatch", "FiniteSpectrumConfig",
-    "SuddenApproxScale",
     "DomainError", "NumericalError",
     "build_geometry_from_kr",
     "epsilon_profile", "beta_sq_density", "beta_sq_density_log",

@@ -321,7 +321,7 @@ class _SpectrumEngine:
                 total = float(np.sum(terms))
                 scale = abs(total) if total != 0.0 else 1.0
                 err = float(np.sum(self.l_weights * np.abs(cur - prev)))
-                if err <= cfg.quad_rel_tol * scale or scale == 0.0:
+                if err <= cfg.quad_rel_tol * scale:
                     if cfg.l_max is None and total > 0.0 \
                             and terms[-1] >= _L_TAIL_TOL * total:
                         raise NumericalError(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .bubble import FiniteSpectrumConfig, spectral_grid, spectrum_finite, totals_finite
@@ -36,15 +35,6 @@ TABLE1_REF_COUNT = (1.06e6, 1.00e6, 1.06e6, 0.955e6, 0.98e6)
 TABLE1_REF_RATIO = (0.803, 0.750, 0.751, 0.750, 0.765)
 
 
-@dataclass
-class RunConfig:
-    """Effective parameters of one invocation after merging defaults,
-    config-file values and command-line flags (flags win)."""
-
-    command: str
-    params: dict
-
-
 class _Failure(Exception):
     """A usage (EXIT_USAGE) or I/O (EXIT_IO) failure and its exit code."""
 
@@ -60,80 +50,51 @@ class _Parser(argparse.ArgumentParser):
         raise _Failure(message, EXIT_USAGE)
 
 
-_COMMON_DEFAULTS = {
-    "n_liquid": 1.3,
-    "radius_nm": 500.0,
-    "cutoff_nm": None,
-    "k_obs_r": 15.0,
-}
-
 # CLI key -> FiniteSpectrumConfig field; the field defaults are the CLI's.
 _NUMERICS_FIELDS = {"grid_points": "grid_points", "tol": "quad_rel_tol",
                     "lmax": "l_max", "grid_extend": "grid_extend"}
-_NUMERICS_DEFAULTS = {key: getattr(FiniteSpectrumConfig(), field)
-                      for key, field in _NUMERICS_FIELDS.items()}
-
-_DEFAULTS = {
-    "spectrum": {
-        **_COMMON_DEFAULTS, **_NUMERICS_DEFAULTS,
-        "n_gas_in": None, "n_gas_out": None, "model": "both",
-        "t0_fs": 1.0, "output": None,
-    },
-    "totals": {
-        **_COMMON_DEFAULTS, **_NUMERICS_DEFAULTS,
-        "n_in": None, "n_out": None, "model": "infinite",
-        "t0_fs": 1.0, "output": None,
-    },
-    "solve-nin": {
-        "n_out": None, "target": None, "n_liquid": 1.3, "k_obs_r": 15.0,
-        "output": None,
-    },
-    "table1": {
-        **_COMMON_DEFAULTS, **_NUMERICS_DEFAULTS,
-        "output": None,
-    },
-    "sweep": {
-        "target": 1e6, "n_out_min": 1.0, "n_out_max": 100.0,
-        "n_out_points": 200, "n_liquid": 1.3, "k_obs_r": 15.0,
-        "output": None,
-    },
-}
-
-_FLOAT_KEYS = {"n_liquid", "radius_nm", "cutoff_nm", "k_obs_r", "n_gas_in",
-               "n_gas_out", "n_in", "n_out", "tol", "grid_extend", "target", "n_out_min", "n_out_max", "t0_fs"}
-_INT_KEYS = {"grid_points", "lmax", "n_out_points"}
 
 
 def _build_parser() -> _Parser:
+    """The one declaration of every parameter: name, type, default and
+    allowed values.  Config-file entries are parsed by the same subparsers."""
     parser = _Parser(prog="sonophoton",
                      description="Photon emission from a sudden refractive-"
                                  "index change inside a dielectric bubble")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
+    numerics = FiniteSpectrumConfig()
+
+    def add_cutoff(p):
+        p.add_argument("--n-liquid", type=float, default=1.3,
+                       help="ambient liquid refractive index "
+                            "(default %(default)s)")
+        p.add_argument("--k-obs-r", type=float, default=15.0,
+                       help="dimensionless k_observed * R "
+                            "(default %(default)s)")
 
     def add_geometry(p):
-        p.add_argument("--n-liquid", type=float, default=None,
-                       help="ambient liquid refractive index (default 1.3)")
-        p.add_argument("--radius-nm", type=float, default=None,
-                       help="bubble radius in nm (default 500)")
+        add_cutoff(p)
+        p.add_argument("--radius-nm", type=float, default=500.0,
+                       help="bubble radius in nm (default %(default)s)")
         p.add_argument("--cutoff-nm", type=float, default=None,
                        help="observed cutoff wavelength in the liquid, nm "
-                            "(overrides --k-obs-r)")
-        p.add_argument("--k-obs-r", type=float, default=None,
-                       help="dimensionless k_observed * R (default 15)")
+                            "(overrides --k-obs-r; default unset)")
 
     def add_numerics(p):
-        d = _NUMERICS_DEFAULTS
-        p.add_argument("--grid-points", type=int, default=None,
+        p.add_argument("--grid-points", type=int,
+                       default=numerics.grid_points,
                        help="frequency samples up to the cutoff "
-                            f"(default {d['grid_points']})")
-        p.add_argument("--tol", type=float, default=None,
-                       help=f"relative quadrature tolerance (default {d['tol']})")
-        p.add_argument("--lmax", type=int, default=None,
+                            "(default %(default)s)")
+        p.add_argument("--tol", type=float, default=numerics.quad_rel_tol,
+                       help="relative quadrature tolerance "
+                            "(default %(default)s)")
+        p.add_argument("--lmax", type=int, default=numerics.l_max,
                        help="explicit angular-momentum cutoff (default auto)")
-        p.add_argument("--grid-extend", type=float, default=None,
+        p.add_argument("--grid-extend", type=float,
+                       default=numerics.grid_extend,
                        help="grid extension factor past the cutoff "
-                            f"(default {d['grid_extend']})")
+                            "(default %(default)s)")
 
     def add_common(p):
         p.add_argument("--config", type=str, default=None,
@@ -141,35 +102,33 @@ def _build_parser() -> _Parser:
         p.add_argument("--output", type=str, default=None,
                        help="CSV output path (default: stdout)")
 
-    p = sub.add_parser("spectrum", help="dN/domega_out curve")
-    p.add_argument("--n-gas-in", type=float, default=None)
-    p.add_argument("--n-gas-out", type=float, default=None)
-    p.add_argument("--model", choices=("infinite", "finite", "both"),
-                   default=None)
-    p.add_argument("--t0-fs", type=float, default=None,
-                   help="transition timescale in fs (metadata; the sudden-"
-                        "limit spectra do not depend on it)")
-    add_geometry(p)
-    add_numerics(p)
-    add_common(p)
-
-    p = sub.add_parser("totals", help="photon count and emitted energy")
-    p.add_argument("--n-in", type=float, default=None)
-    p.add_argument("--n-out", type=float, default=None)
-    p.add_argument("--model", choices=("infinite", "finite", "both"),
-                   default=None)
-    p.add_argument("--t0-fs", type=float, default=None,
-                   help="transition timescale in fs (metadata; the sudden-"
-                        "limit totals do not depend on it)")
-    add_geometry(p)
-    add_numerics(p)
-    add_common(p)
+    for name, summary, n_in, n_out, model in (
+            ("spectrum", "dN/domega_out curve", "--n-gas-in", "--n-gas-out",
+             "both"),
+            ("totals", "photon count and emitted energy", "--n-in", "--n-out",
+             "infinite")):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument(n_in, type=float, required=True,
+                       help="gas refractive index before the change")
+        p.add_argument(n_out, type=float, required=True,
+                       help="gas refractive index after the change")
+        p.add_argument("--model", choices=("infinite", "finite", "both"),
+                       default=model,
+                       help="emission model (default %(default)s)")
+        p.add_argument("--t0-fs", type=float, default=1.0,
+                       help="transition timescale in fs (metadata; the "
+                            "sudden-limit results do not depend on it; "
+                            "default %(default)s)")
+        add_geometry(p)
+        add_numerics(p)
+        add_common(p)
 
     p = sub.add_parser("solve-nin", help="both n_in branches for a target count")
-    p.add_argument("--n-out", type=float, default=None)
-    p.add_argument("--target", type=float, default=None)
-    p.add_argument("--n-liquid", type=float, default=None)
-    p.add_argument("--k-obs-r", type=float, default=None)
+    p.add_argument("--n-out", type=float, required=True,
+                   help="gas refractive index after the change")
+    p.add_argument("--target", type=float, required=True,
+                   help="photon count to reach")
+    add_cutoff(p)
     add_common(p)
 
     p = sub.add_parser("table1", help="benchmark table of five emission cases")
@@ -178,19 +137,24 @@ def _build_parser() -> _Parser:
     add_common(p)
 
     p = sub.add_parser("sweep", help="two-branch n_in(n_out) curve")
-    p.add_argument("--target", type=float, default=None)
-    p.add_argument("--n-out-min", type=float, default=None)
-    p.add_argument("--n-out-max", type=float, default=None)
-    p.add_argument("--n-out-points", type=int, default=None)
-    p.add_argument("--n-liquid", type=float, default=None)
-    p.add_argument("--k-obs-r", type=float, default=None)
+    p.add_argument("--target", type=float, default=1e6,
+                   help="photon count to reach (default %(default)s)")
+    p.add_argument("--n-out-min", type=float, default=1.0,
+                   help="first n_out (default %(default)s)")
+    p.add_argument("--n-out-max", type=float, default=100.0,
+                   help="last n_out (default %(default)s)")
+    p.add_argument("--n-out-points", type=int, default=200,
+                   help="n_out samples (default %(default)s)")
+    add_cutoff(p)
     add_common(p)
 
     return parser
 
 
-def _read_config_file(path: str) -> dict:
-    values = {}
+def _config_tokens(path: str) -> list[str]:
+    """The key = value lines of a config file as --key=value flags, in
+    file order, so the subparser checks them exactly like flags."""
+    tokens = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -201,45 +165,30 @@ def _read_config_file(path: str) -> dict:
                     raise DomainError(
                         f"{path}:{lineno}: expected 'key = value', got {raw!r}")
                 key, _, val = line.partition("=")
-                values[key.strip().replace("-", "_")] = val.strip()
+                key = key.strip().replace("_", "-")
+                # A key that abbreviates "config" would set --config, which
+                # the command line's --config then overrides without notice.
+                if "config".startswith(key):
+                    raise DomainError(
+                        f"{path}:{lineno}: key {key!r} is not allowed in a "
+                        f"config file")
+                tokens.append(f"--{key}={val.strip()}")
     except OSError as exc:
         raise _Failure(f"cannot read config file {path}: {exc}",
                        EXIT_IO) from exc
-    return values
+    return tokens
 
 
-def _coerce(key: str, raw: str):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-    except ValueError as exc:
-        raise DomainError(f"config value {key} = {raw!r} is not numeric") from exc
-    return raw
-
-
-def _merge(command: str, args: argparse.Namespace) -> RunConfig:
-    params = dict(_DEFAULTS[command])
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        for key, raw in _read_config_file(cfg_path).items():
-            if key in params:
-                params[key] = _coerce(key, raw)
-            else:
-                raise DomainError(f"unknown config key {key!r} for {command}")
-    for key in params:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            params[key] = flag_val
-    return RunConfig(command=command, params=params)
-
-
-def _require(params: dict, *names: str) -> None:
-    for name in names:
-        if params.get(name) is None:
-            raise DomainError(
-                f"--{name.replace('_', '-')} is required (positive number)")
+def _config_path(args: list[str]) -> str | None:
+    """--config from the command line, read before the full parse so that
+    a required parameter may come from the file."""
+    # argparse reads --config only from an argument that starts with "--c"
+    # (--config, a unique prefix of it, or --config=PATH).
+    if not any(arg.startswith("--c") for arg in args):
+        return None
+    pre = _Parser(prog="sonophoton", add_help=False)
+    pre.add_argument("--config")
+    return pre.parse_known_args(args)[0].config
 
 
 def _geometry(params: dict, n_out: float):
@@ -264,16 +213,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _preamble(config: RunConfig, extra: dict | None = None) -> list[str]:
+def _preamble(command: str, params: dict,
+              extra: dict | None = None) -> list[str]:
     lines = [f"# sonophoton {__version__}",
-             f"# command = {config.command}",
+             f"# command = {command}",
              f"# polarization_factor = {_fmt(POLARIZATIONS)}"]
-    merged = dict(config.params)
-    if extra:
-        merged.update(extra)
+    merged = {**params, **(extra or {})}
     for key in sorted(merged):
-        if key == "output":
-            continue
         lines.append(f"# {key} = {_fmt(merged[key])}")
     return lines
 
@@ -290,9 +236,7 @@ def _emit(lines: list[str], output: str | None) -> None:
         raise _Failure(f"cannot write {output}: {exc}", EXIT_IO) from exc
 
 
-def cmd_spectrum(config: RunConfig) -> int:
-    params = config.params
-    _require(params, "n_gas_in", "n_gas_out")
+def cmd_spectrum(params: dict, output: str | None) -> int:
     n_in, n_out = params["n_gas_in"], params["n_gas_out"]
     transition = MediumTransition(n_in=n_in, n_out=n_out,
                                   t0=fs_to_s(params["t0_fs"]))
@@ -300,30 +244,31 @@ def cmd_spectrum(config: RunConfig) -> int:
     fconfig = _finite_config(params)
     model = params["model"]
 
-    omega_grid, x_grid = spectral_grid(geometry, fconfig)
-    finite_vals = [None] * len(omega_grid)
-    infinite_vals = [None] * len(omega_grid)
-    if model in ("finite", "both"):
+    if model == "infinite":
+        omega_grid, x_grid = spectral_grid(geometry, fconfig)
+        finite_vals = [None] * len(omega_grid)
+    else:
         dens = spectrum_finite(transition, params["n_liquid"], geometry, fconfig)
-        finite_vals = list(dens.values)
-    if model in ("infinite", "both"):
+        omega_grid, x_grid, finite_vals = (dens.grid, dens.dimensionless_x,
+                                           dens.values)
+    if model == "finite":
+        infinite_vals = [None] * len(omega_grid)
+    else:
         infinite_vals = [spectrum_infinite(transition, geometry, w)
                          for w in omega_grid]
 
-    lines = _preamble(config, {"k_gas_cutoff_x": geometry.k_gas_cutoff
-                               * geometry.radius})
+    lines = _preamble("spectrum", params, {
+        "k_gas_cutoff_x": geometry.k_gas_cutoff * geometry.radius})
     lines.append("x,omega_out_rad_s,nu_Hz,dNdomega_infinite,dNdomega_finite")
     for i, omega in enumerate(omega_grid):
         lines.append(",".join([
             _fmt(x_grid[i]), _fmt(omega), _fmt(omega / (2.0 * math.pi)),
             _fmt(infinite_vals[i]), _fmt(finite_vals[i])]))
-    _emit(lines, params["output"])
+    _emit(lines, output)
     return EXIT_OK
 
 
-def cmd_totals(config: RunConfig) -> int:
-    params = config.params
-    _require(params, "n_in", "n_out")
+def cmd_totals(params: dict, output: str | None) -> int:
     transition = MediumTransition(n_in=params["n_in"], n_out=params["n_out"],
                                   t0=fs_to_s(params["t0_fs"]))
     geometry = _geometry(params, params["n_out"])
@@ -334,7 +279,7 @@ def cmd_totals(config: RunConfig) -> int:
     if model in ("finite", "both"):
         rows.append(("finite", totals_finite(transition, params["n_liquid"],
                                              geometry, _finite_config(params))))
-    lines = _preamble(config)
+    lines = _preamble("totals", params)
     lines.append("model,photon_count,total_energy_J,mean_energy_J,"
                  "mean_energy_eV,mean_over_cutoff")
     for name, summary in rows:
@@ -342,30 +287,27 @@ def cmd_totals(config: RunConfig) -> int:
             name, _fmt(summary.photon_count), _fmt(summary.total_energy),
             _fmt(summary.mean_energy), _fmt(joule_to_ev(summary.mean_energy)),
             _fmt(summary.mean_over_cutoff)]))
-    _emit(lines, params["output"])
+    _emit(lines, output)
     return EXIT_OK
 
 
-def cmd_solve_nin(config: RunConfig) -> int:
-    params = config.params
-    _require(params, "n_out", "target")
+def cmd_solve_nin(params: dict, output: str | None) -> int:
     pair = solve_n_in(params["n_out"], params["target"], params["n_liquid"],
                       params["k_obs_r"])
-    lines = _preamble(config)
+    lines = _preamble("solve-nin", params)
     lines.append("branch,n_in,back_substituted_count,relative_residual")
     for name, root in (("low", pair.n_in_low), ("high", pair.n_in_high)):
         back = photons_from_count_formula(root, params["n_out"],
                                           params["n_liquid"], params["k_obs_r"])
         resid = abs(back - params["target"]) / params["target"]
         lines.append(",".join([name, _fmt(root), _fmt(back), _fmt(resid)]))
-    _emit(lines, params["output"])
+    _emit(lines, output)
     return EXIT_OK
 
 
-def cmd_table1(config: RunConfig) -> int:
-    params = config.params
+def cmd_table1(params: dict, output: str | None) -> int:
     fconfig = _finite_config(params)
-    lines = _preamble(config)
+    lines = _preamble("table1", params)
     lines.append("n_gas_in,n_gas_out,N_finite,N_reference,N_rel_dev,"
                  "ratio_finite,ratio_reference,ratio_dev,N_closed_form,"
                  "finite_over_closed,status")
@@ -399,8 +341,8 @@ def cmd_table1(config: RunConfig) -> int:
             f"  {n_in:<7g} {n_out:<7g} {n_fin:12.4e} {TABLE1_REF_COUNT[idx]:9.3e}"
             f" {100 * dev_n:+6.1f}   {ratio:8.3f} {TABLE1_REF_RATIO[idx]:6.3f}"
             f" {dev_r:+6.3f} {closed:12.4e} {n_fin / closed:9.3f}")
-    if params["output"] is not None:
-        _emit(lines, params["output"])
+    if output is not None:
+        _emit(lines, output)
         sys.stdout.write("\n".join(report) + "\n")
     else:
         _emit(lines, None)
@@ -408,20 +350,18 @@ def cmd_table1(config: RunConfig) -> int:
     return EXIT_NUMERICAL if failures else EXIT_OK
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    params = config.params
-    _require(params, "target", "n_out_min", "n_out_max", "n_out_points")
+def cmd_sweep(params: dict, output: str | None) -> int:
     lo, hi, npts = params["n_out_min"], params["n_out_max"], params["n_out_points"]
     if npts < 2 or not (0.0 < lo < hi):
         raise DomainError("need 0 < n-out-min < n-out-max and n-out-points >= 2")
     grid = [lo + (hi - lo) * i / (npts - 1) for i in range(npts)]
     rows = sweep_figure1(params["target"], params["n_liquid"],
                          params["k_obs_r"], grid)
-    lines = _preamble(config)
+    lines = _preamble("sweep", params)
     lines.append("n_out,n_in_low,n_in_high")
     for n_out, low, high in rows:
         lines.append(",".join([_fmt(n_out), _fmt(low), _fmt(high)]))
-    _emit(lines, params["output"])
+    _emit(lines, output)
     return EXIT_OK
 
 
@@ -435,14 +375,21 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
+        # File values go before the flags, so the flags win.
+        path = _config_path(argv[1:])
+        if path:
+            argv = argv[:1] + _config_tokens(path) + argv[1:]
+        params = vars(parser.parse_args(argv))
+        command = params.pop("command")
+        if command is None:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        config = _merge(args.command, args)
-        return _HANDLERS[args.command](config)
+        del params["config"]
+        output = params.pop("output")
+        return _HANDLERS[command](params, output)
     except _Failure as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.exit_code

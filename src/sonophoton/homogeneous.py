@@ -18,7 +18,6 @@ beta_sq_density and sudden_beta_sq are per polarization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import (HBAR, SPEED_OF_LIGHT, BubbleGeometry, DomainError,
                    EmissionSummary, MediumTransition)
@@ -29,17 +28,6 @@ POLARIZATIONS = 2.0
 
 # Log-density below which the sinh ratio is reported as underflowed zero.
 UNDERFLOW_LOG = -700.0
-
-
-@dataclass(frozen=True)
-class SuddenApproxScale:
-    """Frequency up to which the sudden approximation holds, rad/s."""
-
-    omega_sudden: float
-
-    def __post_init__(self) -> None:
-        if not (self.omega_sudden > 0.0):
-            raise DomainError("omega_sudden must be positive")
 
 
 def epsilon_profile(transition: MediumTransition, tau: float) -> float:
@@ -58,16 +46,15 @@ def sudden_beta_sq(transition: MediumTransition) -> float:
     return 0.25 * dn * dn / (transition.n_in * transition.n_out)
 
 
-def omega_sudden(transition: MediumTransition) -> SuddenApproxScale:
-    """Validity scale of the sudden approximation.
+def omega_sudden(transition: MediumTransition) -> float:
+    """Frequency up to which the sudden approximation holds, rad/s.
 
     Omega = (n_in^2 + n_out^2) / (2 pi t0 n_out max(n_in, n_out)); the
     index dependence can push this far above 1/t0.
     """
     n_in, n_out = transition.n_in, transition.n_out
-    value = (n_in**2 + n_out**2) / (
+    return (n_in**2 + n_out**2) / (
         2.0 * math.pi * transition.t0 * n_out * max(n_in, n_out))
-    return SuddenApproxScale(omega_sudden=value)
 
 
 def beta_sq_density_log(transition: MediumTransition, omega_out: float) -> float:
@@ -92,18 +79,15 @@ def beta_sq_density_log(transition: MediumTransition, omega_out: float) -> float
     return 2.0 * log_sinh(arg_num) - log_sinh(arg_in) - log_sinh(arg_out)
 
 
-def beta_sq_density(transition: MediumTransition, omega_out: float,
-                    with_flag: bool = False):
+def beta_sq_density(transition: MediumTransition, omega_out: float) -> float:
     """On-shell pair-creation density at omega_out (per polarization).
 
-    With with_flag=True returns (value, underflowed); values whose log
-    falls below UNDERFLOW_LOG are reported as exactly 0.0 and flagged.
+    Values whose log falls below UNDERFLOW_LOG are reported as exactly 0.0.
     """
     log_val = beta_sq_density_log(transition, omega_out)
     if log_val < UNDERFLOW_LOG:
-        return (0.0, True) if with_flag else 0.0
-    value = math.exp(log_val)
-    return (value, False) if with_flag else value
+        return 0.0
+    return math.exp(log_val)
 
 
 def tail_log_slope(transition: MediumTransition) -> float:

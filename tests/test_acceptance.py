@@ -103,7 +103,7 @@ def test_criterion_3_sudden_limit_equivalence():
     for _ in range(50):
         n_in, n_out = (float(v) for v in rng.uniform(1.0, 100.0, size=2))
         tr = MediumTransition(n_in=n_in, n_out=n_out, t0=1e-15)
-        cap = omega_sudden(tr).omega_sudden
+        cap = omega_sudden(tr)
         target = sudden_beta_sq(tr)
         got = beta_sq_density(tr, 1e-3 * cap)
         worst = max(worst, rel_err(got, target))
@@ -120,7 +120,7 @@ def test_criterion_4_exponential_tail():
                   math.pi * n_in * n_out * tr.t0 / mean,
                   math.pi * n_out * n_out * tr.t0 / mean)
         lo = max([8.0 / c for c in coeffs]
-                 + [10.0 * omega_sudden(tr).omega_sudden])
+                 + [10.0 * omega_sudden(tr)])
         grid = np.linspace(lo, 2.0 * lo, 40)
         logs = [beta_sq_density_log(tr, w) for w in grid]
         slope, _ = fit_line(list(grid), logs)

@@ -1,5 +1,6 @@
 import math
 
+import pytest
 
 from sonophoton.cli import main
 
@@ -146,11 +147,46 @@ class TestConfigFile:
         assert any("target = 2000000.0" in line for line in preamble)
         assert any("n_out = 12" in line for line in preamble)
 
-    def test_unknown_key_rejected(self, tmp_path):
+    SOLVE = ["solve-nin", "--n-out", "12", "--target", "1e6"]
+
+    @pytest.mark.parametrize("argv, entry", [
+        (SOLVE, "bogus = 1"),
+        (["totals", "--n-in", "2", "--n-out", "12"], "model = bogus"),
+        (SOLVE, "config = other.cfg"),
+        (SOLVE, "n_liquid = abc"),
+    ], ids=["unknown-key", "bad-choice", "config-key", "non-numeric"])
+    def test_invalid_entry_rejected(self, tmp_path, argv, entry):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus = 1\n")
-        assert main(["solve-nin", "--config", str(cfg), "--n-out", "12",
-                     "--target", "1e6"]) == 1
+        cfg.write_text(entry + "\n")
+        assert main(argv[:1] + ["--config", str(cfg)] + argv[1:]
+                    + ["--output", str(tmp_path / "out.csv")]) == 1
+
+    def test_preamble_keys(self, tmp_path):
+        # The preamble names every parameter; file keys are the same names.
+        shared = ["cutoff_nm", "grid_extend", "grid_points", "k_obs_r",
+                    "lmax", "n_liquid", "radius_nm", "tol"]
+        cases = {
+            "spectrum": (["--n-gas-in", "3", "--n-gas-out", "1.5",
+                          "--model", "infinite"],
+                         shared + ["k_gas_cutoff_x", "model", "n_gas_in",
+                                     "n_gas_out", "t0_fs"]),
+            "totals": (["--n-in", "3", "--n-out", "1.5"],
+                       shared + ["model", "n_in", "n_out", "t0_fs"]),
+            "solve-nin": (["--n-out", "25", "--target", "1e6"],
+                          ["k_obs_r", "n_liquid", "n_out", "target"]),
+            # values that only shrink the run; the key set is the default's
+            "table1": (["--k-obs-r", "0.5", "--grid-points", "2"], shared),
+            "sweep": ([], ["k_obs_r", "n_liquid", "n_out_max", "n_out_min",
+                           "n_out_points", "target"]),
+        }
+        for command, (args, keys) in cases.items():
+            code, text = run([command] + args, tmp_path)
+            assert code == 0, command
+            preamble, _, _ = parse_csv(text)
+            found = [line[2:].split(" = ")[0] for line in preamble
+                     if " = " in line]
+            assert found[:2] == ["command", "polarization_factor"]
+            assert found[2:] == sorted(keys), command
 
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["solve-nin", "--config", str(tmp_path / "nope.cfg"),
