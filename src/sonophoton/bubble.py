@@ -114,6 +114,14 @@ _L_TAIL_TOL = 1e-4
 # |u^2 - v^2| < _DIAGONAL_WIDTH * u^2 selects the analytic diagonal of
 # the Lommel kernel; the direct quotient loses ~9 digits there.
 _DIAGONAL_WIDTH = 1e-9
+# Panels per node chunk of the engine: one j_l(v) table serves this many
+# panels of every rule, long enough to amortize the table's recurrence.
+_CHUNK_PANELS = 8
+# Elements per column block of the engine's weight matrix W.
+_BLOCK_ELEMENTS = 1 << 12
+# spectrum_finite refuses a problem whose engine arrays (_engine_bytes)
+# would need more bytes than this.
+_MAX_ENGINE_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -228,15 +236,62 @@ def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _GAUSS_CACHE[order]
 
 
-def _panel_breaks(v_min: float, v_max: float, resonance: float,
-                  width: float) -> np.ndarray:
-    """Panel edges covering [v_min, v_max] with the resonance as an edge."""
-    anchor = resonance if v_min < resonance < v_max else v_max
-    below = np.arange(anchor, v_min, -width)
-    above = np.arange(anchor, v_max, width)[1:] if anchor < v_max else np.array([])
-    breaks = np.concatenate((below[::-1], above, [v_min, v_max]))
-    breaks = np.unique(np.clip(breaks, v_min, v_max))
-    return breaks
+def _l_hard(kr: float, config: FiniteSpectrumConfig) -> int:
+    """Highest l of the angular sum (see FiniteSpectrumConfig)."""
+    if config.l_max is not None:
+        return config.l_max
+    return math.ceil(kr) + 40 + math.ceil(4.0 * kr**(1.0 / 3.0))
+
+
+def _grid_size(config: FiniteSpectrumConfig) -> int:
+    """Number of output points of spectral_grid."""
+    return config.grid_points + math.ceil(
+        (config.grid_extend - 1.0) * config.grid_points)
+
+
+def _engine_bytes(l_hard: int, n_points: int) -> int:
+    """Upper estimate of the engine's live array bytes.
+
+    Six (l_hard + 1) x n_points arrays span the whole spectrum (the j_l(u)
+    table, both rules' sums and the convergence test's temporaries).  One
+    node chunk adds two j_l(v) tables while the recurrence runs, M1..M3,
+    the W block with two temporaries, and the GEMM result with the
+    combination's temporary.
+    """
+    rows = l_hard + 1
+    nodes = 36 * _CHUNK_PANELS                 # orders 12 and 24
+    block = max(_BLOCK_ELEMENTS, 24 * _CHUNK_PANELS)
+    columns = min(n_points, max(1, _BLOCK_ELEMENTS // (12 * _CHUNK_PANELS)))
+    return 8 * rows * (6 * n_points + 2 * nodes + 3 * 24 * _CHUNK_PANELS
+                       + 4 * columns) + 8 * 3 * block
+
+
+def _panel_edges(v_min: float, v_max: float, below: np.ndarray) -> np.ndarray:
+    """Shared panel edges: v_min, the output points below the cutoff and
+    v_max, with each interval wider than _PANEL_WIDTH split evenly."""
+    knots = np.concatenate(([v_min], below[below > v_min], [v_max]))
+    gaps = np.diff(knots)
+    pieces = np.ceil(gaps / _PANEL_WIDTH).astype(np.int64)
+    first = np.repeat(np.cumsum(pieces) - pieces, pieces)
+    step = np.arange(first.size) - first
+    edges = np.repeat(knots[:-1], pieces) + step * np.repeat(gaps / pieces, pieces)
+    return np.append(edges, v_max)
+
+
+def _touching_panels(edges: np.ndarray,
+                     u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of the panels that touch the edge nearest each
+    u (panel k spans edges[k]..edges[k + 1])."""
+    right = np.clip(np.searchsorted(edges, u), 1, edges.size - 1)
+    near = right - ((u - edges[right - 1]) <= (edges[right] - u))
+    return np.maximum(near - 1, 0), np.minimum(near, edges.size - 2)
+
+
+def _bisect(edges: np.ndarray) -> np.ndarray:
+    refined = np.empty(2 * edges.size - 1)
+    refined[0::2] = edges
+    refined[1::2] = 0.5 * (edges[1:] + edges[:-1])
+    return refined
 
 
 def _lommel_kernel(u: float, v: np.ndarray, ju: np.ndarray,
@@ -269,71 +324,161 @@ def _lommel_kernel(u: float, v: np.ndarray, ju: np.ndarray,
 
 
 class _SpectrumEngine:
-    """Vectorized evaluation of the l-summed omega_in integral at one u.
+    """The l-summed omega_in integral at every output point at once.
 
-    Works in the dimensionless variables u = n_gas_out w_out R / c and
-    v = n_gas_in w_in R / c; panel Gauss-Legendre quadrature with the
-    resonance v = u as a mandatory panel edge, refined until the summed
-    integral is stable to quad_rel_tol.
+    Works in the dimensionless variables u = n_gas_out w_out R / c (the
+    output points) and v = n_gas_in w_in R / c on [v_min, K R].  All
+    points share one set of Gauss-Legendre panels whose edges are v_min,
+    every output point below the cutoff and K R, with any interval wider
+    than _PANEL_WIDTH split evenly; so j_l(u) is tabulated once per
+    spectrum and j_l(v) once per node chunk and rule.  Expanding lambda^2,
+
+        I_l(u) = j_l(u)^2 (M1 W) - 2u j_l(u) j_{l-1}(u) (M2 W)
+                 + u^2 j_{l-1}(u)^2 (M3 W),
+
+    with M1 = v^2 j_{l-1}(v)^2, M2 = v j_{l-1}(v) j_l(v), M3 = j_l(v)^2
+    and W(v, u) = weight * Gauss weight * 4uv / (pi^2 (u^2 - v^2)^2):
+    three GEMMs (one BLAS call on M1..M3 stacked), summed over node chunks
+    of _CHUNK_PANELS panels and column blocks of W.  The split
+    cancels as v -> u, so the two panels that touch the edge nearest each
+    u are zeroed in W and summed directly with _lommel_kernel.  Order 12
+    against order 24 on the same panels estimates the error; points that
+    miss quad_rel_tol are redone on bisected panels, twice at most.
     """
 
     def __init__(self, n_gas_in: float, n_gas_out: float, kr: float,
-                 config: FiniteSpectrumConfig):
+                 u: np.ndarray, config: FiniteSpectrumConfig):
         self.n_in = n_gas_in
         self.n_out = n_gas_out
         self.config = config
-        self.l_hard = config.l_max if config.l_max is not None else \
-            math.ceil(kr) + 40 + math.ceil(4.0 * kr**(1.0 / 3.0))
+        self.l_hard = _l_hard(kr, config)
         self.l_weights = 2.0 * np.arange(1, self.l_hard + 1) + 1.0
-        self.v_min = _OMEGA_IN_FLOOR * kr
-        self.v_max = kr
+        self.u = u
+        self.ju = sph_jn_table(self.l_hard, u)
+        # u[grid_points - 1] is the cutoff sample; KR itself is the edge
+        self.edges = _panel_edges(_OMEGA_IN_FLOOR * kr, kr,
+                                  u[:config.grid_points - 1])
 
-    def _integrals_per_l(self, u: float, breaks: np.ndarray,
-                         order: int) -> np.ndarray:
-        """I_l = int dv weight(v) lambda_l(u, v)^2 for l = 1..l_hard."""
-        ref_x, ref_w = _gauss_nodes(order)
-        mids = 0.5 * (breaks[1:] + breaks[:-1])
-        halves = 0.5 * (breaks[1:] - breaks[:-1])
-        v = (mids[:, None] + halves[:, None] * ref_x[None, :]).ravel()
-        gw = (halves[:, None] * ref_w[None, :]).ravel()
+    def _rules(self, edges: np.ndarray, orders: tuple[int, ...],
+               cols: np.ndarray) -> list[np.ndarray]:
+        """I_l(u), l = 1..l_hard, at the points u[cols]: one (l_hard, cols)
+        array per Gauss-Legendre order, each rule on every panel of edges.
+        Each chunk of _CHUNK_PANELS panels builds one j_l(v) table for the
+        nodes of all the orders."""
+        u = self.u[cols]
+        # no copy of the j_l(u) table while every point is still open
+        ju = self.ju if cols.size == self.u.size else self.ju[:, cols]
+        first, last = _touching_panels(edges, u)
+        n_panels = edges.size - 1
+        totals = [np.zeros((self.l_hard, u.size)) for _ in orders]
+        rules = [_gauss_nodes(order) for order in orders]
+        for p0 in range(0, n_panels, _CHUNK_PANELS):
+            p1 = min(p0 + _CHUNK_PANELS, n_panels)
+            mids = 0.5 * (edges[p0 + 1:p1 + 1] + edges[p0:p1])
+            halves = 0.5 * (edges[p0 + 1:p1 + 1] - edges[p0:p1])
+            nodes = [(mids[:, None] + halves[:, None] * x[None, :]).ravel()
+                     for x, _ in rules]
+            jv_all = sph_jn_table(self.l_hard, np.concatenate(nodes))
+            touching = np.flatnonzero((last >= p0) & (first < p1))
+            start = 0
+            for (_, ref_w), v, acc in zip(rules, nodes, totals):
+                order = ref_w.size
+                jv = jv_all[:, start:start + v.size]
+                start += v.size
+                gw = (halves[:, None] * ref_w[None, :]).ravel()
+                direct = {int(i): slice((max(first[i], p0) - p0) * order,
+                                        (min(last[i], p1 - 1) + 1 - p0) * order)
+                          for i in touching}
+                self._accumulate(acc, u, ju, v, gw, jv, direct)
+        return totals
 
-        ju = sph_jn_table(self.l_hard, np.array([u]))[:, 0]
-        jv = sph_jn_table(self.l_hard, v)
-        lam = _lommel_kernel(u, v, ju, jv)
-        weight = ((u * u * self.n_in + v * v * self.n_out)
-                  / (u * self.n_in + v * self.n_out))**2
-        return (lam * lam) @ (weight * gw)
+    def _accumulate(self, acc: np.ndarray, u: np.ndarray, ju: np.ndarray,
+                    v: np.ndarray, gw: np.ndarray, jv: np.ndarray,
+                    direct: dict[int, slice]) -> None:
+        """Adds one node chunk's share of I_l(u) to acc.
 
-    def sum_at(self, u: float) -> float:
-        """sum_l (2l+1) I_l(u) over every l = 1..l_hard."""
+        direct maps a column to the rows of its touching panels, which are
+        summed with _lommel_kernel and left out of the GEMM split.
+        """
+        n_l = self.l_hard
+        m = np.empty((3, n_l, v.size))
+        np.multiply(jv[:-1], v, out=m[0])
+        m[0] *= m[0]
+        np.multiply(jv[:-1], jv[1:], out=m[1])
+        m[1] *= v
+        np.multiply(jv[1:], jv[1:], out=m[2])
+        m = m.reshape(3 * n_l, v.size)
+        width = max(1, _BLOCK_ELEMENTS // v.size)
+        for c0 in range(0, u.size, width):
+            c1 = min(c0 + width, u.size)
+            ub = u[c0:c1]
+            # weight * Gauss weight
+            w = np.add.outer(v * v * self.n_out, ub * ub * self.n_in)
+            w /= np.add.outer(v * self.n_out, ub * self.n_in)
+            w *= w
+            w *= gw[:, None]
+            for i, rows in direct.items():
+                if c0 <= i < c1:
+                    lam = _lommel_kernel(u[i], v[rows], ju[:, i], jv[:, rows])
+                    acc[:, i] += (lam * lam) @ w[rows, i - c0]
+                    w[rows, i - c0] = 0.0
+            # times 4uv / (pi^2 (u^2 - v^2)^2); Gauss nodes lie inside their
+            # panels, so v != u off the touching panels
+            d = np.subtract.outer(v, ub)
+            d *= np.add.outer(v, ub)
+            d *= d
+            w /= d
+            w *= ((4.0 / math.pi**2) * v)[:, None]
+            w *= ub
+            s1, s2, s3 = (m @ w).reshape(3, n_l, c1 - c0)
+            jl, jlm1 = ju[1:, c0:c1], ju[:-1, c0:c1]
+            acc[:, c0:c1] += (jl * jl * s1 - 2.0 * ub * jl * jlm1 * s2
+                              + ub * ub * jlm1 * jlm1 * s3)
+
+    def sums(self) -> np.ndarray:
+        """sum_l (2l+1) I_l(u) over every l = 1..l_hard at every point u.
+
+        Raises NumericalError for the lowest point whose quadrature or
+        l sum does not converge.
+        """
         cfg = self.config
-        breaks = _panel_breaks(self.v_min, self.v_max, u, _PANEL_WIDTH)
-        prev = None
-        for level, order in ((0, 12), (1, 24), (2, 24), (3, 24)):
+        cols = np.arange(self.u.size)
+        edges = self.edges
+        prev, cur = self._rules(edges, (12, 24), cols)
+        out = np.empty(self.u.size)
+        failures: dict[int, str] = {}
+        for level in (1, 2, 3):
             if level >= 2:
-                refined = np.empty(2 * breaks.size - 1)
-                refined[0::2] = breaks
-                refined[1::2] = 0.5 * (breaks[1:] + breaks[:-1])
-                breaks = refined
-            cur = self._integrals_per_l(u, breaks, order)
-            if prev is not None:
-                terms = self.l_weights * cur
-                total = float(np.sum(terms))
-                scale = abs(total) if total != 0.0 else 1.0
-                err = float(np.sum(self.l_weights * np.abs(cur - prev)))
-                if err <= cfg.quad_rel_tol * scale:
-                    if cfg.l_max is None and total > 0.0 \
-                            and terms[-1] >= _L_TAIL_TOL * total:
-                        raise NumericalError(
-                            f"l sum not converged by l={self.l_hard} at "
-                            f"x_out={u!r} (last relative term "
-                            f"{terms[-1] / total:.3e})")
-                    return total
-            prev = cur
-        worst = int(np.argmax(np.abs(cur - prev))) + 1
-        raise NumericalError(
-            f"omega_in quadrature failed to reach rel tol "
-            f"{cfg.quad_rel_tol} at x_out={u!r} (worst l={worst})")
+                edges = _bisect(edges)
+                prev, (cur,) = cur, self._rules(edges, (24,), cols)
+            # numpy sums, not BLAS, so the result cannot depend on threads
+            total = np.sum(self.l_weights[:, None] * cur, axis=0)
+            scale = np.where(total != 0.0, np.abs(total), 1.0)
+            diff = np.abs(cur - prev)
+            diff *= self.l_weights[:, None]
+            err = np.sum(diff, axis=0)
+            done = err <= cfg.quad_rel_tol * scale
+            if cfg.l_max is None:
+                top = self.l_weights[-1] * cur[-1]
+                tail = done & (total > 0.0) & (top >= _L_TAIL_TOL * total)
+                for j in np.flatnonzero(tail):
+                    failures[int(cols[j])] = (
+                        f"l sum not converged by l={self.l_hard} at "
+                        f"x_out={float(self.u[cols[j]])!r} (last relative "
+                        f"term {top[j] / total[j]:.3e})")
+            out[cols[done]] = total[done]
+            cols, prev, cur = cols[~done], prev[:, ~done], cur[:, ~done]
+            if cols.size == 0:
+                break
+        for j, col in enumerate(cols):
+            worst = int(np.argmax(np.abs(cur[:, j] - prev[:, j]))) + 1
+            failures[int(col)] = (
+                f"omega_in quadrature failed to reach rel tol "
+                f"{cfg.quad_rel_tol} at x_out={float(self.u[col])!r} "
+                f"(worst l={worst})")
+        if failures:
+            raise NumericalError(failures[min(failures)])
+        return out
 
 
 def spectral_grid(geometry: BubbleGeometry,
@@ -347,9 +492,7 @@ def spectral_grid(geometry: BubbleGeometry,
     config = config or FiniteSpectrumConfig()
     kr = geometry.k_gas_cutoff * geometry.radius
     h = kr / config.grid_points
-    n_total = config.grid_points + math.ceil(
-        (config.grid_extend - 1.0) * config.grid_points)
-    x_grid = h * np.arange(1, n_total + 1)
+    x_grid = h * np.arange(1, _grid_size(config) + 1)
     omega_grid = x_grid * SPEED_OF_LIGHT / (geometry.n_out * geometry.radius)
     return (tuple(float(w) for w in omega_grid),
             tuple(float(x) for x in x_grid))
@@ -362,6 +505,9 @@ def spectrum_finite(transition: MediumTransition, n_liquid: float,
 
     The grid runs from one spacing above zero up to grid_extend times
     the gas-side cutoff frequency, with a sample exactly at the cutoff.
+    All points are evaluated together on one shared node set (see
+    _SpectrumEngine).  A problem whose engine arrays would exceed
+    _MAX_ENGINE_BYTES is refused with DomainError before any is built.
     """
     config = config or FiniteSpectrumConfig()
     _check_consistent(transition, geometry)
@@ -373,14 +519,20 @@ def spectrum_finite(transition: MediumTransition, n_liquid: float,
     radius = geometry.radius
     kr = geometry.k_gas_cutoff * radius
     c = SPEED_OF_LIGHT
+    l_hard, n_points = _l_hard(kr, config), _grid_size(config)
+    need = _engine_bytes(l_hard, n_points)
+    if need > _MAX_ENGINE_BYTES:
+        raise DomainError(
+            f"finite-volume spectrum too large: l up to {l_hard} at "
+            f"{n_points} output points needs ~{need / 2**30:.3g} GiB of "
+            f"arrays, above the {_MAX_ENGINE_BYTES / 2**30:g} GiB limit; "
+            f"lower K R or grid_points")
 
     omega_tuple, x_tuple = spectral_grid(geometry, config)
-    x_grid = np.asarray(x_tuple)
-
-    engine = _SpectrumEngine(n_in, n_out, kr, config)
+    engine = _SpectrumEngine(n_in, n_out, kr, np.asarray(x_tuple), config)
     dn = transition.delta_n
     prefactor = POLARIZATIONS * 0.25 * dn * dn * radius / (c * n_in)
-    values = tuple(float(prefactor * engine.sum_at(float(u))) for u in x_grid)
+    values = tuple(float(prefactor * s) for s in engine.sums())
     return SpectralDensity(grid=omega_tuple, values=values,
                            dimensionless_x=x_tuple)
 

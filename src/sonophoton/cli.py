@@ -9,6 +9,7 @@ runs are byte-identical.  Exit codes: 0 success, 1 usage/validation,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -55,9 +56,14 @@ _NUMERICS_FIELDS = {"grid_points": "grid_points", "tol": "quad_rel_tol",
                     "lmax": "l_max", "grid_extend": "grid_extend"}
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     """The one declaration of every parameter: name, type, default and
-    allowed values.  Config-file entries are parsed by the same subparsers."""
+    allowed values.  Config-file entries are parsed by the same subparsers.
+
+    Built on the first main() call, not at import, and reused for the rest
+    of the process: the build costs ~20x a parse.
+    """
     parser = _Parser(prog="sonophoton",
                      description="Photon emission from a sudden refractive-"
                                  "index change inside a dielectric bubble")

@@ -104,7 +104,7 @@ def sph_jn_table(lmax: int, x: np.ndarray) -> np.ndarray:
             p_hi = p
             p = p_lo
             big = np.abs(p) > _BIG
-            if np.any(big):
+            if big.any():
                 p[big] /= _BIG
                 p_hi[big] /= _BIG
                 tab[min(l, lmax):, big] /= _BIG

@@ -1,18 +1,21 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sonophoton import (DomainError, MediumTransition,
-                        build_geometry_from_kr)
+from sonophoton import (BubbleGeometry, DomainError, MediumTransition,
+                        NumericalError, build_geometry_from_kr, bubble)
 from sonophoton.bubble import (_DIAGONAL_WIDTH, A_NU_SQ_SMOOTH,
-                               FiniteSpectrumConfig, _lommel_kernel,
-                               match_modes, spectral_grid, spectrum_finite,
-                               totals_finite)
-from sonophoton.core import SPEED_OF_LIGHT as C
+                               FiniteSpectrumConfig, _engine_bytes, _grid_size,
+                               _l_hard, _lommel_kernel, match_modes,
+                               spectral_grid, spectrum_finite, totals_finite)
+from sonophoton.core import SPEED_OF_LIGHT as C, nm_to_m
 from sonophoton.homogeneous import POLARIZATIONS, total_photons_closed_form
 from sonophoton.specfun import sph_jn_table, sph_yn_table
 
+import engine_oracle
 from kernel_oracle import finite_kernel
 from mode_oracle import R500, mode_profile, normalization_slope, omega_for
 from oracles import rel_err, trapz
@@ -284,3 +287,102 @@ class TestLargeVolumeConsistency:
             closed = total_photons_closed_form(tr, geom)
             assert abs(summary.photon_count - closed) / closed < 0.10
             assert 0.74 <= summary.mean_over_cutoff <= 0.82
+
+
+HEADLINE = (MediumTransition(n_in=2e4, n_out=1.0),
+            BubbleGeometry(nm_to_m(500.0), 1.3, nm_to_m(200.0), 1.0))
+
+
+def engine_and_oracle(tr, geom, cfg):
+    got = spectrum_finite(tr, geom.n_liquid, geom, cfg).values
+    return np.array(got), np.array(engine_oracle.spectrum_values(tr, geom, cfg))
+
+
+class TestEngineAgainstOracle:
+    """The shared-node engine against the per-point reference engine."""
+
+    @pytest.mark.parametrize("tr, geom, cfg", [
+        HEADLINE + (FiniteSpectrumConfig(),),
+        # grid spacing 3.5 > pi/2: every interval is split evenly
+        (MediumTransition(n_in=2.0, n_out=1.5),
+         build_geometry_from_kr(6.0, 1.3, 1.5), FiniteSpectrumConfig(grid_points=2)),
+        # grid spacing 0.009: GEMM split nodes come within two panels of u
+        (MediumTransition(n_in=3.0, n_out=1.5),
+         build_geometry_from_kr(1.5, 1.3, 1.5), FiniteSpectrumConfig(grid_points=200)),
+        (MediumTransition(n_in=2.0, n_out=1.5),
+         build_geometry_from_kr(5.0, 1.3, 1.5),
+         FiniteSpectrumConfig(grid_points=30, l_max=7)),
+    ], ids=["headline", "split-intervals", "fine-grid", "explicit-lmax"])
+    def test_pointwise_agreement(self, tr, geom, cfg):
+        got, want = engine_and_oracle(tr, geom, cfg)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+
+    def test_equal_indices_give_zero(self):
+        got, want = engine_and_oracle(MediumTransition(n_in=2.0, n_out=2.0),
+                                      build_geometry_from_kr(5.0, 1.3, 2.0),
+                                      FiniteSpectrumConfig(grid_points=20))
+        assert np.all(got == 0.0) and np.all(want == 0.0)
+
+    def failure_messages(self, cfg):
+        tr = MediumTransition(n_in=2.0, n_out=1.5)
+        geom = build_geometry_from_kr(3.0, 1.3, 1.5)
+        messages = []
+        for run in (lambda: spectrum_finite(tr, 1.3, geom, cfg),
+                    lambda: engine_oracle.spectrum_values(tr, geom, cfg)):
+            with pytest.raises(NumericalError) as info:
+                run()
+            messages.append(str(info.value))
+        return messages
+
+    def test_unattainable_tolerance(self):
+        got, want = self.failure_messages(
+            FiniteSpectrumConfig(grid_points=8, quad_rel_tol=1e-300))
+        assert got == want
+        assert got.startswith("omega_in quadrature failed to reach rel tol")
+
+    def test_l_tail_failure(self, monkeypatch):
+        # every converged point fails the tail test at this threshold
+        monkeypatch.setattr(bubble, "_L_TAIL_TOL", 1e-300)
+        monkeypatch.setattr(engine_oracle, "_L_TAIL_TOL", 1e-300)
+        got, want = self.failure_messages(FiniteSpectrumConfig(grid_points=8))
+        assert got == want
+        assert got.startswith("l sum not converged by l=")
+
+
+class TestProblemSizeGuard:
+    def test_oversized_problem_refused_before_any_table(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("a Bessel table was built")
+
+        monkeypatch.setattr(bubble, "sph_jn_table", no_table)
+        tr = MediumTransition(n_in=2.0, n_out=1.5)
+        geom = build_geometry_from_kr(1e6, 1.3, 1.5)
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="too large"):
+            spectrum_finite(tr, 1.3, geom)
+        assert time.perf_counter() - start < 1.0
+
+    def test_benchmark_table_fits(self):
+        # the largest table1 case: K R = 392, l_hard = 463
+        cfg = FiniteSpectrumConfig()
+        assert _engine_bytes(_l_hard(392.0, cfg), _grid_size(cfg)) \
+            < bubble._MAX_ENGINE_BYTES / 50
+
+    @pytest.mark.parametrize("kr, cfg", [
+        (6.0, FiniteSpectrumConfig(grid_points=40)),
+        (1.5, FiniteSpectrumConfig(grid_points=400)),
+        (40.0, FiniteSpectrumConfig(grid_points=60)),
+        (3.0, FiniteSpectrumConfig(grid_points=8, quad_rel_tol=1e-12)),
+    ], ids=["small", "fine-grid", "large-l", "refined"])
+    def test_estimate_bounds_measured_peak(self, kr, cfg):
+        tr = MediumTransition(n_in=2.0, n_out=1.5)
+        geom = build_geometry_from_kr(kr, 1.3, 1.5)
+        kr = geom.k_gas_cutoff * geom.radius
+        tracemalloc.start()
+        try:
+            spectrum_finite(tr, 1.3, geom, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _engine_bytes(_l_hard(kr, cfg), _grid_size(cfg))

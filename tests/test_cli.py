@@ -1,13 +1,34 @@
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import sonophoton
+from sonophoton import bubble, cli
 from sonophoton.cli import main
 
 from oracles import rel_err
 
 FAST_SPECTRUM = ["spectrum", "--n-gas-in", "3", "--n-gas-out", "1.5",
                  "--k-obs-r", "5", "--grid-points", "30", "--model", "both"]
+HEADLINE_SPECTRUM = ["spectrum", "--n-gas-in", "2e4", "--n-gas-out", "1",
+                     "--n-liquid", "1.3", "--radius-nm", "500",
+                     "--cutoff-nm", "200", "--model", "both"]
+SRC = str(Path(sonophoton.__file__).resolve().parents[1])
+CHILD = "import sys; from sonophoton.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def run_child(args, **env):
+    """Exit code, stdout and stderr bytes of one request in a new process,
+    with env added to this process's environment."""
+    env = {**os.environ, "PYTHONPATH": SRC, "COLUMNS": "80", **env}
+    proc = subprocess.run([sys.executable, "-c", CHILD, *args], env=env,
+                          capture_output=True, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def run(args, tmp_path, name="out.csv"):
@@ -44,6 +65,18 @@ class TestSpectrumCommand:
         _, first = run(FAST_SPECTRUM, tmp_path, "a.csv")
         _, second = run(FAST_SPECTRUM, tmp_path, "b.csv")
         assert first == second
+
+    @pytest.mark.parametrize("args", [FAST_SPECTRUM, HEADLINE_SPECTRUM],
+                             ids=["fast", "headline"])
+    def test_identical_across_blas_threads(self, tmp_path, args):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.csv"
+            code, _, err = run_child(args + ["--output", str(out)],
+                                     OPENBLAS_NUM_THREADS=threads)
+            assert code == 0, err
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_x_nu_relation(self, tmp_path):
         args = ["spectrum", "--n-gas-in", "2e4", "--n-gas-out", "1",
@@ -209,3 +242,31 @@ class TestExitCodes:
 
     def test_no_command_is_usage(self):
         assert main([]) == 1
+
+    def test_oversized_finite_problem_is_usage(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("a Bessel table was built")
+
+        monkeypatch.setattr(bubble, "sph_jn_table", no_table)
+        start = time.perf_counter()
+        assert main(["totals", "--n-in", "2", "--n-out", "1.5",
+                     "--model", "finite", "--k-obs-r", "1e6"]) == 1
+        assert time.perf_counter() - start < 1.0
+
+
+class TestParserReuse:
+    def test_requests_match_fresh_processes(self, capsys, monkeypatch):
+        # one parser serves every main() call of a process; an invalid
+        # request must leave it as a fresh process would find it
+        monkeypatch.setenv("COLUMNS", "80")
+        requests = [["totals", "--n-in", "2", "--n-out", "12",
+                     "--model", "bogus"],
+                    ["solve-nin", "--n-out", "25", "--target", "1e6"]]
+        in_process = []
+        for args in requests:
+            code = main(args)
+            out, err = capsys.readouterr()
+            in_process.append((code, out.encode(), err.encode()))
+        assert in_process == [run_child(args) for args in requests]
+        assert [code for code, _, _ in in_process] == [1, 0]
+        assert cli._build_parser() is cli._build_parser()
