@@ -117,11 +117,19 @@ _DIAGONAL_WIDTH = 1e-9
 # Panels per node chunk of the engine: one j_l(v) table serves this many
 # panels of every rule, long enough to amortize the table's recurrence.
 _CHUNK_PANELS = 8
-# Elements per column block of the engine's weight matrix W.
+# Elements per column block of the engine's weight matrix W.  Larger
+# GEMMs wake a second BLAS thread, which costs more than it saves here.
 _BLOCK_ELEMENTS = 1 << 12
+# Kernel values per batch of the touching panels' direct sum.
+_DIRECT_ELEMENTS = 1 << 13
 # spectrum_finite refuses a problem whose engine arrays (_engine_bytes)
-# would need more bytes than this.
+# would need more bytes than this, and spectral_grid a grid whose points
+# would (at _POINT_BYTES each).
 _MAX_ENGINE_BYTES = 1 << 30
+# Upper estimate of the bytes a caller holds per output grid point: the
+# two float tuples, the value columns and one CSV row (~380 B measured
+# for `spectrum --model infinite`).
+_POINT_BYTES = 512
 
 
 @dataclass(frozen=True)
@@ -231,8 +239,22 @@ _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on the three-term recurrence of P_order, from the
+    Tricomi-style initial guess; no eigensolver, so numpy.polynomial is
+    not imported and no LAPACK routine runs.
+    """
     if order not in _GAUSS_CACHE:
-        _GAUSS_CACHE[order] = np.polynomial.legendre.leggauss(order)
+        x = -np.cos(math.pi * (np.arange(order) + 0.75) / (order + 0.5))
+        for _ in range(8):
+            p_lo, p = np.ones_like(x), x.copy()
+            for n in range(2, order + 1):
+                p_lo, p = p, ((2 * n - 1) * x * p - (n - 1) * p_lo) / n
+            dp = order * (x * p - p_lo) / (x * x - 1.0)
+            x -= p / dp
+        w = 2.0 / ((1.0 - x * x) * dp * dp)
+        _GAUSS_CACHE[order] = (0.5 * (x - x[::-1]), 0.5 * (w + w[::-1]))
     return _GAUSS_CACHE[order]
 
 
@@ -252,18 +274,20 @@ def _grid_size(config: FiniteSpectrumConfig) -> int:
 def _engine_bytes(l_hard: int, n_points: int) -> int:
     """Upper estimate of the engine's live array bytes.
 
-    Six (l_hard + 1) x n_points arrays span the whole spectrum (the j_l(u)
-    table, both rules' sums and the convergence test's temporaries).  One
-    node chunk adds two j_l(v) tables while the recurrence runs, M1..M3,
-    the W block with two temporaries, and the GEMM result with the
-    combination's temporary.
+    Nine (l_hard + 1) x n_points arrays span the whole spectrum: the j_l(u)
+    table and, for each of the first level's two rules, its direct sums
+    and its three GEMM sums.  One node chunk adds its j_l(v) table and the
+    one being built, M1..M3, the W block with two temporaries, the GEMM
+    result, one direct-sum batch (up to eight arrays of _DIRECT_ELEMENTS)
+    and four index arrays over two order-24 panels per point.
     """
     rows = l_hard + 1
     nodes = 36 * _CHUNK_PANELS                 # orders 12 and 24
     block = max(_BLOCK_ELEMENTS, 24 * _CHUNK_PANELS)
     columns = min(n_points, max(1, _BLOCK_ELEMENTS // (12 * _CHUNK_PANELS)))
-    return 8 * rows * (6 * n_points + 2 * nodes + 3 * 24 * _CHUNK_PANELS
-                       + 4 * columns) + 8 * 3 * block
+    return 8 * rows * (9 * n_points + 2 * nodes + 3 * 24 * _CHUNK_PANELS
+                       + 3 * columns) + 8 * (3 * block + 8 * _DIRECT_ELEMENTS
+                                             + 4 * 2 * 24 * n_points)
 
 
 def _panel_edges(v_min: float, v_max: float, below: np.ndarray) -> np.ndarray:
@@ -294,32 +318,42 @@ def _bisect(edges: np.ndarray) -> np.ndarray:
     return refined
 
 
-def _lommel_kernel(u: float, v: np.ndarray, ju: np.ndarray,
+def _lommel_kernel(u: float | np.ndarray, v: np.ndarray, ju: np.ndarray,
                    jv: np.ndarray) -> np.ndarray:
     """Dimensionless Lommel kernel lambda_l(u, v) for l = 1..L.
 
     lambda_l(u, v) = (2 sqrt(uv)/pi) [v j_l(u) j_{l-1}(v) - u j_{l-1}(u) j_l(v)]
                      / (u^2 - v^2),
     the wall-Wronskian overlap of the module docstring in the variables
-    u = a R, v = b R; symmetric in (u, v).  ju holds j_l(u) and jv holds
-    j_l(v) for l = 0..L (shapes (L + 1,) and (L + 1, len(v))); the result
-    has shape (L, len(v)).  Within |u^2 - v^2| < _DIAGONAL_WIDTH u^2 the
-    removable singularity takes its limit lambda_l(u, u).
+    u = a R, v = b R; symmetric in (u, v).  jv holds j_l(v) for
+    l = 0..L, shape (L + 1, len(v)).  u is one point with ju = j_l(u) of
+    shape (L + 1,), or one point per column of v with ju of the shape of
+    jv.  The result has shape (L, len(v)).  Within
+    |u^2 - v^2| < _DIAGONAL_WIDTH u^2 the removable singularity takes its
+    limit lambda_l(u, u).
     """
+    if ju.ndim == 1:
+        ju = ju[:, None]
     pref = 2.0 * np.sqrt(u * v) / math.pi
     denom = (u - v) * (u + v)
-    # row l-1 holds v j_l(u) j_{l-1}(v) - u j_{l-1}(u) j_l(v)
-    num = (v * jv[0:-1] * ju[1:, None] - u * jv[1:] * ju[0:-1, None])
+    # row l-1 holds v j_l(u) j_{l-1}(v) - u j_{l-1}(u) j_l(v); in place,
+    # so a batch holds two (L, len(v)) arrays at most
+    lam = v * jv[0:-1]
+    lam *= ju[1:]
+    cross = u * jv[1:]
+    cross *= ju[0:-1]
+    lam -= cross
+    del cross
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam = pref * num / denom
+        lam *= pref / denom
     close = np.abs(denom) < _DIAGONAL_WIDTH * u * u
     if np.any(close):
-        ls = np.arange(1, ju.size, dtype=float)
+        ls = np.arange(1, ju.shape[0], dtype=float)[:, None]
         jl = ju[1:]
         jlm1 = ju[0:-1]
         diag = (u / math.pi) * ((jlm1 - (ls + 0.5) / u * jl)**2
                                 + (1.0 - ((ls + 0.5) / u)**2) * jl**2)
-        lam = np.where(close[None, :], diag[:, None], lam)
+        lam = np.where(close, diag, lam)
     return lam
 
 
@@ -339,9 +373,12 @@ class _SpectrumEngine:
     with M1 = v^2 j_{l-1}(v)^2, M2 = v j_{l-1}(v) j_l(v), M3 = j_l(v)^2
     and W(v, u) = weight * Gauss weight * 4uv / (pi^2 (u^2 - v^2)^2):
     three GEMMs (one BLAS call on M1..M3 stacked), summed over node chunks
-    of _CHUNK_PANELS panels and column blocks of W.  The split
-    cancels as v -> u, so the two panels that touch the edge nearest each
-    u are zeroed in W and summed directly with _lommel_kernel.  Order 12
+    of _CHUNK_PANELS panels and column blocks of W before the j_l(u)
+    factors are applied.  The split cancels as v -> u, so the two panels
+    that touch the edge nearest each u are zeroed in W and summed
+    directly with _lommel_kernel, in batches of (point, node) pairs.  The
+    split also loses digits where u and v are both small (K R below ~1).
+    Order 12
     against order 24 on the same panels estimates the error; points that
     miss quad_rel_tol are redone on bisected panels, twice at most.
     """
@@ -364,13 +401,15 @@ class _SpectrumEngine:
         """I_l(u), l = 1..l_hard, at the points u[cols]: one (l_hard, cols)
         array per Gauss-Legendre order, each rule on every panel of edges.
         Each chunk of _CHUNK_PANELS panels builds one j_l(v) table for the
-        nodes of all the orders."""
+        nodes of all the orders.  The GEMM outputs M1 W, M2 W, M3 W add up
+        over every chunk and block and are combined once per rule."""
         u = self.u[cols]
         # no copy of the j_l(u) table while every point is still open
         ju = self.ju if cols.size == self.u.size else self.ju[:, cols]
         first, last = _touching_panels(edges, u)
         n_panels = edges.size - 1
         totals = [np.zeros((self.l_hard, u.size)) for _ in orders]
+        sums = [np.zeros((3, self.l_hard, u.size)) for _ in orders]
         rules = [_gauss_nodes(order) for order in orders]
         for p0 in range(0, n_panels, _CHUNK_PANELS):
             p1 = min(p0 + _CHUNK_PANELS, n_panels)
@@ -380,26 +419,66 @@ class _SpectrumEngine:
                      for x, _ in rules]
             jv_all = sph_jn_table(self.l_hard, np.concatenate(nodes))
             touching = np.flatnonzero((last >= p0) & (first < p1))
+            lo = np.maximum(first[touching], p0) - p0
+            hi = np.minimum(last[touching], p1 - 1) + 1 - p0
             start = 0
-            for (_, ref_w), v, acc in zip(rules, nodes, totals):
+            for (_, ref_w), v, acc, s in zip(rules, nodes, totals, sums):
                 order = ref_w.size
                 jv = jv_all[:, start:start + v.size]
                 start += v.size
                 gw = (halves[:, None] * ref_w[None, :]).ravel()
-                direct = {int(i): slice((max(first[i], p0) - p0) * order,
-                                        (min(last[i], p1 - 1) + 1 - p0) * order)
-                          for i in touching}
-                self._accumulate(acc, u, ju, v, gw, jv, direct)
+                # (column, node) pairs of the touching panels, by column
+                count = (hi - lo) * order
+                pair_col = np.repeat(touching, count)
+                pair_row = np.arange(pair_col.size) + np.repeat(
+                    lo * order - (np.cumsum(count) - count), count)
+                self._direct(acc, u, ju, v, gw, jv, pair_col, pair_row)
+                self._split(s, u, v, gw, jv, pair_col, pair_row)
+            del jv, jv_all  # before the next chunk builds its table
+        jl, jlm1 = ju[1:], ju[:-1]
+        for acc, (s1, s2, s3) in zip(totals, sums):
+            s1 *= jl
+            s1 *= jl
+            acc += s1
+            s2 *= jl
+            s2 *= jlm1
+            s2 *= 2.0 * u
+            acc -= s2
+            s3 *= jlm1
+            s3 *= jlm1
+            s3 *= u * u
+            acc += s3
         return totals
 
-    def _accumulate(self, acc: np.ndarray, u: np.ndarray, ju: np.ndarray,
-                    v: np.ndarray, gw: np.ndarray, jv: np.ndarray,
-                    direct: dict[int, slice]) -> None:
-        """Adds one node chunk's share of I_l(u) to acc.
+    def _weight(self, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """((n_out v^2 + n_in u^2) / (n_out v + n_in u))^2, broadcast."""
+        w = v * v * self.n_out + u * u * self.n_in
+        w /= v * self.n_out + u * self.n_in
+        w *= w
+        return w
 
-        direct maps a column to the rows of its touching panels, which are
-        summed with _lommel_kernel and left out of the GEMM split.
-        """
+    def _direct(self, acc: np.ndarray, u: np.ndarray, ju: np.ndarray,
+                v: np.ndarray, gw: np.ndarray, jv: np.ndarray,
+                pair_col: np.ndarray, pair_row: np.ndarray) -> None:
+        """Adds lambda^2 * weight * Gauss weight over the (column, node)
+        pairs of the touching panels to acc, in batches of at most
+        _DIRECT_ELEMENTS kernel values."""
+        step = max(1, _DIRECT_ELEMENTS // (self.l_hard + 1))
+        for b0 in range(0, pair_col.size, step):
+            col = pair_col[b0:b0 + step]
+            row = pair_row[b0:b0 + step]
+            uc, vr = u[col], v[row]
+            lam = _lommel_kernel(uc, vr, ju[:, col], jv[:, row])
+            lam *= lam
+            lam *= self._weight(vr, uc) * gw[row]
+            starts = np.flatnonzero(np.diff(col, prepend=-1))
+            acc[:, col[starts]] += np.add.reduceat(lam, starts, axis=1)
+
+    def _split(self, s: np.ndarray, u: np.ndarray, v: np.ndarray,
+               gw: np.ndarray, jv: np.ndarray, pair_col: np.ndarray,
+               pair_row: np.ndarray) -> None:
+        """Adds one node chunk's M1 W, M2 W, M3 W to s, the touching
+        (column, node) pairs left out."""
         n_l = self.l_hard
         m = np.empty((3, n_l, v.size))
         np.multiply(jv[:-1], v, out=m[0])
@@ -409,19 +488,15 @@ class _SpectrumEngine:
         np.multiply(jv[1:], jv[1:], out=m[2])
         m = m.reshape(3 * n_l, v.size)
         width = max(1, _BLOCK_ELEMENTS // v.size)
-        for c0 in range(0, u.size, width):
+        cuts = np.searchsorted(pair_col, np.arange(0, u.size + width, width))
+        for k, c0 in enumerate(range(0, u.size, width)):
             c1 = min(c0 + width, u.size)
             ub = u[c0:c1]
-            # weight * Gauss weight
-            w = np.add.outer(v * v * self.n_out, ub * ub * self.n_in)
-            w /= np.add.outer(v * self.n_out, ub * self.n_in)
-            w *= w
+            w = self._weight(v[:, None], ub)
             w *= gw[:, None]
-            for i, rows in direct.items():
-                if c0 <= i < c1:
-                    lam = _lommel_kernel(u[i], v[rows], ju[:, i], jv[:, rows])
-                    acc[:, i] += (lam * lam) @ w[rows, i - c0]
-                    w[rows, i - c0] = 0.0
+            if cuts[k + 1] > cuts[k]:
+                block = slice(cuts[k], cuts[k + 1])
+                w[pair_row[block], pair_col[block] - c0] = 0.0
             # times 4uv / (pi^2 (u^2 - v^2)^2); Gauss nodes lie inside their
             # panels, so v != u off the touching panels
             d = np.subtract.outer(v, ub)
@@ -430,10 +505,7 @@ class _SpectrumEngine:
             w /= d
             w *= ((4.0 / math.pi**2) * v)[:, None]
             w *= ub
-            s1, s2, s3 = (m @ w).reshape(3, n_l, c1 - c0)
-            jl, jlm1 = ju[1:, c0:c1], ju[:-1, c0:c1]
-            acc[:, c0:c1] += (jl * jl * s1 - 2.0 * ub * jl * jlm1 * s2
-                              + ub * ub * jlm1 * jlm1 * s3)
+            s[:, :, c0:c1] += (m @ w).reshape(3, n_l, c1 - c0)
 
     def sums(self) -> np.ndarray:
         """sum_l (2l+1) I_l(u) over every l = 1..l_hard at every point u.
@@ -487,12 +559,20 @@ def spectral_grid(geometry: BubbleGeometry,
     """Output grid for spectra: (omega_out in rad/s, x = k_out R).
 
     Runs from one spacing above zero to grid_extend times the gas-side
-    cutoff, with a sample exactly at the cutoff.
+    cutoff, with a sample exactly at the cutoff.  A grid whose points
+    would need more than _MAX_ENGINE_BYTES is refused with DomainError
+    before it is built.
     """
     config = config or FiniteSpectrumConfig()
+    n_points = _grid_size(config)
+    if n_points * _POINT_BYTES > _MAX_ENGINE_BYTES:
+        raise DomainError(
+            f"output grid too large: {n_points} points need "
+            f"~{n_points * _POINT_BYTES / 2**30:.3g} GiB, above the "
+            f"{_MAX_ENGINE_BYTES / 2**30:g} GiB limit; lower grid_points")
     kr = geometry.k_gas_cutoff * geometry.radius
     h = kr / config.grid_points
-    x_grid = h * np.arange(1, _grid_size(config) + 1)
+    x_grid = h * np.arange(1, n_points + 1)
     omega_grid = x_grid * SPEED_OF_LIGHT / (geometry.n_out * geometry.radius)
     return (tuple(float(w) for w in omega_grid),
             tuple(float(x) for x in x_grid))

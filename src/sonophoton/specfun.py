@@ -20,8 +20,12 @@ import numpy as np
 from .core import DomainError
 
 _LN2 = math.log(2.0)
-# Rescale threshold for the downward recurrence trial solution.
-_BIG = 1e250
+# Rescale threshold and factor for the downward recurrence trial solution:
+# exact powers of two, so a rescale never rounds.  Values below _BIG may
+# grow by 2**_HEADROOM_BITS before they overflow.
+_BIG = 2.0**830
+_SMALL = 2.0**-830
+_HEADROOM_BITS = 193
 
 
 def log_sinh(x: float) -> float:
@@ -94,29 +98,42 @@ def sph_jn_table(lmax: int, x: np.ndarray) -> np.ndarray:
         xd = xl[down]
         cols = np.flatnonzero(live)[down]
         lstart = _miller_start(lmax)
-        tab = np.zeros((lmax + 1, xd.size))
-        p_hi = np.zeros_like(xd)          # trial value at order l+1
-        p = np.full_like(xd, 1e-30)       # trial value at order l
-        for l in range(lstart, -1, -1):
-            if l <= lmax:
-                tab[l] = p
-            p_lo = (2 * l + 1) / xd * p - p_hi
-            p_hi = p
-            p = p_lo
-            big = np.abs(p) > _BIG
-            if big.any():
-                p[big] /= _BIG
-                p_hi[big] /= _BIG
-                tab[min(l, lmax):, big] /= _BIG
-        # p_hi now holds the trial value at order 0, p at order -1 (unused).
+        inv = 1.0 / xd
+        tab = np.empty((lmax + 1, xd.size))
+        # Trial value at order k lives in rows[k]: the table's own rows up
+        # to lmax, three rotating buffers above it.
+        ring = np.zeros((3, xd.size))
+        rows = list(tab) + [ring[k % 3] for k in range(lmax + 1, lstart + 2)]
+        rows[lstart].fill(1e-30)
+        # Each step grows max(|p_l|, |p_{l+1}|) by at most this factor, so
+        # from below _BIG no value overflows within `stride` steps.
+        growth = (2 * lstart + 1) * float(inv.max()) + 1.0
+        stride = max(1, int(_HEADROOM_BITS / math.log2(growth)))
+        for l in range(lstart, 0, -1):
+            lo, mid = rows[l - 1], rows[l]
+            # positional out: keyword arguments cost more than the step
+            np.multiply(inv, 2 * l + 1, lo)
+            np.multiply(lo, mid, lo)
+            np.subtract(lo, rows[l + 1], lo)
+            if l % stride == 0:
+                big = np.maximum(np.abs(lo), np.abs(mid)) > _BIG
+                if big.any():
+                    if l - 1 <= lmax:
+                        tab[l - 1:, big] *= _SMALL
+                    else:
+                        lo[big] *= _SMALL
+                    if l > lmax:
+                        mid[big] *= _SMALL
         # Normalize against j_0, or j_1 near a zero of sin(x).
         ref0 = j0[down]
         ref1 = j1[down]
         use1 = np.abs(ref0) < np.abs(ref1)
         scale = np.where(use1,
                          ref1 / np.where(tab[1] != 0.0, tab[1], 1.0),
-                         ref0 / np.where(p_hi != 0.0, p_hi, 1.0))
+                         ref0 / np.where(tab[0] != 0.0, tab[0], 1.0))
         tab *= scale
+        if cols.size == n:
+            return tab
         out[:, cols] = tab
 
     return out

@@ -8,9 +8,10 @@ import pytest
 from sonophoton import (BubbleGeometry, DomainError, MediumTransition,
                         NumericalError, build_geometry_from_kr, bubble)
 from sonophoton.bubble import (_DIAGONAL_WIDTH, A_NU_SQ_SMOOTH,
-                               FiniteSpectrumConfig, _engine_bytes, _grid_size,
-                               _l_hard, _lommel_kernel, match_modes,
-                               spectral_grid, spectrum_finite, totals_finite)
+                               FiniteSpectrumConfig, _engine_bytes,
+                               _gauss_nodes, _grid_size, _l_hard,
+                               _lommel_kernel, match_modes, spectral_grid,
+                               spectrum_finite, totals_finite)
 from sonophoton.core import SPEED_OF_LIGHT as C, nm_to_m
 from sonophoton.homogeneous import POLARIZATIONS, total_photons_closed_form
 from sonophoton.specfun import sph_jn_table, sph_yn_table
@@ -164,6 +165,23 @@ class TestLommelKernel:
                               lmax)
             assert np.all(np.isfinite(crossing))
 
+    def test_one_u_per_column_matches_scalar_form(self):
+        # the engine's direct sum passes one u per column; every column
+        # must equal the scalar-u kernel, on both sides of the diagonal
+        # switch and on it
+        lmax = 40
+        offsets = 0.5 * _DIAGONAL_WIDTH * np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
+        us, vs = [], []
+        for u in (0.7, 6.0, 12.0, 39.5):
+            for v in np.concatenate((u * (1.0 + offsets), [0.3, 2.5, 41.0])):
+                us.append(u)
+                vs.append(v)
+        us, vs = np.array(us), np.array(vs)
+        batched = _lommel_kernel(us, vs, sph_jn_table(lmax, us),
+                                 sph_jn_table(lmax, vs))
+        for i, (u, v) in enumerate(zip(us, vs)):
+            assert np.array_equal(batched[:, i], lommel(u, [v], lmax)[:, 0]), i
+
     def test_symmetric_in_u_and_v(self):
         rng = np.random.default_rng(31)
         lmax = 30
@@ -174,6 +192,16 @@ class TestLommelKernel:
                 back = lommel(float(v), [u], lmax)[:, 0]
                 scale = np.max(np.abs(forward[:, i]))
                 assert np.all(np.abs(forward[:, i] - back) <= 1e-10 * scale)
+
+
+@pytest.mark.parametrize("order", [12, 24])
+def test_gauss_nodes_match_leggauss(order):
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = _gauss_nodes(order)
+    want_nodes, want_weights = leggauss(order)
+    assert np.max(np.abs(nodes - want_nodes)) <= 2e-15
+    assert np.max(np.abs(weights - want_weights)) <= 2e-15
 
 
 class TestSpectrumFinite:

@@ -5,6 +5,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sonophoton
@@ -251,6 +252,17 @@ class TestExitCodes:
         start = time.perf_counter()
         assert main(["totals", "--n-in", "2", "--n-out", "1.5",
                      "--model", "finite", "--k-obs-r", "1e6"]) == 1
+        assert time.perf_counter() - start < 1.0
+
+    def test_oversized_infinite_grid_is_usage(self, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("an output grid was built")
+
+        monkeypatch.setattr(np, "arange", no_grid)
+        start = time.perf_counter()
+        assert main(["spectrum", "--n-gas-in", "2", "--n-gas-out", "1.5",
+                     "--model", "infinite",
+                     "--grid-points", "1000000000"]) == 1
         assert time.perf_counter() - start < 1.0
 
 

@@ -54,6 +54,27 @@ class TestSphericalJ:
                     assert_close(got, oracle_j(l, float(x)), rel=1e-12,
                                  what=f"j_{l}({x}) in a table to {lmax}")
 
+    def test_table_at_engine_smallest_nodes(self):
+        # the engine's first node chunk starts near 1e-6 K R, where the
+        # downward trial solution grows fastest and is rescaled most often.
+        # At these x, j_l falls monotonically in l; once it leaves the
+        # normal range the table must hold underflowed values only
+        xs = [1.2e-5, 3.7e-5, 4e-4, 3e-3]
+        normal = np.finfo(float).tiny
+        want = {x: [] for x in xs}
+        for x in xs:
+            while not want[x] or abs(want[x][-1]) >= normal:
+                want[x].append(oracle_j(len(want[x]), x))
+        for lmax in (47, 63, 463):
+            tab = sph_jn_table(lmax, np.array(xs))
+            for col, x in enumerate(xs):
+                for l, got in enumerate(tab[:, col]):
+                    what = f"j_{l}({x}) in a table to {lmax}"
+                    if l < len(want[x]) - 1:
+                        assert_close(got, want[x][l], rel=1e-12, what=what)
+                    else:
+                        assert abs(got) < normal, what
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             spherical_j(-1, 1.0)
