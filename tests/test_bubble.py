@@ -4,22 +4,25 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from sonophoton import (BubbleGeometry, DomainError, MediumTransition,
                         NumericalError, build_geometry_from_kr, bubble)
 from sonophoton.bubble import (_DIAGONAL_WIDTH, A_NU_SQ_SMOOTH,
                                FiniteSpectrumConfig, _engine_bytes,
                                _gauss_nodes, _grid_size, _l_hard,
-                               _lommel_kernel, match_modes, spectral_grid,
-                               spectrum_finite, totals_finite)
+                               _lommel_kernel, spectral_grid, spectrum_finite,
+                               totals_finite)
 from sonophoton.core import SPEED_OF_LIGHT as C, nm_to_m
 from sonophoton.homogeneous import POLARIZATIONS, total_photons_closed_form
-from sonophoton.specfun import sph_jn_table, sph_yn_table
+from sonophoton.specfun import sph_jn_table
 
 import engine_oracle
 from kernel_oracle import finite_kernel
-from mode_oracle import R500, mode_profile, normalization_slope, omega_for
-from oracles import rel_err, trapz
+from mode_oracle import (R500, match_modes, mode_profile, normalization_slope,
+                         omega_for)
+from oracles import (oracle_j_mp, oracle_j_table_mp, rel_err, sph_yn_table,
+                     trapz)
 
 
 class TestMatchModes:
@@ -147,20 +150,49 @@ def lommel(u, v, lmax):
     return _lommel_kernel(u, v, ju, sph_jn_table(lmax, v))
 
 
+def lommel_mp(lmax, u, v):
+    """lambda_l(u, v), l = 1..lmax, from the arbitrary-precision j_l
+    tables."""
+    ju, jv = oracle_j_table_mp(lmax, u), oracle_j_table_mp(lmax, v)
+    with mp.workdps(60):
+        um, vm = mpf(u), mpf(v)
+        scale = 2 * mp.sqrt(um * vm) / mp.pi / ((um - vm) * (um + vm))
+        return np.array([float(scale * (vm * ju[l] * jv[l - 1]
+                                        - um * ju[l - 1] * jv[l]))
+                         for l in range(1, lmax + 1)])
+
+
+@pytest.mark.parametrize("lmax, x", [(3, 0.1), (5, 6.0), (149, 150.0),
+                                     (391, 392.000001)])
+def test_mp_table_matches_series_oracle(lmax, x):
+    # the recurrence table behind lommel_mp against the power series
+    top = oracle_j_table_mp(lmax, x)[lmax]
+    with mp.workdps(60):
+        want = oracle_j_mp(lmax, x, 40 + int(x) + lmax)
+        assert abs(top - want) <= mpf(10)**-40 * abs(want)
+
+
 class TestLommelKernel:
     def test_continuity_across_diagonal_switch(self):
-        # |u^2 - v^2| < w u^2 switches at v = u (1 + w/2).  Probes at half
-        # and twice that offset land on either side of it; the rows are
-        # l < u, the oscillatory regime where the spectrum integrand lives
-        half_width = 0.5 * _DIAGONAL_WIDTH
-        offsets = half_width * np.array([-2.0, -0.5, 0.5, 2.0])
-        for u in (6.0, 12.0, 40.0, 150.0, 392.0):
-            lmax = math.ceil(u) - 1
-            lam = lommel(u, u * (1.0 + offsets), lmax)
-            assert np.all(np.isfinite(lam))
-            for inner, outer in ((1, 0), (2, 3)):
-                assert np.all(np.abs(lam[:, inner] - lam[:, outer])
-                              <= 1e-5 * np.abs(lam[:, outer])), u
+        # the kernel switches to the geometric mean of its diagonals at
+        # |u^2 - v^2| = w max(u^2, 1e3).  Probes just inside and just
+        # outside it, and deep inside it, must all match the exact
+        # quotient (evaluated in arbitrary precision) on every row: the
+        # direct quotient loses digits as |u^2 - v^2| shrinks and the
+        # diagonal mean as it grows, and the switch sits where both stay
+        # small.  The rows are every l < u, the oscillatory regime where
+        # the spectrum integrand lives (l = 1..3 at the small argument
+        # u = 0.1)
+        steps = np.array([-1.01, -0.99, -1e-3, 1e-3, 0.99, 1.01])
+        for u in (0.1, 6.0, 12.0, 40.0, 150.0, 392.0):
+            lmax = max(3, math.ceil(u) - 1)
+            width = _DIAGONAL_WIDTH * max(u * u, 1e3)
+            vs = np.sqrt(u * u + width * steps)
+            lam = lommel(u, vs, lmax)
+            for col, v in enumerate(vs):
+                want = lommel_mp(lmax, u, float(v))
+                assert np.all(np.abs(lam[:, col] - want)
+                              <= 5e-9 * np.abs(want)), (u, v)
             crossing = lommel(u, u * (1.0 + np.linspace(-5e-9, 5e-9, 101)),
                               lmax)
             assert np.all(np.isfinite(crossing))
@@ -331,10 +363,11 @@ class TestEngineAgainstOracle:
 
     @pytest.mark.parametrize("tr, geom, cfg", [
         HEADLINE + (FiniteSpectrumConfig(),),
-        # grid spacing 3.5 > pi/2: every interval is split evenly
+        # grid spacing 3.5 > pi/2: several panels between output points
         (MediumTransition(n_in=2.0, n_out=1.5),
          build_geometry_from_kr(6.0, 1.3, 1.5), FiniteSpectrumConfig(grid_points=2)),
-        # grid spacing 0.009: GEMM split nodes come within two panels of u
+        # grid spacing 0.009 at K R < pi/2: every point shares the one
+        # panel, and every pair is summed directly
         (MediumTransition(n_in=3.0, n_out=1.5),
          build_geometry_from_kr(1.5, 1.3, 1.5), FiniteSpectrumConfig(grid_points=200)),
         (MediumTransition(n_in=2.0, n_out=1.5),
@@ -376,6 +409,25 @@ class TestEngineAgainstOracle:
         got, want = self.failure_messages(FiniteSpectrumConfig(grid_points=8))
         assert got == want
         assert got.startswith("l sum not converged by l=")
+
+
+def test_nodes_do_not_depend_on_output_grid(monkeypatch):
+    # the panels depend on K R alone: a 20x finer output grid adds columns
+    # to the j_l(u) table and nothing to the j_l(v) node tables
+    def node_columns(grid_points):
+        columns = []
+
+        def recording_table(lmax, x):
+            columns.append(len(x))
+            return sph_jn_table(lmax, x)
+
+        monkeypatch.setattr(bubble, "sph_jn_table", recording_table)
+        cfg = FiniteSpectrumConfig(grid_points=grid_points)
+        spectrum_finite(HEADLINE[0], HEADLINE[1].n_liquid, HEADLINE[1], cfg)
+        assert columns[0] == _grid_size(cfg)  # the j_l(u) table
+        return sum(columns[1:])
+
+    assert node_columns(50) == node_columns(1000)
 
 
 class TestProblemSizeGuard:

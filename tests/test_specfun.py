@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from sonophoton import DomainError
-from sonophoton.specfun import (log_sinh, sph_jn_table, spherical_j,
-                                spherical_j_prime, spherical_y,
-                                spherical_y_prime)
+from sonophoton.specfun import log_sinh, sph_jn_table
 
 from kernel_oracle import cylinder_j, cylinder_pair_at, wronskian_kernel
 from oracles import (assert_close, oracle_j, oracle_wronskian_fd, oracle_y,
-                     rel_err)
+                     rel_err, spherical_j, spherical_j_prime, spherical_y,
+                     spherical_y_prime)
 
 
 class TestSphericalJ:
@@ -72,6 +71,29 @@ class TestSphericalJ:
                     what = f"j_{l}({x}) in a table to {lmax}"
                     if l < len(want[x]) - 1:
                         assert_close(got, want[x][l], rel=1e-12, what=what)
+                    else:
+                        assert abs(got) < normal, what
+
+    def test_table_at_tiny_arguments(self):
+        # below 1e-8 the table is the leading series term x^l / (2l+1)!!,
+        # which must agree with the series oracle across the switch and
+        # underflow to 0, never to NaN, as x^l leaves the double range
+        xs = [0.0, 1e-300, 1e-200, 1e-100, 1e-60, 1e-20, 0.99e-8, 1e-8,
+              1.01e-8, 1e-6]
+        normal = np.finfo(float).tiny
+        want = {x: [] for x in xs}
+        for x in xs:
+            while len(want[x]) <= 463 and (not want[x]
+                                           or abs(want[x][-1]) >= normal):
+                want[x].append(oracle_j(len(want[x]), x))
+        for lmax in (1, 3, 63, 463):
+            tab = sph_jn_table(lmax, np.array(xs))
+            assert np.all(np.isfinite(tab)), lmax
+            for col, x in enumerate(xs):
+                for l, got in enumerate(tab[:, col]):
+                    what = f"j_{l}({x}) in a table to {lmax}"
+                    if l < len(want[x]) and abs(want[x][l]) >= normal:
+                        assert_close(got, want[x][l], rel=5e-15, what=what)
                     else:
                         assert abs(got) < normal, what
 
