@@ -123,8 +123,14 @@ _CHUNK_PANELS = 8
 # Elements per column block of the engine's weight matrix W.  Larger
 # GEMMs wake a second BLAS thread, which costs more than it saves here.
 _BLOCK_ELEMENTS = 1 << 12
-# Kernel values per batch of the touching panels' direct sum.
+# Kernel values per batch of the engine's direct sum.
 _DIRECT_ELEMENTS = 1 << 13
+# |u^2 - v^2| < _DIRECT_WIDTH * max(u^2, _DIRECT_FLOOR) marks the node
+# pairs the engine sums directly.  Its GEMM split of lambda^2 has terms
+# that cancel to one part in u^2 / |u^2 - v^2| and, at small u and v, in
+# (2l + 1)(2l + 3) / |u^2 - v^2|; the floor is that factor at l = 1.
+_DIRECT_WIDTH = 1e-2
+_DIRECT_FLOOR = 15.0
 # spectrum_finite refuses a problem whose engine arrays (_engine_bytes)
 # would need more bytes than this, and spectral_grid a grid whose points
 # would (at _POINT_BYTES each).
@@ -206,17 +212,19 @@ def _engine_bytes(l_hard: int, n_points: int) -> int:
     Nine (l_hard + 1) x n_points arrays span the whole spectrum: the j_l(u)
     table and, for each of the first level's two rules, its direct sums
     and its three GEMM sums.  One node chunk adds its j_l(v) table and the
-    one being built, M1..M3, the W block with two temporaries, the GEMM
-    result, one direct-sum batch (up to eight arrays of _DIRECT_ELEMENTS)
-    and four index arrays over two order-24 panels per point.
+    one being built, M1..M3, the GEMM result, and six arrays of at most
+    one W block: W, its denominator, one temporary, the mask of pairs
+    summed directly and their two index arrays.  One direct-sum batch adds
+    up to eight arrays of _DIRECT_ELEMENTS.  The output grid's tuples and
+    index arrays count at _POINT_BYTES a point.
     """
     rows = l_hard + 1
     nodes = 36 * _CHUNK_PANELS                 # orders 12 and 24
     block = max(_BLOCK_ELEMENTS, 24 * _CHUNK_PANELS)
     columns = min(n_points, max(1, _BLOCK_ELEMENTS // (12 * _CHUNK_PANELS)))
-    return 8 * rows * (9 * n_points + 2 * nodes + 3 * 24 * _CHUNK_PANELS
-                       + 3 * columns) + 8 * (3 * block + 8 * _DIRECT_ELEMENTS
-                                             + 4 * 2 * 24 * n_points)
+    floats = (rows * (9 * n_points + 2 * nodes + 3 * 24 * _CHUNK_PANELS
+                      + 3 * columns) + 6 * block + 8 * _DIRECT_ELEMENTS)
+    return 8 * floats + _POINT_BYTES * n_points
 
 
 def _panel_edges(v_min: float, v_max: float) -> np.ndarray:
@@ -224,15 +232,6 @@ def _panel_edges(v_min: float, v_max: float) -> np.ndarray:
     _PANEL_WIDTH."""
     return np.linspace(v_min, v_max,
                        math.ceil((v_max - v_min) / _PANEL_WIDTH) + 1)
-
-
-def _touching_panels(edges: np.ndarray,
-                     u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and last index of the panels that touch the edge nearest each
-    u (panel k spans edges[k]..edges[k + 1])."""
-    right = np.clip(np.searchsorted(edges, u), 1, edges.size - 1)
-    near = right - ((u - edges[right - 1]) <= (edges[right] - u))
-    return np.maximum(near - 1, 0), np.minimum(near, edges.size - 2)
 
 
 def _diagonal(x: float | np.ndarray, jx: np.ndarray) -> np.ndarray:
@@ -304,12 +303,13 @@ class _SpectrumEngine:
     and W(v, u) = weight * Gauss weight * 4uv / (pi^2 (u^2 - v^2)^2):
     three GEMMs (one BLAS call on M1..M3 stacked), summed over node chunks
     of _CHUNK_PANELS panels and column blocks of W before the j_l(u)
-    factors are applied.  The split cancels as v -> u, so the two panels
-    that touch the edge nearest each u, which cover u +- half a panel,
-    are zeroed in W and summed directly with _lommel_kernel, in batches
-    of (point, node) pairs (every pair at K R <= pi/2: one panel).  Order
-    12 against 24 on the same panels estimates the error; points that
-    miss quad_rel_tol are redone on bisected panels, twice at most.
+    factors are applied.  The split cancels as v -> u, and for small u
+    and v, so the pairs with |u^2 - v^2| < _DIRECT_WIDTH
+    max(u^2, _DIRECT_FLOOR) are zeroed in W and summed directly with
+    _lommel_kernel: a band of ~2 nodes per point on the headline
+    spectrum.  Order 12 against 24 on the same panels estimates the
+    error; points that miss quad_rel_tol are redone on bisected panels,
+    twice at most.
     """
 
     def __init__(self, n_gas_in: float, n_gas_out: float, kr: float,
@@ -333,7 +333,6 @@ class _SpectrumEngine:
         u = self.u[cols]
         # no copy of the j_l(u) table while every point is still open
         ju = self.ju if cols.size == self.u.size else self.ju[:, cols]
-        first, last = _touching_panels(edges, u)
         n_panels = edges.size - 1
         totals = [np.zeros((self.l_hard, u.size)) for _ in orders]
         sums = [np.zeros((3, self.l_hard, u.size)) for _ in orders]
@@ -345,22 +344,12 @@ class _SpectrumEngine:
             nodes = [(mids[:, None] + halves[:, None] * x[None, :]).ravel()
                      for x, _ in rules]
             jv_all = sph_jn_table(self.l_hard, np.concatenate(nodes))
-            touching = np.flatnonzero((last >= p0) & (first < p1))
-            lo = np.maximum(first[touching], p0) - p0
-            hi = np.minimum(last[touching], p1 - 1) + 1 - p0
             start = 0
             for (_, ref_w), v, acc, s in zip(rules, nodes, totals, sums):
-                order = ref_w.size
                 jv = jv_all[:, start:start + v.size]
                 start += v.size
                 gw = (halves[:, None] * ref_w[None, :]).ravel()
-                # (column, node) pairs of the touching panels, by column
-                count = (hi - lo) * order
-                pair_col = np.repeat(touching, count)
-                pair_row = np.arange(pair_col.size) + np.repeat(
-                    lo * order - (np.cumsum(count) - count), count)
-                self._direct(acc, u, ju, v, gw, jv, pair_col, pair_row)
-                self._split(s, u, v, gw, jv, pair_col, pair_row)
+                self._split(acc, s, u, ju, v, gw, jv)
             del jv, jv_all  # before the next chunk builds its table
         jl, jlm1 = ju[1:], ju[:-1]
         for acc, (s1, s2, s3) in zip(totals, sums):
@@ -387,9 +376,9 @@ class _SpectrumEngine:
     def _direct(self, acc: np.ndarray, u: np.ndarray, ju: np.ndarray,
                 v: np.ndarray, gw: np.ndarray, jv: np.ndarray,
                 pair_col: np.ndarray, pair_row: np.ndarray) -> None:
-        """Adds lambda^2 * weight * Gauss weight over the (column, node)
-        pairs of the touching panels to acc, in batches of at most
-        _DIRECT_ELEMENTS kernel values."""
+        """Adds lambda^2 * weight * Gauss weight over (column, node) pairs,
+        sorted by column, to acc, in batches of at most _DIRECT_ELEMENTS
+        kernel values."""
         step = max(1, _DIRECT_ELEMENTS // (self.l_hard + 1))
         for b0 in range(0, pair_col.size, step):
             col = pair_col[b0:b0 + step]
@@ -401,11 +390,11 @@ class _SpectrumEngine:
             starts = np.flatnonzero(np.diff(col, prepend=-1))
             acc[:, col[starts]] += np.add.reduceat(lam, starts, axis=1)
 
-    def _split(self, s: np.ndarray, u: np.ndarray, v: np.ndarray,
-               gw: np.ndarray, jv: np.ndarray, pair_col: np.ndarray,
-               pair_row: np.ndarray) -> None:
-        """Adds one node chunk's M1 W, M2 W, M3 W to s, the touching
-        (column, node) pairs left out."""
+    def _split(self, acc: np.ndarray, s: np.ndarray, u: np.ndarray,
+               ju: np.ndarray, v: np.ndarray, gw: np.ndarray,
+               jv: np.ndarray) -> None:
+        """Adds one node chunk's M1 W, M2 W, M3 W to s, and the pairs where
+        that split cancels, summed directly, to acc."""
         n_l = self.l_hard
         m = np.empty((3, n_l, v.size))
         np.multiply(jv[:-1], v, out=m[0])
@@ -415,19 +404,21 @@ class _SpectrumEngine:
         np.multiply(jv[1:], jv[1:], out=m[2])
         m = m.reshape(3 * n_l, v.size)
         width = max(1, _BLOCK_ELEMENTS // v.size)
-        cuts = np.searchsorted(pair_col, np.arange(0, u.size + width, width))
-        for k, c0 in enumerate(range(0, u.size, width)):
+        for c0 in range(0, u.size, width):
             c1 = min(c0 + width, u.size)
             ub = u[c0:c1]
             w = self._weight(v[:, None], ub)
             w *= gw[:, None]
-            if cuts[k + 1] > cuts[k]:
-                block = slice(cuts[k], cuts[k + 1])
-                w[pair_row[block], pair_col[block] - c0] = 0.0
-            # times 4uv / (pi^2 (u^2 - v^2)^2); Gauss nodes lie inside their
-            # panels, so v != u off the touching panels
+            # times 4uv / (pi^2 (u^2 - v^2)^2) where the split holds; the
+            # close pairs, v = u among them, go to _direct instead
             d = np.subtract.outer(v, ub)
             d *= np.add.outer(v, ub)
+            close = np.abs(d) < _DIRECT_WIDTH * np.maximum(ub * ub,
+                                                            _DIRECT_FLOOR)
+            w[close] = 0.0
+            d[close] = 1.0
+            self._direct(acc[:, c0:c1], ub, ju[:, c0:c1], v, gw, jv,
+                         *np.nonzero(close.T))  # pairs sorted by column
             d *= d
             w /= d
             w *= ((4.0 / math.pi**2) * v)[:, None]

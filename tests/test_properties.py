@@ -1,4 +1,5 @@
-"""Property tests of the finite-volume spectrum over its parameter domain.
+"""Property tests of the finite-volume spectrum and the inverse solve over
+their parameter domains.
 
 Small bubbles (K R <= 8) and coarse grids keep each example to a few
 milliseconds, so the per-point reference engine can referee every one.
@@ -11,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from sonophoton import MediumTransition, NumericalError, build_geometry_from_kr
 from sonophoton.bubble import FiniteSpectrumConfig, spectrum_finite
+from sonophoton.homogeneous import photons_from_count_formula
+from sonophoton.inverse import RESIDUAL_TOL, solve_n_in, sweep_figure1
 
 import engine_oracle
 
@@ -20,6 +23,8 @@ INDEX = st.floats(1.0, 50.0)
 KR = st.floats(0.1, 4.0)
 N_LIQUID = st.floats(1.0, 2.0)
 GRID_POINTS = st.integers(4, 24)
+N_OUT = st.floats(1.0, 100.0)
+TARGET = st.floats(4.0, 8.0).map(lambda e: 10.0**e)
 
 
 def spectrum(n_in, n_out, n_liquid, kr, grid_points):
@@ -75,7 +80,31 @@ def test_engine_matches_per_point_oracle(n_in, n_out, n_liquid, kr,
 
 
 def test_small_bubble_matches_per_point_oracle():
-    # at K R <= pi/2 there is one panel and every node pair is summed
-    # directly, so the GEMM split of lambda^2, which cancels when u and v
-    # are both small, never runs
+    # at K R = 0.1 every |u^2 - v^2| lies below 0.15, the floor of the
+    # direct band, so every node pair is summed directly and the GEMM
+    # split of lambda^2, which cancels when u and v are both small, never
+    # runs
     assert_matches_oracle(*spectrum(1.0, 1.5, 1.0, 0.1, 24))
+
+
+@PROPERTY
+@given(n_out=N_OUT, target=TARGET)
+def test_branch_pair_obeys_vieta_and_back_substitutes(n_out, target):
+    pair = solve_n_in(n_out, target)
+    product = pair.n_in_low * pair.n_in_high
+    assert abs(product - n_out * n_out) <= 1e-12 * n_out * n_out
+    for root in (pair.n_in_low, pair.n_in_high):
+        back = photons_from_count_formula(root, n_out, 1.3, 15.0)
+        assert abs(back - target) <= RESIDUAL_TOL * target
+
+
+@PROPERTY
+@given(grid=st.lists(N_OUT, min_size=1, max_size=8, unique=True),
+       target=TARGET)
+def test_sweep_rows_equal_pointwise_solves(grid, target):
+    grid = sorted(grid)
+    want = []
+    for n_out in grid:
+        pair = solve_n_in(n_out, target, 1.3, 15.0)
+        want.append((n_out, pair.n_in_low, pair.n_in_high))
+    assert sweep_figure1(target, 1.3, 15.0, grid) == want
