@@ -132,12 +132,12 @@ _DIRECT_ELEMENTS = 1 << 13
 _DIRECT_WIDTH = 1e-2
 _DIRECT_FLOOR = 15.0
 # spectrum_finite refuses a problem whose engine arrays (_engine_bytes)
-# would need more bytes than this, and spectral_grid a grid whose points
-# would (at _POINT_BYTES each).
+# would need more bytes than this, and check_grid_points an output grid
+# (a spectrum's or a sweep's) whose points would (at _POINT_BYTES each).
 _MAX_ENGINE_BYTES = 1 << 30
 # Upper estimate of the bytes a caller holds per output grid point: the
 # two float tuples, the value columns and one CSV row (~380 B measured
-# for `spectrum --model infinite`).
+# for `spectrum --model infinite`, ~370 B for `sweep`).
 _POINT_BYTES = 512
 
 
@@ -471,6 +471,17 @@ class _SpectrumEngine:
         return out
 
 
+def check_grid_points(n_points: int, knob: str) -> None:
+    """Refuse with DomainError an output grid whose points would need more
+    than _MAX_ENGINE_BYTES at _POINT_BYTES each; knob names the setting
+    to lower.  Callers check before they allocate the grid."""
+    if n_points * _POINT_BYTES > _MAX_ENGINE_BYTES:
+        raise DomainError(
+            f"output grid too large: {n_points} points need "
+            f"~{n_points * _POINT_BYTES / 2**30:.3g} GiB, above the "
+            f"{_MAX_ENGINE_BYTES / 2**30:g} GiB limit; lower {knob}")
+
+
 def spectral_grid(geometry: BubbleGeometry,
                   config: FiniteSpectrumConfig | None = None
                   ) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -483,11 +494,7 @@ def spectral_grid(geometry: BubbleGeometry,
     """
     config = config or FiniteSpectrumConfig()
     n_points = _grid_size(config)
-    if n_points * _POINT_BYTES > _MAX_ENGINE_BYTES:
-        raise DomainError(
-            f"output grid too large: {n_points} points need "
-            f"~{n_points * _POINT_BYTES / 2**30:.3g} GiB, above the "
-            f"{_MAX_ENGINE_BYTES / 2**30:g} GiB limit; lower grid_points")
+    check_grid_points(n_points, "grid_points")
     kr = geometry.k_gas_cutoff * geometry.radius
     h = kr / config.grid_points
     x_grid = h * np.arange(1, n_points + 1)

@@ -13,8 +13,11 @@ import functools
 import math
 import sys
 
+import numpy as np
+
 from . import __version__
-from .bubble import FiniteSpectrumConfig, spectral_grid, spectrum_finite, totals_finite
+from .bubble import (FiniteSpectrumConfig, check_grid_points, spectral_grid,
+                     spectrum_finite, totals_finite)
 from .core import (BubbleGeometry, DomainError, MediumTransition,
                    NumericalError, build_geometry_from_kr, fs_to_s,
                    joule_to_ev, nm_to_m)
@@ -360,7 +363,12 @@ def cmd_sweep(params: dict, output: str | None) -> int:
     lo, hi, npts = params["n_out_min"], params["n_out_max"], params["n_out_points"]
     if npts < 2 or not (0.0 < lo < hi):
         raise DomainError("need 0 < n-out-min < n-out-max and n-out-points >= 2")
-    grid = [lo + (hi - lo) * i / (npts - 1) for i in range(npts)]
+    check_grid_points(npts, "n-out-points")
+    # each n_out is lo + (hi - lo) * i / (npts - 1) evaluated in that
+    # order, as in Python floats; an infinite n-out-max gives NaN and inf,
+    # which sweep_figure1 refuses
+    with np.errstate(all="ignore"):
+        grid = lo + (hi - lo) * np.arange(npts) / (npts - 1)
     rows = sweep_figure1(params["target"], params["n_liquid"],
                          params["k_obs_r"], grid)
     lines = _preamble("sweep", params)

@@ -9,6 +9,11 @@ rational in n_in, so fixing (n_out, N) gives the quadratic
 whose two positive roots are the two branches of the target-count
 curve.  Vieta gives n_in_low * n_in_high = n_out^2 exactly, which makes
 the branch pair an involution under n_in -> n_out^2 / n_in.
+
+The algebra and the root checks are written once, elementwise in n_out:
+solve_n_in runs them on a float and sweep_figure1 on the whole grid as
+arrays.  numpy's elementwise + - * / and sqrt round as Python's float
+operations do, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -17,10 +22,17 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import DomainError, NumericalError
 from .homogeneous import photons_from_count_formula
 
 RESIDUAL_TOL = 1e-8
+# Near the double root a root must solve the quadratic to 64 ulp of its
+# largest term; 64 * 2^-52 is a power of two, so scaling by it is exact.
+_QUADRATIC_TOL = 64.0 * 2.220446049250313e-16
+# Relative tolerance of the Vieta product n_in_low * n_in_high = n_out^2.
+_VIETA_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -37,6 +49,63 @@ class BranchPair:
             raise DomainError("branch roots must satisfy 0 < low <= high")
 
 
+def _check_inputs(n_out, n_target, n_liquid, k_obs_r) -> None:
+    for name, val in (("n_out", n_out), ("n_target", n_target),
+                      ("n_liquid", n_liquid), ("k_obs_r", k_obs_r)):
+        if not (val > 0.0) or not math.isfinite(val):
+            raise DomainError(f"{name} must be positive and finite, got {val!r}")
+
+
+def _quadratic(n_out, n_target, n_liquid, k_obs_r):
+    """(s, disc): the quadratic's s = 2 n_out + L and its discriminant
+    s^2 - 4 n_out^2, elementwise in n_out (a float or an array)."""
+    c0 = k_obs_r**3 / (9.0 * math.pi)
+    lam = n_target * n_liquid**3 / (c0 * n_out * n_out)
+    # disc = s^2 - 4 n_out^2 algebraically; this form avoids the
+    # catastrophic cancellation near the double root lam -> 0
+    return 2.0 * n_out + lam, lam * (lam + 4.0 * n_out)
+
+
+def _roots(n_out, s, sqrt_disc):
+    """(low, high), elementwise: the larger root from the stable branch of
+    the formula and the smaller from the Vieta product, so neither
+    suffers cancellation."""
+    high = 0.5 * (s + sqrt_disc)
+    return n_out * n_out / high, high
+
+
+def _far_from_double_root(root, n_out):
+    """Elementwise: root lies at least 1e-7 relative from n_out.
+
+    Nearer to the double root the count is quadratically flat in n_in
+    and the root-to-count map too ill-conditioned for a meaningful count
+    residual, so the quadratic's own residual is checked there instead.
+    """
+    return abs(root - n_out) >= 1e-7 * root
+
+
+def _count_fails(back, n_target):
+    """Elementwise: the back-substituted count misses n_target by more
+    than RESIDUAL_TOL relative."""
+    return abs(back - n_target) > RESIDUAL_TOL * n_target
+
+
+def _quadratic_residual(root, n_out, s):
+    """(resid, too_large), elementwise: the quadratic's residual at root
+    and whether it exceeds _QUADRATIC_TOL times the largest term."""
+    rr, sr, nn = root * root, s * root, n_out * n_out
+    resid = rr - sr + nn
+    # |resid| > _QUADRATIC_TOL * max(rr, sr, nn), term by term
+    size = abs(resid)
+    return resid, ((size > _QUADRATIC_TOL * rr) & (size > _QUADRATIC_TOL * sr)
+                   & (size > _QUADRATIC_TOL * nn))
+
+
+def _vieta_fails(n_out, low, high):
+    """Elementwise: the root product misses n_out^2 by more than _VIETA_TOL."""
+    return abs(low * high - n_out * n_out) > _VIETA_TOL * n_out * n_out
+
+
 def solve_n_in(n_out: float, n_target: float, n_liquid: float = 1.3,
                k_obs_r: float = 15.0) -> BranchPair:
     """Both n_in values that give n_target photons at fixed n_out.
@@ -44,63 +113,98 @@ def solve_n_in(n_out: float, n_target: float, n_liquid: float = 1.3,
     Closed-form quadratic; the larger root is taken from the stable
     branch of the formula and the smaller from the Vieta product, so
     neither suffers cancellation.  Each root is verified by substitution
-    back into the count formula to RESIDUAL_TOL relative.
+    back into the count formula to RESIDUAL_TOL relative, or, within
+    1e-7 of the double root n_out, by the quadratic's own residual.
+    Raises DomainError for a non-positive or non-finite argument and
+    NumericalError for a root that fails its check.
     """
-    for name, val in (("n_out", n_out), ("n_target", n_target),
-                      ("n_liquid", n_liquid), ("k_obs_r", k_obs_r)):
-        if not (val > 0.0) or not math.isfinite(val):
-            raise DomainError(f"{name} must be positive and finite, got {val!r}")
-    c0 = k_obs_r**3 / (9.0 * math.pi)
-    lam = n_target * n_liquid**3 / (c0 * n_out * n_out)
-    s = 2.0 * n_out + lam
-    # disc = s^2 - 4 n_out^2 algebraically; this form avoids the
-    # catastrophic cancellation near the double root lam -> 0
-    disc = lam * (lam + 4.0 * n_out)
+    _check_inputs(n_out, n_target, n_liquid, k_obs_r)
+    s, disc = _quadratic(n_out, n_target, n_liquid, k_obs_r)
     if disc < 0.0:
         raise NumericalError(
             f"negative discriminant {disc!r} for n_out={n_out}, "
             f"n_target={n_target} (unreachable for positive targets)")
-    high = 0.5 * (s + math.sqrt(disc))
-    low = n_out * n_out / high
+    low, high = _roots(n_out, s, math.sqrt(disc))
     for root in (low, high):
-        # near the double root the count is quadratically flat in n_in and
-        # the root-to-count map is too ill-conditioned for a meaningful
-        # count residual; the quadratic's own residual takes over there
-        if abs(root - n_out) >= 1e-7 * root:
+        if _far_from_double_root(root, n_out):
             back = photons_from_count_formula(root, n_out, n_liquid, k_obs_r)
-            if abs(back - n_target) > RESIDUAL_TOL * n_target:
+            if _count_fails(back, n_target):
                 raise NumericalError(
                     f"back-substitution residual "
                     f"{abs(back - n_target) / n_target:.3e} exceeds "
                     f"{RESIDUAL_TOL} at n_in={root!r}, n_out={n_out!r}")
         else:
-            resid = root * root - s * root + n_out * n_out
-            scale = max(root * root, s * root, n_out * n_out)
-            if abs(resid) > 64.0 * 2.220446049250313e-16 * scale:
+            resid, too_large = _quadratic_residual(root, n_out, s)
+            if too_large:
                 raise NumericalError(
                     f"quadratic residual {resid!r} too large at "
                     f"n_in={root!r}, n_out={n_out!r}")
     return BranchPair(n_in_low=low, n_in_high=high, discriminant=disc)
 
 
+def _solve_grid(grid: np.ndarray, n_target: float, n_liquid: float,
+                k_obs_r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(low, high, flagged) over the whole grid in one array pass.
+
+    flagged marks every point where solve_n_in or the Vieta check could
+    fail, a superset of where they do: an invalid n_out, a negative or
+    NaN discriminant, roots out of order or a low root that underflowed
+    to 0 (where Python's float division would raise), or a failing root
+    or Vieta check.
+    """
+    s, disc = _quadratic(grid, n_target, n_liquid, k_obs_r)
+    low, high = _roots(grid, s, np.sqrt(disc))
+    flagged = (~((grid > 0.0) & np.isfinite(grid) & (disc >= 0.0)
+                 & (0.0 < low) & (low <= high))
+               | _vieta_fails(grid, low, high))
+    for root in (low, high):
+        back = photons_from_count_formula(root, grid, n_liquid, k_obs_r)
+        flagged |= np.where(_far_from_double_root(root, grid),
+                            _count_fails(back, n_target),
+                            _quadratic_residual(root, grid, s)[1])
+    return low, high, flagged
+
+
 def sweep_figure1(n_target: float, n_liquid: float, k_obs_r: float,
                   n_out_grid: Sequence[float]) -> list[tuple[float, float, float]]:
-    """Apply solve_n_in across a strictly increasing n_out grid.
+    """solve_n_in across a strictly increasing n_out grid, as one array
+    solve.
 
-    Returns rows (n_out, n_in_low, n_in_high) in grid order; every row
-    satisfies the Vieta identity n_in_low * n_in_high = n_out^2.
+    Returns rows (n_out, n_in_low, n_in_high) of Python floats in grid
+    order, bit-identical to solve_n_in point by point; every row
+    satisfies the Vieta identity n_in_low * n_in_high = n_out^2 to 1e-10
+    relative.  Every check of solve_n_in runs on every point, and a grid
+    that fails raises the error that solve_n_in, or the Vieta check,
+    raises at its lowest failing n_out.  An empty grid gives [].
     """
-    grid = list(n_out_grid)
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    grid = np.asarray(n_out_grid, dtype=float)
+    if np.any(grid[1:] <= grid[:-1]):
         raise DomainError("n_out grid must be strictly increasing")
-    if grid and grid[0] <= 0.0:
+    if not grid.size:
+        return []
+    if grid[0] <= 0.0:
         raise DomainError("n_out grid must be positive")
-    rows = []
-    for n_out in grid:
+    n_outs = grid.tolist()
+    _check_inputs(n_outs[0], n_target, n_liquid, k_obs_r)
+    try:
+        # the flagged points' errors are raised by solving them alone
+        # below, so numpy's warnings for the same values are not wanted
+        with np.errstate(all="ignore"):
+            low, high, flagged = _solve_grid(grid, n_target, n_liquid, k_obs_r)
+        rows = list(zip(n_outs, low.tolist(), high.tolist()))
+    except ArithmeticError:
+        # Python float arithmetic on the scalar arguments raised, e.g.
+        # c0 / n_liquid**3 with n_liquid**3 underflowed to 0, which the
+        # point-by-point solve meets only off the double root
+        rows, flagged = [None] * grid.size, np.ones(grid.size, dtype=bool)
+    # One at a time and in grid order, the flagged points raise what the
+    # point-by-point loop would have raised first.
+    for i in np.flatnonzero(flagged).tolist():
+        n_out = n_outs[i]
         pair = solve_n_in(n_out, n_target, n_liquid, k_obs_r)
-        product = pair.n_in_low * pair.n_in_high
-        if abs(product - n_out * n_out) > 1e-10 * n_out * n_out:
+        if _vieta_fails(n_out, pair.n_in_low, pair.n_in_high):
             raise NumericalError(
-                f"Vieta identity violated at n_out={n_out!r}: {product!r}")
-        rows.append((n_out, pair.n_in_low, pair.n_in_high))
+                f"Vieta identity violated at n_out={n_out!r}: "
+                f"{pair.n_in_low * pair.n_in_high!r}")
+        rows[i] = (n_out, pair.n_in_low, pair.n_in_high)
     return rows

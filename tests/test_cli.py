@@ -167,6 +167,23 @@ class TestSweepCommand:
             n_out, low, high = map(float, row)
             assert rel_err(low * high, n_out**2) < 1e-10
 
+    @pytest.mark.parametrize("n_out_max", ["inf", "1e308"])
+    def test_non_finite_grid_is_usage(self, n_out_max):
+        # (hi - lo) * i overflows or is inf * 0: NaN and inf reach the
+        # grid without a RuntimeWarning, and sweep_figure1 refuses them
+        assert main(["sweep", "--n-out-max", n_out_max]) == 1
+
+    def test_default_grid_rows_are_pointwise_solves(self, tmp_path):
+        code, text = run(["sweep"], tmp_path)
+        assert code == 0
+        want = []
+        for i in range(200):
+            n_out = 1.0 + (100.0 - 1.0) * i / 199
+            pair = sonophoton.solve_n_in(n_out, 1e6, 1.3, 15.0)
+            want.append(f"{n_out!r},{pair.n_in_low!r},{pair.n_in_high!r}")
+        data = [line for line in text.split("\n") if not line.startswith("#")]
+        assert data == ["n_out,n_in_low,n_in_high", *want, ""]
+
 
 class TestConfigFile:
     def test_file_values_and_flag_override(self, tmp_path):
@@ -264,6 +281,19 @@ class TestExitCodes:
                      "--model", "infinite",
                      "--grid-points", "1000000000"]) == 1
         assert time.perf_counter() - start < 1.0
+
+    def test_oversized_sweep_grid_is_usage(self, monkeypatch, capsys):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("an n_out grid was built")
+
+        limit = bubble._MAX_ENGINE_BYTES // bubble._POINT_BYTES
+        bubble.check_grid_points(limit, "n-out-points")
+        monkeypatch.setattr(np, "arange", no_grid)
+        for points in (limit + 1, 10**12):
+            start = time.perf_counter()
+            assert main(["sweep", "--n-out-points", str(points)]) == 1
+            assert time.perf_counter() - start < 1.0
+            assert "lower n-out-points" in capsys.readouterr().err
 
 
 class TestParserReuse:

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from sonophoton import DomainError
+from sonophoton import DomainError, NumericalError, inverse
 from sonophoton.homogeneous import photons_from_count_formula
 from sonophoton.inverse import BranchPair, solve_n_in, sweep_figure1
 
@@ -87,3 +89,76 @@ class TestSweep:
     def test_rejects_unsorted_grid(self):
         with pytest.raises(DomainError):
             sweep_figure1(1e6, 1.3, 15.0, [2.0, 1.0])
+
+    def test_empty_grid(self):
+        assert sweep_figure1(1e6, 1.3, 15.0, []) == []
+
+
+def pointwise_sweep(n_target, n_liquid, k_obs_r, grid):
+    """The sweep as one solve_n_in per point, each followed by its Vieta
+    check."""
+    rows = []
+    for n_out in grid:
+        pair = solve_n_in(n_out, n_target, n_liquid, k_obs_r)
+        product = pair.n_in_low * pair.n_in_high
+        if abs(product - n_out * n_out) > inverse._VIETA_TOL * n_out * n_out:
+            raise NumericalError(
+                f"Vieta identity violated at n_out={n_out!r}: {product!r}")
+        rows.append((n_out, pair.n_in_low, pair.n_in_high))
+    return rows
+
+
+def outcome(run):
+    """("ok", the result of run()) or (exception type, message)."""
+    try:
+        return "ok", run()
+    except (DomainError, NumericalError) as exc:
+        return type(exc), str(exc)
+
+
+class TestSweepErrors:
+    """A failing grid raises what one solve_n_in per point raises first."""
+
+    @pytest.mark.parametrize("grid", [
+        [0.0, 1.0], [-1.0, 2.0], [math.nan], [1.0, math.nan, 3.0],
+        [5.0, math.nan, 3.0], [1.0, math.nan, -1.0], [1.0, 2.0, math.inf],
+        [math.inf]])
+    def test_invalid_n_out(self, grid):
+        got = outcome(lambda: sweep_figure1(1e6, 1.3, 15.0, grid))
+        assert got[0] is DomainError
+        # a first point <= 0 is refused for the whole grid before any solve
+        if not grid[0] <= 0.0:
+            assert got == outcome(lambda: pointwise_sweep(1e6, 1.3, 15.0, grid))
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["n_target", "n_liquid", "k_obs_r"])
+    def test_invalid_scalar_argument(self, name, bad):
+        args = {"n_target": 1e6, "n_liquid": 1.3, "k_obs_r": 15.0, name: bad}
+        got = outcome(lambda: sweep_figure1(**args, n_out_grid=[12.0, 25.0]))
+        assert got[0] is DomainError and name in got[1]
+        assert got == outcome(lambda: pointwise_sweep(**args, grid=[12.0, 25.0]))
+
+    @pytest.mark.parametrize("tol, target, start", [
+        ("RESIDUAL_TOL", 1e6, 1), ("_QUADRATIC_TOL", 1e-14, 2),
+        ("_VIETA_TOL", 1e6, 0)])
+    def test_failing_check_at_lowest_n_out(self, monkeypatch, tol, target,
+                                           start):
+        # a zero tolerance fails a check wherever rounding leaves any
+        # residual: on this grid at some points after the first, not all
+        grid = (1.0 + 99.0 * np.arange(50) / 49).tolist()[start:]
+        assert outcome(lambda: sweep_figure1(target, 1.3, 15.0, grid))[0] == "ok"
+        monkeypatch.setattr(inverse, tol, 0.0)
+        assert outcome(lambda: pointwise_sweep(target, 1.3, 15.0, grid[:1]))[0] == "ok"
+        want = outcome(lambda: pointwise_sweep(target, 1.3, 15.0, grid))
+        assert want[0] is NumericalError
+        assert outcome(lambda: sweep_figure1(target, 1.3, 15.0, grid)) == want
+
+    def test_python_float_exceptions_match_pointwise(self):
+        # n_liquid**3 underflows to 0: the point loop divides by it only
+        # off the double root, where it raises ZeroDivisionError
+        on_double_root = [1.0, 2.0, 50.0]
+        assert (sweep_figure1(1e6, 1e-120, 15.0, on_double_root)
+                == pointwise_sweep(1e6, 1e-120, 15.0, on_double_root))
+        for sweep in (sweep_figure1, pointwise_sweep):
+            with pytest.raises(ZeroDivisionError):
+                sweep(1e6, 1e-120, 15.0, [1.0, 1e200])

@@ -8,7 +8,7 @@ reproducible.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sonophoton import MediumTransition, NumericalError, build_geometry_from_kr
 from sonophoton.bubble import FiniteSpectrumConfig, spectrum_finite
@@ -108,3 +108,28 @@ def test_sweep_rows_equal_pointwise_solves(grid, target):
         pair = solve_n_in(n_out, target, 1.3, 15.0)
         want.append((n_out, pair.n_in_low, pair.n_in_high))
     assert sweep_figure1(target, 1.3, 15.0, grid) == want
+
+
+def cli_grid(lo, span, points):
+    """An n_out grid built as the sweep command builds it."""
+    return lo + span * np.arange(points) / (points - 1)
+
+
+@PROPERTY
+@given(grid=st.one_of(
+           st.lists(N_OUT, min_size=1, max_size=200, unique=True).map(sorted),
+           st.builds(cli_grid, st.floats(0.5, 50.0), st.floats(0.1, 500.0),
+                     st.integers(2, 200))),
+       target=st.floats(-16.0, 9.0).map(lambda e: 10.0**e))
+@example(grid=cli_grid(1.0, 99.0, 200), target=1e-11)
+def test_sweep_equals_pointwise_solves_near_double_root(grid, target):
+    # below a target of ~1e-11 the roots lie within 1e-7 of n_out, where
+    # the quadratic's residual replaces the back-substituted count; at
+    # 1e-11 on the sweep command's default grid they do so from n_out ~ 3
+    want = []
+    for n_out in np.asarray(grid).tolist():
+        pair = solve_n_in(n_out, target, 1.3, 15.0)
+        want.append((n_out, pair.n_in_low, pair.n_in_high))
+    rows = sweep_figure1(target, 1.3, 15.0, grid)
+    assert rows == want
+    assert all(type(value) is float for row in rows for value in row)
