@@ -251,8 +251,8 @@ def _lommel_kernel(u: float | np.ndarray, v: np.ndarray, ju: np.ndarray,
     the wall-Wronskian overlap of the module docstring in the variables
     u = a R, v = b R; symmetric in (u, v).  jv holds j_l(v) for
     l = 0..L, shape (L + 1, len(v)).  u is one point with ju = j_l(u) of
-    shape (L + 1,), or one point per column of v with ju of the shape of
-    jv.  The result has shape (L, len(v)).
+    shape (L + 1, 1), or one point per column of v with ju of the shape
+    of jv.  The result has shape (L, len(v)).
 
     The quotient loses digits as u^2 / |u^2 - v^2| (its two terms agree
     to that fraction) and, for u below ~1, as 1 / |u^2 - v^2| (their
@@ -263,8 +263,6 @@ def _lommel_kernel(u: float | np.ndarray, v: np.ndarray, ju: np.ndarray,
     lambda_l is symmetric, and it keeps the (u v)^(l + 1/2) law of small
     arguments exactly.
     """
-    if ju.ndim == 1:
-        ju = ju[:, None]
     pref = 2.0 * np.sqrt(u * v) / math.pi
     denom = (u - v) * (u + v)
     # row l-1 holds v j_l(u) j_{l-1}(v) - u j_{l-1}(u) j_l(v); in place,
@@ -503,8 +501,7 @@ def spectral_grid(geometry: BubbleGeometry,
             tuple(float(x) for x in x_grid))
 
 
-def spectrum_finite(transition: MediumTransition, n_liquid: float,
-                    geometry: BubbleGeometry,
+def spectrum_finite(transition: MediumTransition, geometry: BubbleGeometry,
                     config: FiniteSpectrumConfig | None = None) -> SpectralDensity:
     """Sampled finite-volume dN/d omega_out (both polarizations).
 
@@ -516,10 +513,6 @@ def spectrum_finite(transition: MediumTransition, n_liquid: float,
     """
     config = config or FiniteSpectrumConfig()
     _check_consistent(transition, geometry)
-    if not math.isclose(n_liquid, geometry.n_liquid, rel_tol=1e-12):
-        raise DomainError(
-            f"n_liquid={n_liquid!r} disagrees with geometry "
-            f"({geometry.n_liquid!r})")
     n_in, n_out = transition.n_in, transition.n_out
     radius = geometry.radius
     kr = geometry.k_gas_cutoff * radius
@@ -552,8 +545,7 @@ def _trapz_richardson(x: np.ndarray, y: np.ndarray) -> float:
     return fine + (fine - coarse) / 3.0
 
 
-def totals_finite(transition: MediumTransition, n_liquid: float,
-                  geometry: BubbleGeometry,
+def totals_finite(transition: MediumTransition, geometry: BubbleGeometry,
                   config: FiniteSpectrumConfig | None = None,
                   spectral: SpectralDensity | None = None) -> EmissionSummary:
     """Photon number and energy from the finite-volume spectrum.
@@ -564,7 +556,7 @@ def totals_finite(transition: MediumTransition, n_liquid: float,
     parameters may be passed to avoid recomputation.
     """
     if spectral is None:
-        spectral = spectrum_finite(transition, n_liquid, geometry, config)
+        spectral = spectrum_finite(transition, geometry, config)
     x = np.asarray(spectral.grid)
     y = np.asarray(spectral.values)
     count = _trapz_richardson(x, y)

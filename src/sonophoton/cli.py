@@ -19,8 +19,8 @@ from . import __version__
 from .bubble import (FiniteSpectrumConfig, check_grid_points, spectral_grid,
                      spectrum_finite, totals_finite)
 from .core import (BubbleGeometry, DomainError, MediumTransition,
-                   NumericalError, build_geometry_from_kr, fs_to_s,
-                   joule_to_ev, nm_to_m)
+                   NumericalError, build_geometry_from_kr, joule_to_ev,
+                   nm_to_m)
 from .homogeneous import (POLARIZATIONS, photons_from_count_formula,
                           spectrum_infinite, total_photons_closed_form,
                           totals_closed_form)
@@ -37,6 +37,11 @@ EXIT_NUMERICAL = 3
 TABLE1_CASES = ((2e4, 1.0), (71.0, 25.0), (68.0, 34.0), (9.0, 25.0), (1.0, 12.0))
 TABLE1_REF_COUNT = (1.06e6, 1.00e6, 1.06e6, 0.955e6, 0.98e6)
 TABLE1_REF_RATIO = (0.803, 0.750, 0.751, 0.750, 0.765)
+# table1's aligned text report of the CSV rows, N_rel_dev in percent
+_TABLE1_HEAD = ("  n_in   n_out     N_finite    N_ref    dev%   "
+                "<E>/hw_max   ref    dev     N_closed  fin/closed")
+_TABLE1_ROW = ("  {:<7g} {:<7g} {:12.4e} {:9.3e} {:+6.1f}   {:8.3f} "
+               "{:6.3f} {:+6.3f} {:12.4e} {:9.3f}")
 
 
 class _Failure(Exception):
@@ -124,10 +129,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--model", choices=("infinite", "finite", "both"),
                        default=model,
                        help="emission model (default %(default)s)")
-        p.add_argument("--t0-fs", type=float, default=1.0,
-                       help="transition timescale in fs (metadata; the "
-                            "sudden-limit results do not depend on it; "
-                            "default %(default)s)")
         add_geometry(p)
         add_numerics(p)
         add_common(p)
@@ -214,26 +215,24 @@ def _finite_config(params: dict) -> FiniteSpectrumConfig:
                                    for key, field in _NUMERICS_FIELDS.items()})
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _cell(value) -> str:
+    """'' for None, else str (for a float, its shortest round-trip repr)."""
+    return "" if value is None else str(value)
 
 
-def _preamble(command: str, params: dict,
-              extra: dict | None = None) -> list[str]:
-    lines = [f"# sonophoton {__version__}",
-             f"# command = {command}",
-             f"# polarization_factor = {_fmt(POLARIZATIONS)}"]
-    merged = {**params, **(extra or {})}
-    for key in sorted(merged):
-        lines.append(f"# {key} = {_fmt(merged[key])}")
-    return lines
-
-
-def _emit(lines: list[str], output: str | None) -> None:
+def _write_csv(command: str, params: dict, header: str, rows,
+               output: str | None, **extra) -> None:
+    """Writes the '#' preamble (version, command, polarization factor,
+    then params and extra by sorted key), the header and a line of _cell
+    values per row to output or stdout; a row that raises writes nothing."""
+    merged = {**params, **extra}
+    # the rows inline _cell: a call per cell made a 200-row sweep's
+    # formatting ~10 % slower
+    lines = [f"# sonophoton {__version__}", f"# command = {command}",
+             f"# polarization_factor = {_cell(POLARIZATIONS)}",
+             *[f"# {key} = {_cell(merged[key])}" for key in sorted(merged)],
+             header, *[",".join(["" if cell is None else str(cell)
+                                 for cell in row]) for row in rows]]
     text = "\n".join(lines) + "\n"
     if output is None:
         sys.stdout.write(text)
@@ -247,116 +246,93 @@ def _emit(lines: list[str], output: str | None) -> None:
 
 def cmd_spectrum(params: dict, output: str | None) -> int:
     n_in, n_out = params["n_gas_in"], params["n_gas_out"]
-    transition = MediumTransition(n_in=n_in, n_out=n_out,
-                                  t0=fs_to_s(params["t0_fs"]))
+    transition = MediumTransition(n_in=n_in, n_out=n_out)
     geometry = _geometry(params, n_out)
     fconfig = _finite_config(params)
     model = params["model"]
-
     if model == "infinite":
         omega_grid, x_grid = spectral_grid(geometry, fconfig)
         finite_vals = [None] * len(omega_grid)
     else:
-        dens = spectrum_finite(transition, params["n_liquid"], geometry, fconfig)
+        dens = spectrum_finite(transition, geometry, fconfig)
         omega_grid, x_grid, finite_vals = (dens.grid, dens.dimensionless_x,
                                            dens.values)
-    if model == "finite":
-        infinite_vals = [None] * len(omega_grid)
-    else:
-        infinite_vals = [spectrum_infinite(transition, geometry, w)
-                         for w in omega_grid]
-
-    lines = _preamble("spectrum", params, {
-        "k_gas_cutoff_x": geometry.k_gas_cutoff * geometry.radius})
-    lines.append("x,omega_out_rad_s,nu_Hz,dNdomega_infinite,dNdomega_finite")
-    for i, omega in enumerate(omega_grid):
-        lines.append(",".join([
-            _fmt(x_grid[i]), _fmt(omega), _fmt(omega / (2.0 * math.pi)),
-            _fmt(infinite_vals[i]), _fmt(finite_vals[i])]))
-    _emit(lines, output)
+    infinite_vals = ([None] * len(omega_grid) if model == "finite" else
+                     [spectrum_infinite(transition, geometry, w)
+                      for w in omega_grid])
+    _write_csv("spectrum", params,
+               "x,omega_out_rad_s,nu_Hz,dNdomega_infinite,dNdomega_finite",
+               zip(x_grid, omega_grid,
+                   [omega / (2.0 * math.pi) for omega in omega_grid],
+                   infinite_vals, finite_vals),
+               output, k_gas_cutoff_x=geometry.k_gas_cutoff * geometry.radius)
     return EXIT_OK
 
 
 def cmd_totals(params: dict, output: str | None) -> int:
-    transition = MediumTransition(n_in=params["n_in"], n_out=params["n_out"],
-                                  t0=fs_to_s(params["t0_fs"]))
+    transition = MediumTransition(n_in=params["n_in"], n_out=params["n_out"])
     geometry = _geometry(params, params["n_out"])
     model = params["model"]
     rows = []
     if model in ("infinite", "both"):
         rows.append(("infinite", totals_closed_form(transition, geometry)))
     if model in ("finite", "both"):
-        rows.append(("finite", totals_finite(transition, params["n_liquid"],
-                                             geometry, _finite_config(params))))
-    lines = _preamble("totals", params)
-    lines.append("model,photon_count,total_energy_J,mean_energy_J,"
-                 "mean_energy_eV,mean_over_cutoff")
-    for name, summary in rows:
-        lines.append(",".join([
-            name, _fmt(summary.photon_count), _fmt(summary.total_energy),
-            _fmt(summary.mean_energy), _fmt(joule_to_ev(summary.mean_energy)),
-            _fmt(summary.mean_over_cutoff)]))
-    _emit(lines, output)
+        rows.append(("finite", totals_finite(transition, geometry,
+                                             _finite_config(params))))
+    _write_csv("totals", params,
+               "model,photon_count,total_energy_J,mean_energy_J,"
+               "mean_energy_eV,mean_over_cutoff",
+               [(name, summary.photon_count, summary.total_energy,
+                 summary.mean_energy, joule_to_ev(summary.mean_energy),
+                 summary.mean_over_cutoff) for name, summary in rows],
+               output)
     return EXIT_OK
 
 
 def cmd_solve_nin(params: dict, output: str | None) -> int:
-    pair = solve_n_in(params["n_out"], params["target"], params["n_liquid"],
-                      params["k_obs_r"])
-    lines = _preamble("solve-nin", params)
-    lines.append("branch,n_in,back_substituted_count,relative_residual")
+    n_out, target = params["n_out"], params["target"]
+    pair = solve_n_in(n_out, target, params["n_liquid"], params["k_obs_r"])
+    rows = []
     for name, root in (("low", pair.n_in_low), ("high", pair.n_in_high)):
-        back = photons_from_count_formula(root, params["n_out"],
-                                          params["n_liquid"], params["k_obs_r"])
-        resid = abs(back - params["target"]) / params["target"]
-        lines.append(",".join([name, _fmt(root), _fmt(back), _fmt(resid)]))
-    _emit(lines, output)
+        back = photons_from_count_formula(root, n_out, params["n_liquid"],
+                                          params["k_obs_r"])
+        rows.append((name, root, back, abs(back - target) / target))
+    _write_csv("solve-nin", params,
+               "branch,n_in,back_substituted_count,relative_residual", rows,
+               output)
     return EXIT_OK
 
 
 def cmd_table1(params: dict, output: str | None) -> int:
     fconfig = _finite_config(params)
-    lines = _preamble("table1", params)
-    lines.append("n_gas_in,n_gas_out,N_finite,N_reference,N_rel_dev,"
-                 "ratio_finite,ratio_reference,ratio_dev,N_closed_form,"
-                 "finite_over_closed,status")
-    failures = 0
-    report = ["  n_in   n_out     N_finite    N_ref    dev%   "
-              "<E>/hw_max   ref    dev     N_closed  fin/closed"]
-    for idx, (n_in, n_out) in enumerate(TABLE1_CASES):
+    rows = []
+    for (n_in, n_out), ref_n, ref_ratio in zip(
+            TABLE1_CASES, TABLE1_REF_COUNT, TABLE1_REF_RATIO):
         transition = MediumTransition(n_in=n_in, n_out=n_out)
         geometry = _geometry(params, n_out)
         closed = total_photons_closed_form(transition, geometry)
         try:
-            summary = totals_finite(transition, params["n_liquid"], geometry,
-                                    fconfig)
+            summary = totals_finite(transition, geometry, fconfig)
         except NumericalError as exc:
-            failures += 1
-            lines.append(",".join([_fmt(n_in), _fmt(n_out), "",
-                                   _fmt(TABLE1_REF_COUNT[idx]), "", "",
-                                   _fmt(TABLE1_REF_RATIO[idx]), "",
-                                   _fmt(closed), "", f"failed: {exc}"]))
-            report.append(f"  {n_in:<7g} {n_out:<7g} FAILED: {exc}")
+            rows.append((n_in, n_out, None, ref_n, None, None, ref_ratio,
+                         None, closed, None, f"failed: {exc}"))
             continue
-        n_fin = summary.photon_count
-        ratio = summary.mean_over_cutoff
-        dev_n = n_fin / TABLE1_REF_COUNT[idx] - 1.0
-        dev_r = ratio - TABLE1_REF_RATIO[idx]
-        lines.append(",".join([
-            _fmt(n_in), _fmt(n_out), _fmt(n_fin), _fmt(TABLE1_REF_COUNT[idx]),
-            _fmt(dev_n), _fmt(ratio), _fmt(TABLE1_REF_RATIO[idx]), _fmt(dev_r),
-            _fmt(closed), _fmt(n_fin / closed), "ok"]))
-        report.append(
-            f"  {n_in:<7g} {n_out:<7g} {n_fin:12.4e} {TABLE1_REF_COUNT[idx]:9.3e}"
-            f" {100 * dev_n:+6.1f}   {ratio:8.3f} {TABLE1_REF_RATIO[idx]:6.3f}"
-            f" {dev_r:+6.3f} {closed:12.4e} {n_fin / closed:9.3f}")
-    if output is not None:
-        _emit(lines, output)
-        sys.stdout.write("\n".join(report) + "\n")
-    else:
-        _emit(lines, None)
-        sys.stderr.write("\n".join(report) + "\n")
-    return EXIT_NUMERICAL if failures else EXIT_OK
+        n_fin, ratio = summary.photon_count, summary.mean_over_cutoff
+        rows.append((n_in, n_out, n_fin, ref_n, n_fin / ref_n - 1.0, ratio,
+                     ref_ratio, ratio - ref_ratio, closed, n_fin / closed,
+                     "ok"))
+    _write_csv("table1", params,
+               "n_gas_in,n_gas_out,N_finite,N_reference,N_rel_dev,"
+               "ratio_finite,ratio_reference,ratio_dev,N_closed_form,"
+               "finite_over_closed,status", rows, output)
+    report = [_TABLE1_HEAD] + [
+        _TABLE1_ROW.format(*row[:4], 100 * row[4], *row[5:10])
+        if row[-1] == "ok" else
+        f"  {row[0]:<7g} {row[1]:<7g} {row[-1].replace('failed', 'FAILED', 1)}"
+        for row in rows]
+    # beside the CSV: on stdout when the CSV goes to a file
+    print(*report, sep="\n", file=sys.stderr if output is None else sys.stdout)
+    return EXIT_OK if all(row[-1] == "ok" for row in rows) else EXIT_NUMERICAL
 
 
 def cmd_sweep(params: dict, output: str | None) -> int:
@@ -369,13 +345,9 @@ def cmd_sweep(params: dict, output: str | None) -> int:
     # which sweep_figure1 refuses
     with np.errstate(all="ignore"):
         grid = lo + (hi - lo) * np.arange(npts) / (npts - 1)
-    rows = sweep_figure1(params["target"], params["n_liquid"],
-                         params["k_obs_r"], grid)
-    lines = _preamble("sweep", params)
-    lines.append("n_out,n_in_low,n_in_high")
-    for n_out, low, high in rows:
-        lines.append(",".join([_fmt(n_out), _fmt(low), _fmt(high)]))
-    _emit(lines, output)
+    _write_csv("sweep", params, "n_out,n_in_low,n_in_high",
+               sweep_figure1(params["target"], params["n_liquid"],
+                             params["k_obs_r"], grid), output)
     return EXIT_OK
 
 
@@ -412,6 +384,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except NumericalError as exc:
         sys.stderr.write(f"numerical error: {exc}\n")
+        return EXIT_NUMERICAL
+    except ArithmeticError as exc:
+        # Python's float ** and / raise where a result over- or underflows
+        sys.stderr.write(f"numerical error: {type(exc).__name__}: {exc}\n")
         return EXIT_NUMERICAL
 
 

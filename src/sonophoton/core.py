@@ -1,9 +1,8 @@
 """Shared domain types, physical constants and unit conversions.
 
 Everything internal is SI: meters, seconds, joules, rad/s.  Display
-units (nm, fs, eV, PHz) are converted only at the command-line
-boundary, so the formulas that mix hbar, c, K and R never see mixed
-units.
+units (nm, eV) are converted only at the command-line boundary, so the
+formulas that mix hbar, c, K and R never see mixed units.
 """
 
 from __future__ import annotations
@@ -30,10 +29,6 @@ class NumericalError(RuntimeError):
 
 def nm_to_m(x: float) -> float:
     return x * 1e-9
-
-
-def fs_to_s(x: float) -> float:
-    return x * 1e-15
 
 
 def joule_to_ev(x: float) -> float:

@@ -13,7 +13,9 @@ the branch pair an involution under n_in -> n_out^2 / n_in.
 The algebra and the root checks are written once, elementwise in n_out:
 solve_n_in runs them on a float and sweep_figure1 on the whole grid as
 arrays.  numpy's elementwise + - * / and sqrt round as Python's float
-operations do, so both give the same bits.
+operations do, so both give the same bits.  Where the count formula
+over- or underflows, both raise DomainError or NumericalError, never a
+Python ArithmeticError or a NaN root.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ RESIDUAL_TOL = 1e-8
 _QUADRATIC_TOL = 64.0 * 2.220446049250313e-16
 # Relative tolerance of the Vieta product n_in_low * n_in_high = n_out^2.
 _VIETA_TOL = 1e-10
+# Largest n_liquid and k_obs_r: the count formula cubes both, and Python's
+# ** raises OverflowError past the cube root of the largest float, 5.64e102.
+_CUBE_MAX = 5.6e102
 
 
 @dataclass(frozen=True)
@@ -44,8 +49,7 @@ class BranchPair:
     discriminant: float
 
     def __post_init__(self) -> None:
-        if self.discriminant >= 0.0 and not (
-                0.0 < self.n_in_low <= self.n_in_high):
+        if not 0.0 < self.n_in_low <= self.n_in_high:
             raise DomainError("branch roots must satisfy 0 < low <= high")
 
 
@@ -54,6 +58,10 @@ def _check_inputs(n_out, n_target, n_liquid, k_obs_r) -> None:
                       ("n_liquid", n_liquid), ("k_obs_r", k_obs_r)):
         if not (val > 0.0) or not math.isfinite(val):
             raise DomainError(f"{name} must be positive and finite, got {val!r}")
+    for name, val in (("n_liquid", n_liquid), ("k_obs_r", k_obs_r)):
+        if val > _CUBE_MAX:
+            raise DomainError(f"{name} must be at most {_CUBE_MAX!r} so that its "
+                              f"cube is finite, got {val!r}")
 
 
 def _quadratic(n_out, n_target, n_liquid, k_obs_r):
@@ -115,19 +123,32 @@ def solve_n_in(n_out: float, n_target: float, n_liquid: float = 1.3,
     neither suffers cancellation.  Each root is verified by substitution
     back into the count formula to RESIDUAL_TOL relative, or, within
     1e-7 of the double root n_out, by the quadratic's own residual.
-    Raises DomainError for a non-positive or non-finite argument and
-    NumericalError for a root that fails its check.
+    Raises DomainError for a non-positive or non-finite argument, or an
+    n_liquid or k_obs_r whose cube overflows, and NumericalError where
+    the quadratic over- or underflows or a root fails its check.
     """
     _check_inputs(n_out, n_target, n_liquid, k_obs_r)
-    s, disc = _quadratic(n_out, n_target, n_liquid, k_obs_r)
-    if disc < 0.0:
+    try:
+        s, disc = _quadratic(n_out, n_target, n_liquid, k_obs_r)
+    except ZeroDivisionError:
         raise NumericalError(
-            f"negative discriminant {disc!r} for n_out={n_out}, "
-            f"n_target={n_target} (unreachable for positive targets)")
+            f"C0 n_out^2 underflows to 0 at n_out={n_out!r}") from None
+    # L >= 0 or NaN, so disc = L (L + 4 n_out) is never negative
     low, high = _roots(n_out, s, math.sqrt(disc))
+    if not 0.0 < low <= high < math.inf:
+        raise NumericalError(
+            f"roots {low!r}, {high!r} at n_out={n_out!r}, n_target="
+            f"{n_target!r} are not 0 < low <= high < inf: the quadratic "
+            f"over- or underflows")
     for root in (low, high):
         if _far_from_double_root(root, n_out):
-            back = photons_from_count_formula(root, n_out, n_liquid, k_obs_r)
+            try:
+                back = photons_from_count_formula(root, n_out, n_liquid,
+                                                  k_obs_r)
+            except ZeroDivisionError:
+                raise NumericalError(
+                    f"n_liquid^3 underflows to 0, so the count cannot be "
+                    f"checked at n_in={root!r}, n_out={n_out!r}") from None
             if _count_fails(back, n_target):
                 raise NumericalError(
                     f"back-substitution residual "
@@ -147,15 +168,17 @@ def _solve_grid(grid: np.ndarray, n_target: float, n_liquid: float,
     """(low, high, flagged) over the whole grid in one array pass.
 
     flagged marks every point where solve_n_in or the Vieta check could
-    fail, a superset of where they do: an invalid n_out, a negative or
-    NaN discriminant, roots out of order or a low root that underflowed
-    to 0 (where Python's float division would raise), or a failing root
-    or Vieta check.
+    fail, a superset of where they do: an invalid n_out, roots out of
+    order, at 0, at inf or NaN, or a failing root or Vieta check.
+    n_liquid becomes a numpy float, so where its cube underflows the
+    count formula gives inf, not the ZeroDivisionError of Python's float
+    division.
     """
+    n_liquid = np.float64(n_liquid)
     s, disc = _quadratic(grid, n_target, n_liquid, k_obs_r)
     low, high = _roots(grid, s, np.sqrt(disc))
-    flagged = (~((grid > 0.0) & np.isfinite(grid) & (disc >= 0.0)
-                 & (0.0 < low) & (low <= high))
+    flagged = (~((grid > 0.0) & np.isfinite(grid) & (0.0 < low)
+                 & (low <= high) & (high < np.inf))
                | _vieta_fails(grid, low, high))
     for root in (low, high):
         back = photons_from_count_formula(root, grid, n_liquid, k_obs_r)
@@ -186,17 +209,11 @@ def sweep_figure1(n_target: float, n_liquid: float, k_obs_r: float,
         raise DomainError("n_out grid must be positive")
     n_outs = grid.tolist()
     _check_inputs(n_outs[0], n_target, n_liquid, k_obs_r)
-    try:
-        # the flagged points' errors are raised by solving them alone
-        # below, so numpy's warnings for the same values are not wanted
-        with np.errstate(all="ignore"):
-            low, high, flagged = _solve_grid(grid, n_target, n_liquid, k_obs_r)
-        rows = list(zip(n_outs, low.tolist(), high.tolist()))
-    except ArithmeticError:
-        # Python float arithmetic on the scalar arguments raised, e.g.
-        # c0 / n_liquid**3 with n_liquid**3 underflowed to 0, which the
-        # point-by-point solve meets only off the double root
-        rows, flagged = [None] * grid.size, np.ones(grid.size, dtype=bool)
+    # the flagged points' errors are raised by solving them alone below,
+    # so numpy's warnings for the same values are not wanted
+    with np.errstate(all="ignore"):
+        low, high, flagged = _solve_grid(grid, n_target, n_liquid, k_obs_r)
+    rows = list(zip(n_outs, low.tolist(), high.tolist()))
     # One at a time and in grid order, the flagged points raise what the
     # point-by-point loop would have raised first.
     for i in np.flatnonzero(flagged).tolist():

@@ -61,7 +61,7 @@ class _SpectrumEngine:
         v = (mids[:, None] + halves[:, None] * ref_x[None, :]).ravel()
         gw = (halves[:, None] * ref_w[None, :]).ravel()
 
-        ju = sph_jn_table(self.l_hard, np.array([u]))[:, 0]
+        ju = sph_jn_table(self.l_hard, np.array([u]))
         jv = sph_jn_table(self.l_hard, v)
         lam = _lommel_kernel(u, v, ju, jv)
         weight = ((u * u * self.n_in + v * v * self.n_out)

@@ -134,7 +134,7 @@ def test_criterion_5_figure2_shape():
     geom = BubbleGeometry(500e-9, n_liq, 200e-9, 1.0)
     kr = geom.k_gas_cutoff * geom.radius
     cfg = FiniteSpectrumConfig()
-    dens = spectrum_finite(tr, n_liq, geom, cfg)
+    dens = spectrum_finite(tr, geom, cfg)
     x = np.array(dens.dimensionless_x)
     y = np.array(dens.values)
 
@@ -150,7 +150,7 @@ def test_criterion_5_figure2_shape():
     max_jump = float(np.max(np.abs(np.diff(y)))) / float(np.max(y))
     smooth = max_jump <= 0.05
 
-    summary = totals_finite(tr, n_liq, geom, cfg, spectral=dens)
+    summary = totals_finite(tr, geom, cfg, spectral=dens)
     closed = total_photons_closed_form(tr, geom)
     n_dev = summary.photon_count / closed - 1.0
     n_ok = abs(n_dev) <= 0.10

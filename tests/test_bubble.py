@@ -129,7 +129,7 @@ class TestFiniteKernel:
         l_max = 10
         cfg = FiniteSpectrumConfig(l_max=l_max, grid_points=12,
                                    grid_extend=1.0, quad_rel_tol=1e-8)
-        dens = spectrum_finite(tr, n_liq, geom, cfg)
+        dens = spectrum_finite(tr, geom, cfg)
         k_cut = geom.k_gas_cutoff
         w_in_hi = C * k_cut / n_in
         w_in = np.linspace(1e-6 * w_in_hi, w_in_hi, 1500)
@@ -147,7 +147,7 @@ class TestFiniteKernel:
 def lommel(u, v, lmax):
     """The engine's lambda_l(u, v), l = 1..lmax, at one u and an array v."""
     v = np.asarray(v, dtype=float)
-    ju = sph_jn_table(lmax, np.array([u]))[:, 0]
+    ju = sph_jn_table(lmax, np.array([u]))
     return _lommel_kernel(u, v, ju, sph_jn_table(lmax, v))
 
 
@@ -247,12 +247,12 @@ class TestSpectrumFinite:
         tr = MediumTransition(n_in=2.0, n_out=2.0)
         geom = build_geometry_from_kr(6.0, self.n_liq, 2.0)
         cfg = FiniteSpectrumConfig(grid_points=20)
-        dens = spectrum_finite(tr, self.n_liq, geom, cfg)
+        dens = spectrum_finite(tr, geom, cfg)
         assert all(v == 0.0 for v in dens.values)
 
     def test_positivity_and_x_column(self):
         cfg = FiniteSpectrumConfig(grid_points=40)
-        dens = spectrum_finite(self.tr, self.n_liq, self.geom, cfg)
+        dens = spectrum_finite(self.tr, self.geom, cfg)
         assert all(v >= 0.0 for v in dens.values)
         kr = self.geom.k_gas_cutoff * self.geom.radius
         assert any(math.isclose(x, kr, rel_tol=1e-12)
@@ -261,17 +261,17 @@ class TestSpectrumFinite:
             assert rel_err(x, self.tr.n_out * w * self.geom.radius / C) < 1e-12
 
     def test_grid_independence(self):
-        n_a = totals_finite(self.tr, self.n_liq, self.geom,
+        n_a = totals_finite(self.tr, self.geom,
                             FiniteSpectrumConfig(grid_points=60)).photon_count
-        n_b = totals_finite(self.tr, self.n_liq, self.geom,
+        n_b = totals_finite(self.tr, self.geom,
                             FiniteSpectrumConfig(grid_points=120)).photon_count
         assert rel_err(n_a, n_b) < 5e-3
 
     def test_tolerance_monotonicity(self):
-        n_a = totals_finite(self.tr, self.n_liq, self.geom,
+        n_a = totals_finite(self.tr, self.geom,
                             FiniteSpectrumConfig(grid_points=60,
                                                  quad_rel_tol=1e-6)).photon_count
-        n_b = totals_finite(self.tr, self.n_liq, self.geom,
+        n_b = totals_finite(self.tr, self.geom,
                             FiniteSpectrumConfig(grid_points=60,
                                                  quad_rel_tol=1e-8)).photon_count
         assert rel_err(n_a, n_b) < 1e-5
@@ -279,10 +279,10 @@ class TestSpectrumFinite:
     def test_l_truncation(self):
         kr = self.geom.k_gas_cutoff * self.geom.radius
         base = math.ceil(kr) + 6
-        n_a = totals_finite(self.tr, self.n_liq, self.geom,
+        n_a = totals_finite(self.tr, self.geom,
                             FiniteSpectrumConfig(grid_points=60,
                                                  l_max=base)).photon_count
-        n_b = totals_finite(self.tr, self.n_liq, self.geom,
+        n_b = totals_finite(self.tr, self.geom,
                             FiniteSpectrumConfig(grid_points=60,
                                                  l_max=2 * base)).photon_count
         assert rel_err(n_a, n_b) < 1e-2
@@ -292,13 +292,9 @@ class TestSpectrumFinite:
         kr = self.geom.k_gas_cutoff * self.geom.radius
         cfg_full = FiniteSpectrumConfig(grid_points=60,
                                         l_max=math.ceil(kr) + 30)
-        n_auto = totals_finite(self.tr, self.n_liq, self.geom, cfg_auto)
-        n_full = totals_finite(self.tr, self.n_liq, self.geom, cfg_full)
+        n_auto = totals_finite(self.tr, self.geom, cfg_auto)
+        n_full = totals_finite(self.tr, self.geom, cfg_full)
         assert rel_err(n_auto.photon_count, n_full.photon_count) < 5e-4
-
-    def test_rejects_inconsistent_liquid(self):
-        with pytest.raises(DomainError):
-            spectrum_finite(self.tr, 1.5, self.geom)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -317,8 +313,8 @@ class TestSpectrumFinite:
 
     def test_trapezoid_of_density_matches_totals(self):
         cfg = FiniteSpectrumConfig(grid_points=80)
-        dens = spectrum_finite(self.tr, self.n_liq, self.geom, cfg)
-        total = totals_finite(self.tr, self.n_liq, self.geom, cfg,
+        dens = spectrum_finite(self.tr, self.geom, cfg)
+        total = totals_finite(self.tr, self.geom, cfg,
                               spectral=dens)
         # totals adds one Richardson step on the same grid, so plain
         # trapezoid agrees to the quadrature (grid) tolerance
@@ -329,7 +325,7 @@ class TestSpectrumFinite:
         # band (steeper only below x ~ l_min where no partial wave fits)
         tr = MediumTransition(n_in=2e4, n_out=1.0)
         geom = build_geometry_from_kr(5.0 * math.pi, 1.3, 1.0)
-        dens = spectrum_finite(tr, 1.3, geom)
+        dens = spectrum_finite(tr, geom)
         x = np.array(dens.dimensionless_x)
         y = np.array(dens.values)
         window = (x >= 4.0) & (x <= 8.0)
@@ -344,7 +340,7 @@ class TestLargeVolumeConsistency:
         for n_in, n_out in ((2e4, 1.0), (1.0, 12.0)):
             tr = MediumTransition(n_in=n_in, n_out=n_out)
             geom = build_geometry_from_kr(15.0, 1.3, n_out)
-            summary = totals_finite(tr, 1.3, geom)
+            summary = totals_finite(tr, geom)
             closed = total_photons_closed_form(tr, geom)
             assert abs(summary.photon_count - closed) / closed < 0.10
             assert 0.74 <= summary.mean_over_cutoff <= 0.82
@@ -355,7 +351,7 @@ HEADLINE = (MediumTransition(n_in=2e4, n_out=1.0),
 
 
 def engine_and_oracle(tr, geom, cfg):
-    got = spectrum_finite(tr, geom.n_liquid, geom, cfg).values
+    got = spectrum_finite(tr, geom, cfg).values
     return np.array(got), np.array(engine_oracle.spectrum_values(tr, geom, cfg))
 
 
@@ -390,7 +386,7 @@ class TestEngineAgainstOracle:
         tr = MediumTransition(n_in=2.0, n_out=1.5)
         geom = build_geometry_from_kr(3.0, 1.3, 1.5)
         messages = []
-        for run in (lambda: spectrum_finite(tr, 1.3, geom, cfg),
+        for run in (lambda: spectrum_finite(tr, geom, cfg),
                     lambda: engine_oracle.spectrum_values(tr, geom, cfg)):
             with pytest.raises(NumericalError) as info:
                 run()
@@ -424,7 +420,7 @@ def test_nodes_do_not_depend_on_output_grid(monkeypatch):
 
         monkeypatch.setattr(bubble, "sph_jn_table", recording_table)
         cfg = FiniteSpectrumConfig(grid_points=grid_points)
-        spectrum_finite(HEADLINE[0], HEADLINE[1].n_liquid, HEADLINE[1], cfg)
+        spectrum_finite(HEADLINE[0], HEADLINE[1], cfg)
         assert columns[0] == _grid_size(cfg)  # the j_l(u) table
         return sum(columns[1:])
 
@@ -467,7 +463,7 @@ def test_direct_sum_is_a_narrow_band(monkeypatch):
         return _lommel_kernel(u, v, ju, jv)
 
     monkeypatch.setattr(bubble, "_lommel_kernel", recording_kernel)
-    values = spectrum_finite(HEADLINE[0], HEADLINE[1].n_liquid, HEADLINE[1],
+    values = spectrum_finite(HEADLINE[0], HEADLINE[1],
                              FiniteSpectrumConfig()).values
     assert 0 < sum(pairs) <= 4 * len(values)
 
@@ -495,7 +491,7 @@ class TestProblemSizeGuard:
         geom = build_geometry_from_kr(1e6, 1.3, 1.5)
         start = time.perf_counter()
         with pytest.raises(DomainError, match="too large"):
-            spectrum_finite(tr, 1.3, geom)
+            spectrum_finite(tr, geom)
         assert time.perf_counter() - start < 1.0
 
     def test_benchmark_table_fits(self):
@@ -518,7 +514,7 @@ class TestProblemSizeGuard:
         kr = geom.k_gas_cutoff * geom.radius
         tracemalloc.start()
         try:
-            spectrum_finite(tr, 1.3, geom, cfg)
+            spectrum_finite(tr, geom, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -20,6 +21,8 @@ HEADLINE_SPECTRUM = ["spectrum", "--n-gas-in", "2e4", "--n-gas-out", "1",
                      "--n-liquid", "1.3", "--radius-nm", "500",
                      "--cutoff-nm", "200", "--model", "both"]
 SRC = str(Path(sonophoton.__file__).resolve().parents[1])
+GOLDEN_CLOSED_FORM = (Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+                      / "closed-form.json")
 CHILD = "import sys; from sonophoton.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -220,9 +223,9 @@ class TestConfigFile:
             "spectrum": (["--n-gas-in", "3", "--n-gas-out", "1.5",
                           "--model", "infinite"],
                          shared + ["k_gas_cutoff_x", "model", "n_gas_in",
-                                     "n_gas_out", "t0_fs"]),
+                                     "n_gas_out"]),
             "totals": (["--n-in", "3", "--n-out", "1.5"],
-                       shared + ["model", "n_in", "n_out", "t0_fs"]),
+                       shared + ["model", "n_in", "n_out"]),
             "solve-nin": (["--n-out", "25", "--target", "1e6"],
                           ["k_obs_r", "n_liquid", "n_out", "target"]),
             # values that only shrink the run; the key set is the default's
@@ -294,6 +297,41 @@ class TestExitCodes:
             assert main(["sweep", "--n-out-points", str(points)]) == 1
             assert time.perf_counter() - start < 1.0
             assert "lower n-out-points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-nin", "--n-out", "1e-170", "--target", "1e6"],
+        ["solve-nin", "--n-out", "12", "--target", "1e6", "--n-liquid", "1e200"],
+        ["solve-nin", "--n-out", "12", "--target", "1e6", "--k-obs-r", "1e120"],
+        ["solve-nin", "--n-out", "1e155", "--target", "1e300",
+         "--n-liquid", "1e3"],
+        ["totals", "--n-in", "1", "--n-out", "12", "--k-obs-r", "1e120"],
+        ["totals", "--n-in", "1", "--n-out", "12", "--radius-nm", "1e300",
+         "--cutoff-nm", "1e-300"],
+        ["totals", "--n-in", "1e300", "--n-out", "1e-300"],
+    ], ids=["solve-c0-underflow", "solve-n-liquid-cube", "solve-k-obs-r-cube",
+            "solve-nan-discriminant", "totals-k-obs-r", "totals-radius",
+            "totals-indices"])
+    def test_over_and_underflow_is_a_one_line_error(self, argv, capsys):
+        # no traceback and no nan cell: usage or numerical exit, one line
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (1, 3) and out == ""
+        assert err.startswith("error: " if code == 1 else "numerical error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_closed_form_golden_replay(capsys):
+    # every closed-form request of the benchmark pool, replayed in process:
+    # the data lines (all but the '#' preamble) must equal the committed
+    # outputs byte for byte
+    golden = json.loads(GOLDEN_CLOSED_FORM.read_text(encoding="utf-8"))
+    assert len(golden) == 528
+    for request, want in golden.items():
+        assert main(request.split()) == 0, request
+        out = capsys.readouterr().out
+        got = "".join(line for line in out.splitlines(keepends=True)
+                      if not line.startswith("#"))
+        assert got == want, request
 
 
 class TestParserReuse:

@@ -5,8 +5,7 @@ import pytest
 from sonophoton.core import (ELECTRON_VOLT, HBAR, SPEED_OF_LIGHT,
                              BubbleGeometry, DomainError, EmissionSummary,
                              MediumTransition, SpectralDensity,
-                             build_geometry_from_kr, fs_to_s, joule_to_ev,
-                             nm_to_m)
+                             build_geometry_from_kr, joule_to_ev, nm_to_m)
 
 
 def test_physical_constants_values():
@@ -28,7 +27,6 @@ def test_cutoff_energy_in_ev():
 def test_unit_round_trips():
     for x in (1.0, 3.7e-5, 8.2e11):
         assert abs(nm_to_m(x) * 1e9 - x) <= 1e-12 * x
-        assert abs(fs_to_s(x) * 1e15 - x) <= 1e-12 * x
         assert abs(joule_to_ev(x) * ELECTRON_VOLT - x) <= 1e-12 * x
 
 

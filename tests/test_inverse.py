@@ -153,12 +153,28 @@ class TestSweepErrors:
         assert want[0] is NumericalError
         assert outcome(lambda: sweep_figure1(target, 1.3, 15.0, grid)) == want
 
+    @pytest.mark.parametrize("n_out, target, n_liquid, k_obs_r", [
+        (1e-170, 1e6, 1.3, 15.0), (12.0, 1e6, 1e200, 15.0),
+        (12.0, 1e6, 1.3, 1e120), (1e155, 1e300, 1e3, 15.0)],
+        ids=["c0-underflow", "n-liquid-cube", "k-obs-r-cube",
+             "nan-discriminant"])
+    def test_over_and_underflow_are_typed(self, n_out, target, n_liquid,
+                                          k_obs_r):
+        # outcome() lets anything but DomainError and NumericalError out
+        want = outcome(lambda: solve_n_in(n_out, target, n_liquid, k_obs_r))
+        assert want[0] in (DomainError, NumericalError)
+        for grid in ([n_out], [0.5 * n_out, n_out]):
+            got = outcome(lambda: sweep_figure1(target, n_liquid, k_obs_r, grid))
+            assert got == outcome(
+                lambda: pointwise_sweep(target, n_liquid, k_obs_r, grid))
+            assert got[0] is want[0]
+
     def test_python_float_exceptions_match_pointwise(self):
-        # n_liquid**3 underflows to 0: the point loop divides by it only
-        # off the double root, where it raises ZeroDivisionError
+        # n_liquid**3 underflows to 0: the roots sit on the double root,
+        # except where n_out^2 overflows and the low root becomes inf
         on_double_root = [1.0, 2.0, 50.0]
         assert (sweep_figure1(1e6, 1e-120, 15.0, on_double_root)
                 == pointwise_sweep(1e6, 1e-120, 15.0, on_double_root))
         for sweep in (sweep_figure1, pointwise_sweep):
-            with pytest.raises(ZeroDivisionError):
+            with pytest.raises(NumericalError):
                 sweep(1e6, 1e-120, 15.0, [1.0, 1e200])

@@ -43,7 +43,7 @@ def outcome(run):
 
 
 def assert_matches_oracle(tr, geom, cfg):
-    got = outcome(lambda: spectrum_finite(tr, geom.n_liquid, geom, cfg).values)
+    got = outcome(lambda: spectrum_finite(tr, geom, cfg).values)
     want = outcome(lambda: engine_oracle.spectrum_values(tr, geom, cfg))
     assert got[0] == want[0]
     if got[0] == "error":
@@ -57,8 +57,7 @@ def assert_matches_oracle(tr, geom, cfg):
        grid_points=GRID_POINTS)
 def test_finite_and_non_negative(n_in, n_out, n_liquid, kr, grid_points):
     tr, geom, cfg = spectrum(n_in, n_out, n_liquid, kr, grid_points)
-    kind, values = outcome(
-        lambda: spectrum_finite(tr, n_liquid, geom, cfg).values)
+    kind, values = outcome(lambda: spectrum_finite(tr, geom, cfg).values)
     if kind == "ok":
         assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
 
@@ -67,8 +66,7 @@ def test_finite_and_non_negative(n_in, n_out, n_liquid, kr, grid_points):
 @given(n=INDEX, n_liquid=N_LIQUID, kr=KR, grid_points=GRID_POINTS)
 def test_no_index_change_gives_zero(n, n_liquid, kr, grid_points):
     tr, geom, cfg = spectrum(n, n, n_liquid, kr, grid_points)
-    assert all(v == 0.0 for v in spectrum_finite(tr, n_liquid, geom,
-                                                 cfg).values)
+    assert all(v == 0.0 for v in spectrum_finite(tr, geom, cfg).values)
 
 
 @PROPERTY

@@ -43,12 +43,14 @@ class TestSphericalJ:
 
     def test_table_over_benchmark_range(self):
         # the orders and arguments the benchmark table reaches (l_hard up
-        # to 463, x up to K R = 392 and a little past it), on both
-        # recurrence branches: x < lmax goes downward, x >= lmax upward
-        xs = np.array([92.0, 137.5, 250.0, 391.9, 462.5, 470.0])
+        # to 463, x up to the top of the 68/34 output grid, 1.305 K R with
+        # K R = 392.3), on both recurrence branches: x < lmax goes
+        # downward, x >= lmax upward
+        xs = np.array([92.0, 137.5, 250.0, 391.9, 462.5, 470.0, 490.0,
+                       511.96])
         for lmax in (100, 300, 400, 463):
             tab = sph_jn_table(lmax, xs)
-            for l in sorted({100, lmax}):
+            for l in sorted({0, 1, 100, 250, lmax} & set(range(lmax + 1))):
                 for x, got in zip(xs, tab[l]):
                     assert_close(got, oracle_j(l, float(x)), rel=1e-12,
                                  what=f"j_{l}({x}) in a table to {lmax}")
