@@ -120,9 +120,9 @@ _DIAGONAL_WIDTH = 5e-7
 # Panels per node chunk of the engine: one j_l(v) table serves this many
 # panels of every rule, long enough to amortize the table's recurrence.
 _CHUNK_PANELS = 8
-# Elements per column block of the engine's weight matrix W.  Larger
-# GEMMs wake a second BLAS thread, which costs more than it saves here.
-_BLOCK_ELEMENTS = 1 << 12
+# Elements per column block of the engine's weight matrix W.  1 << 16 was
+# ~10 % slower on K R 138 with two BLAS threads (~3 % faster with one).
+_BLOCK_ELEMENTS = 1 << 15
 # Kernel values per batch of the engine's direct sum.
 _DIRECT_ELEMENTS = 1 << 13
 # |u^2 - v^2| < _DIRECT_WIDTH * max(u^2, _DIRECT_FLOOR) marks the node
@@ -211,19 +211,19 @@ def _engine_bytes(l_hard: int, n_points: int) -> int:
 
     Nine (l_hard + 1) x n_points arrays span the whole spectrum: the j_l(u)
     table and, for each of the first level's two rules, its direct sums
-    and its three GEMM sums.  One node chunk adds its j_l(v) table and the
-    one being built, M1..M3, the GEMM result, and six arrays of at most
-    one W block: W, its denominator, one temporary, the mask of pairs
-    summed directly and their two index arrays.  One direct-sum batch adds
-    up to eight arrays of _DIRECT_ELEMENTS.  The output grid's tuples and
-    index arrays count at _POINT_BYTES a point.
+    and its three GEMM sums.  One chunk of both rules adds its j_l(v) table
+    and the one being built, M1..M3, a GEMM result as wide as order 24's
+    blocks, and six arrays of at most one W block: W, its denominator,
+    one temporary, the mask of pairs summed directly and their two index
+    arrays.  One direct-sum batch adds up to eight arrays of
+    _DIRECT_ELEMENTS.  The output grid counts at _POINT_BYTES a point.
     """
     rows = l_hard + 1
     nodes = 36 * _CHUNK_PANELS                 # orders 12 and 24
-    block = max(_BLOCK_ELEMENTS, 24 * _CHUNK_PANELS)
-    columns = min(n_points, max(1, _BLOCK_ELEMENTS // (12 * _CHUNK_PANELS)))
-    floats = (rows * (9 * n_points + 2 * nodes + 3 * 24 * _CHUNK_PANELS
-                      + 3 * columns) + 6 * block + 8 * _DIRECT_ELEMENTS)
+    block = max(_BLOCK_ELEMENTS, nodes)
+    columns = min(n_points, max(1, _BLOCK_ELEMENTS // (24 * _CHUNK_PANELS)))
+    floats = (rows * (9 * n_points + 5 * nodes + 3 * columns) + 6 * block
+              + 8 * _DIRECT_ELEMENTS)
     return 8 * floats + _POINT_BYTES * n_points
 
 
@@ -292,22 +292,24 @@ class _SpectrumEngine:
     points share one set of equal Gauss-Legendre panels no wider than
     _PANEL_WIDTH (_panel_edges), which depends on K R alone, not on the
     output grid; so j_l(u) is tabulated once per spectrum and j_l(v) once
-    per node chunk and rule.  Expanding lambda^2,
+    per node chunk, for every rule's nodes together.  Expanding lambda^2,
 
         I_l(u) = j_l(u)^2 (M1 W) - 2u j_l(u) j_{l-1}(u) (M2 W)
                  + u^2 j_{l-1}(u)^2 (M3 W),
 
     with M1 = v^2 j_{l-1}(v)^2, M2 = v j_{l-1}(v) j_l(v), M3 = j_l(v)^2
     and W(v, u) = weight * Gauss weight * 4uv / (pi^2 (u^2 - v^2)^2):
-    three GEMMs (one BLAS call on M1..M3 stacked), summed over node chunks
-    of _CHUNK_PANELS panels and column blocks of W before the j_l(u)
-    factors are applied.  The split cancels as v -> u, and for small u
-    and v, so the pairs with |u^2 - v^2| < _DIRECT_WIDTH
-    max(u^2, _DIRECT_FLOOR) are zeroed in W and summed directly with
-    _lommel_kernel: a band of ~2 nodes per point on the headline
-    spectrum.  Order 12 against 24 on the same panels estimates the
-    error; points that miss quad_rel_tol are redone on bisected panels,
-    twice at most.
+    three GEMMs (one BLAS call per rule on M1..M3 stacked), summed over
+    node chunks of _CHUNK_PANELS panels and column blocks of W before the
+    j_l(u) factors are applied.  M1..M3, and W per block of
+    _BLOCK_ELEMENTS, are built once for all the rules of a chunk, and each
+    rule's GEMM takes its own row slices of them.
+    The split cancels as v -> u, and for small u and v, so the pairs with
+    |u^2 - v^2| < _DIRECT_WIDTH max(u^2, _DIRECT_FLOOR) are zeroed in W
+    and summed directly with _lommel_kernel: a band of ~2 nodes per point
+    on the headline spectrum.  Order 12 against 24 on the same panels
+    estimates the error; points that miss quad_rel_tol are redone with
+    order 24 on bisected panels, twice at most.
     """
 
     def __init__(self, n_gas_in: float, n_gas_out: float, kr: float,
@@ -322,46 +324,43 @@ class _SpectrumEngine:
         self.edges = _panel_edges(_OMEGA_IN_FLOOR * kr, kr)
 
     def _rules(self, edges: np.ndarray, orders: tuple[int, ...],
-               cols: np.ndarray) -> list[np.ndarray]:
-        """I_l(u), l = 1..l_hard, at the points u[cols]: one (l_hard, cols)
-        array per Gauss-Legendre order, each rule on every panel of edges.
-        Each chunk of _CHUNK_PANELS panels builds one j_l(v) table for the
+               cols: np.ndarray) -> np.ndarray:
+        """I_l(u), l = 1..l_hard, at the points u[cols], as one (l_hard,
+        cols) row per Gauss-Legendre order, each on every panel of edges.
+        Each chunk of _CHUNK_PANELS panels is one _split pass over the
         nodes of all the orders.  The GEMM outputs M1 W, M2 W, M3 W add up
-        over every chunk and block and are combined once per rule."""
+        over every chunk and block and are combined once."""
         u = self.u[cols]
         # no copy of the j_l(u) table while every point is still open
         ju = self.ju if cols.size == self.u.size else self.ju[:, cols]
         n_panels = edges.size - 1
-        totals = [np.zeros((self.l_hard, u.size)) for _ in orders]
-        sums = [np.zeros((3, self.l_hard, u.size)) for _ in orders]
+        totals = np.zeros((len(orders), self.l_hard, u.size))
+        sums = np.zeros((3, len(orders), self.l_hard, u.size))
         rules = [_gauss_nodes(order) for order in orders]
+        # W blocks of at most _BLOCK_ELEMENTS in every chunk
+        width = max(1, _BLOCK_ELEMENTS // (sum(orders) * _CHUNK_PANELS))
         for p0 in range(0, n_panels, _CHUNK_PANELS):
             p1 = min(p0 + _CHUNK_PANELS, n_panels)
-            mids = 0.5 * (edges[p0 + 1:p1 + 1] + edges[p0:p1])
-            halves = 0.5 * (edges[p0 + 1:p1 + 1] - edges[p0:p1])
-            nodes = [(mids[:, None] + halves[:, None] * x[None, :]).ravel()
-                     for x, _ in rules]
-            jv_all = sph_jn_table(self.l_hard, np.concatenate(nodes))
-            start = 0
-            for (_, ref_w), v, acc, s in zip(rules, nodes, totals, sums):
-                jv = jv_all[:, start:start + v.size]
-                start += v.size
-                gw = (halves[:, None] * ref_w[None, :]).ravel()
-                self._split(acc, s, u, ju, v, gw, jv)
-            del jv, jv_all  # before the next chunk builds its table
+            mids = 0.5 * (edges[p0 + 1:p1 + 1] + edges[p0:p1])[:, None]
+            halves = 0.5 * (edges[p0 + 1:p1 + 1] - edges[p0:p1])[:, None]
+            v = np.concatenate([(mids + halves * x).ravel() for x, _ in rules])
+            gw = np.concatenate([(halves * w).ravel() for _, w in rules])
+            bounds = np.cumsum([0] + [(p1 - p0) * order for order in orders])
+            self._split(totals, sums, bounds, width, u, ju, v, gw,
+                        sph_jn_table(self.l_hard, v))
         jl, jlm1 = ju[1:], ju[:-1]
-        for acc, (s1, s2, s3) in zip(totals, sums):
-            s1 *= jl
-            s1 *= jl
-            acc += s1
-            s2 *= jl
-            s2 *= jlm1
-            s2 *= 2.0 * u
-            acc -= s2
-            s3 *= jlm1
-            s3 *= jlm1
-            s3 *= u * u
-            acc += s3
+        s1, s2, s3 = sums
+        s1 *= jl
+        s1 *= jl
+        totals += s1
+        s2 *= jl
+        s2 *= jlm1
+        s2 *= 2.0 * u
+        totals -= s2
+        s3 *= jlm1
+        s3 *= jlm1
+        s3 *= u * u
+        totals += s3
         return totals
 
     def _weight(self, v: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -373,10 +372,12 @@ class _SpectrumEngine:
 
     def _direct(self, acc: np.ndarray, u: np.ndarray, ju: np.ndarray,
                 v: np.ndarray, gw: np.ndarray, jv: np.ndarray,
-                pair_col: np.ndarray, pair_row: np.ndarray) -> None:
+                bounds: np.ndarray, pair_col: np.ndarray,
+                pair_row: np.ndarray) -> None:
         """Adds lambda^2 * weight * Gauss weight over (column, node) pairs,
-        sorted by column, to acc, in batches of at most _DIRECT_ELEMENTS
-        kernel values."""
+        sorted by column and then node, to acc[k] for the rule k whose
+        nodes are bounds[k]:bounds[k + 1], in batches of at most
+        _DIRECT_ELEMENTS kernel values."""
         step = max(1, _DIRECT_ELEMENTS // (self.l_hard + 1))
         for b0 in range(0, pair_col.size, step):
             col = pair_col[b0:b0 + step]
@@ -385,14 +386,18 @@ class _SpectrumEngine:
             lam = _lommel_kernel(uc, vr, ju[:, col], jv[:, row])
             lam *= lam
             lam *= self._weight(vr, uc) * gw[row]
-            starts = np.flatnonzero(np.diff(col, prepend=-1))
-            acc[:, col[starts]] += np.add.reduceat(lam, starts, axis=1)
+            k = np.searchsorted(bounds, row, side="right") - 1
+            starts = np.flatnonzero(np.diff(col * len(acc) + k, prepend=-1))
+            acc[k[starts], :, col[starts]] += np.add.reduceat(
+                lam, starts, axis=1).T
 
-    def _split(self, acc: np.ndarray, s: np.ndarray, u: np.ndarray,
-               ju: np.ndarray, v: np.ndarray, gw: np.ndarray,
-               jv: np.ndarray) -> None:
-        """Adds one node chunk's M1 W, M2 W, M3 W to s, and the pairs where
-        that split cancels, summed directly, to acc."""
+    def _split(self, acc: np.ndarray, s: np.ndarray, bounds: np.ndarray,
+               width: int, u: np.ndarray, ju: np.ndarray, v: np.ndarray,
+               gw: np.ndarray, jv: np.ndarray) -> None:
+        """One pass over a node chunk whose rows bounds[k]:bounds[k + 1]
+        are rule k's nodes: M1..M3 once, then per block of width columns
+        one W, its close pairs summed directly into acc[k] and one GEMM per
+        rule on its rows of M and W into s[:, k]."""
         n_l = self.l_hard
         m = np.empty((3, n_l, v.size))
         np.multiply(jv[:-1], v, out=m[0])
@@ -401,7 +406,6 @@ class _SpectrumEngine:
         m[1] *= v
         np.multiply(jv[1:], jv[1:], out=m[2])
         m = m.reshape(3 * n_l, v.size)
-        width = max(1, _BLOCK_ELEMENTS // v.size)
         for c0 in range(0, u.size, width):
             c1 = min(c0 + width, u.size)
             ub = u[c0:c1]
@@ -415,13 +419,15 @@ class _SpectrumEngine:
                                                             _DIRECT_FLOOR)
             w[close] = 0.0
             d[close] = 1.0
-            self._direct(acc[:, c0:c1], ub, ju[:, c0:c1], v, gw, jv,
+            self._direct(acc[:, :, c0:c1], ub, ju[:, c0:c1], v, gw, jv, bounds,
                          *np.nonzero(close.T))  # pairs sorted by column
             d *= d
             w /= d
             w *= ((4.0 / math.pi**2) * v)[:, None]
             w *= ub
-            s[:, :, c0:c1] += (m @ w).reshape(3, n_l, c1 - c0)
+            for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+                s[:, k, :, c0:c1] += (m[:, a:b] @ w[a:b]).reshape(
+                    3, n_l, c1 - c0)
 
     def sums(self) -> np.ndarray:
         """sum_l (2l+1) I_l(u) over every l = 1..l_hard at every point u.

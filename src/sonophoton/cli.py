@@ -19,8 +19,8 @@ from . import __version__
 from .bubble import (FiniteSpectrumConfig, check_grid_points, spectral_grid,
                      spectrum_finite, totals_finite)
 from .core import (BubbleGeometry, DomainError, MediumTransition,
-                   NumericalError, build_geometry_from_kr, joule_to_ev,
-                   nm_to_m)
+                   NumericalError, build_geometry_from_kr, check_n_liquid,
+                   joule_to_ev, nm_to_m)
 from .homogeneous import (POLARIZATIONS, photons_from_count_formula,
                           spectrum_infinite, total_photons_closed_form,
                           totals_closed_form)
@@ -374,6 +374,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
         del params["config"]
+        check_n_liquid(params["n_liquid"])
         output = params.pop("output")
         return _HANDLERS[command](params, output)
     except _Failure as exc:

@@ -40,6 +40,24 @@ def _require_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
+# Python's float ** raises OverflowError past the cube root of the largest
+# float, 5.64e102, so every cubed input is refused above this.
+_CUBE_MAX = 5.6e102
+
+
+def _require_finite_cubes(*named: tuple[str, float]) -> None:
+    for name, value in named:
+        if value > _CUBE_MAX:
+            raise DomainError(f"{name} must be at most {_CUBE_MAX!r} so that "
+                              f"its cube is finite, got {value!r}")
+
+
+def check_n_liquid(n_liquid: float) -> None:
+    """DomainError unless the ambient liquid index is finite and >= 1."""
+    if not (n_liquid >= 1.0) or not math.isfinite(n_liquid):
+        raise DomainError(f"n_liquid must be >= 1 and finite, got {n_liquid!r}")
+
+
 # domain types --------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -97,9 +115,10 @@ class BubbleGeometry:
         _require_positive("radius", self.radius)
         _require_positive("lambda_obs", self.lambda_obs)
         _require_positive("n_out", self.n_out)
-        if not (self.n_liquid >= 1.0) or not math.isfinite(self.n_liquid):
-            raise DomainError(
-                f"n_liquid must be >= 1 and finite, got {self.n_liquid!r}")
+        check_n_liquid(self.n_liquid)
+        _require_finite_cubes(("radius (m)", self.radius),  # closed forms cube
+                              ("K R", self.k_gas_cutoff * self.radius),
+                              ("K (1/m)", self.k_gas_cutoff))
 
     @property
     def k_observed(self) -> float:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DomainError, NumericalError
+from .core import DomainError, NumericalError, _require_finite_cubes
 from .homogeneous import photons_from_count_formula
 
 RESIDUAL_TOL = 1e-8
@@ -35,9 +35,6 @@ RESIDUAL_TOL = 1e-8
 _QUADRATIC_TOL = 64.0 * 2.220446049250313e-16
 # Relative tolerance of the Vieta product n_in_low * n_in_high = n_out^2.
 _VIETA_TOL = 1e-10
-# Largest n_liquid and k_obs_r: the count formula cubes both, and Python's
-# ** raises OverflowError past the cube root of the largest float, 5.64e102.
-_CUBE_MAX = 5.6e102
 
 
 @dataclass(frozen=True)
@@ -58,10 +55,7 @@ def _check_inputs(n_out, n_target, n_liquid, k_obs_r) -> None:
                       ("n_liquid", n_liquid), ("k_obs_r", k_obs_r)):
         if not (val > 0.0) or not math.isfinite(val):
             raise DomainError(f"{name} must be positive and finite, got {val!r}")
-    for name, val in (("n_liquid", n_liquid), ("k_obs_r", k_obs_r)):
-        if val > _CUBE_MAX:
-            raise DomainError(f"{name} must be at most {_CUBE_MAX!r} so that its "
-                              f"cube is finite, got {val!r}")
+    _require_finite_cubes(("n_liquid", n_liquid), ("k_obs_r", k_obs_r))
 
 
 def _quadratic(n_out, n_target, n_liquid, k_obs_r):

@@ -468,6 +468,37 @@ def test_direct_sum_is_a_narrow_band(monkeypatch):
     assert 0 < sum(pairs) <= 4 * len(values)
 
 
+@pytest.mark.parametrize("tr, geom, cfg", [
+    HEADLINE + (FiniteSpectrumConfig(),),
+    # 16 of 131 points miss the tolerance at order 12 against 24 and
+    # are redone at the second level
+    (MediumTransition(n_in=1.0, n_out=12.0),
+     build_geometry_from_kr(1.5, 1.3, 12.0),
+     FiniteSpectrumConfig(grid_points=100, quad_rel_tol=1e-11)),
+], ids=["headline", "second-level"])
+def test_column_blocks_do_not_change_spectra(monkeypatch, tr, geom, cfg):
+    # W blocks of 6 columns (10 at the order-24 levels) cut the direct
+    # band: some node is summed directly against the last column of one
+    # block and the first of the next
+    want = np.array(spectrum_finite(tr, geom, cfg).values)
+    calls = []
+    direct = bubble._SpectrumEngine._direct
+
+    def recording_direct(self, acc, u, ju, v, gw, jv, bounds, col, row):
+        calls.append((v, u.size, col, row))
+        direct(self, acc, u, ju, v, gw, jv, bounds, col, row)
+
+    monkeypatch.setattr(bubble._SpectrumEngine, "_direct", recording_direct)
+    monkeypatch.setattr(bubble, "_BLOCK_ELEMENTS", 2000)
+    got = np.array(spectrum_finite(tr, geom, cfg).values)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    blocks = [a[0] is calls[0][0] for a in calls].count(True)
+    assert blocks >= 5
+    assert any(a[0] is b[0] and np.intersect1d(a[3][a[2] == a[1] - 1],
+                                               b[3][b[2] == 0]).size
+               for a, b in zip(calls, calls[1:]))
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "_grid_size rounds (grid_extend - 1) * grid_points up in floating "
     "point, so (1.3 - 1) * 200 = 60.00000000000001 adds one point past "
@@ -507,7 +538,10 @@ class TestProblemSizeGuard:
         (3.0, FiniteSpectrumConfig(grid_points=8, quad_rel_tol=1e-12)),
         # two l rows: the grid's per-point tuples and indices dominate
         (6.0, FiniteSpectrumConfig(grid_points=40000, l_max=1)),
-    ], ids=["small", "fine-grid", "large-l", "refined", "long-grid"])
+        # 521 points: five W column blocks at the first level
+        (40.0, FiniteSpectrumConfig(grid_points=400)),
+    ], ids=["small", "fine-grid", "large-l", "refined", "long-grid",
+            "wide-grid"])
     def test_estimate_bounds_measured_peak(self, kr, cfg):
         tr = MediumTransition(n_in=2.0, n_out=1.5)
         geom = build_geometry_from_kr(kr, 1.3, 1.5)

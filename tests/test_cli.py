@@ -299,6 +299,30 @@ class TestExitCodes:
             assert "lower n-out-points" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
+        # n_liquid**3 underflows to 0 in the back-substituted count
+        ["solve-nin", "--n-out", "1", "--target", "1e6",
+         "--n-liquid", "1e-120"],
+        ["sweep", "--n-liquid", "0.5"],
+    ], ids=["solve-nin", "sweep"])
+    def test_n_liquid_below_one_is_usage(self, argv, capsys):
+        # the domain spectrum, totals and table1 have through BubbleGeometry
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: n_liquid must be >= 1")
+
+    @pytest.mark.parametrize("argv, name", [
+        (["totals", "--n-in", "1", "--n-out", "12", "--k-obs-r", "1e120"],
+         "K R"),
+        (["totals", "--n-in", "1", "--n-out", "12", "--radius-nm", "1e300",
+          "--cutoff-nm", "1e-300"], "radius"),
+    ], ids=["k-obs-r", "radius"])
+    def test_geometry_whose_cube_overflows_is_usage(self, argv, name, capsys):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {name}")
+        assert "so that its cube is finite" in err
+
+    @pytest.mark.parametrize("argv", [
         ["solve-nin", "--n-out", "1e-170", "--target", "1e6"],
         ["solve-nin", "--n-out", "12", "--target", "1e6", "--n-liquid", "1e200"],
         ["solve-nin", "--n-out", "12", "--target", "1e6", "--k-obs-r", "1e120"],
