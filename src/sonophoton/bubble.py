@@ -70,9 +70,10 @@ with the gas-side sharp cutoff applied to the in-side integration
 range (b <= K) while the output grid extends smoothly past a = K: the
 transparency cutoff lives in the mode content of the changing medium,
 and cutting the out grid as well would discard the spectral weight
-that finite-volume smearing pushes across the edge.  The l sum
-self-truncates near l ~ K R because J_nu(a r) dies inside the bubble
-for nu > a R ("emission bounded in angular momentum").
+that finite-volume smearing pushes across the edge.  The terms of the
+l sum die off past l ~ K R because J_nu(a r) dies inside the bubble for
+nu > a R ("emission bounded in angular momentum"); the sum itself is
+taken in closed form (below), with no truncation.
 
 On the wavevector resonance b = a the frequency bracket reduces to
 (c k)^2, which together with the 4 <|A|^2>^2 = 1/c^4 normalization is
@@ -86,6 +87,30 @@ closed-form limit) but disagrees in the smeared-edge region, and the
 benchmark emission scenarios with extreme index asymmetry single out
 the direct pairing (see the decision notes shipped with the test
 suite; the benchmark table itself is regression-tested).
+
+Angular sum in closed form.  In u = a R and v = b R the kernel is
+lambda_l(u, v) = (2 sqrt(uv) / pi) L_l(u, v), with the Lommel integral
+L_l(u, v) = int_0^1 j_l(u r) j_l(v r) r^2 dr.  The addition theorem
+sin(k|x - x'|) / (k|x - x'|) = sum_l (2l+1) j_l(k r) j_l(k r') P_l(cos g)
+(DLMF 10.60), integrated with x and x' over the unit ball, sums every l:
+
+    sum_{l>=0} (2l+1) L_l^2 = (1/(48 u v)) int_0^2 (4 + s)(2 - s)^2
+                                            sin(u s) sin(v s) ds,
+
+where (pi/12)(4 + s)(2 - s)^2 is the volume in which two unit balls a
+distance s apart overlap: the bubble's autocorrelation smears the
+infinite-volume spectrum.  Without the l = 0 term this is elementary,
+
+    F(u, v) = sum_{l>=1} (2l+1) lambda_l(u, v)^2
+            = [G(u-v) - G(u+v)] / (24 pi^2)
+              - [sinc(u-v) - sinc(u+v)]^2 / (pi^2 u v),
+    G(k)    = int_0^2 (s^3 - 12 s + 16) cos(k s) ds
+            = 12/k^2 - 12 sin(2k)/k^3 + 12 sin(k)^2/k^4,   G(0) = 12,
+
+so the spectrum carries no l-truncation error (_closed_form).  Where u
+and v are both below 2, F is a small difference of the whole series and
+its l = 0 term, and the engine sums l = 1..10 term by term instead
+(_small_block).
 """
 
 from __future__ import annotations
@@ -104,66 +129,75 @@ from .specfun import sph_jn_table
 # Smooth (phase-averaged) mode normalization, per side; see module docstring.
 A_NU_SQ_SMOOTH = 1.0 / (2.0 * SPEED_OF_LIGHT**2)
 
-# Target quadrature panel width in units of the wall phase (radians).
-_PANEL_WIDTH = 0.5 * math.pi
+# Target quadrature panel width in units of the wall phase (radians).  The
+# integrand is entire in v on the whole range, and at this width the
+# order-24 rule is >= 50x inside the default tolerance (README).
+_PANEL_WIDTH = 2.0 * math.pi
 # In-side integration starts at this fraction of the cutoff; the kernel
 # vanishes like a power of w_in at the origin so nothing is lost.
 _OMEGA_IN_FLOOR = 1e-6
-# AUTO l truncation fails when the l_hard term is at least this fraction
-# of the l sum.
-_L_TAIL_TOL = 1e-4
-# |u^2 - v^2| < _DIAGONAL_WIDTH * max(u^2, 1e3) selects the geometric
-# mean of the analytic diagonals of the Lommel kernel (_lommel_kernel).
-# At the switch the direct quotient and the mean err alike, by up to
-# ~3e-10 for u below ~30 and ~2e-9 at u = 400.
-_DIAGONAL_WIDTH = 5e-7
-# Panels per node chunk of the engine: one j_l(v) table serves this many
-# panels of every rule, long enough to amortize the table's recurrence.
-_CHUNK_PANELS = 8
-# Elements per column block of the engine's weight matrix W.  1 << 16 was
-# ~10 % slower on K R 138 with two BLAS threads (~3 % faster with one).
+# Where n_out > n_in the weight's pole at v = -(n_in / n_out) u lies a
+# small fraction of the first panel's width below its left end, and the
+# order-24 rule there errs by up to ~1.5e-10 (n_in / n_out = 1/50); that
+# panel is split at these fractions of its width, and then errs < 3e-12.
+_GRADING = 0.25**np.arange(3, 0, -1)
+# (node, output point) pairs per column block of the engine.
 _BLOCK_ELEMENTS = 1 << 15
-# Kernel values per batch of the engine's direct sum.
-_DIRECT_ELEMENTS = 1 << 13
-# |u^2 - v^2| < _DIRECT_WIDTH * max(u^2, _DIRECT_FLOOR) marks the node
-# pairs the engine sums directly.  Its GEMM split of lambda^2 has terms
-# that cancel to one part in u^2 / |u^2 - v^2| and, at small u and v, in
-# (2l + 1)(2l + 3) / |u^2 - v^2|; the floor is that factor at l = 1.
-_DIRECT_WIDTH = 1e-2
-_DIRECT_FLOOR = 15.0
+# The pairs with u and v both below _SMALL_ARG are summed over l = 1..
+# _SMALL_L term by term, each Lommel integral by a _RADIAL_ORDER-point
+# Gauss rule in r (_small_block): there the closed form cancels against
+# its l = 0 term.  For u v < 4 the l = _SMALL_L term is < 1e-25 of the sum.
+_SMALL_ARG = 2.0
+_SMALL_L = 10
+_RADIAL_ORDER = 16
+# The lowest quad_rel_tol a FiniteSpectrumConfig accepts.  The headline
+# spectrum and the five table1 cases converge down to 1.5e-14; at 1e-14
+# the order-12/24 difference of the headline's points near x_out 0.1 is
+# at the roundoff of the sums it compares (README numerical notes).
+_MIN_REL_TOL = 1e-13
 # spectrum_finite refuses a problem whose engine arrays (_engine_bytes)
-# would need more bytes than this, and check_grid_points an output grid
-# (a spectrum's or a sweep's) whose points would (at _POINT_BYTES each).
+# would need more bytes than _MAX_ENGINE_BYTES, or whose first pass would
+# sum more than _MAX_NODE_PAIRS (node, point) pairs; and
+# check_grid_points an output grid (a spectrum's or a sweep's) whose
+# points would need more than _MAX_ENGINE_BYTES (at _POINT_BYTES each).
 _MAX_ENGINE_BYTES = 1 << 30
+_MAX_NODE_PAIRS = 1 << 30
 # Upper estimate of the bytes a caller holds per output grid point: the
 # two float tuples, the value columns and one CSV row (~380 B measured
 # for `spectrum --model infinite`, ~370 B for `sweep`).
 _POINT_BYTES = 512
+# Taylor coefficients in k^2, to below 1e-17 at |k| = 1, of
+# G(k) = int_0^2 (s^3 - 12 s + 16) cos(k s) ds, whose moments are
+# int_0^2 s^j (s^3 - 12 s + 16) ds = 96 2^j / ((j + 1)(j + 2)(j + 4)),
+# and of sinc k = sin(k) / k.
+_G_TAYLOR = np.array([(-4.0)**n * 96.0 / math.factorial(2 * n)
+                      / ((2 * n + 1) * (2 * n + 2) * (2 * n + 4))
+                      for n in range(13)])
+_SINC_TAYLOR = np.array([(-1.0)**n / math.factorial(2 * n + 1)
+                         for n in range(10)])
 
 
 @dataclass(frozen=True)
 class FiniteSpectrumConfig:
     """Controls for the finite-volume spectrum evaluation.
 
-    l_max=None means AUTO truncation: sum every l up to
-    l_hard = ceil(K R) + 40 + ceil(4 (K R)^(1/3)) and raise NumericalError
-    if the l_hard term is still 1e-4 of the sum or more.  An explicit
-    l_max sums l = 1..l_max.  grid_points sets the number of samples up
-    to the cutoff; the grid continues at the same spacing to
+    The angular sum is exact (summed in closed form), so there is no l
+    truncation to set.  quad_rel_tol is the omega_in quadrature's relative
+    tolerance, at least _MIN_REL_TOL.  grid_points sets the number of
+    samples up to the cutoff; the grid continues at the same spacing to
     grid_extend * cutoff so the smeared roll-off is part of the curve.
     """
 
-    l_max: int | None = None
     quad_rel_tol: float = 1e-6
     grid_points: int = 200
     grid_extend: float = 1.3
 
     def __post_init__(self) -> None:
-        if self.l_max is not None and self.l_max < 1:
-            raise DomainError("explicit l_max must be >= 1")
-        if not (0.0 < self.quad_rel_tol < 1.0):
+        if not (_MIN_REL_TOL <= self.quad_rel_tol < 1.0):
             raise DomainError(
-                f"quad_rel_tol must lie in (0, 1), got {self.quad_rel_tol!r}")
+                f"quad_rel_tol must lie in [{_MIN_REL_TOL:g}, 1), got "
+                f"{self.quad_rel_tol!r}: below {_MIN_REL_TOL:g} the omega_in "
+                f"quadrature's error estimate nears roundoff")
         if self.grid_points < 2:
             raise DomainError("grid_points must be >= 2")
         if not (1.0 <= self.grid_extend <= 4.0):
@@ -193,123 +227,193 @@ def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _GAUSS_CACHE[order]
 
 
-def _l_hard(kr: float, config: FiniteSpectrumConfig) -> int:
-    """Highest l of the angular sum (see FiniteSpectrumConfig)."""
-    if config.l_max is not None:
-        return config.l_max
-    return math.ceil(kr) + 40 + math.ceil(4.0 * kr**(1.0 / 3.0))
-
-
 def _grid_size(config: FiniteSpectrumConfig) -> int:
     """Number of output points of spectral_grid."""
     return config.grid_points + math.ceil(
         (config.grid_extend - 1.0) * config.grid_points)
 
 
-def _engine_bytes(l_hard: int, n_points: int) -> int:
+def _panel_count(kr: float) -> int:
+    """The fewest equal panels on [_OMEGA_IN_FLOOR K R, K R] no wider
+    than _PANEL_WIDTH."""
+    return math.ceil((kr - _OMEGA_IN_FLOOR * kr) / _PANEL_WIDTH)
+
+
+def _panel_edges(kr: float, graded: bool) -> np.ndarray:
+    """Edges of the _panel_count(kr) panels, the first one split at the
+    _GRADING fractions of its width if graded."""
+    edges = np.linspace(_OMEGA_IN_FLOOR * kr, kr, _panel_count(kr) + 1)
+    if graded:
+        edges = np.insert(edges, 1,
+                          edges[0] + (edges[1] - edges[0]) * _GRADING)
+    return edges
+
+
+def _engine_bytes(kr: float, config: FiniteSpectrumConfig) -> int:
     """Upper estimate of the engine's live array bytes.
 
-    Nine (l_hard + 1) x n_points arrays span the whole spectrum: the j_l(u)
-    table and, for each of the first level's two rules, its direct sums
-    and its three GEMM sums.  One chunk of both rules adds its j_l(v) table
-    and the one being built, M1..M3, a GEMM result as wide as order 24's
-    blocks, and six arrays of at most one W block: W, its denominator,
-    one temporary, the mask of pairs summed directly and their two index
-    arrays.  One direct-sum batch adds up to eight arrays of
-    _DIRECT_ELEMENTS.  The output grid counts at _POINT_BYTES a point.
+    Per output point: u, its four trig tables, the rule sums and the level
+    bookkeeping (16 floats).  Per output point or node below _SMALL_ARG
+    (at most 384 nodes: the graded first panel's four pieces, quartered
+    at the third level, 24 nodes each): its j_l arguments at the
+    _RADIAL_ORDER radii, with the table, the table sph_jn_table fills, the
+    weighted copy and the recurrence's buffers ((3 _SMALL_L + 13)
+    _RADIAL_ORDER floats).  Per node of the finest (third-level) pass: v,
+    its Gauss weight, four trig tables and indices (10 floats).  Per
+    column block: 16 arrays of one block, at least one column of nodes.
+    The output grid counts at _POINT_BYTES a point.
     """
-    rows = l_hard + 1
-    nodes = 36 * _CHUNK_PANELS                 # orders 12 and 24
+    n_points = _grid_size(config)
+    n_small = 384 + min(n_points,
+                        math.ceil(_SMALL_ARG * config.grid_points / kr))
+    # order 24 at the third level
+    nodes = 96 * (_panel_count(kr) + _GRADING.size)
     block = max(_BLOCK_ELEMENTS, nodes)
-    columns = min(n_points, max(1, _BLOCK_ELEMENTS // (24 * _CHUNK_PANELS)))
-    floats = (rows * (9 * n_points + 5 * nodes + 3 * columns) + 6 * block
-              + 8 * _DIRECT_ELEMENTS)
+    floats = (16 * n_points + (3 * _SMALL_L + 13) * _RADIAL_ORDER * n_small
+              + 10 * nodes + 16 * block)
     return 8 * floats + _POINT_BYTES * n_points
 
 
-def _panel_edges(v_min: float, v_max: float) -> np.ndarray:
-    """Edges of the fewest equal panels on [v_min, v_max] no wider than
-    _PANEL_WIDTH."""
-    return np.linspace(v_min, v_max,
-                       math.ceil((v_max - v_min) / _PANEL_WIDTH) + 1)
+def _trig(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """sin x, cos x, sin 2x and cos 2x."""
+    return np.sin(x), np.cos(x), np.sin(2.0 * x), np.cos(2.0 * x)
 
 
-def _diagonal(x: float | np.ndarray, jx: np.ndarray) -> np.ndarray:
-    """lambda_l(x, x) for l = 1..L from jx = j_l(x), l = 0..L, of shape
-    (L + 1, 1) or (L + 1, len(x))."""
-    nu = (np.arange(1, jx.shape[0], dtype=float)[:, None] + 0.5) / x
-    return (x / math.pi) * ((jx[:-1] - nu * jx[1:])**2
-                            + (1.0 - nu**2) * jx[1:]**2)
+def _even_series(coeffs: np.ndarray, k2: np.ndarray) -> np.ndarray:
+    """sum_n coeffs[n] k2^n by Horner's rule."""
+    acc = np.full_like(k2, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= k2
+        acc += c
+    return acc
 
 
-def _lommel_kernel(u: float | np.ndarray, v: np.ndarray, ju: np.ndarray,
-                   jv: np.ndarray) -> np.ndarray:
-    """Dimensionless Lommel kernel lambda_l(u, v) for l = 1..L.
+def _closed_form(v: np.ndarray, u: np.ndarray, tv: tuple, tu: tuple
+                 ) -> np.ndarray:
+    """pi^2 F(u, v) on the (len(v), len(u)) grid of node pairs, from the
+    _trig tables tv of v and tu of u, with
 
-    lambda_l(u, v) = (2 sqrt(uv)/pi) [v j_l(u) j_{l-1}(v) - u j_{l-1}(u) j_l(v)]
-                     / (u^2 - v^2),
-    the wall-Wronskian overlap of the module docstring in the variables
-    u = a R, v = b R; symmetric in (u, v).  jv holds j_l(v) for
-    l = 0..L, shape (L + 1, len(v)).  u is one point with ju = j_l(u) of
-    shape (L + 1, 1), or one point per column of v with ju of the shape
-    of jv.  The result has shape (L, len(v)).
+        F(u, v) = sum_{l>=1} (2l+1) lambda_l(u, v)^2
+                = [G(u-v) - G(u+v)] / (24 pi^2)
+                  - [sinc(u-v) - sinc(u+v)]^2 / (pi^2 u v),
+        G(k)    = 12/k^2 - 12 sin(2k)/k^3 + 12 sin(k)^2/k^4.
 
-    The quotient loses digits as u^2 / |u^2 - v^2| (its two terms agree
-    to that fraction) and, for u below ~1, as 1 / |u^2 - v^2| (their
-    leading powers of u and v cancel).  Within
-    |u^2 - v^2| < _DIAGONAL_WIDTH max(u^2, 1e3), lambda_l(u, v) is the
-    geometric mean of the analytic diagonals lambda_l(u, u) and
-    lambda_l(v, v) instead.  Its error is second order in v - u, since
-    lambda_l is symmetric, and it keeps the (u v)^(l + 1/2) law of small
-    arguments exactly.
+    Where |u - v| >= 1 the two differences are one quotient each over
+    powers of u^2 - v^2, with sin and cos of u +- v expanded by angle
+    addition, so no difference of nearly equal terms is formed at small
+    u or v.  Where |u - v| < 1, G(u - v) and sinc(u - v) are Taylor series
+    (exact at v = u), evaluated on those pairs only.  Not accurate where
+    u and v are both small (see _small_block).
     """
-    pref = 2.0 * np.sqrt(u * v) / math.pi
-    denom = (u - v) * (u + v)
-    # row l-1 holds v j_l(u) j_{l-1}(v) - u j_{l-1}(u) j_l(v); in place,
-    # so a batch holds two (L, len(v)) arrays at most
-    lam = v * jv[0:-1]
-    lam *= ju[1:]
-    cross = u * jv[1:]
-    cross *= ju[0:-1]
-    lam -= cross
-    del cross
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam *= pref / denom
-    close = np.abs(denom) < _DIAGONAL_WIDTH * np.maximum(u * u, 1e3)
-    if np.any(close):
-        # each root apart, so deep rows do not underflow; the diagonal is
-        # >= 0, and abs() only guards its rounding
-        lam = np.where(close, np.sqrt(np.abs(_diagonal(u, ju)))
-                       * np.sqrt(np.abs(_diagonal(v, jv))), lam)
-    return lam
+    su, cu, s2u, c2u = tu
+    sv, cv, s2v, c2v = (t[:, None] for t in tv)
+    vc, v2 = v[:, None], (v * v)[:, None]
+    u2 = u * u
+    k = u - vc
+    near = np.abs(k) < 1.0
+    a = k * (u + vc)                            # u^2 - v^2
+    a[near] = 1.0
+    p = vc * u
+    q = v2 + u2
+    # pi^2 F = [(2p - 4 N^2 / p) a^2 - X a + Y] / a^4 with the l = 0 term's
+    # N = v sin u cos v - u cos u sin v
+    n0 = (vc * cv) * su
+    n0 -= sv * (u * cu)
+    n0 *= n0
+    n0 /= p
+    n0 *= -4.0
+    n0 += 2.0 * p
+    f = n0
+    f *= a
+    x = (v2 + 3.0 * u2) * (vc * c2v)
+    x *= s2u
+    x2 = (3.0 * v2 + u2) * s2v
+    x2 *= u * c2u
+    x -= x2
+    f -= x
+    f *= a
+    y = (sv * sv) * c2u
+    y += su * su
+    y *= p
+    y *= q
+    y *= 4.0
+    q *= q
+    p *= p
+    p *= 4.0
+    q += p
+    q *= 0.5 * s2v
+    q *= s2u
+    y -= q
+    f += y
+    a *= a
+    a *= a
+    f /= a
+    rows, cols = np.nonzero(near)
+    if rows.size:
+        ur, vr = u[cols], v[rows]
+        k2 = (ur - vr)**2
+        sp = su[cols] * cv[rows, 0] + cu[cols] * sv[rows, 0]
+        s2p = s2u[cols] * c2v[rows, 0] + c2u[cols] * s2v[rows, 0]
+        kp = ur + vr
+        g_plus = 12.0 / kp**2 * (1.0 - s2p / kp + (sp / kp)**2)
+        lam0 = _even_series(_SINC_TAYLOR, k2) - sp / kp
+        f[rows, cols] = ((_even_series(_G_TAYLOR, k2) - g_plus) / 24.0
+                         - lam0 * lam0 / (ur * vr))
+    return f
+
+
+def _small_tables(u: np.ndarray, v: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The tables _small_block takes, from one j_l table of u and v: j_l at
+    the _RADIAL_ORDER Gauss radii r_k on [0, 1], for l = 1.._SMALL_L, times
+    the radial weight and r_k^2 for u; shapes (_SMALL_L, len(u) or len(v),
+    _RADIAL_ORDER)."""
+    x, w = _gauss_nodes(_RADIAL_ORDER)
+    r = 0.5 * (x + 1.0)
+    jl = sph_jn_table(_SMALL_L, np.multiply.outer(np.concatenate((u, v)),
+                                                  r).ravel())
+    jl = jl[1:].reshape(_SMALL_L, -1, _RADIAL_ORDER)
+    return jl[:, :u.size] * (0.5 * w * r * r), jl[:, u.size:]
+
+
+def _small_block(v: np.ndarray, u: np.ndarray, jv: np.ndarray,
+                 ju: np.ndarray) -> np.ndarray:
+    """pi^2 F(u, v) summed over l = 1.._SMALL_L on the (len(v), len(u))
+    grid: 4 u v sum_l (2l+1) L_l(u, v)^2 with the Lommel integral
+    L_l(u, v) = int_0^1 j_l(u r) j_l(v r) r^2 dr as the radial Gauss sum of
+    jv[l - 1] (j_l(v r_k), one row per v) against ju[l - 1] (j_l(u r_k)
+    times the radial weight and r_k^2).  Every term is positive, so the
+    sum holds its digits at any u, v and on v = u."""
+    f = np.zeros((v.size, u.size))
+    for l in range(_SMALL_L):
+        lommel = np.einsum("vk,uk->vu", jv[l], ju[l])
+        lommel *= lommel
+        lommel *= 2 * l + 3
+        f += lommel
+    f *= 4.0 * np.multiply.outer(v, u)
+    return f
 
 
 class _SpectrumEngine:
-    """The l-summed omega_in integral at every output point at once.
+    """The angular sum's omega_in integral at every output point at once.
 
     Works in the dimensionless variables u = n_gas_out w_out R / c (the
     output points) and v = n_gas_in w_in R / c on [v_min, K R].  All
-    points share one set of equal Gauss-Legendre panels no wider than
-    _PANEL_WIDTH (_panel_edges), which depends on K R alone, not on the
-    output grid; so j_l(u) is tabulated once per spectrum and j_l(v) once
-    per node chunk, for every rule's nodes together.  Expanding lambda^2,
-
-        I_l(u) = j_l(u)^2 (M1 W) - 2u j_l(u) j_{l-1}(u) (M2 W)
-                 + u^2 j_{l-1}(u)^2 (M3 W),
-
-    with M1 = v^2 j_{l-1}(v)^2, M2 = v j_{l-1}(v) j_l(v), M3 = j_l(v)^2
-    and W(v, u) = weight * Gauss weight * 4uv / (pi^2 (u^2 - v^2)^2):
-    three GEMMs (one BLAS call per rule on M1..M3 stacked), summed over
-    node chunks of _CHUNK_PANELS panels and column blocks of W before the
-    j_l(u) factors are applied.  M1..M3, and W per block of
-    _BLOCK_ELEMENTS, are built once for all the rules of a chunk, and each
-    rule's GEMM takes its own row slices of them.
-    The split cancels as v -> u, and for small u and v, so the pairs with
-    |u^2 - v^2| < _DIRECT_WIDTH max(u^2, _DIRECT_FLOOR) are zeroed in W
-    and summed directly with _lommel_kernel: a band of ~2 nodes per point
-    on the headline spectrum.  Order 12 against 24 on the same panels
-    estimates the error; points that miss quad_rel_tol are redone with
-    order 24 on bisected panels, twice at most.
+    points share one set of Gauss-Legendre panels (_panel_edges): equal
+    panels no wider than _PANEL_WIDTH, the first one graded where
+    n_out > n_in.  They depend on K R and the indices, not on the output
+    grid.  The integrand at a (node, point) pair is weight times
+    F(u, v) = sum_{l>=1} (2l+1) lambda_l(u, v)^2, summed over every l in
+    closed form (_closed_form); sin and cos of u and of v are tabulated
+    once per pass, so no transcendental function runs per pair.  Each
+    rule's sum runs over column blocks of about _BLOCK_ELEMENTS pairs,
+    one pass for all the rules of a level.  The pairs with u and v both
+    below _SMALL_ARG take the explicit l sum of _small_block instead, from
+    one j_l table per pass.  Order 12 against 24 on the same panels
+    estimates the error: |sum_l (I_l^24 - I_l^12)|, the difference of the
+    l-summed integrals, since no single l is formed.  Points that miss
+    quad_rel_tol are redone with order 24 on bisected panels, twice at
+    most.
     """
 
     def __init__(self, n_gas_in: float, n_gas_out: float, kr: float,
@@ -317,51 +421,50 @@ class _SpectrumEngine:
         self.n_in = n_gas_in
         self.n_out = n_gas_out
         self.config = config
-        self.l_hard = _l_hard(kr, config)
-        self.l_weights = 2.0 * np.arange(1, self.l_hard + 1) + 1.0
         self.u = u
-        self.ju = sph_jn_table(self.l_hard, u)
-        self.edges = _panel_edges(_OMEGA_IN_FLOOR * kr, kr)
+        self.trig = _trig(u)
+        self.edges = _panel_edges(kr, n_gas_out > n_gas_in)
 
     def _rules(self, edges: np.ndarray, orders: tuple[int, ...],
                cols: np.ndarray) -> np.ndarray:
-        """I_l(u), l = 1..l_hard, at the points u[cols], as one (l_hard,
-        cols) row per Gauss-Legendre order, each on every panel of edges.
-        Each chunk of _CHUNK_PANELS panels is one _split pass over the
-        nodes of all the orders.  The GEMM outputs M1 W, M2 W, M3 W add up
-        over every chunk and block and are combined once."""
+        """sum over the nodes of weight * Gauss weight * F(u, v) at the
+        points u[cols], one row per Gauss-Legendre order, each on every
+        panel of edges; one pass over the nodes of all the orders."""
         u = self.u[cols]
-        # no copy of the j_l(u) table while every point is still open
-        ju = self.ju if cols.size == self.u.size else self.ju[:, cols]
-        n_panels = edges.size - 1
-        totals = np.zeros((len(orders), self.l_hard, u.size))
-        sums = np.zeros((3, len(orders), self.l_hard, u.size))
+        tu = [t[cols] for t in self.trig]
+        mids = 0.5 * (edges[1:] + edges[:-1])[:, None]
+        halves = 0.5 * (edges[1:] - edges[:-1])[:, None]
         rules = [_gauss_nodes(order) for order in orders]
-        # W blocks of at most _BLOCK_ELEMENTS in every chunk
-        width = max(1, _BLOCK_ELEMENTS // (sum(orders) * _CHUNK_PANELS))
-        for p0 in range(0, n_panels, _CHUNK_PANELS):
-            p1 = min(p0 + _CHUNK_PANELS, n_panels)
-            mids = 0.5 * (edges[p0 + 1:p1 + 1] + edges[p0:p1])[:, None]
-            halves = 0.5 * (edges[p0 + 1:p1 + 1] - edges[p0:p1])[:, None]
-            v = np.concatenate([(mids + halves * x).ravel() for x, _ in rules])
-            gw = np.concatenate([(halves * w).ravel() for _, w in rules])
-            bounds = np.cumsum([0] + [(p1 - p0) * order for order in orders])
-            self._split(totals, sums, bounds, width, u, ju, v, gw,
-                        sph_jn_table(self.l_hard, v))
-        jl, jlm1 = ju[1:], ju[:-1]
-        s1, s2, s3 = sums
-        s1 *= jl
-        s1 *= jl
-        totals += s1
-        s2 *= jl
-        s2 *= jlm1
-        s2 *= 2.0 * u
-        totals -= s2
-        s3 *= jlm1
-        s3 *= jlm1
-        s3 *= u * u
-        totals += s3
-        return totals
+        v = np.concatenate([(mids + halves * x).ravel() for x, _ in rules])
+        # Gauss weights over pi^2, the factor _closed_form leaves out
+        gw = np.concatenate([(halves * w).ravel() for _, w in rules])
+        gw /= math.pi**2
+        starts = np.cumsum([0] + [(edges.size - 1) * order
+                                  for order in orders[:-1]])
+        tv = _trig(v)
+        # the small-argument pairs: the first n_small points (u ascends)
+        # against the nodes v_small, from one j_l table of both
+        v_small = np.flatnonzero(v < _SMALL_ARG)
+        n_small = int(np.searchsorted(u, _SMALL_ARG)) if v_small.size else 0
+        if n_small:
+            ju, jv = _small_tables(u[:n_small], v[v_small])
+        out = np.empty((len(orders), u.size))
+        width = max(1, _BLOCK_ELEMENTS // v.size)
+        for c0 in range(0, u.size, width):
+            c1 = min(c0 + width, u.size)
+            with np.errstate(divide="ignore", over="ignore",
+                             invalid="ignore"):
+                # finite wherever u or v is at least _SMALL_ARG; the rest
+                # is replaced just below
+                f = _closed_form(v, u[c0:c1], tv, [t[c0:c1] for t in tu])
+            if c0 < n_small:
+                m = min(c1, n_small)
+                f[v_small, :m - c0] = _small_block(v[v_small], u[c0:m], jv,
+                                                   ju[:, c0:m])
+            f *= self._weight(v[:, None], u[c0:c1])
+            f *= gw[:, None]
+            out[:, c0:c1] = np.add.reduceat(f, starts, axis=0)
+        return out
 
     def _weight(self, v: np.ndarray, u: np.ndarray) -> np.ndarray:
         """((n_out v^2 + n_in u^2) / (n_out v + n_in u))^2, broadcast."""
@@ -370,109 +473,31 @@ class _SpectrumEngine:
         w *= w
         return w
 
-    def _direct(self, acc: np.ndarray, u: np.ndarray, ju: np.ndarray,
-                v: np.ndarray, gw: np.ndarray, jv: np.ndarray,
-                bounds: np.ndarray, pair_col: np.ndarray,
-                pair_row: np.ndarray) -> None:
-        """Adds lambda^2 * weight * Gauss weight over (column, node) pairs,
-        sorted by column and then node, to acc[k] for the rule k whose
-        nodes are bounds[k]:bounds[k + 1], in batches of at most
-        _DIRECT_ELEMENTS kernel values."""
-        step = max(1, _DIRECT_ELEMENTS // (self.l_hard + 1))
-        for b0 in range(0, pair_col.size, step):
-            col = pair_col[b0:b0 + step]
-            row = pair_row[b0:b0 + step]
-            uc, vr = u[col], v[row]
-            lam = _lommel_kernel(uc, vr, ju[:, col], jv[:, row])
-            lam *= lam
-            lam *= self._weight(vr, uc) * gw[row]
-            k = np.searchsorted(bounds, row, side="right") - 1
-            starts = np.flatnonzero(np.diff(col * len(acc) + k, prepend=-1))
-            acc[k[starts], :, col[starts]] += np.add.reduceat(
-                lam, starts, axis=1).T
-
-    def _split(self, acc: np.ndarray, s: np.ndarray, bounds: np.ndarray,
-               width: int, u: np.ndarray, ju: np.ndarray, v: np.ndarray,
-               gw: np.ndarray, jv: np.ndarray) -> None:
-        """One pass over a node chunk whose rows bounds[k]:bounds[k + 1]
-        are rule k's nodes: M1..M3 once, then per block of width columns
-        one W, its close pairs summed directly into acc[k] and one GEMM per
-        rule on its rows of M and W into s[:, k]."""
-        n_l = self.l_hard
-        m = np.empty((3, n_l, v.size))
-        np.multiply(jv[:-1], v, out=m[0])
-        m[0] *= m[0]
-        np.multiply(jv[:-1], jv[1:], out=m[1])
-        m[1] *= v
-        np.multiply(jv[1:], jv[1:], out=m[2])
-        m = m.reshape(3 * n_l, v.size)
-        for c0 in range(0, u.size, width):
-            c1 = min(c0 + width, u.size)
-            ub = u[c0:c1]
-            w = self._weight(v[:, None], ub)
-            w *= gw[:, None]
-            # times 4uv / (pi^2 (u^2 - v^2)^2) where the split holds; the
-            # close pairs, v = u among them, go to _direct instead
-            d = np.subtract.outer(v, ub)
-            d *= np.add.outer(v, ub)
-            close = np.abs(d) < _DIRECT_WIDTH * np.maximum(ub * ub,
-                                                            _DIRECT_FLOOR)
-            w[close] = 0.0
-            d[close] = 1.0
-            self._direct(acc[:, :, c0:c1], ub, ju[:, c0:c1], v, gw, jv, bounds,
-                         *np.nonzero(close.T))  # pairs sorted by column
-            d *= d
-            w /= d
-            w *= ((4.0 / math.pi**2) * v)[:, None]
-            w *= ub
-            for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-                s[:, k, :, c0:c1] += (m[:, a:b] @ w[a:b]).reshape(
-                    3, n_l, c1 - c0)
-
     def sums(self) -> np.ndarray:
-        """sum_l (2l+1) I_l(u) over every l = 1..l_hard at every point u.
+        """sum_l (2l+1) I_l(u) over every l >= 1 at every point u.
 
-        Raises NumericalError for the lowest point whose quadrature or
-        l sum does not converge.
+        Raises NumericalError for the lowest point whose quadrature does
+        not converge.
         """
-        cfg = self.config
+        tol = self.config.quad_rel_tol
         cols = np.arange(self.u.size)
         edges = self.edges
         prev, cur = self._rules(edges, (12, 24), cols)
         out = np.empty(self.u.size)
-        failures: dict[int, str] = {}
         for level in (1, 2, 3):
-            if level >= 2:
-                edges = np.linspace(edges[0], edges[-1], 2 * edges.size - 1)
+            if level >= 2:                 # bisect every panel
+                edges = np.insert(edges, np.arange(1, edges.size),
+                                  0.5 * (edges[1:] + edges[:-1]))
                 prev, (cur,) = cur, self._rules(edges, (24,), cols)
-            # numpy sums, not BLAS, so the result cannot depend on threads
-            total = np.sum(self.l_weights[:, None] * cur, axis=0)
-            scale = np.where(total != 0.0, np.abs(total), 1.0)
-            diff = np.abs(cur - prev)
-            diff *= self.l_weights[:, None]
-            err = np.sum(diff, axis=0)
-            done = err <= cfg.quad_rel_tol * scale
-            if cfg.l_max is None:
-                top = self.l_weights[-1] * cur[-1]
-                tail = done & (total > 0.0) & (top >= _L_TAIL_TOL * total)
-                for j in np.flatnonzero(tail):
-                    failures[int(cols[j])] = (
-                        f"l sum not converged by l={self.l_hard} at "
-                        f"x_out={float(self.u[cols[j]])!r} (last relative "
-                        f"term {top[j] / total[j]:.3e})")
-            out[cols[done]] = total[done]
-            cols, prev, cur = cols[~done], prev[:, ~done], cur[:, ~done]
+            scale = np.where(cur != 0.0, np.abs(cur), 1.0)
+            done = np.abs(cur - prev) <= tol * scale
+            out[cols[done]] = cur[done]
+            cols, cur = cols[~done], cur[~done]
             if cols.size == 0:
-                break
-        for j, col in enumerate(cols):
-            worst = int(np.argmax(np.abs(cur[:, j] - prev[:, j]))) + 1
-            failures[int(col)] = (
-                f"omega_in quadrature failed to reach rel tol "
-                f"{cfg.quad_rel_tol} at x_out={float(self.u[col])!r} "
-                f"(worst l={worst})")
-        if failures:
-            raise NumericalError(failures[min(failures)])
-        return out
+                return out
+        raise NumericalError(
+            f"omega_in quadrature failed to reach rel tol {tol} at "
+            f"x_out={float(self.u[cols[0]])!r}")
 
 
 def check_grid_points(n_points: int, knob: str) -> None:
@@ -514,8 +539,10 @@ def spectrum_finite(transition: MediumTransition, geometry: BubbleGeometry,
     The grid runs from one spacing above zero up to grid_extend times
     the gas-side cutoff frequency, with a sample exactly at the cutoff.
     All points are evaluated together on one shared node set (see
-    _SpectrumEngine).  A problem whose engine arrays would exceed
-    _MAX_ENGINE_BYTES is refused with DomainError before any is built.
+    _SpectrumEngine).  A problem whose first pass would sum more than
+    _MAX_NODE_PAIRS (node, point) pairs, or whose engine arrays would
+    exceed _MAX_ENGINE_BYTES, is refused with DomainError before any
+    array is built.
     """
     config = config or FiniteSpectrumConfig()
     _check_consistent(transition, geometry)
@@ -523,14 +550,21 @@ def spectrum_finite(transition: MediumTransition, geometry: BubbleGeometry,
     radius = geometry.radius
     kr = geometry.k_gas_cutoff * radius
     c = SPEED_OF_LIGHT
-    l_hard, n_points = _l_hard(kr, config), _grid_size(config)
-    need = _engine_bytes(l_hard, n_points)
+    n_points = _grid_size(config)
+    pairs = 36 * (_panel_count(kr) + _GRADING.size) * n_points
+    if pairs > _MAX_NODE_PAIRS:
+        raise DomainError(
+            f"finite-volume spectrum too large: {n_points} output points "
+            f"against {pairs // n_points} omega_in nodes are {pairs:.3g} "
+            f"node pairs, above the limit of {_MAX_NODE_PAIRS:.3g}; lower "
+            f"K R or grid_points")
+    need = _engine_bytes(kr, config)
     if need > _MAX_ENGINE_BYTES:
         raise DomainError(
-            f"finite-volume spectrum too large: l up to {l_hard} at "
-            f"{n_points} output points needs ~{need / 2**30:.3g} GiB of "
-            f"arrays, above the {_MAX_ENGINE_BYTES / 2**30:g} GiB limit; "
-            f"lower K R or grid_points")
+            f"finite-volume spectrum too large: {n_points} output points at "
+            f"K R {kr:.6g} need ~{need / 2**30:.3g} GiB of arrays, above "
+            f"the {_MAX_ENGINE_BYTES / 2**30:g} GiB limit; lower K R or "
+            f"grid_points")
 
     omega_tuple, x_tuple = spectral_grid(geometry, config)
     engine = _SpectrumEngine(n_in, n_out, kr, np.asarray(x_tuple), config)

@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bubble import (FiniteSpectrumConfig, check_grid_points, spectral_grid,
-                     spectrum_finite, totals_finite)
+from .bubble import (_MIN_REL_TOL, FiniteSpectrumConfig, check_grid_points,
+                     spectral_grid, spectrum_finite, totals_finite)
 from .core import (BubbleGeometry, DomainError, MediumTransition,
                    NumericalError, build_geometry_from_kr, check_n_liquid,
                    joule_to_ev, nm_to_m)
@@ -61,7 +61,7 @@ class _Parser(argparse.ArgumentParser):
 
 # CLI key -> FiniteSpectrumConfig field; the field defaults are the CLI's.
 _NUMERICS_FIELDS = {"grid_points": "grid_points", "tol": "quad_rel_tol",
-                    "lmax": "l_max", "grid_extend": "grid_extend"}
+                    "grid_extend": "grid_extend"}
 
 
 @functools.cache
@@ -101,10 +101,8 @@ def _build_parser() -> _Parser:
                        help="frequency samples up to the cutoff "
                             "(default %(default)s)")
         p.add_argument("--tol", type=float, default=numerics.quad_rel_tol,
-                       help="relative quadrature tolerance "
-                            "(default %(default)s)")
-        p.add_argument("--lmax", type=int, default=numerics.l_max,
-                       help="explicit angular-momentum cutoff (default auto)")
+                       help="relative quadrature tolerance, at least "
+                            f"{_MIN_REL_TOL:g} (default %(default)s)")
         p.add_argument("--grid-extend", type=float,
                        default=numerics.grid_extend,
                        help="grid extension factor past the cutoff "

@@ -1,24 +1,83 @@
-"""Per-point reference for the finite-volume spectrum engine.
+"""Per-point, per-l reference for the finite-volume spectrum engine.
 
-The spectrum's omega_in integral evaluated one output point at a time:
-panel Gauss-Legendre quadrature with the resonance v = u as a panel
-edge, order 12 against order 24 and then two bisections, refined until
-the l-summed integral is stable to quad_rel_tol.  It rebuilds its
-Bessel tables at every u, so it is slow, but it shares no panels, no
-weight matrix and no GEMM split with bubble.spectrum_finite; the tests
-hold the shared-node engine to it pointwise.
+The spectrum's omega_in integral evaluated one output point at a time
+and one l at a time: the Lommel kernel lambda_l(u, v) from Bessel tables,
+summed over l = 1..l_hard, and panel Gauss-Legendre quadrature no wider
+than pi/2 with the resonance v = u as a panel edge, order 12 against
+order 24 and then two bisections, refined until the l-summed integral is
+stable to quad_rel_tol.  It rebuilds its Bessel tables at every u, so it
+is slow, but it shares no panels, no closed form and no kernel with
+bubble.spectrum_finite, whose 2 pi panels and closed-form angular sum
+the tests hold to it pointwise.
 """
 
 import math
 
 import numpy as np
 
-from sonophoton.bubble import (_L_TAIL_TOL, _OMEGA_IN_FLOOR, _PANEL_WIDTH,
-                               FiniteSpectrumConfig, _gauss_nodes,
-                               _lommel_kernel, spectral_grid)
+from sonophoton.bubble import (_OMEGA_IN_FLOOR, FiniteSpectrumConfig,
+                               _gauss_nodes, spectral_grid)
 from sonophoton.core import SPEED_OF_LIGHT, NumericalError
 from sonophoton.homogeneous import POLARIZATIONS
 from sonophoton.specfun import sph_jn_table
+
+# Panel width in units of the wall phase: a quarter of the engine's.
+_PANEL_WIDTH = 0.5 * math.pi
+# The l sum fails when its l_hard term is at least this fraction of it.
+_L_TAIL_TOL = 1e-4
+# |u^2 - v^2| < _DIAGONAL_WIDTH * max(u^2, 1e3) selects the geometric
+# mean of the analytic diagonals of the Lommel kernel (lommel_kernel).
+# At the switch the direct quotient and the mean err alike, by up to
+# ~3e-10 for u below ~30 and ~2e-9 at u = 400.
+_DIAGONAL_WIDTH = 5e-7
+
+
+def l_hard(kr: float) -> int:
+    """Highest l of the oracle's angular sum when none is given."""
+    return math.ceil(kr) + 40 + math.ceil(4.0 * kr**(1.0 / 3.0))
+
+
+def diagonal(x: float | np.ndarray, jx: np.ndarray) -> np.ndarray:
+    """lambda_l(x, x) for l = 1..L from jx = j_l(x), l = 0..L, of shape
+    (L + 1, 1) or (L + 1, len(x))."""
+    nu = (np.arange(1, jx.shape[0], dtype=float)[:, None] + 0.5) / x
+    return (x / math.pi) * ((jx[:-1] - nu * jx[1:])**2
+                            + (1.0 - nu**2) * jx[1:]**2)
+
+
+def lommel_kernel(u: float | np.ndarray, v: np.ndarray, ju: np.ndarray,
+                  jv: np.ndarray) -> np.ndarray:
+    """Dimensionless Lommel kernel lambda_l(u, v) for l = 1..L.
+
+    lambda_l(u, v) = (2 sqrt(uv)/pi) [v j_l(u) j_{l-1}(v) - u j_{l-1}(u) j_l(v)]
+                     / (u^2 - v^2),
+    the wall-Wronskian overlap of the bubble module docstring in the
+    variables u = a R, v = b R; symmetric in (u, v).  jv holds j_l(v) for
+    l = 0..L, shape (L + 1, len(v)).  u is one point with ju = j_l(u) of
+    shape (L + 1, 1), or one point per column of v with ju of the shape
+    of jv.  The result has shape (L, len(v)).
+
+    The quotient loses digits as u^2 / |u^2 - v^2| (its two terms agree
+    to that fraction) and, for u below ~1, as 1 / |u^2 - v^2| (their
+    leading powers of u and v cancel).  Within
+    |u^2 - v^2| < _DIAGONAL_WIDTH max(u^2, 1e3), lambda_l(u, v) is the
+    geometric mean of the analytic diagonals lambda_l(u, u) and
+    lambda_l(v, v) instead.  Its error is second order in v - u, since
+    lambda_l is symmetric, and it keeps the (u v)^(l + 1/2) law of small
+    arguments exactly.
+    """
+    pref = 2.0 * np.sqrt(u * v) / math.pi
+    denom = (u - v) * (u + v)
+    lam = v * jv[0:-1] * ju[1:] - u * jv[1:] * ju[0:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam *= pref / denom
+    close = np.abs(denom) < _DIAGONAL_WIDTH * np.maximum(u * u, 1e3)
+    if np.any(close):
+        # each root apart, so deep rows do not underflow; the diagonal is
+        # >= 0, and abs() only guards its rounding
+        lam = np.where(close, np.sqrt(np.abs(diagonal(u, ju)))
+                       * np.sqrt(np.abs(diagonal(v, jv))), lam)
+    return lam
 
 
 def _panel_breaks(v_min: float, v_max: float, resonance: float,
@@ -38,16 +97,18 @@ class _SpectrumEngine:
     Works in the dimensionless variables u = n_gas_out w_out R / c and
     v = n_gas_in w_in R / c; panel Gauss-Legendre quadrature with the
     resonance v = u as a mandatory panel edge, refined until the summed
-    integral is stable to quad_rel_tol.
+    integral is stable to quad_rel_tol.  l_max=None sums l up to
+    l_hard(K R) and fails if the last term is _L_TAIL_TOL of the sum or
+    more; an explicit l_max sums l = 1..l_max with no tail test.
     """
 
     def __init__(self, n_gas_in: float, n_gas_out: float, kr: float,
-                 config: FiniteSpectrumConfig):
+                 config: FiniteSpectrumConfig, l_max: int | None = None):
         self.n_in = n_gas_in
         self.n_out = n_gas_out
         self.config = config
-        self.l_hard = config.l_max if config.l_max is not None else \
-            math.ceil(kr) + 40 + math.ceil(4.0 * kr**(1.0 / 3.0))
+        self.auto = l_max is None
+        self.l_hard = l_hard(kr) if l_max is None else l_max
         self.l_weights = 2.0 * np.arange(1, self.l_hard + 1) + 1.0
         self.v_min = _OMEGA_IN_FLOOR * kr
         self.v_max = kr
@@ -63,7 +124,7 @@ class _SpectrumEngine:
 
         ju = sph_jn_table(self.l_hard, np.array([u]))
         jv = sph_jn_table(self.l_hard, v)
-        lam = _lommel_kernel(u, v, ju, jv)
+        lam = lommel_kernel(u, v, ju, jv)
         weight = ((u * u * self.n_in + v * v * self.n_out)
                   / (u * self.n_in + v * self.n_out))**2
         return (lam * lam) @ (weight * gw)
@@ -86,7 +147,7 @@ class _SpectrumEngine:
                 scale = abs(total) if total != 0.0 else 1.0
                 err = float(np.sum(self.l_weights * np.abs(cur - prev)))
                 if err <= cfg.quad_rel_tol * scale:
-                    if cfg.l_max is None and total > 0.0 \
+                    if self.auto and total > 0.0 \
                             and terms[-1] >= _L_TAIL_TOL * total:
                         raise NumericalError(
                             f"l sum not converged by l={self.l_hard} at "
@@ -94,19 +155,20 @@ class _SpectrumEngine:
                             f"{terms[-1] / total:.3e})")
                     return total
             prev = cur
-        worst = int(np.argmax(np.abs(cur - prev))) + 1
         raise NumericalError(
             f"omega_in quadrature failed to reach rel tol "
-            f"{cfg.quad_rel_tol} at x_out={u!r} (worst l={worst})")
+            f"{cfg.quad_rel_tol} at x_out={u!r}")
 
 
-def spectrum_values(transition, geometry, config=None) -> list[float]:
+def spectrum_values(transition, geometry, config=None,
+                    l_max=None) -> list[float]:
     """dN/d omega_out on spectral_grid, one engine call per output point,
-    with the prefactor of bubble.spectrum_finite."""
+    with the prefactor of bubble.spectrum_finite; l_max as in
+    _SpectrumEngine."""
     config = config or FiniteSpectrumConfig()
     n_in, n_out = transition.n_in, transition.n_out
     kr = geometry.k_gas_cutoff * geometry.radius
-    engine = _SpectrumEngine(n_in, n_out, kr, config)
+    engine = _SpectrumEngine(n_in, n_out, kr, config, l_max)
     dn = transition.delta_n
     prefactor = (POLARIZATIONS * 0.25 * dn * dn * geometry.radius
                  / (SPEED_OF_LIGHT * n_in))

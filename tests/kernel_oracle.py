@@ -3,9 +3,9 @@
 The wall Wronskian W[J_nu(a r), J_nu(b r)]_r of half-integer cylinder
 functions, its removable-singularity quotient W / (a^2 - b^2) and the
 per-l omega_in integrand built from it, written as in the derivation in
-the sonophoton.bubble docstring.  The library evaluates the same kernel
-in dimensionless spherical form (bubble._lommel_kernel); the tests
-referee one against the other.  Like mode_oracle, this builds on the
+the sonophoton.bubble docstring.  The per-l oracle engine evaluates the
+same kernel in dimensionless spherical form
+(engine_oracle.lommel_kernel); the tests referee one against the other.  Like mode_oracle, this builds on the
 library's Bessel table, which tests/oracles.py referees on its own.
 
 Every function broadcasts over numpy arrays of its wavevector or

@@ -9,16 +9,17 @@ from mpmath import mp, mpf
 
 from sonophoton import (BubbleGeometry, DomainError, MediumTransition,
                         NumericalError, build_geometry_from_kr, bubble)
-from sonophoton.bubble import (_DIAGONAL_WIDTH, _OMEGA_IN_FLOOR,
-                               A_NU_SQ_SMOOTH, FiniteSpectrumConfig,
+from sonophoton.bubble import (A_NU_SQ_SMOOTH, FiniteSpectrumConfig,
                                _engine_bytes, _gauss_nodes, _grid_size,
-                               _l_hard, _lommel_kernel, _panel_edges,
-                               spectral_grid, spectrum_finite, totals_finite)
-from sonophoton.core import SPEED_OF_LIGHT as C, nm_to_m
-from sonophoton.homogeneous import POLARIZATIONS, total_photons_closed_form
+                               _panel_edges, spectral_grid, spectrum_finite,
+                               totals_finite)
+from sonophoton.core import SPEED_OF_LIGHT as C, SpectralDensity, nm_to_m
+from sonophoton.homogeneous import (POLARIZATIONS, total_photons_closed_form,
+                                    totals_closed_form)
 from sonophoton.specfun import sph_jn_table
 
 import engine_oracle
+from engine_oracle import _DIAGONAL_WIDTH, lommel_kernel
 from kernel_oracle import finite_kernel
 from mode_oracle import (R500, match_modes, mode_profile, normalization_slope,
                          omega_for)
@@ -121,14 +122,16 @@ class TestFiniteKernel:
         assert math.isfinite(val) and val > 0.0
 
     def test_matches_spectrum_engine(self):
-        # brute-force the l-sum and omega_in integral from the scalar
-        # kernel and compare against the vectorized spectrum path
+        # brute-force the l-sum to l_max and the omega_in integral from
+        # the scalar kernel and compare against the vectorized spectrum
+        # path, which sums every l (at K R 5 the terms above l = 10 are
+        # far below the 5e-3 tolerance)
         n_in, n_out, n_liq = 2.0, 1.5, 1.3
         tr = MediumTransition(n_in=n_in, n_out=n_out)
         geom = build_geometry_from_kr(5.0, n_liq, n_out)
         l_max = 10
-        cfg = FiniteSpectrumConfig(l_max=l_max, grid_points=12,
-                                   grid_extend=1.0, quad_rel_tol=1e-8)
+        cfg = FiniteSpectrumConfig(grid_points=12, grid_extend=1.0,
+                                   quad_rel_tol=1e-8)
         dens = spectrum_finite(tr, geom, cfg)
         k_cut = geom.k_gas_cutoff
         w_in_hi = C * k_cut / n_in
@@ -145,10 +148,10 @@ class TestFiniteKernel:
 
 
 def lommel(u, v, lmax):
-    """The engine's lambda_l(u, v), l = 1..lmax, at one u and an array v."""
+    """The oracle's lambda_l(u, v), l = 1..lmax, at one u and an array v."""
     v = np.asarray(v, dtype=float)
     ju = sph_jn_table(lmax, np.array([u]))
-    return _lommel_kernel(u, v, ju, sph_jn_table(lmax, v))
+    return lommel_kernel(u, v, ju, sph_jn_table(lmax, v))
 
 
 def lommel_mp(lmax, u, v):
@@ -199,9 +202,8 @@ class TestLommelKernel:
             assert np.all(np.isfinite(crossing))
 
     def test_one_u_per_column_matches_scalar_form(self):
-        # the engine's direct sum passes one u per column; every column
-        # must equal the scalar-u kernel, on both sides of the diagonal
-        # switch and on it
+        # one u per column of v must give what the scalar-u kernel gives,
+        # column by column, on both sides of the diagonal switch and on it
         lmax = 40
         offsets = 0.5 * _DIAGONAL_WIDTH * np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
         us, vs = [], []
@@ -210,8 +212,8 @@ class TestLommelKernel:
                 us.append(u)
                 vs.append(v)
         us, vs = np.array(us), np.array(vs)
-        batched = _lommel_kernel(us, vs, sph_jn_table(lmax, us),
-                                 sph_jn_table(lmax, vs))
+        batched = lommel_kernel(us, vs, sph_jn_table(lmax, us),
+                                sph_jn_table(lmax, vs))
         for i, (u, v) in enumerate(zip(us, vs)):
             assert np.array_equal(batched[:, i], lommel(u, [v], lmax)[:, 0]), i
 
@@ -276,24 +278,28 @@ class TestSpectrumFinite:
                                                  quad_rel_tol=1e-8)).photon_count
         assert rel_err(n_a, n_b) < 1e-5
 
+    def oracle_totals(self, cfg, l_max):
+        """totals_finite of the per-l oracle's spectrum summed to l_max."""
+        omega, x = spectral_grid(self.geom, cfg)
+        values = engine_oracle.spectrum_values(self.tr, self.geom, cfg, l_max)
+        return totals_finite(self.tr, self.geom, cfg, spectral=SpectralDensity(
+            grid=omega, values=tuple(values), dimensionless_x=x))
+
     def test_l_truncation(self):
+        # the l sum cut a little above K R is already within 1e-2 of the
+        # closed form, which sums every l
         kr = self.geom.k_gas_cutoff * self.geom.radius
         base = math.ceil(kr) + 6
-        n_a = totals_finite(self.tr, self.geom,
-                            FiniteSpectrumConfig(grid_points=60,
-                                                 l_max=base)).photon_count
-        n_b = totals_finite(self.tr, self.geom,
-                            FiniteSpectrumConfig(grid_points=60,
-                                                 l_max=2 * base)).photon_count
+        cfg = FiniteSpectrumConfig(grid_points=60)
+        n_a = self.oracle_totals(cfg, base).photon_count
+        n_b = totals_finite(self.tr, self.geom, cfg).photon_count
         assert rel_err(n_a, n_b) < 1e-2
 
     def test_auto_matches_generous_explicit(self):
-        cfg_auto = FiniteSpectrumConfig(grid_points=60)
+        cfg = FiniteSpectrumConfig(grid_points=60)
         kr = self.geom.k_gas_cutoff * self.geom.radius
-        cfg_full = FiniteSpectrumConfig(grid_points=60,
-                                        l_max=math.ceil(kr) + 30)
-        n_auto = totals_finite(self.tr, self.geom, cfg_auto)
-        n_full = totals_finite(self.tr, self.geom, cfg_full)
+        n_auto = totals_finite(self.tr, self.geom, cfg)
+        n_full = self.oracle_totals(cfg, math.ceil(kr) + 30)
         assert rel_err(n_auto.photon_count, n_full.photon_count) < 5e-4
 
     def test_config_validation(self):
@@ -302,7 +308,7 @@ class TestSpectrumFinite:
         with pytest.raises(DomainError):
             FiniteSpectrumConfig(quad_rel_tol=2.0)
         with pytest.raises(DomainError):
-            FiniteSpectrumConfig(l_max=0)
+            FiniteSpectrumConfig(quad_rel_tol=0.5 * bubble._MIN_REL_TOL)
 
     def test_spectral_grid_contains_cutoff(self):
         cfg = FiniteSpectrumConfig(grid_points=50, grid_extend=1.3)
@@ -345,34 +351,97 @@ class TestLargeVolumeConsistency:
             assert abs(summary.photon_count - closed) / closed < 0.10
             assert 0.74 <= summary.mean_over_cutoff <= 0.82
 
+    def test_large_bubble_approaches_closed_form_totals(self):
+        # the finite-volume totals tend to the closed form as K R grows
+        # (the gap falls about as 1/(K R)); K R = 1000 takes ~0.2 s
+        tr = MediumTransition(n_in=2.0, n_out=1.3)
+        gaps = []
+        for kr in (100.0, 300.0, 1000.0):
+            geom = build_geometry_from_kr(kr, 1.3, 1.3)   # gas-side K R
+            summary = totals_finite(tr, geom)
+            closed = totals_closed_form(tr, geom)
+            gaps.append((abs(summary.photon_count / closed.photon_count - 1.0),
+                         abs(summary.mean_over_cutoff
+                             - closed.mean_over_cutoff)))
+        for near, far in zip(gaps[1:], gaps):
+            assert near[0] < far[0] and near[1] < far[1]
+        assert gaps[-1][0] < 1e-3 and gaps[-1][1] < 1e-3
+
+
+def f_mp(u, v):
+    """F(u, v) = sum_{l>=1} (2l+1) lambda_l(u, v)^2 as the mpmath quadrature
+    (1/(12 pi^2)) int_0^2 (s^3 - 12 s + 16) sin(u s) sin(v s) ds minus the
+    l = 0 term [sinc(u - v) - sinc(u + v)]^2 / (pi^2 u v)."""
+    with mp.workdps(30):
+        um, vm = mpf(u), mpf(v)
+        # a Gauss-Legendre panel per ~2.5 periods of sin((u + v) s)
+        total = mp.quad(lambda s: (s**3 - 12 * s + 16) * mp.sin(um * s)
+                        * mp.sin(vm * s),
+                        mp.linspace(0, 2, 4 + int((u + v) / 16)),
+                        method="gauss-legendre")
+        total /= 12 * mp.pi**2
+        sinc = (lambda k: mp.sin(k) / k if k != 0 else mpf(1))
+        lam0 = (sinc(um - vm) - sinc(um + vm))**2 / (mp.pi**2 * um * vm)
+        return float(total - lam0)
+
+
+def engine_f(u, v):
+    """The engine's F(u, v): the explicit l sum where u and v are both
+    below _SMALL_ARG, else the closed form."""
+    uu, vv = np.array([u]), np.array([v])
+    if max(u, v) < bubble._SMALL_ARG:
+        ju, jv = bubble._small_tables(uu, vv)
+        f = bubble._small_block(vv, uu, jv, ju)
+    else:
+        f = bubble._closed_form(vv, uu, bubble._trig(vv), bubble._trig(uu))
+    return f[0, 0] / math.pi**2
+
+
+@pytest.mark.parametrize("u, v", [
+    (5.0, 5.0), (300.0, 300.0),                     # the diagonal
+    (5.0, 5.0001), (300.0, 299.9999),               # |u - v| ~ 1e-4
+    (10.0, 10.999), (10.0, 11.001), (10.0, 9.0),    # across |u - v| = 1
+    (0.05, 0.06), (0.3, 0.7), (1.9, 2.1),           # small arguments
+    (0.06, 3.0), (0.05, 8.0),                       # one small argument
+    (470.0, 300.0),
+])
+def test_angular_sum_matches_mpmath(u, v):
+    assert rel_err(engine_f(u, v), f_mp(u, v)) <= 1e-12
+
 
 HEADLINE = (MediumTransition(n_in=2e4, n_out=1.0),
             BubbleGeometry(nm_to_m(500.0), 1.3, nm_to_m(200.0), 1.0))
 
 
-def engine_and_oracle(tr, geom, cfg):
+def engine_and_oracle(tr, geom, cfg, l_max=None):
     got = spectrum_finite(tr, geom, cfg).values
-    return np.array(got), np.array(engine_oracle.spectrum_values(tr, geom, cfg))
+    return np.array(got), np.array(engine_oracle.spectrum_values(tr, geom, cfg,
+                                                                 l_max))
 
 
 class TestEngineAgainstOracle:
-    """The shared-node engine against the per-point reference engine."""
+    """The closed-form engine on 2 pi panels against the per-point, per-l
+    reference engine on pi/2 panels."""
 
-    @pytest.mark.parametrize("tr, geom, cfg", [
-        HEADLINE + (FiniteSpectrumConfig(),),
-        # grid spacing 3.5 > pi/2: several panels between output points
+    @pytest.mark.parametrize("tr, geom, cfg, l_max", [
+        HEADLINE + (FiniteSpectrumConfig(), None),
+        # grid spacing 3.5 > pi/2: several oracle panels between points
         (MediumTransition(n_in=2.0, n_out=1.5),
-         build_geometry_from_kr(6.0, 1.3, 1.5), FiniteSpectrumConfig(grid_points=2)),
+         build_geometry_from_kr(6.0, 1.3, 1.5), FiniteSpectrumConfig(grid_points=2),
+         None),
         # grid spacing 0.009 at K R < pi/2: every point shares the one
-        # panel, and the pairs with |u^2 - v^2| < 0.15 are summed directly
+        # panel, and every node pair has u and v below 2, so the engine
+        # sums them all term by term (the small-argument block)
         (MediumTransition(n_in=3.0, n_out=1.5),
-         build_geometry_from_kr(1.5, 1.3, 1.5), FiniteSpectrumConfig(grid_points=200)),
+         build_geometry_from_kr(1.5, 1.3, 1.5), FiniteSpectrumConfig(grid_points=200),
+         None),
+        # the oracle summed to an explicit l_max, without its tail test
         (MediumTransition(n_in=2.0, n_out=1.5),
          build_geometry_from_kr(5.0, 1.3, 1.5),
-         FiniteSpectrumConfig(grid_points=30, l_max=7)),
+         FiniteSpectrumConfig(grid_points=30), 40),
     ], ids=["headline", "split-intervals", "fine-grid", "explicit-lmax"])
-    def test_pointwise_agreement(self, tr, geom, cfg):
-        got, want = engine_and_oracle(tr, geom, cfg)
+    def test_pointwise_agreement(self, tr, geom, cfg, l_max):
+        got, want = engine_and_oracle(tr, geom, cfg, l_max)
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
 
@@ -393,76 +462,98 @@ class TestEngineAgainstOracle:
             messages.append(str(info.value))
         return messages
 
-    def test_unattainable_tolerance(self):
+    def test_unattainable_tolerance(self, monkeypatch):
+        # FiniteSpectrumConfig refuses a tolerance below _MIN_REL_TOL; with
+        # that floor lifted, 1e-300 reaches both engines' failure path
+        monkeypatch.setattr(bubble, "_MIN_REL_TOL", 0.0)
         got, want = self.failure_messages(
             FiniteSpectrumConfig(grid_points=8, quad_rel_tol=1e-300))
         assert got == want
         assert got.startswith("omega_in quadrature failed to reach rel tol")
 
     def test_l_tail_failure(self, monkeypatch):
-        # every converged point fails the tail test at this threshold
-        monkeypatch.setattr(bubble, "_L_TAIL_TOL", 1e-300)
+        # the closed form sums every l and has no tail to refuse; the
+        # oracle's sum to l_hard agrees with it where the oracle's tail
+        # test passes, and every converged point fails that test at this
+        # threshold
+        tr = MediumTransition(n_in=2.0, n_out=1.5)
+        geom = build_geometry_from_kr(3.0, 1.3, 1.5)
+        got, want = engine_and_oracle(tr, geom,
+                                      FiniteSpectrumConfig(grid_points=8))
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
         monkeypatch.setattr(engine_oracle, "_L_TAIL_TOL", 1e-300)
-        got, want = self.failure_messages(FiniteSpectrumConfig(grid_points=8))
-        assert got == want
-        assert got.startswith("l sum not converged by l=")
+        with pytest.raises(NumericalError) as info:
+            engine_oracle.spectrum_values(tr, geom,
+                                          FiniteSpectrumConfig(grid_points=8))
+        assert str(info.value).startswith("l sum not converged by l=")
 
 
 def test_nodes_do_not_depend_on_output_grid(monkeypatch):
-    # the panels depend on K R alone: a 20x finer output grid adds columns
-    # to the j_l(u) table and nothing to the j_l(v) node tables
-    def node_columns(grid_points):
-        columns = []
+    # the panels depend on K R alone: a 20x finer output grid adds output
+    # points and nothing to the nodes that each pass sums over
+    trig = bubble._trig
 
-        def recording_table(lmax, x):
-            columns.append(len(x))
-            return sph_jn_table(lmax, x)
+    def nodes_per_pass(grid_points):
+        sizes = []
 
-        monkeypatch.setattr(bubble, "sph_jn_table", recording_table)
+        def recording_trig(x):
+            sizes.append(len(x))
+            return trig(x)
+
+        monkeypatch.setattr(bubble, "_trig", recording_trig)
         cfg = FiniteSpectrumConfig(grid_points=grid_points)
         spectrum_finite(HEADLINE[0], HEADLINE[1], cfg)
-        assert columns[0] == _grid_size(cfg)  # the j_l(u) table
-        return sum(columns[1:])
+        assert sizes[0] == _grid_size(cfg)  # the output points
+        return sizes[1:]
 
-    assert node_columns(50) == node_columns(1000)
+    assert nodes_per_pass(50) == nodes_per_pass(1000)
 
 
 def test_output_points_on_and_beside_gauss_nodes():
     # an output point that coincides with a node, of either order and at
-    # either bisection level, is a pair with v = u; the GEMM split must
-    # leave it out and the direct sum must take it without 0/0
+    # either bisection level, is a pair with v = u; the closed form's
+    # Taylor branch and the small-argument block must take it without 0/0.
+    # With n_out > n_in the first panel is graded, and its nodes too; the
+    # oracle's analytic diagonal loses digits as 1/u^2, so it referees
+    # the points from u = 0.01 up
     kr, cfg = 6.0, FiniteSpectrumConfig()
-    edges = _panel_edges(_OMEGA_IN_FLOOR * kr, kr)
-    on = []
-    for level_edges in (edges, np.linspace(edges[0], edges[-1],
-                                           2 * edges.size - 1)):
-        for order in (12, 24):
-            x, _ = _gauss_nodes(order)
-            mids = 0.5 * (level_edges[1:] + level_edges[:-1])
-            halves = 0.5 * (level_edges[1:] - level_edges[:-1])
-            nodes = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
-            on.extend(nodes[::5])
-    on = np.unique(on)
-    u = np.sort(np.concatenate((on, on - 1e-9, on + 1e-9)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        got = bubble._SpectrumEngine(2.0, 1.5, kr, u, cfg).sums()
-    oracle = engine_oracle._SpectrumEngine(2.0, 1.5, kr, cfg)
-    want = np.array([oracle.sum_at(float(x)) for x in u])
-    assert np.all(np.isfinite(got))
-    assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+    for n_in, n_out in ((2.0, 1.5), (1.5, 2.0)):
+        edges = _panel_edges(kr, n_out > n_in)
+        bisected = np.insert(edges, np.arange(1, edges.size),
+                             0.5 * (edges[1:] + edges[:-1]))
+        on = []
+        for level_edges in (edges, bisected):
+            for order in (12, 24):
+                x, _ = _gauss_nodes(order)
+                mids = 0.5 * (level_edges[1:] + level_edges[:-1])
+                halves = 0.5 * (level_edges[1:] - level_edges[:-1])
+                nodes = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
+                on.extend(nodes[::5])
+        on = np.unique(on)
+        u = np.sort(np.concatenate((on, on - 1e-9, on + 1e-9)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = bubble._SpectrumEngine(n_in, n_out, kr, u, cfg).sums()
+        oracle = engine_oracle._SpectrumEngine(n_in, n_out, kr, cfg)
+        want = np.array([oracle.sum_at(float(x)) for x in u])
+        assert np.all(np.isfinite(got))
+        refereed = u >= 0.01
+        assert np.all(np.abs(got - want)[refereed]
+                      <= 1e-10 * np.abs(want)[refereed])
 
 
 def test_direct_sum_is_a_narrow_band(monkeypatch):
-    # only the pairs where the GEMM split cancels reach the kernel: at
-    # most 4 per output point over every level
+    # only the pairs where the closed form cancels, u and v both below
+    # _SMALL_ARG, reach the explicit l sum: at most 4 per output point
+    # over every level
     pairs = []
+    small_block = bubble._small_block
 
-    def recording_kernel(u, v, ju, jv):
-        pairs.append(v.size)
-        return _lommel_kernel(u, v, ju, jv)
+    def recording_block(v, u, jv, ju):
+        pairs.append(v.size * u.size)
+        return small_block(v, u, jv, ju)
 
-    monkeypatch.setattr(bubble, "_lommel_kernel", recording_kernel)
+    monkeypatch.setattr(bubble, "_small_block", recording_block)
     values = spectrum_finite(HEADLINE[0], HEADLINE[1],
                              FiniteSpectrumConfig()).values
     assert 0 < sum(pairs) <= 4 * len(values)
@@ -470,33 +561,37 @@ def test_direct_sum_is_a_narrow_band(monkeypatch):
 
 @pytest.mark.parametrize("tr, geom, cfg", [
     HEADLINE + (FiniteSpectrumConfig(),),
-    # 16 of 131 points miss the tolerance at order 12 against 24 and
+    # 9 of the 131 points miss the tolerance at order 12 against 24 and
     # are redone at the second level
-    (MediumTransition(n_in=1.0, n_out=12.0),
-     build_geometry_from_kr(1.5, 1.3, 12.0),
+    (MediumTransition(n_in=2.0, n_out=1.5),
+     build_geometry_from_kr(6.0, 1.3, 1.5),
      FiniteSpectrumConfig(grid_points=100, quad_rel_tol=1e-11)),
 ], ids=["headline", "second-level"])
 def test_column_blocks_do_not_change_spectra(monkeypatch, tr, geom, cfg):
-    # W blocks of 6 columns (10 at the order-24 levels) cut the direct
-    # band: some node is summed directly against the last column of one
-    # block and the first of the next
+    # column blocks of 12 points at the first level (9 at the second)
+    # cut the small-argument block: its points are summed in more than
+    # one column block of a pass
     want = np.array(spectrum_finite(tr, geom, cfg).values)
-    calls = []
-    direct = bubble._SpectrumEngine._direct
+    blocks, small = [], []      # per call: the nodes of its pass
+    closed_form, small_block = bubble._closed_form, bubble._small_block
 
-    def recording_direct(self, acc, u, ju, v, gw, jv, bounds, col, row):
-        calls.append((v, u.size, col, row))
-        direct(self, acc, u, ju, v, gw, jv, bounds, col, row)
+    def recording_closed_form(v, u, tv, tu):
+        blocks.append(v)
+        return closed_form(v, u, tv, tu)
 
-    monkeypatch.setattr(bubble._SpectrumEngine, "_direct", recording_direct)
-    monkeypatch.setattr(bubble, "_BLOCK_ELEMENTS", 2000)
+    def recording_block(v, u, jv, ju):
+        small.append(blocks[-1])
+        return small_block(v, u, jv, ju)
+
+    monkeypatch.setattr(bubble, "_closed_form", recording_closed_form)
+    monkeypatch.setattr(bubble, "_small_block", recording_block)
+    monkeypatch.setattr(bubble, "_BLOCK_ELEMENTS", 900)
     got = np.array(spectrum_finite(tr, geom, cfg).values)
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
-    blocks = [a[0] is calls[0][0] for a in calls].count(True)
-    assert blocks >= 5
-    assert any(a[0] is b[0] and np.intersect1d(a[3][a[2] == a[1] - 1],
-                                               b[3][b[2] == 0]).size
-               for a, b in zip(calls, calls[1:]))
+    assert [v is blocks[0] for v in blocks].count(True) >= 5
+    assert [v is blocks[0] for v in small].count(True) >= 2
+    if cfg.quad_rel_tol == 1e-11:   # a pass on bisected order-24 panels
+        assert any(v.size == blocks[0].size // 36 * 48 for v in blocks)
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -526,24 +621,27 @@ class TestProblemSizeGuard:
         assert time.perf_counter() - start < 1.0
 
     def test_benchmark_table_fits(self):
-        # the largest table1 case: K R = 392, l_hard = 463
+        # the largest table1 case: K R = 392
         cfg = FiniteSpectrumConfig()
-        assert _engine_bytes(_l_hard(392.0, cfg), _grid_size(cfg)) \
+        assert _engine_bytes(392.0, cfg) \
             < bubble._MAX_ENGINE_BYTES / 50
 
-    @pytest.mark.parametrize("kr, cfg", [
-        (6.0, FiniteSpectrumConfig(grid_points=40)),
-        (1.5, FiniteSpectrumConfig(grid_points=400)),
-        (40.0, FiniteSpectrumConfig(grid_points=60)),
-        (3.0, FiniteSpectrumConfig(grid_points=8, quad_rel_tol=1e-12)),
-        # two l rows: the grid's per-point tuples and indices dominate
-        (6.0, FiniteSpectrumConfig(grid_points=40000, l_max=1)),
-        # 521 points: five W column blocks at the first level
-        (40.0, FiniteSpectrumConfig(grid_points=400)),
+    @pytest.mark.parametrize("kr, cfg, n_in", [
+        (6.0, FiniteSpectrumConfig(grid_points=40), 2.0),
+        (1.5, FiniteSpectrumConfig(grid_points=400), 2.0),
+        (40.0, FiniteSpectrumConfig(grid_points=60), 2.0),
+        (3.0, FiniteSpectrumConfig(grid_points=8, quad_rel_tol=1e-12), 2.0),
+        # the grid's per-point tuples and small-argument table dominate
+        (6.0, FiniteSpectrumConfig(grid_points=40000), 2.0),
+        # 521 points: several column blocks at the first level
+        (40.0, FiniteSpectrumConfig(grid_points=400), 2.0),
+        # n_out > n_in: the graded first panel's nodes join the
+        # small-argument table, at every level
+        (1.5, FiniteSpectrumConfig(grid_points=400, quad_rel_tol=1e-12), 1.0),
     ], ids=["small", "fine-grid", "large-l", "refined", "long-grid",
-            "wide-grid"])
-    def test_estimate_bounds_measured_peak(self, kr, cfg):
-        tr = MediumTransition(n_in=2.0, n_out=1.5)
+            "wide-grid", "graded"])
+    def test_estimate_bounds_measured_peak(self, kr, cfg, n_in):
+        tr = MediumTransition(n_in=n_in, n_out=1.5)
         geom = build_geometry_from_kr(kr, 1.3, 1.5)
         kr = geom.k_gas_cutoff * geom.radius
         tracemalloc.start()
@@ -552,4 +650,4 @@ class TestProblemSizeGuard:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= _engine_bytes(_l_hard(kr, cfg), _grid_size(cfg))
+        assert peak <= _engine_bytes(kr, cfg)

@@ -208,7 +208,10 @@ class TestConfigFile:
         (["totals", "--n-in", "2", "--n-out", "12"], "model = bogus"),
         (SOLVE, "config = other.cfg"),
         (SOLVE, "n_liquid = abc"),
-    ], ids=["unknown-key", "bad-choice", "config-key", "non-numeric"])
+        # the angular sum is exact, so there is no l cutoff to set
+        (["totals", "--n-in", "2", "--n-out", "12"], "lmax = 40"),
+    ], ids=["unknown-key", "bad-choice", "config-key", "non-numeric",
+            "removed-lmax"])
     def test_invalid_entry_rejected(self, tmp_path, argv, entry):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(entry + "\n")
@@ -218,7 +221,7 @@ class TestConfigFile:
     def test_preamble_keys(self, tmp_path):
         # The preamble names every parameter; file keys are the same names.
         shared = ["cutoff_nm", "grid_extend", "grid_points", "k_obs_r",
-                    "lmax", "n_liquid", "radius_nm", "tol"]
+                  "n_liquid", "radius_nm", "tol"]
         cases = {
             "spectrum": (["--n-gas-in", "3", "--n-gas-out", "1.5",
                           "--model", "infinite"],
@@ -297,6 +300,26 @@ class TestExitCodes:
             assert main(["sweep", "--n-out-points", str(points)]) == 1
             assert time.perf_counter() - start < 1.0
             assert "lower n-out-points" in capsys.readouterr().err
+
+    def test_tolerance_below_floor_is_usage(self, monkeypatch, capsys):
+        # refused, naming the floor, before the engine is built
+        def no_engine(*args):
+            raise AssertionError("the engine was built")
+
+        monkeypatch.setattr(bubble, "_SpectrumEngine", no_engine)
+        for argv in (HEADLINE_SPECTRUM + ["--model", "finite"], ["table1"]):
+            assert main(argv + ["--tol", "9e-14"]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(
+                "error: quad_rel_tol must lie in [1e-13, 1), got 9e-14")
+
+    @pytest.mark.parametrize("argv", [HEADLINE_SPECTRUM, ["table1"]],
+                             ids=["headline", "table1"])
+    def test_tolerance_at_floor_converges(self, argv, tmp_path):
+        # the headline spectrum and all five table1 cases converge there
+        code, text = run(argv + ["--tol", "1e-13"], tmp_path)
+        assert code == 0
+        assert "# tol = 1e-13" in text.splitlines()
 
     @pytest.mark.parametrize("argv", [
         # n_liquid**3 underflows to 0 in the back-substituted count
