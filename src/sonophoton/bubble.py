@@ -107,10 +107,12 @@ infinite-volume spectrum.  Without the l = 0 term this is elementary,
     G(k)    = int_0^2 (s^3 - 12 s + 16) cos(k s) ds
             = 12/k^2 - 12 sin(2k)/k^3 + 12 sin(k)^2/k^4,   G(0) = 12,
 
-so the spectrum carries no l-truncation error (_closed_form).  Where u
-and v are both below 2, F is a small difference of the whole series and
-its l = 0 term, and the engine sums l = 1..10 term by term instead
-(_small_block).
+so the spectrum carries no l-truncation error (_closed_form).  F is a
+difference of the whole series and its l = 0 term, which cancel as
+1/min(u, v)^2.  Where u and v are both below 2 the engine sums l = 1..10
+term by term instead (_small_block, by radial quadrature), and so it does
+for the output points below 1/2 against the nodes above 2 (_lommel_block,
+by the Lommel quotient), where the terms fall as u^(2l).
 """
 
 from __future__ import annotations
@@ -143,17 +145,25 @@ _OMEGA_IN_FLOOR = 1e-6
 _GRADING = 0.25**np.arange(3, 0, -1)
 # (node, output point) pairs per column block of the engine.
 _BLOCK_ELEMENTS = 1 << 15
-# The pairs with u and v both below _SMALL_ARG are summed over l = 1..
-# _SMALL_L term by term, each Lommel integral by a _RADIAL_ORDER-point
-# Gauss rule in r (_small_block): there the closed form cancels against
-# its l = 0 term.  For u v < 4 the l = _SMALL_L term is < 1e-25 of the sum.
+# The closed form cancels against its l = 0 term as 1/min(u, v)^2 (to
+# ~4e-16 / min(u, v)^2 relative).  The pairs with u and v both below
+# _SMALL_ARG are summed over l = 1.._SMALL_L term by term, each Lommel
+# integral by a _RADIAL_ORDER-point Gauss rule in r (_small_block); for
+# u v < 4 the l = _SMALL_L term is < 1e-25 of the sum.  The output points
+# below _TINY_ARG against the nodes at or above _SMALL_ARG take the same
+# l sum from the Lommel quotient (_lommel_block).  The nodes below
+# _TINY_ARG against the points at or above _SMALL_ARG keep the closed
+# form: their pairs carry a weight ~v^3, so its 1/v^2 loss stays below
+# roundoff of the sum.
 _SMALL_ARG = 2.0
+_TINY_ARG = 0.5
 _SMALL_L = 10
 _RADIAL_ORDER = 16
 # The lowest quad_rel_tol a FiniteSpectrumConfig accepts.  The headline
-# spectrum and the five table1 cases converge down to 1.5e-14; at 1e-14
-# the order-12/24 difference of the headline's points near x_out 0.1 is
-# at the roundoff of the sums it compares (README numerical notes).
+# spectrum converges down to 1e-15 and the five table1 cases down to
+# 5e-15; at 3e-15 three of them fail at x_out ~270-390, where the rules'
+# difference is at the roundoff of the sums it compares (README
+# numerical notes).
 _MIN_REL_TOL = 1e-13
 # spectrum_finite refuses a problem whose engine arrays (_engine_bytes)
 # would need more bytes than _MAX_ENGINE_BYTES, or whose first pass would
@@ -254,23 +264,25 @@ def _engine_bytes(kr: float, config: FiniteSpectrumConfig) -> int:
 
     Per output point: u, its four trig tables, the rule sums and the level
     bookkeeping (16 floats).  Per output point or node below _SMALL_ARG
-    (at most 384 nodes: the graded first panel's four pieces, quartered
-    at the third level, 24 nodes each): its j_l arguments at the
-    _RADIAL_ORDER radii, with the table, the table sph_jn_table fills, the
+    (at most the graded first panel's nodes at the third level): its j_l
+    arguments at the _RADIAL_ORDER radii.  Per j_l argument, radial or
+    not (_small_tables): the table, the table sph_jn_table fills, the
     weighted copy and the recurrence's buffers ((3 _SMALL_L + 13)
-    _RADIAL_ORDER floats).  Per node of the finest (third-level) pass: v,
-    its Gauss weight, four trig tables and indices (10 floats).  Per
-    column block: 16 arrays of one block, at least one column of nodes.
-    The output grid counts at _POINT_BYTES a point.
+    floats).  Per node of the finest (third-level) pass: v, its Gauss
+    weight, four trig tables and indices (10 floats), and one plain j_l
+    argument.  Per column block: 16 arrays of one block, at least one
+    column of nodes.  The output grid counts at _POINT_BYTES a point.
     """
     n_points = _grid_size(config)
-    n_small = 384 + min(n_points,
-                        math.ceil(_SMALL_ARG * config.grid_points / kr))
-    # order 24 at the third level
-    nodes = 96 * (_panel_count(kr) + _GRADING.size)
+    # order 24 on panels quartered by the two bisections
+    per_panel = 4 * 24
+    n_small = (_GRADING.size + 1) * per_panel + min(
+        n_points, math.ceil(_SMALL_ARG * config.grid_points / kr))
+    nodes = per_panel * (_panel_count(kr) + _GRADING.size)
     block = max(_BLOCK_ELEMENTS, nodes)
-    floats = (16 * n_points + (3 * _SMALL_L + 13) * _RADIAL_ORDER * n_small
-              + 10 * nodes + 16 * block)
+    args = _RADIAL_ORDER * n_small + nodes + n_small
+    floats = (16 * n_points + (3 * _SMALL_L + 13) * args + 10 * nodes
+              + 16 * block)
     return 8 * floats + _POINT_BYTES * n_points
 
 
@@ -300,54 +312,29 @@ def _closed_form(v: np.ndarray, u: np.ndarray, tv: tuple, tu: tuple
 
     Where |u - v| >= 1 the two differences are one quotient each over
     powers of u^2 - v^2, with sin and cos of u +- v expanded by angle
-    addition, so no difference of nearly equal terms is formed at small
-    u or v.  Where |u - v| < 1, G(u - v) and sinc(u - v) are Taylor series
-    (exact at v = u), evaluated on those pairs only.  Not accurate where
-    u and v are both small (see _small_block).
+    addition.  Where |u - v| < 1, G(u - v) and sinc(u - v) are Taylor
+    series (exact at v = u), evaluated on those pairs only.  Either way the
+    result is the l >= 0 series less its l = 0 term, and loses digits as
+    1/min(u, v)^2 (see _small_block and _lommel_block).
     """
     su, cu, s2u, c2u = tu
     sv, cv, s2v, c2v = (t[:, None] for t in tv)
-    vc, v2 = v[:, None], (v * v)[:, None]
-    u2 = u * u
+    vc = v[:, None]
+    v2, u2 = vc * vc, u * u
     k = u - vc
     near = np.abs(k) < 1.0
-    a = k * (u + vc)                            # u^2 - v^2
-    a[near] = 1.0
+    a = np.where(near, 1.0, k * (u + vc))       # u^2 - v^2
     p = vc * u
     q = v2 + u2
     # pi^2 F = [(2p - 4 N^2 / p) a^2 - X a + Y] / a^4 with the l = 0 term's
-    # N = v sin u cos v - u cos u sin v
-    n0 = (vc * cv) * su
-    n0 -= sv * (u * cu)
-    n0 *= n0
-    n0 /= p
-    n0 *= -4.0
-    n0 += 2.0 * p
-    f = n0
-    f *= a
-    x = (v2 + 3.0 * u2) * (vc * c2v)
-    x *= s2u
-    x2 = (3.0 * v2 + u2) * s2v
-    x2 *= u * c2u
-    x -= x2
-    f -= x
-    f *= a
-    y = (sv * sv) * c2u
-    y += su * su
-    y *= p
-    y *= q
-    y *= 4.0
-    q *= q
-    p *= p
-    p *= 4.0
-    q += p
-    q *= 0.5 * s2v
-    q *= s2u
-    y -= q
-    f += y
-    a *= a
-    a *= a
-    f /= a
+    # N = v sin u cos v - u cos u sin v; the factors that are a row or a
+    # column are formed before they meet the block
+    n0 = (vc * cv) * su - sv * (u * cu)
+    x = ((v2 + 3.0 * u2) * (vc * c2v) * s2u
+         - (3.0 * v2 + u2) * s2v * (u * c2u))
+    y = (4.0 * p * q * (su * su + (sv * sv) * c2u)
+         - (q * q + 4.0 * p * p) * ((0.5 * s2v) * s2u))
+    f = ((2.0 * p - 4.0 * n0 * n0 / p) * a * a - x * a + y) / (a * a)**2
     rows, cols = np.nonzero(near)
     if rows.size:
         ur, vr = u[cols], v[rows]
@@ -362,18 +349,24 @@ def _closed_form(v: np.ndarray, u: np.ndarray, tv: tuple, tu: tuple
     return f
 
 
-def _small_tables(u: np.ndarray, v: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """The tables _small_block takes, from one j_l table of u and v: j_l at
-    the _RADIAL_ORDER Gauss radii r_k on [0, 1], for l = 1.._SMALL_L, times
-    the radial weight and r_k^2 for u; shapes (_SMALL_L, len(u) or len(v),
-    _RADIAL_ORDER)."""
+def _small_tables(u: np.ndarray, v: np.ndarray, u_tiny: np.ndarray,
+                  v_large: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The tables _small_block and _lommel_block take, from one j_l table.
+
+    For _small_block: j_l at the _RADIAL_ORDER Gauss radii r_k on [0, 1],
+    for l = 1.._SMALL_L, of u (times the radial weight and r_k^2) and of
+    v; shapes (_SMALL_L, len(u) or len(v), _RADIAL_ORDER).  For
+    _lommel_block: j_l(u_tiny) and j_l(v_large) for l = 0.._SMALL_L;
+    shapes (_SMALL_L + 1, len(u_tiny) or len(v_large)).
+    """
     x, w = _gauss_nodes(_RADIAL_ORDER)
     r = 0.5 * (x + 1.0)
-    jl = sph_jn_table(_SMALL_L, np.multiply.outer(np.concatenate((u, v)),
-                                                  r).ravel())
-    jl = jl[1:].reshape(_SMALL_L, -1, _RADIAL_ORDER)
-    return jl[:, :u.size] * (0.5 * w * r * r), jl[:, u.size:]
+    radial = np.multiply.outer(np.concatenate((u, v)), r).ravel()
+    jl = sph_jn_table(_SMALL_L, np.concatenate((radial, u_tiny, v_large)))
+    jr = jl[1:, :radial.size].reshape(_SMALL_L, -1, _RADIAL_ORDER)
+    js = jl[:, radial.size:]
+    return (jr[:, :u.size] * (0.5 * w * r * r), jr[:, u.size:],
+            js[:, :u_tiny.size], js[:, u_tiny.size:])
 
 
 def _small_block(v: np.ndarray, u: np.ndarray, jv: np.ndarray,
@@ -394,6 +387,27 @@ def _small_block(v: np.ndarray, u: np.ndarray, jv: np.ndarray,
     return f
 
 
+def _lommel_block(v: np.ndarray, u: np.ndarray, jv: np.ndarray,
+                  ju: np.ndarray) -> np.ndarray:
+    """pi^2 F(u, v) summed over l = 1.._SMALL_L on the (len(v), len(u))
+    grid by the Lommel quotient,
+
+        pi^2 lambda_l^2 = 4 u v [v j_l(u) j_{l-1}(v) - u j_{l-1}(u) j_l(v)]^2
+                          / (u^2 - v^2)^2,
+
+    from jv = j_l(v) and ju = j_l(u), l = 0.._SMALL_L.  For u below
+    _TINY_ARG and v at least _SMALL_ARG the quotient holds its digits and
+    its terms fall by ~u^2 / (2l + 3)^2 from one l to the next."""
+    vc = v[:, None]
+    f = np.zeros((v.size, u.size))
+    for l in range(1, _SMALL_L + 1):
+        t = ((vc * jv[l - 1, :, None]) * ju[l]
+             - jv[l, :, None] * (u * ju[l - 1]))
+        f += (2 * l + 1) * t * t
+    f *= 4.0 * vc * u / (vc * vc - u * u)**2
+    return f
+
+
 class _SpectrumEngine:
     """The angular sum's omega_in integral at every output point at once.
 
@@ -408,12 +422,13 @@ class _SpectrumEngine:
     once per pass, so no transcendental function runs per pair.  Each
     rule's sum runs over column blocks of about _BLOCK_ELEMENTS pairs,
     one pass for all the rules of a level.  The pairs with u and v both
-    below _SMALL_ARG take the explicit l sum of _small_block instead, from
-    one j_l table per pass.  Order 12 against 24 on the same panels
-    estimates the error: |sum_l (I_l^24 - I_l^12)|, the difference of the
-    l-summed integrals, since no single l is formed.  Points that miss
-    quad_rel_tol are redone with order 24 on bisected panels, twice at
-    most.
+    below _SMALL_ARG take the explicit l sum of _small_block instead, and
+    the points below _TINY_ARG against the nodes at or above _SMALL_ARG
+    that of _lommel_block, from one j_l table per pass.  Order 12 against
+    24 on the same panels estimates the error: |sum_l (I_l^24 - I_l^12)|,
+    the difference of the l-summed integrals, since no single l is formed.
+    Points that miss quad_rel_tol are redone with order 24 on bisected
+    panels, twice at most.
     """
 
     def __init__(self, n_gas_in: float, n_gas_out: float, kr: float,
@@ -442,12 +457,16 @@ class _SpectrumEngine:
         starts = np.cumsum([0] + [(edges.size - 1) * order
                                   for order in orders[:-1]])
         tv = _trig(v)
-        # the small-argument pairs: the first n_small points (u ascends)
-        # against the nodes v_small, from one j_l table of both
-        v_small = np.flatnonzero(v < _SMALL_ARG)
+        # the pairs the closed form cannot take: the first n_small points
+        # (u ascends) against the nodes v_small, and the first n_tiny
+        # points against the nodes v_large; j_l for both from one table
+        below = v < _SMALL_ARG
+        v_small, v_large = np.flatnonzero(below), np.flatnonzero(~below)
         n_small = int(np.searchsorted(u, _SMALL_ARG)) if v_small.size else 0
-        if n_small:
-            ju, jv = _small_tables(u[:n_small], v[v_small])
+        n_tiny = int(np.searchsorted(u, _TINY_ARG)) if v_large.size else 0
+        if n_small or n_tiny:
+            ju, jv, ju_tiny, jv_large = _small_tables(
+                u[:n_small], v[v_small], u[:n_tiny], v[v_large])
         out = np.empty((len(orders), u.size))
         width = max(1, _BLOCK_ELEMENTS // v.size)
         for c0 in range(0, u.size, width):
@@ -461,6 +480,11 @@ class _SpectrumEngine:
                 m = min(c1, n_small)
                 f[v_small, :m - c0] = _small_block(v[v_small], u[c0:m], jv,
                                                    ju[:, c0:m])
+            if c0 < n_tiny:
+                m = min(c1, n_tiny)
+                f[v_large, :m - c0] = _lommel_block(v[v_large], u[c0:m],
+                                                    jv_large,
+                                                    ju_tiny[:, c0:m])
             f *= self._weight(v[:, None], u[c0:c1])
             f *= gw[:, None]
             out[:, c0:c1] = np.add.reduceat(f, starts, axis=0)

@@ -30,6 +30,9 @@ _L_TAIL_TOL = 1e-4
 # At the switch the direct quotient and the mean err alike, by up to
 # ~3e-10 for u below ~30 and ~2e-9 at u = 400.
 _DIAGONAL_WIDTH = 5e-7
+# diagonal() sums the power series below this argument, to this many terms.
+_SERIES_BELOW = 1.0
+_SERIES_TERMS = 12
 
 
 def l_hard(kr: float) -> int:
@@ -39,10 +42,45 @@ def l_hard(kr: float) -> int:
 
 def diagonal(x: float | np.ndarray, jx: np.ndarray) -> np.ndarray:
     """lambda_l(x, x) for l = 1..L from jx = j_l(x), l = 0..L, of shape
-    (L + 1, 1) or (L + 1, len(x))."""
+    (L + 1, 1) or (L + 1, len(x)).
+
+    The analytic form cancels its two leading terms, and loses digits as
+    1/x^2; below _SERIES_BELOW the power series (_diagonal_series) is
+    taken instead.
+    """
     nu = (np.arange(1, jx.shape[0], dtype=float)[:, None] + 0.5) / x
-    return (x / math.pi) * ((jx[:-1] - nu * jx[1:])**2
-                            + (1.0 - nu**2) * jx[1:]**2)
+    lam = (x / math.pi) * ((jx[:-1] - nu * jx[1:])**2
+                           + (1.0 - nu**2) * jx[1:]**2)
+    xs = np.broadcast_to(x, (jx.shape[1],))
+    small = xs < _SERIES_BELOW
+    if np.any(small):
+        lam[:, small] = _diagonal_series(xs[small], jx.shape[0] - 1)
+    return lam
+
+
+def _diagonal_series(x: np.ndarray, n_l: int) -> np.ndarray:
+    """lambda_l(x, x) = (2x/pi) int_0^1 j_l(x r)^2 r^2 dr for l = 1..n_l,
+    shape (n_l, len(x)), by the power series of j_l squared,
+
+        j_l(z) = z^l / (2l+1)!! sum_k c_k z^(2k),
+        c_0 = 1,  c_k = -c_{k-1} / (2k (2l + 2k + 1)),
+
+    integrated term by term; for x < 1 its terms fall at least 20-fold
+    each, and _SERIES_TERMS of them reach roundoff."""
+    x2 = x * x
+    lead = 2.0 * x / math.pi        # times x^(2l) / ((2l+1)!!)^2 below
+    out = np.empty((n_l, x.size))
+    for l in range(1, n_l + 1):
+        lead = lead * x2 / (2 * l + 1)**2
+        c = [1.0]
+        for k in range(1, _SERIES_TERMS):
+            c.append(-c[-1] / (2 * k * (2 * l + 2 * k + 1)))
+        d = np.convolve(c, c)[:_SERIES_TERMS]
+        acc = np.zeros_like(x)
+        for n in range(_SERIES_TERMS - 1, -1, -1):
+            acc = acc * x2 + d[n] / (2 * l + 2 * n + 3)
+        out[l - 1] = lead * acc
+    return out
 
 
 def lommel_kernel(u: float | np.ndarray, v: np.ndarray, ju: np.ndarray,

@@ -386,12 +386,18 @@ def f_mp(u, v):
 
 
 def engine_f(u, v):
-    """The engine's F(u, v): the explicit l sum where u and v are both
-    below _SMALL_ARG, else the closed form."""
+    """The engine's F(u, v) at output point u and node v: the radial l sum
+    where u and v are both below _SMALL_ARG, the Lommel-quotient l sum
+    where u is below _TINY_ARG and v is not below _SMALL_ARG, else the
+    closed form."""
     uu, vv = np.array([u]), np.array([v])
+    none = np.array([])
     if max(u, v) < bubble._SMALL_ARG:
-        ju, jv = bubble._small_tables(uu, vv)
+        ju, jv, _, _ = bubble._small_tables(uu, vv, none, none)
         f = bubble._small_block(vv, uu, jv, ju)
+    elif u < bubble._TINY_ARG <= bubble._SMALL_ARG <= v:
+        _, _, ju, jv = bubble._small_tables(none, none, uu, vv)
+        f = bubble._lommel_block(vv, uu, jv, ju)
     else:
         f = bubble._closed_form(vv, uu, bubble._trig(vv), bubble._trig(uu))
     return f[0, 0] / math.pi**2
@@ -402,7 +408,8 @@ def engine_f(u, v):
     (5.0, 5.0001), (300.0, 299.9999),               # |u - v| ~ 1e-4
     (10.0, 10.999), (10.0, 11.001), (10.0, 9.0),    # across |u - v| = 1
     (0.05, 0.06), (0.3, 0.7), (1.9, 2.1),           # small arguments
-    (0.06, 3.0), (0.05, 8.0),                       # one small argument
+    (0.06, 3.0), (0.05, 8.0), (0.7, 2.5),           # one small argument
+    (1e-4, 2.5), (1e-3, 3.0), (0.45, 8.0), (1e-3, 50.0),
     (470.0, 300.0),
 ])
 def test_angular_sum_matches_mpmath(u, v):
@@ -464,10 +471,13 @@ class TestEngineAgainstOracle:
 
     def test_unattainable_tolerance(self, monkeypatch):
         # FiniteSpectrumConfig refuses a tolerance below _MIN_REL_TOL; with
-        # that floor lifted, 1e-300 reaches both engines' failure path
-        monkeypatch.setattr(bubble, "_MIN_REL_TOL", 0.0)
+        # that floor lifted, a negative tolerance, which no difference of
+        # two rules meets, sends both engines to their failure path at the
+        # lowest point (at 1e-300 a point whose rules agree to the last bit
+        # would pass)
+        monkeypatch.setattr(bubble, "_MIN_REL_TOL", -math.inf)
         got, want = self.failure_messages(
-            FiniteSpectrumConfig(grid_points=8, quad_rel_tol=1e-300))
+            FiniteSpectrumConfig(grid_points=8, quad_rel_tol=-1.0))
         assert got == want
         assert got.startswith("omega_in quadrature failed to reach rel tol")
 
@@ -512,10 +522,9 @@ def test_nodes_do_not_depend_on_output_grid(monkeypatch):
 def test_output_points_on_and_beside_gauss_nodes():
     # an output point that coincides with a node, of either order and at
     # either bisection level, is a pair with v = u; the closed form's
-    # Taylor branch and the small-argument block must take it without 0/0.
-    # With n_out > n_in the first panel is graded, and its nodes too; the
-    # oracle's analytic diagonal loses digits as 1/u^2, so it referees
-    # the points from u = 0.01 up
+    # Taylor branch and the small-argument blocks must take it without
+    # 0/0.  With n_out > n_in the first panel is graded, and its nodes
+    # too, down to u ~ 1e-4
     kr, cfg = 6.0, FiniteSpectrumConfig()
     for n_in, n_out in ((2.0, 1.5), (1.5, 2.0)):
         edges = _panel_edges(kr, n_out > n_in)
@@ -537,9 +546,7 @@ def test_output_points_on_and_beside_gauss_nodes():
         oracle = engine_oracle._SpectrumEngine(n_in, n_out, kr, cfg)
         want = np.array([oracle.sum_at(float(x)) for x in u])
         assert np.all(np.isfinite(got))
-        refereed = u >= 0.01
-        assert np.all(np.abs(got - want)[refereed]
-                      <= 1e-10 * np.abs(want)[refereed])
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
 
 
 def test_direct_sum_is_a_narrow_band(monkeypatch):
@@ -559,6 +566,27 @@ def test_direct_sum_is_a_narrow_band(monkeypatch):
     assert 0 < sum(pairs) <= 4 * len(values)
 
 
+def test_lommel_block_takes_only_tiny_points(monkeypatch):
+    # the closed form loses digits as 1/u^2 against the nodes above
+    # _SMALL_ARG too: the output points below _TINY_ARG, and only they,
+    # take the Lommel-quotient l sum there, at every level
+    calls = []
+    lommel_block = bubble._lommel_block
+
+    def recording_block(v, u, jv, ju):
+        calls.append((v, u))
+        return lommel_block(v, u, jv, ju)
+
+    monkeypatch.setattr(bubble, "_lommel_block", recording_block)
+    x = np.array(spectrum_finite(HEADLINE[0], HEADLINE[1],
+                                 FiniteSpectrumConfig()).dimensionless_x)
+    tiny = x[x < bubble._TINY_ARG]
+    assert tiny.size > 0
+    assert all(np.all(v >= bubble._SMALL_ARG) for v, _ in calls)
+    assert np.array_equal(np.unique(np.concatenate([u for _, u in calls])),
+                          tiny)
+
+
 @pytest.mark.parametrize("tr, geom, cfg", [
     HEADLINE + (FiniteSpectrumConfig(),),
     # 9 of the 131 points miss the tolerance at order 12 against 24 and
@@ -568,12 +596,14 @@ def test_direct_sum_is_a_narrow_band(monkeypatch):
      FiniteSpectrumConfig(grid_points=100, quad_rel_tol=1e-11)),
 ], ids=["headline", "second-level"])
 def test_column_blocks_do_not_change_spectra(monkeypatch, tr, geom, cfg):
-    # column blocks of 12 points at the first level (9 at the second)
-    # cut the small-argument block: its points are summed in more than
-    # one column block of a pass
+    # column blocks of 3 points at the headline's first level (6 and 5 at
+    # the second case's first and second) cut both small-argument blocks:
+    # the points of each are summed in more than one column block of a
+    # pass
     want = np.array(spectrum_finite(tr, geom, cfg).values)
-    blocks, small = [], []      # per call: the nodes of its pass
-    closed_form, small_block = bubble._closed_form, bubble._small_block
+    blocks, small, tiny = [], [], []    # per call: the nodes of its pass
+    closed_form = bubble._closed_form
+    small_block, lommel_block = bubble._small_block, bubble._lommel_block
 
     def recording_closed_form(v, u, tv, tu):
         blocks.append(v)
@@ -583,13 +613,19 @@ def test_column_blocks_do_not_change_spectra(monkeypatch, tr, geom, cfg):
         small.append(blocks[-1])
         return small_block(v, u, jv, ju)
 
+    def recording_lommel(v, u, jv, ju):
+        tiny.append(blocks[-1])
+        return lommel_block(v, u, jv, ju)
+
     monkeypatch.setattr(bubble, "_closed_form", recording_closed_form)
     monkeypatch.setattr(bubble, "_small_block", recording_block)
-    monkeypatch.setattr(bubble, "_BLOCK_ELEMENTS", 900)
+    monkeypatch.setattr(bubble, "_lommel_block", recording_lommel)
+    monkeypatch.setattr(bubble, "_BLOCK_ELEMENTS", 250)
     got = np.array(spectrum_finite(tr, geom, cfg).values)
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
     assert [v is blocks[0] for v in blocks].count(True) >= 5
     assert [v is blocks[0] for v in small].count(True) >= 2
+    assert [v is blocks[0] for v in tiny].count(True) >= 2
     if cfg.quad_rel_tol == 1e-11:   # a pass on bisected order-24 panels
         assert any(v.size == blocks[0].size // 36 * 48 for v in blocks)
 
@@ -638,8 +674,11 @@ class TestProblemSizeGuard:
         # n_out > n_in: the graded first panel's nodes join the
         # small-argument table, at every level
         (1.5, FiniteSpectrumConfig(grid_points=400, quad_rel_tol=1e-12), 1.0),
+        # 86 points below _TINY_ARG against 273 nodes above _SMALL_ARG:
+        # the Lommel block's j_l table and its pairs
+        (40.0, FiniteSpectrumConfig(grid_points=8000), 2.0),
     ], ids=["small", "fine-grid", "large-l", "refined", "long-grid",
-            "wide-grid", "graded"])
+            "wide-grid", "graded", "tiny-grid"])
     def test_estimate_bounds_measured_peak(self, kr, cfg, n_in):
         tr = MediumTransition(n_in=n_in, n_out=1.5)
         geom = build_geometry_from_kr(kr, 1.3, 1.5)
