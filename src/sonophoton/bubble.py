@@ -108,8 +108,8 @@ infinite-volume spectrum.  Without the l = 0 term this is elementary,
             = 12/k^2 - 12 sin(2k)/k^3 + 12 sin(k)^2/k^4,   G(0) = 12,
 
 so the spectrum carries no l-truncation error (_closed_form).  F is a
-difference of the whole series and its l = 0 term, which cancel as
-1/min(u, v)^2.  Where u and v are both below 2 the engine sums l = 1..10
+difference of the whole series and its l = 0 term, which cancel at
+least as 1/min(u, v)^2.  Where u and v are both below 2 the engine sums l = 1..10
 term by term instead (_small_block, by radial quadrature), and so it does
 for the output points below 1/2 against the nodes above 2 (_lommel_block,
 by the Lommel quotient), where the terms fall as u^(2l).
@@ -145,8 +145,9 @@ _OMEGA_IN_FLOOR = 1e-6
 _GRADING = 0.25**np.arange(3, 0, -1)
 # (node, output point) pairs per column block of the engine.
 _BLOCK_ELEMENTS = 1 << 15
-# The closed form cancels against its l = 0 term as 1/min(u, v)^2 (to
-# ~4e-16 / min(u, v)^2 relative).  The pairs with u and v both below
+# The closed form cancels against its l = 0 term: with one argument small
+# to ~4e-16 / min(u, v)^2 relative, with both far worse (1e-4 at u, v ~
+# 0.05).  The pairs with u and v both below
 # _SMALL_ARG are summed over l = 1.._SMALL_L term by term, each Lommel
 # integral by a _RADIAL_ORDER-point Gauss rule in r (_small_block); for
 # u v < 4 the l = _SMALL_L term is < 1e-25 of the sum.  The output points
@@ -314,8 +315,8 @@ def _closed_form(v: np.ndarray, u: np.ndarray, tv: tuple, tu: tuple
     powers of u^2 - v^2, with sin and cos of u +- v expanded by angle
     addition.  Where |u - v| < 1, G(u - v) and sinc(u - v) are Taylor
     series (exact at v = u), evaluated on those pairs only.  Either way the
-    result is the l >= 0 series less its l = 0 term, and loses digits as
-    1/min(u, v)^2 (see _small_block and _lommel_block).
+    result is the l >= 0 series less its l = 0 term, and loses digits at
+    least as 1/min(u, v)^2 (see _small_block and _lommel_block).
     """
     su, cu, s2u, c2u = tu
     sv, cv, s2v, c2v = (t[:, None] for t in tv)

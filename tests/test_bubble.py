@@ -550,41 +550,30 @@ def test_output_points_on_and_beside_gauss_nodes():
 
 
 def test_direct_sum_is_a_narrow_band(monkeypatch):
-    # only the pairs where the closed form cancels, u and v both below
-    # _SMALL_ARG, reach the explicit l sum: at most 4 per output point
-    # over every level
-    pairs = []
-    small_block = bubble._small_block
+    # only the pairs where the closed form cancels reach the explicit l
+    # sums: u and v both below _SMALL_ARG the radial block, at most 4 per
+    # output point over every level; and the points below _TINY_ARG, and
+    # only they, against the nodes above _SMALL_ARG the Lommel block
+    pairs, lommel = [], []
+    small_block, lommel_block = bubble._small_block, bubble._lommel_block
 
     def recording_block(v, u, jv, ju):
         pairs.append(v.size * u.size)
         return small_block(v, u, jv, ju)
 
-    monkeypatch.setattr(bubble, "_small_block", recording_block)
-    values = spectrum_finite(HEADLINE[0], HEADLINE[1],
-                             FiniteSpectrumConfig()).values
-    assert 0 < sum(pairs) <= 4 * len(values)
-
-
-def test_lommel_block_takes_only_tiny_points(monkeypatch):
-    # the closed form loses digits as 1/u^2 against the nodes above
-    # _SMALL_ARG too: the output points below _TINY_ARG, and only they,
-    # take the Lommel-quotient l sum there, at every level
-    calls = []
-    lommel_block = bubble._lommel_block
-
-    def recording_block(v, u, jv, ju):
-        calls.append((v, u))
+    def recording_lommel(v, u, jv, ju):
+        lommel.append((v, u))
         return lommel_block(v, u, jv, ju)
 
-    monkeypatch.setattr(bubble, "_lommel_block", recording_block)
-    x = np.array(spectrum_finite(HEADLINE[0], HEADLINE[1],
-                                 FiniteSpectrumConfig()).dimensionless_x)
-    tiny = x[x < bubble._TINY_ARG]
-    assert tiny.size > 0
-    assert all(np.all(v >= bubble._SMALL_ARG) for v, _ in calls)
-    assert np.array_equal(np.unique(np.concatenate([u for _, u in calls])),
-                          tiny)
+    monkeypatch.setattr(bubble, "_small_block", recording_block)
+    monkeypatch.setattr(bubble, "_lommel_block", recording_lommel)
+    spectrum = spectrum_finite(HEADLINE[0], HEADLINE[1],
+                               FiniteSpectrumConfig())
+    assert 0 < sum(pairs) <= 4 * len(spectrum.values)
+    x = np.array(spectrum.dimensionless_x)
+    assert all(np.all(v >= bubble._SMALL_ARG) for v, _ in lommel)
+    assert np.array_equal(np.unique(np.concatenate([u for _, u in lommel])),
+                          x[x < bubble._TINY_ARG])
 
 
 @pytest.mark.parametrize("tr, geom, cfg", [
