@@ -320,22 +320,49 @@ def _closed_form(v: np.ndarray, u: np.ndarray, tv: tuple, tu: tuple
     """
     su, cu, s2u, c2u = tu
     sv, cv, s2v, c2v = (t[:, None] for t in tv)
-    vc = v[:, None]
-    v2, u2 = vc * vc, u * u
+    vc, v2 = v[:, None], (v * v)[:, None]
+    u2 = u * u
     k = u - vc
     near = np.abs(k) < 1.0
-    a = np.where(near, 1.0, k * (u + vc))       # u^2 - v^2
+    a = k * (u + vc)                            # u^2 - v^2
+    a[near] = 1.0
     p = vc * u
     q = v2 + u2
     # pi^2 F = [(2p - 4 N^2 / p) a^2 - X a + Y] / a^4 with the l = 0 term's
-    # N = v sin u cos v - u cos u sin v; the factors that are a row or a
-    # column are formed before they meet the block
-    n0 = (vc * cv) * su - sv * (u * cu)
-    x = ((v2 + 3.0 * u2) * (vc * c2v) * s2u
-         - (3.0 * v2 + u2) * s2v * (u * c2u))
-    y = (4.0 * p * q * (su * su + (sv * sv) * c2u)
-         - (q * q + 4.0 * p * p) * ((0.5 * s2v) * s2u))
-    f = ((2.0 * p - 4.0 * n0 * n0 / p) * a * a - x * a + y) / (a * a)**2
+    # N = v sin u cos v - u cos u sin v, built in place: written as plain
+    # expressions it cost 4 % more spectrum-headline wall_s (10/10 pairs)
+    # and ~30 % more table1 wall_s (3/3)
+    n0 = (vc * cv) * su
+    n0 -= sv * (u * cu)
+    n0 *= n0
+    n0 /= p
+    n0 *= -4.0
+    n0 += 2.0 * p
+    f = n0
+    f *= a
+    x = (v2 + 3.0 * u2) * (vc * c2v)
+    x *= s2u
+    x2 = (3.0 * v2 + u2) * s2v
+    x2 *= u * c2u
+    x -= x2
+    f -= x
+    f *= a
+    y = (sv * sv) * c2u
+    y += su * su
+    y *= p
+    y *= q
+    y *= 4.0
+    q *= q
+    p *= p
+    p *= 4.0
+    q += p
+    q *= 0.5 * s2v
+    q *= s2u
+    y -= q
+    f += y
+    a *= a
+    a *= a
+    f /= a
     rows, cols = np.nonzero(near)
     if rows.size:
         ur, vr = u[cols], v[rows]
