@@ -174,7 +174,7 @@ _MIN_REL_TOL = 1e-13
 _MAX_ENGINE_BYTES = 1 << 30
 _MAX_NODE_PAIRS = 1 << 30
 # Upper estimate of the bytes a caller holds per output grid point: the
-# two float tuples, the value columns and one CSV row (~380 B measured
+# two float tuples, the value columns and one CSV row (~390 B measured
 # for `spectrum --model infinite`, ~370 B for `sweep`).
 _POINT_BYTES = 512
 # Taylor coefficients in k^2, to below 1e-17 at |k| = 1, of
@@ -267,12 +267,14 @@ def _engine_bytes(kr: float, config: FiniteSpectrumConfig) -> int:
     bookkeeping (16 floats).  Per output point or node below _SMALL_ARG
     (at most the graded first panel's nodes at the third level): its j_l
     arguments at the _RADIAL_ORDER radii.  Per j_l argument, radial or
-    not (_small_tables): the table, the table sph_jn_table fills, the
-    weighted copy and the recurrence's buffers ((3 _SMALL_L + 13)
-    floats).  Per node of the finest (third-level) pass: v, its Gauss
-    weight, four trig tables and indices (10 floats), and one plain j_l
-    argument.  Per column block: 16 arrays of one block, at least one
-    column of nodes.  The output grid counts at _POINT_BYTES a point.
+    not (_small_tables): the table sph_jn_table returns, and either the
+    table it gathers its branches into or the weighted copy, with the
+    recurrence's buffers ((2 _SMALL_L + 15) floats).  Per node of the
+    finest (third-level) pass: v, its Gauss weight, four trig tables and
+    indices (10 floats), and one plain j_l argument.  Per column block:
+    16 arrays of one block, at least one column of nodes (_closed_form's;
+    the l-batched products of _small_block and _lommel_block need at most
+    _SMALL_L + 4).  The output grid counts at _POINT_BYTES a point.
     """
     n_points = _grid_size(config)
     # order 24 on panels quartered by the two bisections
@@ -282,7 +284,7 @@ def _engine_bytes(kr: float, config: FiniteSpectrumConfig) -> int:
     nodes = per_panel * (_panel_count(kr) + _GRADING.size)
     block = max(_BLOCK_ELEMENTS, nodes)
     args = _RADIAL_ORDER * n_small + nodes + n_small
-    floats = (16 * n_points + (3 * _SMALL_L + 13) * args + 10 * nodes
+    floats = (16 * n_points + (2 * _SMALL_L + 15) * args + 10 * nodes
               + 16 * block)
     return 8 * floats + _POINT_BYTES * n_points
 
@@ -405,12 +407,9 @@ def _small_block(v: np.ndarray, u: np.ndarray, jv: np.ndarray,
     jv[l - 1] (j_l(v r_k), one row per v) against ju[l - 1] (j_l(u r_k)
     times the radial weight and r_k^2).  Every term is positive, so the
     sum holds its digits at any u, v and on v = u."""
-    f = np.zeros((v.size, u.size))
-    for l in range(_SMALL_L):
-        lommel = np.einsum("vk,uk->vu", jv[l], ju[l])
-        lommel *= lommel
-        lommel *= 2 * l + 3
-        f += lommel
+    lommel = np.matmul(jv, ju.transpose(0, 2, 1))
+    lommel *= lommel
+    f = _l_weighted_sum(lommel)
     f *= 4.0 * np.multiply.outer(v, u)
     return f
 
@@ -426,14 +425,21 @@ def _lommel_block(v: np.ndarray, u: np.ndarray, jv: np.ndarray,
     from jv = j_l(v) and ju = j_l(u), l = 0.._SMALL_L.  For u below
     _TINY_ARG and v at least _SMALL_ARG the quotient holds its digits and
     its terms fall by ~u^2 / (2l + 3)^2 from one l to the next."""
+    # the bracket for every l at once, as a product over a length-2 axis:
+    # [v j_{l-1}(v), -j_l(v)] . [j_l(u), u j_{l-1}(u)]
+    t = np.matmul(np.stack((v * jv[:-1], -jv[1:]), axis=2),
+                  np.stack((ju[1:], u * ju[:-1]), axis=1))
+    t *= t
+    f = _l_weighted_sum(t)
     vc = v[:, None]
-    f = np.zeros((v.size, u.size))
-    for l in range(1, _SMALL_L + 1):
-        t = ((vc * jv[l - 1, :, None]) * ju[l]
-             - jv[l, :, None] * (u * ju[l - 1]))
-        f += (2 * l + 1) * t * t
     f *= 4.0 * vc * u / (vc * vc - u * u)**2
     return f
+
+
+def _l_weighted_sum(terms: np.ndarray) -> np.ndarray:
+    """sum_l (2l+1) terms[l - 1] over l = 1.._SMALL_L."""
+    weights = np.arange(3.0, 2 * _SMALL_L + 2, 2.0)
+    return (weights @ terms.reshape(_SMALL_L, -1)).reshape(terms.shape[1:])
 
 
 class _SpectrumEngine:
@@ -580,8 +586,7 @@ def spectral_grid(geometry: BubbleGeometry,
     h = kr / config.grid_points
     x_grid = h * np.arange(1, n_points + 1)
     omega_grid = x_grid * SPEED_OF_LIGHT / (geometry.n_out * geometry.radius)
-    return (tuple(float(w) for w in omega_grid),
-            tuple(float(x) for x in x_grid))
+    return tuple(omega_grid.tolist()), tuple(x_grid.tolist())
 
 
 def spectrum_finite(transition: MediumTransition, geometry: BubbleGeometry,
@@ -622,7 +627,7 @@ def spectrum_finite(transition: MediumTransition, geometry: BubbleGeometry,
     engine = _SpectrumEngine(n_in, n_out, kr, np.asarray(x_tuple), config)
     dn = transition.delta_n
     prefactor = POLARIZATIONS * 0.25 * dn * dn * radius / (c * n_in)
-    values = tuple(float(prefactor * s) for s in engine.sums())
+    values = tuple((prefactor * engine.sums()).tolist())
     return SpectralDensity(grid=omega_tuple, values=values,
                            dimensionless_x=x_tuple)
 

@@ -224,8 +224,11 @@ def _write_csv(command: str, params: dict, header: str, rows,
     then params and extra by sorted key), the header and a line of _cell
     values per row to output or stdout; a row that raises writes nothing."""
     merged = {**params, **extra}
-    # the rows inline _cell: a call per cell made a 200-row sweep's
-    # formatting ~10 % slower
+    # row by row, _cell inlined: a call per cell made a 200-row sweep's
+    # formatting ~10 % slower.  One str pass per column saved ~1 % of a
+    # 261-row spectrum's formatting (str itself is the cost) but added
+    # ~2-4 us (+40-80 %) to the one- and two-row outputs of totals and
+    # solve-nin
     lines = [f"# sonophoton {__version__}", f"# command = {command}",
              f"# polarization_factor = {_cell(POLARIZATIONS)}",
              *[f"# {key} = {_cell(merged[key])}" for key in sorted(merged)],
@@ -255,13 +258,12 @@ def cmd_spectrum(params: dict, output: str | None) -> int:
         dens = spectrum_finite(transition, geometry, fconfig)
         omega_grid, x_grid, finite_vals = (dens.grid, dens.dimensionless_x,
                                            dens.values)
+    omega = np.array(omega_grid)
     infinite_vals = ([None] * len(omega_grid) if model == "finite" else
-                     [spectrum_infinite(transition, geometry, w)
-                      for w in omega_grid])
+                     spectrum_infinite(transition, geometry, omega).tolist())
     _write_csv("spectrum", params,
                "x,omega_out_rad_s,nu_Hz,dNdomega_infinite,dNdomega_finite",
-               zip(x_grid, omega_grid,
-                   [omega / (2.0 * math.pi) for omega in omega_grid],
+               zip(x_grid, omega_grid, (omega / (2.0 * math.pi)).tolist(),
                    infinite_vals, finite_vals),
                output, k_gas_cutoff_x=geometry.k_gas_cutoff * geometry.radius)
     return EXIT_OK

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # CODATA: c and hbar (J s).  c is exact by definition.
 SPEED_OF_LIGHT = 2.99792458e8
 HBAR = 1.054571817e-34
@@ -206,12 +208,14 @@ class SpectralDensity:
     def __post_init__(self) -> None:
         if len(self.grid) != len(self.values):
             raise DomainError("grid and values must have equal length")
-        if not all(math.isfinite(v) for v in (
-                *self.grid, *self.values, *(self.dimensionless_x or ()))):
+        grid = np.asarray(self.grid, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if not (np.isfinite(grid).all() and np.isfinite(values).all()
+                and np.isfinite(self.dimensionless_x or ()).all()):
             raise DomainError("grid, values and dimensionless_x must be finite")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
+        if (grid[1:] <= grid[:-1]).any():
             raise DomainError("grid must be strictly increasing")
-        if any(v < 0.0 for v in self.values):
+        if (values < 0.0).any():
             raise DomainError("spectral values must be >= 0")
         if self.dimensionless_x is not None and \
                 len(self.dimensionless_x) != len(self.grid):

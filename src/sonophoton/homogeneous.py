@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .core import (HBAR, SPEED_OF_LIGHT, BubbleGeometry, DomainError,
                    EmissionSummary, MediumTransition)
 from .specfun import log_sinh
@@ -111,25 +113,32 @@ def _check_consistent(transition: MediumTransition,
 
 
 def spectrum_infinite(transition: MediumTransition, geometry: BubbleGeometry,
-                      omega_out: float) -> float:
+                      omega_out: float | np.ndarray) -> float | np.ndarray:
     """dN/d omega_out (seconds) in the sudden infinite-volume limit.
 
     (n_out / 2c) (n_out - n_in)^2/(n_out n_in) V/(2 pi)^3 4 pi k_out^2
     below the gas-side cutoff K, zero above; both polarizations included.
-    Exactly quadratic in omega_out below the cutoff.
+    Exactly quadratic in omega_out below the cutoff.  omega_out is a float
+    (a float is returned) or an array (an array of the same shape is
+    returned, each entry equal to the float call at that point).
     """
     _check_consistent(transition, geometry)
-    if omega_out < 0.0 or not math.isfinite(omega_out):
-        raise DomainError(f"omega_out must be >= 0, got {omega_out!r}")
+    w = np.asarray(omega_out, dtype=float)
+    bad = ~(w >= 0.0) | ~np.isfinite(w)
+    if bad.any():
+        raise DomainError(f"omega_out must be >= 0 and finite, got "
+                          f"{float(w[bad][0])!r}")
     c = SPEED_OF_LIGHT
-    k_out = transition.n_out * omega_out / c
-    if k_out > geometry.k_gas_cutoff:
-        return 0.0
     dn = transition.delta_n
-    return (transition.n_out / (2.0 * c)
-            * dn * dn / (transition.n_out * transition.n_in)
-            * geometry.volume / (2.0 * math.pi)**3
-            * 4.0 * math.pi * k_out * k_out)
+    # the constant factors left to right, then k_out twice: the order
+    # fixes each value's last bit, and the committed spectra use this one
+    coeff = (transition.n_out / (2.0 * c)
+             * dn * dn / (transition.n_out * transition.n_in)
+             * geometry.volume / (2.0 * math.pi)**3
+             * 4.0 * math.pi)
+    k_out = transition.n_out * w / c
+    vals = np.where(k_out > geometry.k_gas_cutoff, 0.0, coeff * k_out * k_out)
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def total_photons_closed_form(transition: MediumTransition,

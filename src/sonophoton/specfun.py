@@ -45,10 +45,11 @@ def log_sinh(x: float) -> float:
 
 
 def _miller_start(lmax: int) -> int:
-    # Padded start order for downward recurrence; validated against the
+    # Start order for downward recurrence; validated against the
     # arbitrary-precision oracle over l <= 463, x <= 470 (the range the
-    # benchmark table reaches), deep-evanescent arguments included.
-    return lmax + math.ceil(1.5 * math.sqrt(40.0 * lmax)) + 20
+    # benchmark table reaches), deep-evanescent arguments included, and
+    # at lmax 10 over x in [1e-7, 10) (README numerical notes).
+    return lmax + math.ceil(math.sqrt(40.0 * lmax))
 
 
 def sph_jn_table(lmax: int, x: np.ndarray) -> np.ndarray:
@@ -63,29 +64,27 @@ def sph_jn_table(lmax: int, x: np.ndarray) -> np.ndarray:
     if np.any(~np.isfinite(x)) or np.any(x < 0.0):
         raise DomainError("x must be finite and >= 0")
     n = x.size
-    out = np.zeros((lmax + 1, n))
+    # (columns, table) per branch; one table that covers every column is
+    # returned as it is, otherwise the branches are gathered into one
+    parts = []
 
     tiny = x < 1e-8
-    if tiny.any():
+    live = np.flatnonzero(~tiny)
+    if live.size < n:
         # leading series term x^l / (2l+1)!!: exact in double below 1e-8,
         # and it underflows gracefully to 0 as l grows
-        xt = x[tiny]
-        term = np.ones_like(xt)
-        out[0, tiny] = term
+        cols = np.flatnonzero(tiny)
+        xt = x[cols]
+        tab = np.empty((lmax + 1, xt.size))
+        tab[0] = 1.0
         for l in range(1, lmax + 1):
-            term = term * xt / (2 * l + 1)
-            out[l, tiny] = term
+            tab[l] = tab[l - 1] * xt / (2 * l + 1)
+        parts.append((cols, tab))
 
-    live = ~tiny
-    if not np.any(live):
-        return out
-    xl = x[live]
+    xl = x if live.size == n else x[live]
     sinx = np.sin(xl)
     cosx = np.cos(xl)
     j0 = sinx / xl
-    out[0, live] = j0
-    if lmax == 0:
-        return out
     j1 = sinx / xl**2 - cosx / xl
 
     up = xl >= lmax  # upward stable: every order l <= lmax sits below x
@@ -93,16 +92,15 @@ def sph_jn_table(lmax: int, x: np.ndarray) -> np.ndarray:
         xu = xl[up]
         tab = np.empty((lmax + 1, xu.size))
         tab[0] = j0[up]
-        tab[1] = j1[up]
+        if lmax:
+            tab[1] = j1[up]
         for l in range(1, lmax):
             tab[l + 1] = (2 * l + 1) / xu * tab[l] - tab[l - 1]
-        cols = np.flatnonzero(live)[up]
-        out[:, cols] = tab
+        parts.append((live[up], tab))
 
     down = ~up
     if np.any(down):
         xd = xl[down]
-        cols = np.flatnonzero(live)[down]
         lstart = _miller_start(lmax)
         inv = 1.0 / xd
         tab = np.empty((lmax + 1, xd.size))
@@ -138,8 +136,11 @@ def sph_jn_table(lmax: int, x: np.ndarray) -> np.ndarray:
                          ref1 / np.where(tab[1] != 0.0, tab[1], 1.0),
                          ref0 / np.where(tab[0] != 0.0, tab[0], 1.0))
         tab *= scale
-        if cols.size == n:
-            return tab
-        out[:, cols] = tab
+        parts.append((live[down], tab))
 
+    if len(parts) == 1 and parts[0][0].size == n:
+        return parts[0][1]
+    out = np.empty((lmax + 1, n))
+    for cols, tab in parts:
+        out[:, cols] = tab
     return out

@@ -367,6 +367,22 @@ class TestExitCodes:
         assert err.count("\n") == 1 and err.endswith("\n")
 
 
+def test_csv_writer_cells(capsys):
+    # every float form repr produces, strings and None cells, with None
+    # in some rows only: a None cell is blank, the string "None" is not
+    forms = (2.0, 1e-05, 1e+16, 0.060415243338265257, 5e-324, -0.0, 7)
+    rows = [(forms[i % len(forms)], f"s{i}",
+             None if i % 5 == 0 else forms[(3 * i) % len(forms)],
+             None if i > 20 else "None")
+            for i in range(40)]
+    cli._write_csv("test", {}, "a,b,c,d", rows, None)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-len(rows) - 1] == "a,b,c,d"
+    assert lines[-len(rows):] == [
+        ",".join("" if c is None else str(c) for c in row) for row in rows]
+    assert lines[-len(rows)] == "2.0,s0,,None"
+
+
 def test_closed_form_golden_replay(capsys):
     # every closed-form request of the benchmark pool, replayed in process:
     # the data lines (all but the '#' preamble) must equal the committed

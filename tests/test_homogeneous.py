@@ -5,6 +5,7 @@ import pytest
 
 from sonophoton import (BubbleGeometry, DomainError, MediumTransition,
                         build_geometry_from_kr)
+from sonophoton.core import SPEED_OF_LIGHT as C
 from sonophoton.homogeneous import (UNDERFLOW_LOG, beta_sq_density,
                                     beta_sq_density_log, epsilon_profile,
                                     omega_sudden, photons_from_count_formula,
@@ -207,6 +208,35 @@ class TestSpectrumInfinite:
             if fwd == 0.0:
                 continue
             assert rel_err(rev / fwd, (n_in / n_out)**3) < 1e-10
+
+    def test_array_form_matches_float_calls(self):
+        # a grid that straddles the cutoff, with the origin and the cutoff
+        # itself: bit for bit the float calls, 0.0 above the cutoff
+        w_max = self.geom.omega_max
+        grid = np.concatenate(([0.0, w_max], np.linspace(0.01, 1.3, 261)
+                               * w_max))
+        vals = spectrum_infinite(self.tr, self.geom, grid)
+        assert isinstance(vals, np.ndarray) and vals.shape == grid.shape
+        want = [spectrum_infinite(self.tr, self.geom, w)
+                for w in grid.tolist()]
+        assert vals.tolist() == want
+        above = self.tr.n_out * grid / C > self.geom.k_gas_cutoff
+        assert above.any() and (~above).any()
+        assert np.all(vals[above] == 0.0) and np.all(vals[~above][1:] > 0.0)
+        assert type(spectrum_infinite(self.tr, self.geom, 0.3 * w_max)) \
+            is float
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+    def test_array_form_rejects_bad_entry(self, bad):
+        grid = np.linspace(0.1, 1.2, 7) * self.geom.omega_max
+        grid[3] = bad
+        with pytest.raises(DomainError):
+            spectrum_infinite(self.tr, self.geom, grid)
+
+    def test_array_form_rejects_mismatched_geometry(self):
+        geom = BubbleGeometry(500e-9, 1.3, 200e-9, 2.0)
+        with pytest.raises(DomainError):
+            spectrum_infinite(self.tr, geom, np.array([1e15, 2e15]))
 
     def test_rejects_negative_frequency(self):
         with pytest.raises(DomainError):

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from sonophoton import DomainError
 from sonophoton.specfun import log_sinh, sph_jn_table
 
 from kernel_oracle import cylinder_j, cylinder_pair_at, wronskian_kernel
-from oracles import (assert_close, oracle_j, oracle_wronskian_fd, oracle_y,
-                     rel_err, spherical_j, spherical_j_prime, spherical_y,
-                     spherical_y_prime)
+from oracles import (assert_close, oracle_j, oracle_j_table_mp,
+                     oracle_wronskian_fd, oracle_y, rel_err, spherical_j,
+                     spherical_j_prime, spherical_y, spherical_y_prime)
 
 
 class TestSphericalJ:
@@ -54,6 +55,23 @@ class TestSphericalJ:
                 for x, got in zip(xs, tab[l]):
                     assert_close(got, oracle_j(l, float(x)), rel=1e-12,
                                  what=f"j_{l}({x}) in a table to {lmax}")
+
+    def test_small_argument_table_to_lmax_10(self):
+        # the engine's small-argument table: lmax 10, every x below 10, so
+        # every column recurs downward from _miller_start(10); x just below
+        # lmax is the hardest case.  Relative error away from the zeros of
+        # j_l, where it measures the zero's position, not the recurrence
+        zeros = {l: [float(mp.besseljzero(l + 0.5, m)) for m in range(1, 5)]
+                 for l in range(11)}
+        xs = np.concatenate((np.geomspace(1e-7, 1.0, 40, endpoint=False),
+                             np.linspace(1.0, 9.99, 300), [9.999, 9.9999]))
+        tab = sph_jn_table(10, xs)
+        for col, x in enumerate(xs.tolist()):
+            want = oracle_j_table_mp(10, x)
+            for l in range(11):
+                if all(abs(x - z) >= 1e-2 for z in zeros[l]):
+                    assert_close(tab[l, col], float(want[l]), rel=1e-13,
+                                 what=f"j_{l}({x}) in a table to 10")
 
     def test_table_at_engine_smallest_nodes(self):
         # the engine's first node chunk starts near 1e-6 K R, where the
