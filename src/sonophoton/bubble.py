@@ -132,16 +132,26 @@ from .specfun import sph_jn_table
 A_NU_SQ_SMOOTH = 1.0 / (2.0 * SPEED_OF_LIGHT**2)
 
 # Target quadrature panel width in units of the wall phase (radians).  The
-# integrand is entire in v on the whole range, and at this width the
-# order-24 rule is >= 50x inside the default tolerance (README).
-_PANEL_WIDTH = 2.0 * math.pi
+# integrand is entire in v on the whole range; at this width the order
+# _VALUE_ORDER rule errs by up to ~2e-11, and the order _ESTIMATE_ORDER
+# rule's difference from it is >= 300x inside the default tolerance
+# (README).
+_PANEL_WIDTH = 4.0 * math.pi
+# Gauss-Legendre orders: the value at every level, and the first level's
+# error estimate |I^_VALUE_ORDER - I^_ESTIMATE_ORDER| on the same panels.
+_VALUE_ORDER = 24
+_ESTIMATE_ORDER = 16
+# Each level after the first bisects every panel and compares the value
+# with the previous level's; the finest panels are pi/2 wide.
+_LEVELS = 4
 # In-side integration starts at this fraction of the cutoff; the kernel
 # vanishes like a power of w_in at the origin so nothing is lost.
 _OMEGA_IN_FLOOR = 1e-6
 # Where n_out > n_in the weight's pole at v = -(n_in / n_out) u lies a
 # small fraction of the first panel's width below its left end, and the
-# order-24 rule there errs by up to ~1.5e-10 (n_in / n_out = 1/50); that
-# panel is split at these fractions of its width, and then errs < 3e-12.
+# order-24 rule there errs by up to ~1.6e-9 (n_in / n_out = 1/25 at K R
+# 138); that panel is split at these fractions of its width, and then errs
+# <= 1.5e-14.
 _GRADING = 0.25**np.arange(3, 0, -1)
 # (node, output point) pairs per column block of the engine.
 _BLOCK_ELEMENTS = 1 << 15
@@ -162,7 +172,7 @@ _SMALL_L = 10
 _RADIAL_ORDER = 16
 # The lowest quad_rel_tol a FiniteSpectrumConfig accepts.  The headline
 # spectrum converges down to 1e-15 and the five table1 cases down to
-# 5e-15; at 3e-15 three of them fail at x_out ~270-390, where the rules'
+# 1e-14; at 7e-15 the 68/34 case fails at x_out ~394, where the levels'
 # difference is at the roundoff of the sums it compares (README
 # numerical notes).
 _MIN_REL_TOL = 1e-13
@@ -265,20 +275,20 @@ def _engine_bytes(kr: float, config: FiniteSpectrumConfig) -> int:
 
     Per output point: u, its four trig tables, the rule sums and the level
     bookkeeping (16 floats).  Per output point or node below _SMALL_ARG
-    (at most the graded first panel's nodes at the third level): its j_l
+    (at most the graded first panel's nodes at the last level): its j_l
     arguments at the _RADIAL_ORDER radii.  Per j_l argument, radial or
     not (_small_tables): the table sph_jn_table returns, and either the
     table it gathers its branches into or the weighted copy, with the
     recurrence's buffers ((2 _SMALL_L + 15) floats).  Per node of the
-    finest (third-level) pass: v, its Gauss weight, four trig tables and
+    finest (last-level) pass: v, its Gauss weight, four trig tables and
     indices (10 floats), and one plain j_l argument.  Per column block:
     16 arrays of one block, at least one column of nodes (_closed_form's;
     the l-batched products of _small_block and _lommel_block need at most
     _SMALL_L + 4).  The output grid counts at _POINT_BYTES a point.
     """
     n_points = _grid_size(config)
-    # order 24 on panels quartered by the two bisections
-    per_panel = 4 * 24
+    # the value's rule on panels split by the _LEVELS - 1 bisections
+    per_panel = 2**(_LEVELS - 1) * _VALUE_ORDER
     n_small = (_GRADING.size + 1) * per_panel + min(
         n_points, math.ceil(_SMALL_ARG * config.grid_points / kr))
     nodes = per_panel * (_panel_count(kr) + _GRADING.size)
@@ -458,11 +468,13 @@ class _SpectrumEngine:
     one pass for all the rules of a level.  The pairs with u and v both
     below _SMALL_ARG take the explicit l sum of _small_block instead, and
     the points below _TINY_ARG against the nodes at or above _SMALL_ARG
-    that of _lommel_block, from one j_l table per pass.  Order 12 against
-    24 on the same panels estimates the error: |sum_l (I_l^24 - I_l^12)|,
-    the difference of the l-summed integrals, since no single l is formed.
-    Points that miss quad_rel_tol are redone with order 24 on bisected
-    panels, twice at most.
+    that of _lommel_block, from one j_l table per pass.  The value is the
+    order _VALUE_ORDER rule's.  At the first level order _ESTIMATE_ORDER
+    against it on the same panels estimates the error:
+    |sum_l (I_l^24 - I_l^16)|, the difference of the l-summed integrals,
+    since no single l is formed.  Points that miss quad_rel_tol are redone
+    with the value's rule on bisected panels, up to _LEVELS - 1 times,
+    each level against the one before.
     """
 
     def __init__(self, n_gas_in: float, n_gas_out: float, kr: float,
@@ -540,13 +552,13 @@ class _SpectrumEngine:
         tol = self.config.quad_rel_tol
         cols = np.arange(self.u.size)
         edges = self.edges
-        prev, cur = self._rules(edges, (12, 24), cols)
+        prev, cur = self._rules(edges, (_ESTIMATE_ORDER, _VALUE_ORDER), cols)
         out = np.empty(self.u.size)
-        for level in (1, 2, 3):
+        for level in range(1, _LEVELS + 1):
             if level >= 2:                 # bisect every panel
                 edges = np.insert(edges, np.arange(1, edges.size),
                                   0.5 * (edges[1:] + edges[:-1]))
-                prev, (cur,) = cur, self._rules(edges, (24,), cols)
+                prev, (cur,) = cur, self._rules(edges, (_VALUE_ORDER,), cols)
             scale = np.where(cur != 0.0, np.abs(cur), 1.0)
             done = np.abs(cur - prev) <= tol * scale
             out[cols[done]] = cur[done]
@@ -608,7 +620,8 @@ def spectrum_finite(transition: MediumTransition, geometry: BubbleGeometry,
     kr = geometry.k_gas_cutoff * radius
     c = SPEED_OF_LIGHT
     n_points = _grid_size(config)
-    pairs = 36 * (_panel_count(kr) + _GRADING.size) * n_points
+    pairs = ((_ESTIMATE_ORDER + _VALUE_ORDER)
+             * (_panel_count(kr) + _GRADING.size) * n_points)
     if pairs > _MAX_NODE_PAIRS:
         raise DomainError(
             f"finite-volume spectrum too large: {n_points} output points "

@@ -187,6 +187,15 @@ def _config_tokens(path: str) -> list[str]:
     return tokens
 
 
+@functools.cache
+def _build_config_parser() -> _Parser:
+    """The pre-parser of _config_path, built once per process like
+    _build_parser's."""
+    pre = _Parser(prog="sonophoton", add_help=False)
+    pre.add_argument("--config")
+    return pre
+
+
 def _config_path(args: list[str]) -> str | None:
     """--config from the command line, read before the full parse so that
     a required parameter may come from the file."""
@@ -194,9 +203,7 @@ def _config_path(args: list[str]) -> str | None:
     # (--config, a unique prefix of it, or --config=PATH).
     if not any(arg.startswith("--c") for arg in args):
         return None
-    pre = _Parser(prog="sonophoton", add_help=False)
-    pre.add_argument("--config")
-    return pre.parse_known_args(args)[0].config
+    return _build_config_parser().parse_known_args(args)[0].config
 
 
 def _geometry(params: dict, n_out: float):

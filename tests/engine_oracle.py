@@ -7,7 +7,7 @@ than pi/2 with the resonance v = u as a panel edge, order 12 against
 order 24 and then two bisections, refined until the l-summed integral is
 stable to quad_rel_tol.  It rebuilds its Bessel tables at every u, so it
 is slow, but it shares no panels, no closed form and no kernel with
-bubble.spectrum_finite, whose 2 pi panels and closed-form angular sum
+bubble.spectrum_finite, whose 4 pi panels and closed-form angular sum
 the tests hold to it pointwise.
 """
 
@@ -21,7 +21,7 @@ from sonophoton.core import SPEED_OF_LIGHT, NumericalError
 from sonophoton.homogeneous import POLARIZATIONS
 from sonophoton.specfun import sph_jn_table
 
-# Panel width in units of the wall phase: a quarter of the engine's.
+# Panel width in units of the wall phase: an eighth of the engine's.
 _PANEL_WIDTH = 0.5 * math.pi
 # The l sum fails when its l_hard term is at least this fraction of it.
 _L_TAIL_TOL = 1e-4

@@ -9,10 +9,12 @@ from mpmath import mp, mpf
 
 from sonophoton import (BubbleGeometry, DomainError, MediumTransition,
                         NumericalError, build_geometry_from_kr, bubble)
-from sonophoton.bubble import (A_NU_SQ_SMOOTH, FiniteSpectrumConfig,
+from sonophoton.bubble import (_ESTIMATE_ORDER, _LEVELS, _VALUE_ORDER,
+                               A_NU_SQ_SMOOTH, FiniteSpectrumConfig,
                                _engine_bytes, _gauss_nodes, _grid_size,
                                _panel_edges, spectral_grid, spectrum_finite,
                                totals_finite)
+from sonophoton.cli import TABLE1_CASES
 from sonophoton.core import SPEED_OF_LIGHT as C, SpectralDensity, nm_to_m
 from sonophoton.homogeneous import (POLARIZATIONS, total_photons_closed_form,
                                     totals_closed_form)
@@ -229,7 +231,7 @@ class TestLommelKernel:
                 assert np.all(np.abs(forward[:, i] - back) <= 1e-10 * scale)
 
 
-@pytest.mark.parametrize("order", [12, 24])
+@pytest.mark.parametrize("order", [12, 16, 24])
 def test_gauss_nodes_match_leggauss(order):
     from numpy.polynomial.legendre import leggauss
 
@@ -427,7 +429,7 @@ def engine_and_oracle(tr, geom, cfg, l_max=None):
 
 
 class TestEngineAgainstOracle:
-    """The closed-form engine on 2 pi panels against the per-point, per-l
+    """The closed-form engine on 4 pi panels against the per-point, per-l
     reference engine on pi/2 panels."""
 
     @pytest.mark.parametrize("tr, geom, cfg, l_max", [
@@ -519,25 +521,32 @@ def test_nodes_do_not_depend_on_output_grid(monkeypatch):
     assert nodes_per_pass(50) == nodes_per_pass(1000)
 
 
+def bisected(edges):
+    """Panel edges with every panel split at its midpoint, as the engine
+    splits them from one level to the next."""
+    return np.insert(edges, np.arange(1, edges.size),
+                     0.5 * (edges[1:] + edges[:-1]))
+
+
 def test_output_points_on_and_beside_gauss_nodes():
     # an output point that coincides with a node, of either order and at
-    # either bisection level, is a pair with v = u; the closed form's
-    # Taylor branch and the small-argument blocks must take it without
-    # 0/0.  With n_out > n_in the first panel is graded, and its nodes
-    # too, down to u ~ 1e-4
+    # any level, is a pair with v = u; the closed form's Taylor branch and
+    # the small-argument blocks must take it without 0/0.  With
+    # n_out > n_in the first panel is graded, and its nodes too, down to
+    # u ~ 1e-4
     kr, cfg = 6.0, FiniteSpectrumConfig()
     for n_in, n_out in ((2.0, 1.5), (1.5, 2.0)):
-        edges = _panel_edges(kr, n_out > n_in)
-        bisected = np.insert(edges, np.arange(1, edges.size),
-                             0.5 * (edges[1:] + edges[:-1]))
+        level_edges = _panel_edges(kr, n_out > n_in)
+        orders = (_ESTIMATE_ORDER, _VALUE_ORDER)
         on = []
-        for level_edges in (edges, bisected):
-            for order in (12, 24):
+        for _ in range(_LEVELS):
+            mids = 0.5 * (level_edges[1:] + level_edges[:-1])
+            halves = 0.5 * (level_edges[1:] - level_edges[:-1])
+            for order in orders:
                 x, _ = _gauss_nodes(order)
-                mids = 0.5 * (level_edges[1:] + level_edges[:-1])
-                halves = 0.5 * (level_edges[1:] - level_edges[:-1])
                 nodes = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
-                on.extend(nodes[::5])
+                on.extend(nodes[::19])
+            level_edges, orders = bisected(level_edges), (_VALUE_ORDER,)
         on = np.unique(on)
         u = np.sort(np.concatenate((on, on - 1e-9, on + 1e-9)))
         with warnings.catch_warnings():
@@ -547,6 +556,46 @@ def test_output_points_on_and_beside_gauss_nodes():
         want = np.array([oracle.sum_at(float(x)) for x in u])
         assert np.all(np.isfinite(got))
         assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+
+
+def kr_geometry(kr, n_out):
+    """The geometry at n_liquid 1.3 whose gas-side K R is kr."""
+    return build_geometry_from_kr(kr * 1.3 / n_out, 1.3, n_out)
+
+
+@pytest.mark.parametrize("n_in, n_out, geom", [
+    (2e4, 1.0, HEADLINE[1]),
+    *((n_in, n_out, build_geometry_from_kr(15.0, 1.3, n_out))
+      for n_in, n_out in TABLE1_CASES),
+    (1.0, 50.0, build_geometry_from_kr(15.0, 1.3, 50.0)),
+    (1.01, 1.0, kr_geometry(23.0, 1.0)),
+    (1.5, 1.0, kr_geometry(46.0, 1.0)),
+], ids=["headline", "2e4/1", "71/25", "68/34", "9/25", "1/12", "1/50",
+        "1.01/1", "1.5/1"])
+def test_first_level_estimate_bounds_the_error(n_in, n_out, geom):
+    # the first level's |I^24 - I^16| on the same panels must be at least
+    # the order-24 value's error against the order-24 rule on panels
+    # bisected three times, wherever that error is resolved: the reference
+    # itself moves by up to 1.7e-14 when bisected once more (1/50), so
+    # errors below 3e-14 are its roundoff.  And it must stay far inside
+    # the default tolerance, so that the estimate, not the value, never
+    # sends a point to the next level
+    kr = geom.k_gas_cutoff * geom.radius
+    cfg = FiniteSpectrumConfig()
+    u = np.asarray(spectral_grid(geom, cfg)[1])
+    engine = bubble._SpectrumEngine(n_in, n_out, kr, u, cfg)
+    cols = np.arange(u.size)
+    low, value = engine._rules(engine.edges, (_ESTIMATE_ORDER, _VALUE_ORDER),
+                               cols)
+    edges = engine.edges
+    for _ in range(3):
+        edges = bisected(edges)
+    (reference,) = engine._rules(edges, (_VALUE_ORDER,), cols)
+    error = np.abs(value - reference) / reference
+    estimate = np.abs(value - low) / reference
+    resolved = error > 3e-14
+    assert np.all(estimate[resolved] >= error[resolved])
+    assert np.max(estimate) <= 1e-8
 
 
 def test_direct_sum_is_a_narrow_band(monkeypatch):
@@ -578,14 +627,14 @@ def test_direct_sum_is_a_narrow_band(monkeypatch):
 
 @pytest.mark.parametrize("tr, geom, cfg", [
     HEADLINE + (FiniteSpectrumConfig(),),
-    # 9 of the 131 points miss the tolerance at order 12 against 24 and
+    # 11 of the 131 points miss the tolerance at order 16 against 24 and
     # are redone at the second level
     (MediumTransition(n_in=2.0, n_out=1.5),
      build_geometry_from_kr(6.0, 1.3, 1.5),
      FiniteSpectrumConfig(grid_points=100, quad_rel_tol=1e-11)),
 ], ids=["headline", "second-level"])
 def test_column_blocks_do_not_change_spectra(monkeypatch, tr, geom, cfg):
-    # column blocks of 3 points at the headline's first level (6 and 5 at
+    # column blocks of 6 points at the headline's first level (6 and 5 at
     # the second case's first and second) cut both small-argument blocks:
     # the points of each are summed in more than one column block of a
     # pass
@@ -616,7 +665,8 @@ def test_column_blocks_do_not_change_spectra(monkeypatch, tr, geom, cfg):
     assert [v is blocks[0] for v in small].count(True) >= 2
     assert [v is blocks[0] for v in tiny].count(True) >= 2
     if cfg.quad_rel_tol == 1e-11:   # a pass on bisected order-24 panels
-        assert any(v.size == blocks[0].size // 36 * 48 for v in blocks)
+        panels = blocks[0].size // (_ESTIMATE_ORDER + _VALUE_ORDER)
+        assert any(v.size == 2 * panels * _VALUE_ORDER for v in blocks)
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -26,6 +26,16 @@ GOLDEN_CLOSED_FORM = (Path(__file__).resolve().parents[1] / "perfbench" / "golde
 CHILD = "import sys; from sonophoton.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
+def random_spectrum(seed):
+    """A small finite-volume spectrum request with seeded random indices,
+    K R and grid."""
+    rng = np.random.default_rng(seed)
+    n_in, n_out = (10.0 ** rng.uniform(0.0, 1.5, size=2)).tolist()
+    return ["spectrum", "--n-gas-in", repr(n_in), "--n-gas-out", repr(n_out),
+            "--k-obs-r", repr(rng.uniform(1.0, 30.0)),
+            "--grid-points", str(rng.integers(8, 41)), "--model", "both"]
+
+
 def run_child(args, **env):
     """Exit code, stdout and stderr bytes of one request in a new process,
     with env added to this process's environment."""
@@ -70,8 +80,10 @@ class TestSpectrumCommand:
         _, second = run(FAST_SPECTRUM, tmp_path, "b.csv")
         assert first == second
 
-    @pytest.mark.parametrize("args", [FAST_SPECTRUM, HEADLINE_SPECTRUM],
-                             ids=["fast", "headline"])
+    @pytest.mark.parametrize("args", [
+        FAST_SPECTRUM, HEADLINE_SPECTRUM,
+        *(random_spectrum(seed) for seed in range(3)),
+    ], ids=["fast", "headline", "random-0", "random-1", "random-2"])
     def test_identical_across_blas_threads(self, tmp_path, args):
         outputs = []
         for threads in ("1", "2"):
@@ -244,6 +256,37 @@ class TestConfigFile:
                      if " = " in line]
             assert found[:2] == ["command", "polarization_factor"]
             assert found[2:] == sorted(keys), command
+
+    def test_config_beside_cutoff_pre_parsed_once(self, tmp_path,
+                                                  monkeypatch):
+        # --cutoff-nm starts with "--c", as --config does, so the request
+        # takes the pre-parse; the file is still read, and one pre-parser
+        # serves both requests
+        built = []
+
+        class RecordingParser(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        cli._build_parser()
+        monkeypatch.setattr(cli, "_Parser", RecordingParser)
+        cli._build_config_parser.cache_clear()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid_points = 20\n")
+        try:
+            for name in ("a.csv", "b.csv"):
+                code, text = run(["spectrum", "--config", str(cfg),
+                                  "--n-gas-in", "3", "--n-gas-out", "1.5",
+                                  "--cutoff-nm", "2000", "--model",
+                                  "infinite"], tmp_path, name)
+                assert code == 0
+                preamble, _, _ = parse_csv(text)
+                assert "# grid_points = 20" in preamble
+                assert "# cutoff_nm = 2000.0" in preamble
+        finally:
+            cli._build_config_parser.cache_clear()
+        assert len(built) == 1
 
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["solve-nin", "--config", str(tmp_path / "nope.cfg"),
