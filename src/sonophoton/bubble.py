@@ -109,10 +109,15 @@ infinite-volume spectrum.  Without the l = 0 term this is elementary,
 
 so the spectrum carries no l-truncation error (_closed_form).  F is a
 difference of the whole series and its l = 0 term, which cancel at
-least as 1/min(u, v)^2.  Where u and v are both below 2 the engine sums l = 1..10
-term by term instead (_small_block, by radial quadrature), and so it does
-for the output points below 1/2 against the nodes above 2 (_lommel_block,
-by the Lommel quotient), where the terms fall as u^(2l).
+least as 1/min(u, v)^2.  Where u and v are both below 2 the engine sums
+l = 1..10 term by term instead (_small_block), each L_l by the series
+j_l(x) = sum_a c_la x^(l+2a) (DLMF 10.53.1) integrated term by term in r,
+
+    L_l(u, v) = sum_{a,b>=0} c_la c_lb u^(l+2a) v^(l+2b) / (2l+2a+2b+3),
+    c_la      = (-1/2)^a / (a! (2l+2a+1)!!),
+
+and so it does for the output points below 1/2 against the nodes above 2
+(_lommel_block, by the Lommel quotient), where the terms fall as u^(2l).
 """
 
 from __future__ import annotations
@@ -127,9 +132,6 @@ from .core import (HBAR, SPEED_OF_LIGHT, BubbleGeometry, DomainError,
                    SpectralDensity)
 from .homogeneous import POLARIZATIONS, _check_consistent
 from .specfun import sph_jn_table
-
-# Smooth (phase-averaged) mode normalization, per side; see module docstring.
-A_NU_SQ_SMOOTH = 1.0 / (2.0 * SPEED_OF_LIGHT**2)
 
 # Target quadrature panel width in units of the wall phase (radians).  The
 # integrand is entire in v on the whole range; at this width the order
@@ -157,19 +159,17 @@ _GRADING = 0.25**np.arange(3, 0, -1)
 _BLOCK_ELEMENTS = 1 << 15
 # The closed form cancels against its l = 0 term: with one argument small
 # to ~4e-16 / min(u, v)^2 relative, with both far worse (1e-4 at u, v ~
-# 0.05).  The pairs with u and v both below
-# _SMALL_ARG are summed over l = 1.._SMALL_L term by term, each Lommel
-# integral by a _RADIAL_ORDER-point Gauss rule in r (_small_block); for
-# u v < 4 the l = _SMALL_L term is < 1e-25 of the sum.  The output points
-# below _TINY_ARG against the nodes at or above _SMALL_ARG take the same
-# l sum from the Lommel quotient (_lommel_block).  The nodes below
-# _TINY_ARG against the points at or above _SMALL_ARG keep the closed
-# form: their pairs carry a weight ~v^3, so its 1/v^2 loss stays below
-# roundoff of the sum.
+# 0.05).  The pairs with u and v both below _SMALL_ARG are summed over
+# l = 1.._SMALL_L term by term, each Lommel integral from its double power
+# series (_small_block, _LOMMEL_SERIES); for u v < 4 the l = _SMALL_L term
+# is < 1e-25 of the sum.  The output points below _TINY_ARG against the
+# nodes at or above _SMALL_ARG take the same l sum from the Lommel
+# quotient (_lommel_block).  The nodes below _TINY_ARG against the points
+# at or above _SMALL_ARG keep the closed form: their pairs carry a weight
+# ~v^3, so its 1/v^2 loss stays below roundoff of the sum.
 _SMALL_ARG = 2.0
 _TINY_ARG = 0.5
 _SMALL_L = 10
-_RADIAL_ORDER = 16
 # The lowest quad_rel_tol a FiniteSpectrumConfig accepts.  The headline
 # spectrum converges down to 1e-15 and the five table1 cases down to
 # 1e-14; at 7e-15 the 68/34 case fails at x_out ~394, where the levels'
@@ -196,6 +196,16 @@ _G_TAYLOR = np.array([(-4.0)**n * 96.0 / math.factorial(2 * n)
                       for n in range(13)])
 _SINC_TAYLOR = np.array([(-1.0)**n / math.factorial(2 * n + 1)
                          for n in range(10)])
+# The double series of L_l (module docstring) to a < 12 (below _SMALL_ARG
+# the next terms are < 1e-17 of the sum): the exponents l + 2a and
+# _LOMMEL_SERIES[l - 1, a, b] = c_la c_lb / (2l+2a+2b+3).
+_SERIES_POWERS = np.arange(1, _SMALL_L + 1)[:, None] + 2 * np.arange(12)
+_SERIES_C = np.array([[(-1)**a / (2**a * math.factorial(a) * math.prod(
+    range(1, 2 * l + 2 * a + 2, 2))) for a in range(12)]
+    for l in range(1, _SMALL_L + 1)])
+_LOMMEL_SERIES = (_SERIES_C[:, :, None] * _SERIES_C[:, None, :]
+                  / (_SERIES_POWERS[:, :, None] + _SERIES_POWERS[:, None, :]
+                     + 3))
 
 
 @dataclass(frozen=True)
@@ -275,13 +285,14 @@ def _engine_bytes(kr: float, config: FiniteSpectrumConfig) -> int:
 
     Per output point: u, its four trig tables, the rule sums and the level
     bookkeeping (16 floats).  Per output point or node below _SMALL_ARG
-    (at most the graded first panel's nodes at the last level): its j_l
-    arguments at the _RADIAL_ORDER radii.  Per j_l argument, radial or
-    not (_small_tables): the table sph_jn_table returns, and either the
-    table it gathers its branches into or the weighted copy, with the
-    recurrence's buffers ((2 _SMALL_L + 15) floats).  Per node of the
+    (at most the graded first panel's nodes at the last level): its
+    series powers and their product with _LOMMEL_SERIES
+    (2 _SERIES_POWERS.size floats), and one j_l argument for the points
+    below _TINY_ARG.  Per j_l argument: the table sph_jn_table returns
+    and the table it gathers its branches into, with the recurrence's
+    buffers ((2 _SMALL_L + 15) floats).  Per node of the
     finest (last-level) pass: v, its Gauss weight, four trig tables and
-    indices (10 floats), and one plain j_l argument.  Per column block:
+    indices (10 floats), and one j_l argument.  Per column block:
     16 arrays of one block, at least one column of nodes (_closed_form's;
     the l-batched products of _small_block and _lommel_block need at most
     _SMALL_L + 4).  The output grid counts at _POINT_BYTES a point.
@@ -293,8 +304,8 @@ def _engine_bytes(kr: float, config: FiniteSpectrumConfig) -> int:
         n_points, math.ceil(_SMALL_ARG * config.grid_points / kr))
     nodes = per_panel * (_panel_count(kr) + _GRADING.size)
     block = max(_BLOCK_ELEMENTS, nodes)
-    args = _RADIAL_ORDER * n_small + nodes + n_small
-    floats = (16 * n_points + (2 * _SMALL_L + 15) * args + 10 * nodes
+    floats = (16 * n_points + 2 * _SERIES_POWERS.size * n_small
+              + (2 * _SMALL_L + 15) * (nodes + n_small) + 10 * nodes
               + 16 * block)
     return 8 * floats + _POINT_BYTES * n_points
 
@@ -389,35 +400,16 @@ def _closed_form(v: np.ndarray, u: np.ndarray, tv: tuple, tu: tuple
     return f
 
 
-def _small_tables(u: np.ndarray, v: np.ndarray, u_tiny: np.ndarray,
-                  v_large: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The tables _small_block and _lommel_block take, from one j_l table.
-
-    For _small_block: j_l at the _RADIAL_ORDER Gauss radii r_k on [0, 1],
-    for l = 1.._SMALL_L, of u (times the radial weight and r_k^2) and of
-    v; shapes (_SMALL_L, len(u) or len(v), _RADIAL_ORDER).  For
-    _lommel_block: j_l(u_tiny) and j_l(v_large) for l = 0.._SMALL_L;
-    shapes (_SMALL_L + 1, len(u_tiny) or len(v_large)).
-    """
-    x, w = _gauss_nodes(_RADIAL_ORDER)
-    r = 0.5 * (x + 1.0)
-    radial = np.multiply.outer(np.concatenate((u, v)), r).ravel()
-    jl = sph_jn_table(_SMALL_L, np.concatenate((radial, u_tiny, v_large)))
-    jr = jl[1:, :radial.size].reshape(_SMALL_L, -1, _RADIAL_ORDER)
-    js = jl[:, radial.size:]
-    return (jr[:, :u.size] * (0.5 * w * r * r), jr[:, u.size:],
-            js[:, :u_tiny.size], js[:, u_tiny.size:])
-
-
-def _small_block(v: np.ndarray, u: np.ndarray, jv: np.ndarray,
-                 ju: np.ndarray) -> np.ndarray:
+def _small_block(v: np.ndarray, u: np.ndarray) -> np.ndarray:
     """pi^2 F(u, v) summed over l = 1.._SMALL_L on the (len(v), len(u))
     grid: 4 u v sum_l (2l+1) L_l(u, v)^2 with the Lommel integral
-    L_l(u, v) = int_0^1 j_l(u r) j_l(v r) r^2 dr as the radial Gauss sum of
-    jv[l - 1] (j_l(v r_k), one row per v) against ju[l - 1] (j_l(u r_k)
-    times the radial weight and r_k^2).  Every term is positive, so the
-    sum holds its digits at any u, v and on v = u."""
-    lommel = np.matmul(jv, ju.transpose(0, 2, 1))
+    L_l(u, v) = int_0^1 j_l(u r) j_l(v r) r^2 dr summed from its double
+    power series (_LOMMEL_SERIES), for u and v below _SMALL_ARG.  Every
+    term is positive, so the sum holds its digits at any such u, v and on
+    v = u."""
+    pv = v[:, None] ** _SERIES_POWERS[:, None, :]
+    pu = u[:, None] ** _SERIES_POWERS[:, None, :]
+    lommel = np.matmul(pv @ _LOMMEL_SERIES, pu.transpose(0, 2, 1))
     lommel *= lommel
     f = _l_weighted_sum(lommel)
     f *= 4.0 * np.multiply.outer(v, u)
@@ -466,15 +458,15 @@ class _SpectrumEngine:
     once per pass, so no transcendental function runs per pair.  Each
     rule's sum runs over column blocks of about _BLOCK_ELEMENTS pairs,
     one pass for all the rules of a level.  The pairs with u and v both
-    below _SMALL_ARG take the explicit l sum of _small_block instead, and
-    the points below _TINY_ARG against the nodes at or above _SMALL_ARG
-    that of _lommel_block, from one j_l table per pass.  The value is the
-    order _VALUE_ORDER rule's.  At the first level order _ESTIMATE_ORDER
-    against it on the same panels estimates the error:
-    |sum_l (I_l^24 - I_l^16)|, the difference of the l-summed integrals,
-    since no single l is formed.  Points that miss quad_rel_tol are redone
-    with the value's rule on bisected panels, up to _LEVELS - 1 times,
-    each level against the one before.
+    below _SMALL_ARG take the explicit l sum of _small_block instead (each
+    L_l from its power series), and the points below _TINY_ARG against
+    the nodes at or above _SMALL_ARG that of _lommel_block, from one j_l
+    table per pass.  The value is the order _VALUE_ORDER rule's.  At the
+    first level order _ESTIMATE_ORDER against it on the same panels
+    estimates the error: |sum_l (I_l^24 - I_l^16)|, the difference of the
+    l-summed integrals, since no single l is formed.  Points that miss
+    quad_rel_tol are redone with the value's rule on bisected panels, up
+    to _LEVELS - 1 times, each level against the one before.
     """
 
     def __init__(self, n_gas_in: float, n_gas_out: float, kr: float,
@@ -505,14 +497,15 @@ class _SpectrumEngine:
         tv = _trig(v)
         # the pairs the closed form cannot take: the first n_small points
         # (u ascends) against the nodes v_small, and the first n_tiny
-        # points against the nodes v_large; j_l for both from one table
+        # points against the nodes v_large, the latter from one j_l table
         below = v < _SMALL_ARG
         v_small, v_large = np.flatnonzero(below), np.flatnonzero(~below)
         n_small = int(np.searchsorted(u, _SMALL_ARG)) if v_small.size else 0
         n_tiny = int(np.searchsorted(u, _TINY_ARG)) if v_large.size else 0
-        if n_small or n_tiny:
-            ju, jv, ju_tiny, jv_large = _small_tables(
-                u[:n_small], v[v_small], u[:n_tiny], v[v_large])
+        if n_tiny:
+            jl = sph_jn_table(_SMALL_L,
+                              np.concatenate((u[:n_tiny], v[v_large])))
+            ju_tiny, jv_large = jl[:, :n_tiny], jl[:, n_tiny:]
         out = np.empty((len(orders), u.size))
         width = max(1, _BLOCK_ELEMENTS // v.size)
         for c0 in range(0, u.size, width):
@@ -524,8 +517,7 @@ class _SpectrumEngine:
                 f = _closed_form(v, u[c0:c1], tv, [t[c0:c1] for t in tu])
             if c0 < n_small:
                 m = min(c1, n_small)
-                f[v_small, :m - c0] = _small_block(v[v_small], u[c0:m], jv,
-                                                   ju[:, c0:m])
+                f[v_small, :m - c0] = _small_block(v[v_small], u[c0:m])
             if c0 < n_tiny:
                 m = min(c1, n_tiny)
                 f[v_large, :m - c0] = _lommel_block(v[v_large], u[c0:m],
@@ -663,10 +655,13 @@ def totals_finite(transition: MediumTransition, geometry: BubbleGeometry,
     Integrates the sampled spectrum (trapezoid plus Richardson
     refinement); mean photon energy is reported against hbar times the
     cutoff frequency.  A precomputed SpectralDensity for the same
-    parameters may be passed to avoid recomputation.
+    parameters may be passed to avoid recomputation; one of fewer than
+    two points is refused with DomainError.
     """
     if spectral is None:
         spectral = spectrum_finite(transition, geometry, config)
+    if len(spectral.grid) < 2:
+        raise DomainError("totals_finite needs a spectrum of >= 2 points")
     x = np.asarray(spectral.grid)
     y = np.asarray(spectral.values)
     count = _trapz_richardson(x, y)

@@ -210,8 +210,9 @@ class SpectralDensity:
             raise DomainError("grid and values must have equal length")
         grid = np.asarray(self.grid, dtype=float)
         values = np.asarray(self.values, dtype=float)
+        x = () if self.dimensionless_x is None else self.dimensionless_x
         if not (np.isfinite(grid).all() and np.isfinite(values).all()
-                and np.isfinite(self.dimensionless_x or ()).all()):
+                and np.isfinite(x).all()):
             raise DomainError("grid, values and dimensionless_x must be finite")
         if (grid[1:] <= grid[:-1]).any():
             raise DomainError("grid must be strictly increasing")

@@ -17,9 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sonophoton.bubble import A_NU_SQ_SMOOTH
 from sonophoton.core import SPEED_OF_LIGHT, DomainError
 from sonophoton.specfun import sph_jn_table
+
+# Smooth (phase-averaged) mode normalization, per side; see the
+# sonophoton.bubble docstring.
+A_NU_SQ_SMOOTH = 1.0 / (2.0 * SPEED_OF_LIGHT**2)
 
 
 def _order_l(nu):

@@ -10,7 +10,7 @@ from mpmath import mp, mpf
 from sonophoton import (BubbleGeometry, DomainError, MediumTransition,
                         NumericalError, build_geometry_from_kr, bubble)
 from sonophoton.bubble import (_ESTIMATE_ORDER, _LEVELS, _VALUE_ORDER,
-                               A_NU_SQ_SMOOTH, FiniteSpectrumConfig,
+                               FiniteSpectrumConfig,
                                _engine_bytes, _gauss_nodes, _grid_size,
                                _panel_edges, spectral_grid, spectrum_finite,
                                totals_finite)
@@ -22,7 +22,7 @@ from sonophoton.specfun import sph_jn_table
 
 import engine_oracle
 from engine_oracle import _DIAGONAL_WIDTH, lommel_kernel
-from kernel_oracle import finite_kernel
+from kernel_oracle import A_NU_SQ_SMOOTH, finite_kernel
 from mode_oracle import (R500, match_modes, mode_profile, normalization_slope,
                          omega_for)
 from oracles import (oracle_j_mp, oracle_j_table_mp, rel_err, sph_yn_table,
@@ -280,6 +280,14 @@ class TestSpectrumFinite:
                                                  quad_rel_tol=1e-8)).photon_count
         assert rel_err(n_a, n_b) < 1e-5
 
+    def test_totals_refuse_fewer_than_two_points(self):
+        # neither an empty nor a one-point spectrum has a trapezoid sum
+        for n in (0, 1):
+            grid = tuple(float(k + 1) for k in range(n))
+            with pytest.raises(DomainError, match=">= 2 points"):
+                totals_finite(self.tr, self.geom, spectral=SpectralDensity(
+                    grid=grid, values=grid))
+
     def oracle_totals(self, cfg, l_max):
         """totals_finite of the per-l oracle's spectrum summed to l_max."""
         omega, x = spectral_grid(self.geom, cfg)
@@ -373,8 +381,9 @@ class TestLargeVolumeConsistency:
 def f_mp(u, v):
     """F(u, v) = sum_{l>=1} (2l+1) lambda_l(u, v)^2 as the mpmath quadrature
     (1/(12 pi^2)) int_0^2 (s^3 - 12 s + 16) sin(u s) sin(v s) ds minus the
-    l = 0 term [sinc(u - v) - sinc(u + v)]^2 / (pi^2 u v)."""
-    with mp.workdps(30):
+    l = 0 term [sinc(u - v) - sinc(u + v)]^2 / (pi^2 u v), which cancel to
+    ~(u v)^2 of either: the working precision grows by -2 log10(u v)."""
+    with mp.workdps(30 + max(0, math.ceil(-2.0 * math.log10(u * v)))):
         um, vm = mpf(u), mpf(v)
         # a Gauss-Legendre panel per ~2.5 periods of sin((u + v) s)
         total = mp.quad(lambda s: (s**3 - 12 * s + 16) * mp.sin(um * s)
@@ -388,18 +397,16 @@ def f_mp(u, v):
 
 
 def engine_f(u, v):
-    """The engine's F(u, v) at output point u and node v: the radial l sum
-    where u and v are both below _SMALL_ARG, the Lommel-quotient l sum
-    where u is below _TINY_ARG and v is not below _SMALL_ARG, else the
+    """The engine's F(u, v) at output point u and node v: the power-series
+    l sum where u and v are both below _SMALL_ARG, the Lommel-quotient l
+    sum where u is below _TINY_ARG and v is not below _SMALL_ARG, else the
     closed form."""
     uu, vv = np.array([u]), np.array([v])
-    none = np.array([])
     if max(u, v) < bubble._SMALL_ARG:
-        ju, jv, _, _ = bubble._small_tables(uu, vv, none, none)
-        f = bubble._small_block(vv, uu, jv, ju)
+        f = bubble._small_block(vv, uu)
     elif u < bubble._TINY_ARG <= bubble._SMALL_ARG <= v:
-        _, _, ju, jv = bubble._small_tables(none, none, uu, vv)
-        f = bubble._lommel_block(vv, uu, jv, ju)
+        jl = sph_jn_table(bubble._SMALL_L, np.array([u, v]))
+        f = bubble._lommel_block(vv, uu, jl[:, 1:], jl[:, :1])
     else:
         f = bubble._closed_form(vv, uu, bubble._trig(vv), bubble._trig(uu))
     return f[0, 0] / math.pi**2
@@ -410,6 +417,8 @@ def engine_f(u, v):
     (5.0, 5.0001), (300.0, 299.9999),               # |u - v| ~ 1e-4
     (10.0, 10.999), (10.0, 11.001), (10.0, 9.0),    # across |u - v| = 1
     (0.05, 0.06), (0.3, 0.7), (1.9, 2.1),           # small arguments
+    (1.0, 1.0), (1.999, 1.999), (1e-2, 1.99),       # the power series
+    (1e-5, 1.5), (1e-3, 1e-3),
     (0.06, 3.0), (0.05, 8.0), (0.7, 2.5),           # one small argument
     (1e-4, 2.5), (1e-3, 3.0), (0.45, 8.0), (1e-3, 50.0),
     (470.0, 300.0),
@@ -606,9 +615,9 @@ def test_direct_sum_is_a_narrow_band(monkeypatch):
     pairs, lommel = [], []
     small_block, lommel_block = bubble._small_block, bubble._lommel_block
 
-    def recording_block(v, u, jv, ju):
+    def recording_block(v, u):
         pairs.append(v.size * u.size)
-        return small_block(v, u, jv, ju)
+        return small_block(v, u)
 
     def recording_lommel(v, u, jv, ju):
         lommel.append((v, u))
@@ -647,9 +656,9 @@ def test_column_blocks_do_not_change_spectra(monkeypatch, tr, geom, cfg):
         blocks.append(v)
         return closed_form(v, u, tv, tu)
 
-    def recording_block(v, u, jv, ju):
+    def recording_block(v, u):
         small.append(blocks[-1])
-        return small_block(v, u, jv, ju)
+        return small_block(v, u)
 
     def recording_lommel(v, u, jv, ju):
         tiny.append(blocks[-1])
@@ -685,9 +694,12 @@ def test_grid_ends_at_grid_extend():
 class TestProblemSizeGuard:
     def test_oversized_problem_refused_before_any_table(self, monkeypatch):
         def no_table(*args):
-            raise AssertionError("a Bessel table was built")
+            raise AssertionError("a Bessel table or a pass was built")
 
+        # no output point of K R = 1e6 lies below _TINY_ARG, so only
+        # _closed_form, which every pass calls, shows a pass began
         monkeypatch.setattr(bubble, "sph_jn_table", no_table)
+        monkeypatch.setattr(bubble, "_closed_form", no_table)
         tr = MediumTransition(n_in=2.0, n_out=1.5)
         geom = build_geometry_from_kr(1e6, 1.3, 1.5)
         start = time.perf_counter()
@@ -706,12 +718,13 @@ class TestProblemSizeGuard:
         (1.5, FiniteSpectrumConfig(grid_points=400), 2.0),
         (40.0, FiniteSpectrumConfig(grid_points=60), 2.0),
         (3.0, FiniteSpectrumConfig(grid_points=8, quad_rel_tol=1e-12), 2.0),
-        # the grid's per-point tuples and small-argument table dominate
+        # the grid's per-point tuples and the small arguments' series
+        # powers dominate the estimate
         (6.0, FiniteSpectrumConfig(grid_points=40000), 2.0),
         # 521 points: several column blocks at the first level
         (40.0, FiniteSpectrumConfig(grid_points=400), 2.0),
         # n_out > n_in: the graded first panel's nodes join the
-        # small-argument table, at every level
+        # small-argument series block, at every level
         (1.5, FiniteSpectrumConfig(grid_points=400, quad_rel_tol=1e-12), 1.0),
         # 86 points below _TINY_ARG against 273 nodes above _SMALL_ARG:
         # the Lommel block's j_l table and its pairs

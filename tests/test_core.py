@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from sonophoton.core import (ELECTRON_VOLT, HBAR, SPEED_OF_LIGHT,
@@ -138,3 +139,12 @@ class TestSpectralDensity:
             with pytest.raises(DomainError):
                 SpectralDensity(grid=(0.0, 1.0), values=(1.0, 1.0),
                                 dimensionless_x=(0.0, bad))
+
+    def test_array_dimensionless_x(self):
+        # accepted like an array grid and values, and checked the same way
+        x = np.array([0.5, 1.0])
+        density = SpectralDensity(grid=x, values=x, dimensionless_x=x)
+        assert density.dimensionless_x is x
+        with pytest.raises(DomainError):
+            SpectralDensity(grid=x, values=x,
+                            dimensionless_x=np.array([0.5, math.nan]))
