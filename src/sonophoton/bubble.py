@@ -270,6 +270,11 @@ def _panel_count(kr: float) -> int:
     return math.ceil((kr - _OMEGA_IN_FLOOR * kr) / _PANEL_WIDTH)
 
 
+def _panel_total(kr: float, graded: bool) -> int:
+    """len(_panel_edges(kr, graded)) - 1, without building the edges."""
+    return _panel_count(kr) + (_GRADING.size if graded else 0)
+
+
 def _panel_edges(kr: float, graded: bool) -> np.ndarray:
     """Edges of the _panel_count(kr) panels, the first one split at the
     _GRADING fractions of its width if graded."""
@@ -280,12 +285,14 @@ def _panel_edges(kr: float, graded: bool) -> np.ndarray:
     return edges
 
 
-def _engine_bytes(kr: float, config: FiniteSpectrumConfig) -> int:
-    """Upper estimate of the engine's live array bytes.
+def _engine_bytes(kr: float, config: FiniteSpectrumConfig,
+                  graded: bool = True) -> int:
+    """Upper estimate of the engine's live array bytes on the panels of
+    _panel_edges(kr, graded); the graded (default) bound holds for either.
 
     Per output point: u, its four trig tables, the rule sums and the level
     bookkeeping (16 floats).  Per output point or node below _SMALL_ARG
-    (at most the graded first panel's nodes at the last level): its
+    (at most the first panel's nodes at the last level): its
     series powers and their product with _LOMMEL_SERIES
     (2 _SERIES_POWERS.size floats), and one j_l argument for the points
     below _TINY_ARG.  Per j_l argument: the table sph_jn_table returns
@@ -300,9 +307,11 @@ def _engine_bytes(kr: float, config: FiniteSpectrumConfig) -> int:
     n_points = _grid_size(config)
     # the value's rule on panels split by the _LEVELS - 1 bisections
     per_panel = 2**(_LEVELS - 1) * _VALUE_ORDER
-    n_small = (_GRADING.size + 1) * per_panel + min(
+    panels = _panel_total(kr, graded)
+    first = panels - _panel_count(kr) + 1  # the first panel's pieces
+    n_small = first * per_panel + min(
         n_points, math.ceil(_SMALL_ARG * config.grid_points / kr))
-    nodes = per_panel * (_panel_count(kr) + _GRADING.size)
+    nodes = per_panel * panels
     block = max(_BLOCK_ELEMENTS, nodes)
     floats = (16 * n_points + 2 * _SERIES_POWERS.size * n_small
               + (2 * _SMALL_L + 15) * (nodes + n_small) + 10 * nodes
@@ -612,15 +621,16 @@ def spectrum_finite(transition: MediumTransition, geometry: BubbleGeometry,
     kr = geometry.k_gas_cutoff * radius
     c = SPEED_OF_LIGHT
     n_points = _grid_size(config)
-    pairs = ((_ESTIMATE_ORDER + _VALUE_ORDER)
-             * (_panel_count(kr) + _GRADING.size) * n_points)
+    graded = n_out > n_in
+    pairs = ((_ESTIMATE_ORDER + _VALUE_ORDER) * _panel_total(kr, graded)
+             * n_points)
     if pairs > _MAX_NODE_PAIRS:
         raise DomainError(
             f"finite-volume spectrum too large: {n_points} output points "
             f"against {pairs // n_points} omega_in nodes are {pairs:.3g} "
             f"node pairs, above the limit of {_MAX_NODE_PAIRS:.3g}; lower "
             f"K R or grid_points")
-    need = _engine_bytes(kr, config)
+    need = _engine_bytes(kr, config, graded)
     if need > _MAX_ENGINE_BYTES:
         raise DomainError(
             f"finite-volume spectrum too large: {n_points} output points at "

@@ -159,6 +159,59 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _plain_table() -> dict[str, tuple[dict, dict, frozenset]]:
+    """Per command of _build_parser: its plain options (exact option
+    string -> store action of one value), every dest's default as argparse
+    sets it, and the required actions.  Built on the first main() call."""
+    # argparse keeps a parser's actions, the subparsers included, in _actions
+    commands = next(action.choices for action in _build_parser()._actions
+                    if action.dest == "command")
+    table = {}
+    for name, sub in commands.items():
+        options, defaults = {}, {}
+        for action in sub._actions:
+            if argparse.SUPPRESS in (action.dest, action.default):
+                continue
+            default = action.default
+            # argparse converts a string default when the option is absent
+            if isinstance(default, str) and action.type is not None:
+                default = action.type(default)
+            defaults.setdefault(action.dest, default)
+            if type(action) is argparse._StoreAction and action.nargs is None:
+                options.update(dict.fromkeys(action.option_strings, action))
+        table[name] = (options, defaults,
+                       frozenset(a for a in sub._actions if a.required))
+    return table
+
+
+def _parse_plain(argv: list[str]) -> dict | None:
+    """vars(_build_parser().parse_args(argv)) without argparse, for argv of
+    a command and pairs of an exact option string and a value that does not
+    start with "-", converts with the option's type and is one of its
+    choices, with every required option given; None for any other argv,
+    whose parse (or error) is argparse's."""
+    entry = _plain_table().get(argv[0]) if len(argv) % 2 else None
+    if entry is None:
+        return None
+    options, defaults, required = entry
+    params = {"command": argv[0], **defaults}
+    seen = set()
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        action = options.get(flag)
+        if action is None or text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None  # the conversion errors argparse reports
+        if action.choices is not None and value not in action.choices:
+            return None
+        params[action.dest] = value
+        seen.add(action)
+    return params if required <= seen else None
+
+
 def _config_tokens(path: str) -> list[str]:
     """The key = value lines of a config file as --key=value flags, in
     file order, so the subparser checks them exactly like flags."""
@@ -199,9 +252,12 @@ def _build_config_parser() -> _Parser:
 def _config_path(args: list[str]) -> str | None:
     """--config from the command line, read before the full parse so that
     a required parameter may come from the file."""
-    # argparse reads --config only from an argument that starts with "--c"
-    # (--config, a unique prefix of it, or --config=PATH).
-    if not any(arg.startswith("--c") for arg in args):
+    # argparse reads --config only from an argument whose part before any
+    # "=" is "--config" or a prefix of it: at least "--c", or "--" when an
+    # "=" follows ("--=PATH"); a bare "--" ends the options.
+    if not any(arg.startswith("--") and arg != "--"
+               and "--config".startswith(arg.partition("=")[0])
+               for arg in args):
         return None
     return _build_config_parser().parse_known_args(args)[0].config
 
@@ -375,7 +431,9 @@ def main(argv: list[str] | None = None) -> int:
         path = _config_path(argv[1:])
         if path:
             argv = argv[:1] + _config_tokens(path) + argv[1:]
-        params = vars(parser.parse_args(argv))
+        params = _parse_plain(argv)
+        if params is None:
+            params = vars(parser.parse_args(argv))
         command = params.pop("command")
         if command is None:
             parser.print_usage(sys.stderr)

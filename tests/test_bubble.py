@@ -12,8 +12,8 @@ from sonophoton import (BubbleGeometry, DomainError, MediumTransition,
 from sonophoton.bubble import (_ESTIMATE_ORDER, _LEVELS, _VALUE_ORDER,
                                FiniteSpectrumConfig,
                                _engine_bytes, _gauss_nodes, _grid_size,
-                               _panel_edges, spectral_grid, spectrum_finite,
-                               totals_finite)
+                               _panel_edges, _panel_total, spectral_grid,
+                               spectrum_finite, totals_finite)
 from sonophoton.cli import TABLE1_CASES
 from sonophoton.core import SPEED_OF_LIGHT as C, SpectralDensity, nm_to_m
 from sonophoton.homogeneous import (POLARIZATIONS, total_photons_closed_form,
@@ -712,6 +712,35 @@ class TestProblemSizeGuard:
         cfg = FiniteSpectrumConfig()
         assert _engine_bytes(392.0, cfg) \
             < bubble._MAX_ENGINE_BYTES / 50
+
+    @pytest.mark.parametrize("kr", [0.5, 12.1, 392.0, 1e6])
+    def test_ungraded_estimate_below_graded(self, kr):
+        # both size guards count the panels the run sums: the first panel
+        # is split only where n_out > n_in
+        for graded in (False, True):
+            assert _panel_total(kr, graded) \
+                == len(_panel_edges(kr, graded)) - 1
+        cfg = FiniteSpectrumConfig()
+        assert _engine_bytes(kr, cfg, graded=False) \
+            < _engine_bytes(kr, cfg, graded=True)
+        assert _engine_bytes(kr, cfg) == _engine_bytes(kr, cfg, graded=True)
+
+    @pytest.mark.parametrize("kr, cfg", [
+        (1.5, FiniteSpectrumConfig(grid_points=400)),
+        (0.3, FiniteSpectrumConfig(grid_points=400, quad_rel_tol=1e-12)),
+        (12.1, FiniteSpectrumConfig()),
+    ], ids=["fine-grid", "small-refined", "headline-kr"])
+    def test_ungraded_estimate_bounds_measured_peak(self, kr, cfg):
+        tr = MediumTransition(n_in=2.0, n_out=1.5)
+        geom = build_geometry_from_kr(kr, 1.3, 1.5)
+        kr = geom.k_gas_cutoff * geom.radius
+        tracemalloc.start()
+        try:
+            spectrum_finite(tr, geom, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _engine_bytes(kr, cfg, graded=False)
 
     @pytest.mark.parametrize("kr, cfg, n_in", [
         (6.0, FiniteSpectrumConfig(grid_points=40), 2.0),

@@ -288,6 +288,39 @@ class TestConfigFile:
             cli._build_config_parser.cache_clear()
         assert len(built) == 1
 
+    @pytest.mark.parametrize("cutoff", [["--cutoff-nm", "200"],
+                                        ["--cutoff=200"]],
+                             ids=["exact", "abbreviated"])
+    def test_request_without_config_skips_the_pre_parse(self, cutoff,
+                                                        tmp_path,
+                                                        monkeypatch):
+        # --cutoff-nm starts with "--c" but can never be --config
+        def no_pre_parser():
+            raise AssertionError("the --config pre-parser was built")
+
+        monkeypatch.setattr(cli, "_build_config_parser", no_pre_parser)
+        code, text = run(["spectrum", "--n-gas-in", "2e4", "--n-gas-out", "1",
+                          *cutoff, "--model", "infinite"], tmp_path)
+        assert code == 0
+        assert "# cutoff_nm = 200.0" in text.splitlines()
+
+    @pytest.mark.parametrize("flag", [["--c", "{}"], ["--conf", "{}"],
+                                      ["--config={}"]],
+                             ids=["c", "conf", "config="])
+    def test_config_prefixes_read_the_file(self, flag, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_out = 12\ntarget = 1e6\n")
+        code, text = run(["solve-nin"] + [t.format(cfg) for t in flag],
+                         tmp_path)
+        assert code == 0
+        preamble, _, _ = parse_csv(text)
+        assert "# n_out = 12.0" in preamble
+
+    def test_empty_prefix_with_value_reads_the_file(self, tmp_path):
+        # argparse takes "--=PATH" for --config=PATH too ("--" prefixes
+        # every option): the file is read before the full parse refuses it
+        assert main(["solve-nin", "--=" + str(tmp_path / "nope.cfg")]) == 2
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["solve-nin", "--config", str(tmp_path / "nope.cfg"),
                      "--n-out", "12", "--target", "1e6"]) == 2
@@ -309,6 +342,33 @@ class TestExitCodes:
 
     def test_no_command_is_usage(self):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-nin", "--n-out", "abc", "--target", "1e6"],
+        ["sweep", "--n-out-points", "2.5"],
+        ["totals", "--n-in", "2", "--n-out", "12", "--model", "bogus"],
+        ["solve-nin", "--n-out", "25"],
+        ["totals", "--n-in", "2", "--n-out", "12", "--frequency", "12"],
+        ["solve-nin", "--n-out", "25", "--target", "-1e5"],
+        # with a config file: --c is --config to the pre-parse, but on
+        # spectrum it also abbreviates --cutoff-nm
+        ["spectrum", "--n-gas-in", "2", "--n-gas-out", "1.5", "--c", "{}"],
+    ], ids=["non-numeric", "non-integer", "bad-choice", "missing-required",
+            "unknown-flag", "dashed-value", "ambiguous-c"])
+    def test_errors_are_argparse_s(self, argv, tmp_path, capsys, monkeypatch):
+        # the same exit code and stderr as with argparse parsing every argv
+        monkeypatch.setenv("COLUMNS", "80")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid_points = 20\n")
+        argv = [token.format(cfg) for token in argv]
+        results = []
+        for parse_plain in (cli._parse_plain, lambda argv: None):
+            monkeypatch.setattr(cli, "_parse_plain", parse_plain)
+            code = main(argv)
+            results.append((code, capsys.readouterr()))
+        assert results[0] == results[1]
+        code, (out, err) = results[0]
+        assert code == 1 and out == "" and err.startswith("usage: ")
 
     def test_oversized_finite_problem_is_usage(self, monkeypatch):
         def no_table(*args):
@@ -441,6 +501,18 @@ def test_closed_form_golden_replay(capsys):
         got = "".join(line for line in out.splitlines(keepends=True)
                       if not line.startswith("#"))
         assert got == want, request
+
+
+def test_workload_requests_take_the_plain_parse():
+    # the benchmark's requests skip argparse: every closed-form request and
+    # the headline spectrum, which gets --output appended
+    golden = json.loads(GOLDEN_CLOSED_FORM.read_text(encoding="utf-8"))
+    argvs = [request.split() for request in golden]
+    argvs.append(HEADLINE_SPECTRUM + ["--output", "spectrum.csv"])
+    for argv in argvs:
+        plain = cli._parse_plain(argv)
+        assert plain is not None, argv
+        assert plain == vars(cli._build_parser().parse_args(argv)), argv
 
 
 class TestParserReuse:

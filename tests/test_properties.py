@@ -1,5 +1,6 @@
 """Property tests of the finite-volume spectrum and the inverse solve over
-their parameter domains.
+their parameter domains, and of the CLI's plain-argv parse against
+argparse.
 
 Small bubbles (K R <= 8) and coarse grids keep each example to a few
 milliseconds, so the per-point reference engine can referee every one.
@@ -11,6 +12,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from sonophoton import MediumTransition, NumericalError, build_geometry_from_kr
+from sonophoton import cli
 from sonophoton.bubble import FiniteSpectrumConfig, spectrum_finite
 from sonophoton.homogeneous import photons_from_count_formula
 from sonophoton.inverse import RESIDUAL_TOL, solve_n_in, sweep_figure1
@@ -133,3 +135,80 @@ def test_sweep_equals_pointwise_solves_near_double_root(grid, target):
     rows = sweep_figure1(target, 1.3, 15.0, grid)
     assert rows == want
     assert all(type(value) is float for row in rows for value in row)
+
+
+CLI = cli._build_parser()
+# argparse keeps the subparsers action, and each parser's options, in _actions
+COMMANDS = next(action.choices for action in CLI._actions
+                if action.dest == "command")
+# values no option accepts plain: non-numbers, a bad choice, values that
+# start with "-" (argparse takes "-5" and "-1e5" as values), option strings
+BAD_VALUES = st.sampled_from(["abc", "", "1e", "1.5.2", "0x10", "bogus",
+                              "Both", "-5", "-1e5", "-", "--", "--tol"])
+FORMS = ("exact", "abbreviated", "equals", "unknown")
+
+
+def valid_value(action):
+    """Values the option's type converts and its choices admit."""
+    if action.choices is not None:
+        return st.sampled_from(action.choices)
+    if action.type is int:
+        return st.integers(2, 10**6).map(str)
+    if action.type is float:
+        return st.one_of(st.floats(1e-3, 1e6).map(repr),
+                         st.integers(1, 10**4).map(str),
+                         st.sampled_from(["2e4", "1E-3", "inf", " 7", "1_0"]))
+    return st.sampled_from(["out.csv", "run.cfg", "a=b"])
+
+
+@st.composite
+def cli_argvs(draw):
+    """(argv, plain): a command and pairs of its declared options and values.
+    A plain argv has every required option, exact option strings and valid
+    values.  Any other has about a quarter of them changed: an
+    abbreviation, --option=value, an unknown option or a bad value in a
+    pair, a required option left out, or the last token dropped.  Options
+    may repeat in either."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    actions = [action for action in COMMANDS[command]._actions
+               if action.option_strings and action.nargs is None]
+    plain = draw(st.booleans())
+
+    def change():
+        return not plain and draw(st.integers(0, 3)) == 0
+
+    chosen = [action for action in actions
+              if action.required and not change()]
+    chosen += draw(st.lists(st.sampled_from(actions), max_size=5))
+    argv = [command]
+    for action in chosen:
+        flag, value = action.option_strings[-1], draw(valid_value(action))
+        form = draw(st.sampled_from(FORMS)) if change() else "exact"
+        if change():
+            value = draw(BAD_VALUES)
+        if form == "abbreviated":
+            flag = flag[:draw(st.integers(3, len(flag) - 1))]
+        elif form == "unknown":
+            flag = "--frequency"
+        argv += [f"{flag}={value}"] if form == "equals" else [flag, value]
+    if len(argv) > 1 and change():
+        argv.pop()
+    return argv, plain
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=cli_argvs())
+@example(case=([], False))
+@example(case=(["--version"], False))
+@example(case=(["spectrum", "-h"], False))
+@example(case=(["table1"], True))
+@example(case=(["sweep", "--n-out-points", "-5"], False))
+@example(case=(["totals", "--n-in", "2", "--n-out", "12", "--model", "bogus"],
+               False))
+def test_plain_parse_equals_argparse(case):
+    argv, plain = case
+    got = cli._parse_plain(argv)
+    if plain:
+        assert got is not None
+    if got is not None:
+        assert got == vars(CLI.parse_args(argv))
