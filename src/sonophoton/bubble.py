@@ -290,19 +290,20 @@ def _engine_bytes(kr: float, config: FiniteSpectrumConfig,
     """Upper estimate of the engine's live array bytes on the panels of
     _panel_edges(kr, graded); the graded (default) bound holds for either.
 
-    Per output point: u, its four trig tables, the rule sums and the level
-    bookkeeping (16 floats).  Per output point or node below _SMALL_ARG
-    (at most the first panel's nodes at the last level): its
-    series powers and their product with _LOMMEL_SERIES
-    (2 _SERIES_POWERS.size floats), and one j_l argument for the points
-    below _TINY_ARG.  Per j_l argument: the table sph_jn_table returns
-    and the table it gathers its branches into, with the recurrence's
-    buffers ((2 _SMALL_L + 15) floats).  Per node of the
-    finest (last-level) pass: v, its Gauss weight, four trig tables and
-    indices (10 floats), and one j_l argument.  Per column block:
-    16 arrays of one block, at least one column of nodes (_closed_form's;
-    the l-batched products of _small_block and _lommel_block need at most
-    _SMALL_L + 4).  The output grid counts at _POINT_BYTES a point.
+    Per output point: u, its _point_factors with their temporaries and
+    their copy in a pass, the rule sums and level bookkeeping (36 floats).
+    Per output point or node below _SMALL_ARG (at most the first panel's
+    nodes at the last level): its series powers and their product with
+    _LOMMEL_SERIES (2 _SERIES_POWERS.size floats), and one j_l argument
+    for the points below _TINY_ARG.  Per j_l argument: the table
+    sph_jn_table returns and the table it gathers its branches into, with
+    the recurrence's buffers ((2 _SMALL_L + 15) floats).  Per node of the
+    finest (last-level) pass: v, its Gauss weights, _node_factors with
+    their temporaries and indices (45 floats), and one j_l argument.  Per
+    column block: 16 arrays of one block, at least one column of nodes
+    (_closed_form's 6 on far pairs, 14 if all are near; the l-batched
+    products of _small_block and _lommel_block _SMALL_L + 4).  The output
+    grid counts at _POINT_BYTES a point.
     """
     n_points = _grid_size(config)
     # the value's rule on panels split by the _LEVELS - 1 bisections
@@ -313,8 +314,8 @@ def _engine_bytes(kr: float, config: FiniteSpectrumConfig,
         n_points, math.ceil(_SMALL_ARG * config.grid_points / kr))
     nodes = per_panel * panels
     block = max(_BLOCK_ELEMENTS, nodes)
-    floats = (16 * n_points + 2 * _SERIES_POWERS.size * n_small
-              + (2 * _SMALL_L + 15) * (nodes + n_small) + 10 * nodes
+    floats = (36 * n_points + 2 * _SERIES_POWERS.size * n_small
+              + (2 * _SMALL_L + 15) * (nodes + n_small) + 45 * nodes
               + 16 * block)
     return 8 * floats + _POINT_BYTES * n_points
 
@@ -322,6 +323,24 @@ def _engine_bytes(kr: float, config: FiniteSpectrumConfig,
 def _trig(x: np.ndarray) -> tuple[np.ndarray, ...]:
     """sin x, cos x, sin 2x and cos 2x."""
     return np.sin(x), np.cos(x), np.sin(2.0 * x), np.cos(2.0 * x)
+
+
+def _node_factors(v: np.ndarray) -> np.ndarray:
+    """Rows of the nodes v: _trig(v), then their factors in _closed_form's
+    2N (2 rows), X and Y (7 rows each; 3 of X's are zero)."""
+    (s, c, s2, c2), v2, z = _trig(v), v * v, np.zeros_like(v)
+    return np.stack((s, c, s2, c2, 2.0 * v * c, -2.0 * s,
+                     -3.0 * v2 * s2, -s2, z, z, v2 * v * c2, 3.0 * v * c2, z,
+                     4.0 * v2 * v * s * s, 4.0 * v * s * s, 4.0 * v2 * v,
+                     4.0 * v, -0.5 * v2 * v2 * s2, -3.0 * v2 * s2, -0.5 * s2))
+
+
+def _point_factors(u: np.ndarray) -> np.ndarray:
+    """Rows of the output points u: _trig(u), then their factors in
+    _closed_form's N (2 rows) and in X and Y (7 rows, shared)."""
+    (s, c, s2, c2), u2 = _trig(u), u * u
+    return np.stack((s, c, s2, c2, s, u * c, u * c2, u2 * u * c2, u * s * s,
+                     u2 * u * s * s, s2, u2 * s2, u2 * u2 * s2))
 
 
 def _even_series(coeffs: np.ndarray, k2: np.ndarray) -> np.ndarray:
@@ -333,74 +352,56 @@ def _even_series(coeffs: np.ndarray, k2: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _closed_form(v: np.ndarray, u: np.ndarray, tv: tuple, tu: tuple
-                 ) -> np.ndarray:
-    """pi^2 F(u, v) on the (len(v), len(u)) grid of node pairs, from the
-    _trig tables tv of v and tu of u, with
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _closed_form(v: np.ndarray, u: np.ndarray, nodes: np.ndarray,
+                 points: np.ndarray) -> np.ndarray:
+    """pi^2 F(u, v) (module docstring) on the (len(v), len(u)) grid of node
+    pairs, from the _node_factors of v and the _point_factors of u.
 
-        F(u, v) = sum_{l>=1} (2l+1) lambda_l(u, v)^2
-                = [G(u-v) - G(u+v)] / (24 pi^2)
-                  - [sinc(u-v) - sinc(u+v)]^2 / (pi^2 u v),
-        G(k)    = 12/k^2 - 12 sin(2k)/k^3 + 12 sin(k)^2/k^4.
+    Where |u - v| >= 1 it is (((2p - 4 N^2 / p) a - X) a + Y) / a^4, with
+    a = (u - v)(u + v), p = u v, and sin and cos of u +- v expanded by
+    angle addition into sums of products of a function of v and one of u,
+    of rank 2, 4 and 7, each taken as one matrix product:
 
-    Where |u - v| >= 1 the two differences are one quotient each over
-    powers of u^2 - v^2, with sin and cos of u +- v expanded by angle
-    addition.  Where |u - v| < 1, G(u - v) and sinc(u - v) are Taylor
-    series (exact at v = u), evaluated on those pairs only.  Either way the
-    result is the l >= 0 series less its l = 0 term, and loses digits at
-    least as 1/min(u, v)^2 (see _small_block and _lommel_block).
+        N = v cos v sin u - sin v u cos u,
+        X = (v^2 + 3u^2) v cos 2v sin 2u - (3v^2 + u^2) sin 2v u cos 2u,
+        Y = 4 u v (u^2 + v^2) (sin^2 v cos 2u + sin^2 u)
+            - (u^4 + 6 u^2 v^2 + v^4) sin 2v sin 2u / 2.
+
+    Only sums of same-signed powers are expanded; a, N^2 and the powers of
+    a stay factored, since expanding them would cancel.  Where |u - v| < 1,
+    G and sinc of u - v are Taylor series (exact at v = u), on those pairs
+    only.  Either way the result is the l >= 0 series less its l = 0 term
+    (N is that term's), and loses digits at least as 1/min(u, v)^2 (see
+    _small_block and _lommel_block).
     """
-    su, cu, s2u, c2u = tu
-    sv, cv, s2v, c2v = (t[:, None] for t in tv)
-    vc, v2 = v[:, None], (v * v)[:, None]
-    u2 = u * u
-    k = u - vc
-    near = np.abs(k) < 1.0
-    a = k * (u + vc)                            # u^2 - v^2
-    a[near] = 1.0
+    vc = v[:, None]
+    a = u - vc
+    near = np.abs(a) < 1.0
+    a *= u + vc                                 # u^2 - v^2
     p = vc * u
-    q = v2 + u2
-    # pi^2 F = [(2p - 4 N^2 / p) a^2 - X a + Y] / a^4 with the l = 0 term's
-    # N = v sin u cos v - u cos u sin v, built in place: written as plain
-    # expressions it cost 4 % more spectrum-headline wall_s (10/10 pairs)
-    # and ~30 % more table1 wall_s (3/3)
-    n0 = (vc * cv) * su
-    n0 -= sv * (u * cu)
-    n0 *= n0
-    n0 /= p
-    n0 *= -4.0
-    n0 += 2.0 * p
-    f = n0
+    f = np.matmul(nodes[4:6].T, points[4:6])    # 2N
+    x, y = np.matmul(nodes[6:].reshape(2, 7, -1).transpose(0, 2, 1),
+                     points[6:])
+    f *= f
+    f /= p
+    np.subtract(p + p, f, out=f)
     f *= a
-    x = (v2 + 3.0 * u2) * (vc * c2v)
-    x *= s2u
-    x2 = (3.0 * v2 + u2) * s2v
-    x2 *= u * c2u
-    x -= x2
     f -= x
     f *= a
-    y = (sv * sv) * c2u
-    y += su * su
-    y *= p
-    y *= q
-    y *= 4.0
-    q *= q
-    p *= p
-    p *= 4.0
-    q += p
-    q *= 0.5 * s2v
-    q *= s2u
-    y -= q
     f += y
     a *= a
     a *= a
-    f /= a
-    rows, cols = np.nonzero(near)
+    f /= a                      # 0 / 0 at v = u; near pairs redone below
+    del a, p, x, y
+    rows, cols = divmod(np.flatnonzero(near), u.size)
     if rows.size:
         ur, vr = u[cols], v[rows]
         k2 = (ur - vr)**2
-        sp = su[cols] * cv[rows, 0] + cu[cols] * sv[rows, 0]
-        s2p = s2u[cols] * c2v[rows, 0] + c2u[cols] * s2v[rows, 0]
+        sp = (points[0, cols] * nodes[1, rows]
+              + points[1, cols] * nodes[0, rows])
+        s2p = (points[2, cols] * nodes[3, rows]
+               + points[3, cols] * nodes[2, rows])
         kp = ur + vr
         g_plus = 12.0 / kp**2 * (1.0 - s2p / kp + (sp / kp)**2)
         lam0 = _even_series(_SINC_TAYLOR, k2) - sp / kp
@@ -463,19 +464,19 @@ class _SpectrumEngine:
     n_out > n_in.  They depend on K R and the indices, not on the output
     grid.  The integrand at a (node, point) pair is weight times
     F(u, v) = sum_{l>=1} (2l+1) lambda_l(u, v)^2, summed over every l in
-    closed form (_closed_form); sin and cos of u and of v are tabulated
-    once per pass, so no transcendental function runs per pair.  Each
-    rule's sum runs over column blocks of about _BLOCK_ELEMENTS pairs,
-    one pass for all the rules of a level.  The pairs with u and v both
-    below _SMALL_ARG take the explicit l sum of _small_block instead (each
-    L_l from its power series), and the points below _TINY_ARG against
-    the nodes at or above _SMALL_ARG that of _lommel_block, from one j_l
-    table per pass.  The value is the order _VALUE_ORDER rule's.  At the
-    first level order _ESTIMATE_ORDER against it on the same panels
-    estimates the error: |sum_l (I_l^24 - I_l^16)|, the difference of the
-    l-summed integrals, since no single l is formed.  Points that miss
-    quad_rel_tol are redone with the value's rule on bisected panels, up
-    to _LEVELS - 1 times, each level against the one before.
+    closed form (_closed_form) from factors of u and of v tabulated once
+    per pass, so no transcendental function runs per pair.  A pass sums
+    all the rules of a level over column blocks of about _BLOCK_ELEMENTS
+    pairs, each block in one product with their Gauss weights.  The pairs
+    with u and v both below _SMALL_ARG take the explicit l sum of
+    _small_block instead (each L_l from its power series), and the points
+    below _TINY_ARG against the nodes at or above _SMALL_ARG that of
+    _lommel_block, from one j_l table per pass.  The value is the order
+    _VALUE_ORDER rule's.  At the first level order _ESTIMATE_ORDER against
+    it on the same panels estimates the error: |sum_l (I_l^24 - I_l^16)|,
+    the difference of the l-summed integrals, since no single l is formed.
+    Points that miss quad_rel_tol are redone with the value's rule on
+    bisected panels, up to _LEVELS - 1 times, each against the one before.
     """
 
     def __init__(self, n_gas_in: float, n_gas_out: float, kr: float,
@@ -484,7 +485,7 @@ class _SpectrumEngine:
         self.n_out = n_gas_out
         self.config = config
         self.u = u
-        self.trig = _trig(u)
+        self.points = _point_factors(u)
         self.edges = _panel_edges(kr, n_gas_out > n_gas_in)
 
     def _rules(self, edges: np.ndarray, orders: tuple[int, ...],
@@ -493,17 +494,20 @@ class _SpectrumEngine:
         points u[cols], one row per Gauss-Legendre order, each on every
         panel of edges; one pass over the nodes of all the orders."""
         u = self.u[cols]
-        tu = [t[cols] for t in self.trig]
+        points = self.points[:, cols]
         mids = 0.5 * (edges[1:] + edges[:-1])[:, None]
         halves = 0.5 * (edges[1:] - edges[:-1])[:, None]
         rules = [_gauss_nodes(order) for order in orders]
         v = np.concatenate([(mids + halves * x).ravel() for x, _ in rules])
-        # Gauss weights over pi^2, the factor _closed_form leaves out
-        gw = np.concatenate([(halves * w).ravel() for _, w in rules])
-        gw /= math.pi**2
-        starts = np.cumsum([0] + [(edges.size - 1) * order
-                                  for order in orders[:-1]])
-        tv = _trig(v)
+        # a row per order: its Gauss weights / pi^2 (see _closed_form)
+        gauss = np.repeat(np.eye(len(orders)), [(edges.size - 1) * order
+                                                for order in orders], axis=1)
+        gauss *= np.concatenate([(halves * w).ravel() / math.pi**2
+                                 for _, w in rules])
+        nodes = _node_factors(v)
+        # the weight ((n_out v^2 + n_in u^2) / (n_out v + n_in u))^2, in parts
+        wv2, wv = (v * v * self.n_out)[:, None], (v * self.n_out)[:, None]
+        wu2, wu = u * u * self.n_in, u * self.n_in
         # the pairs the closed form cannot take: the first n_small points
         # (u ascends) against the nodes v_small, and the first n_tiny
         # points against the nodes v_large, the latter from one j_l table
@@ -519,11 +523,8 @@ class _SpectrumEngine:
         width = max(1, _BLOCK_ELEMENTS // v.size)
         for c0 in range(0, u.size, width):
             c1 = min(c0 + width, u.size)
-            with np.errstate(divide="ignore", over="ignore",
-                             invalid="ignore"):
-                # finite wherever u or v is at least _SMALL_ARG; the rest
-                # is replaced just below
-                f = _closed_form(v, u[c0:c1], tv, [t[c0:c1] for t in tu])
+            # finite where u or v is >= _SMALL_ARG; the rest is replaced below
+            f = _closed_form(v, u[c0:c1], nodes, points[:, c0:c1])
             if c0 < n_small:
                 m = min(c1, n_small)
                 f[v_small, :m - c0] = _small_block(v[v_small], u[c0:m])
@@ -532,17 +533,12 @@ class _SpectrumEngine:
                 f[v_large, :m - c0] = _lommel_block(v[v_large], u[c0:m],
                                                     jv_large,
                                                     ju_tiny[:, c0:m])
-            f *= self._weight(v[:, None], u[c0:c1])
-            f *= gw[:, None]
-            out[:, c0:c1] = np.add.reduceat(f, starts, axis=0)
+            w = wv2 + wu2[c0:c1]
+            w /= wv + wu[c0:c1]
+            w *= w
+            f *= w
+            out[:, c0:c1] = gauss @ f
         return out
-
-    def _weight(self, v: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """((n_out v^2 + n_in u^2) / (n_out v + n_in u))^2, broadcast."""
-        w = v * v * self.n_out + u * u * self.n_in
-        w /= v * self.n_out + u * self.n_in
-        w *= w
-        return w
 
     def sums(self) -> np.ndarray:
         """sum_l (2l+1) I_l(u) over every l >= 1 at every point u.

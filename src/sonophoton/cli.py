@@ -249,17 +249,21 @@ def _build_config_parser() -> _Parser:
     return pre
 
 
-def _config_path(args: list[str]) -> str | None:
-    """--config from the command line, read before the full parse so that
-    a required parameter may come from the file."""
+def _config_path(argv: list[str]) -> str | None:
+    """--config from the command line of the command argv[0], read before
+    the full parse so that a required parameter may come from the file."""
     # argparse reads --config only from an argument whose part before any
     # "=" is "--config" or a prefix of it: at least "--c", or "--" when an
-    # "=" follows ("--=PATH"); a bare "--" ends the options.
-    if not any(arg.startswith("--") and arg != "--"
-               and "--config".startswith(arg.partition("=")[0])
-               for arg in args):
+    # "=" follows ("--=PATH"); a bare "--" ends the options.  A named
+    # prefix that another option shares ("--c", --cutoff-nm) is ambiguous.
+    names = {arg.partition("=")[0] for arg in argv[1:]
+             if arg.startswith("--") and arg != "--"}
+    names = {name for name in names if "--config".startswith(name)}
+    options = _plain_table().get(argv[0], ({},))[0] if names else ()
+    if not names or any(sum(o.startswith(name) for o in options) > 1
+                        for name in names - {"--"}):
         return None
-    return _build_config_parser().parse_known_args(args)[0].config
+    return _build_config_parser().parse_known_args(argv[1:])[0].config
 
 
 def _geometry(params: dict, n_out: float):
@@ -428,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         # File values go before the flags, so the flags win.
-        path = _config_path(argv[1:])
+        path = _config_path(argv)
         if path:
             argv = argv[:1] + _config_tokens(path) + argv[1:]
         params = _parse_plain(argv)

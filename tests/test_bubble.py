@@ -408,7 +408,8 @@ def engine_f(u, v):
         jl = sph_jn_table(bubble._SMALL_L, np.array([u, v]))
         f = bubble._lommel_block(vv, uu, jl[:, 1:], jl[:, :1])
     else:
-        f = bubble._closed_form(vv, uu, bubble._trig(vv), bubble._trig(uu))
+        f = bubble._closed_form(vv, uu, bubble._node_factors(vv),
+                                bubble._point_factors(uu))
     return f[0, 0] / math.pi**2
 
 
@@ -422,6 +423,9 @@ def engine_f(u, v):
     (0.06, 3.0), (0.05, 8.0), (0.7, 2.5),           # one small argument
     (1e-4, 2.5), (1e-3, 3.0), (0.45, 8.0), (1e-3, 50.0),
     (470.0, 300.0),
+    (500.0, 499.0), (500.0, 501.0), (510.0, 508.9),  # far pairs: the rank
+    (392.0, 2.0), (2.5, 510.0), (100.0, 350.0),     # sums at table1's K R
+    (250.0, 251.5),
 ])
 def test_angular_sum_matches_mpmath(u, v):
     assert rel_err(engine_f(u, v), f_mp(u, v)) <= 1e-12

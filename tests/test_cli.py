@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sonophoton
-from sonophoton import bubble, cli
+from sonophoton import bubble, cli, specfun
 from sonophoton.cli import main
 
 from oracles import rel_err
@@ -316,6 +316,26 @@ class TestConfigFile:
         preamble, _, _ = parse_csv(text)
         assert "# n_out = 12.0" in preamble
 
+    @pytest.mark.parametrize("flag", [["--c", "{}"], ["--c={}"]],
+                             ids=["c", "c="])
+    def test_ambiguous_config_prefix_is_usage(self, flag, tmp_path, capsys):
+        # on spectrum "--c" also starts --cutoff-nm: argparse's ambiguity
+        # error (exit 1), whether or not the file exists, and no file read
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid_points = 20\n")
+        spectrum = ["spectrum", "--n-gas-in", "2", "--n-gas-out", "1.5"]
+        for path in (cfg, "200"):
+            code = main(spectrum + [t.format(path) for t in flag])
+            err = capsys.readouterr().err.splitlines()[-1]
+            assert code == 1
+            assert err.startswith("error: ambiguous option: --c")
+            assert err.endswith(" could match --cutoff-nm, --config")
+        # a longer prefix names --config alone and reads the file
+        code, text = run(spectrum + ["--con", str(cfg), "--model",
+                                     "infinite"], tmp_path)
+        assert code == 0
+        assert "# grid_points = 20" in parse_csv(text)[0]
+
     def test_empty_prefix_with_value_reads_the_file(self, tmp_path):
         # argparse takes "--=PATH" for --config=PATH too ("--" prefixes
         # every option): the file is read before the full parse refuses it
@@ -513,6 +533,23 @@ def test_workload_requests_take_the_plain_parse():
         plain = cli._parse_plain(argv)
         assert plain is not None, argv
         assert plain == vars(cli._build_parser().parse_args(argv)), argv
+
+
+def test_headline_spectrum_calls_the_bessel_table(monkeypatch, tmp_path):
+    # the traced benchmark run of the headline request (perfbench's
+    # worker.integrity) requires at least one specfun.sph_jn_table call: the
+    # small-argument Lommel block's j_l table
+    table, calls = specfun.sph_jn_table, []
+
+    def counted(*args):
+        calls.append(args)
+        return table(*args)
+
+    for module in (specfun, bubble):
+        monkeypatch.setattr(module, "sph_jn_table", counted)
+    code, _ = run(HEADLINE_SPECTRUM, tmp_path)
+    assert code == 0
+    assert len(calls) >= 1
 
 
 class TestParserReuse:
