@@ -298,12 +298,11 @@ def _engine_bytes(kr: float, config: FiniteSpectrumConfig,
     for the points below _TINY_ARG.  Per j_l argument: the table
     sph_jn_table returns and the table it gathers its branches into, with
     the recurrence's buffers ((2 _SMALL_L + 15) floats).  Per node of the
-    finest (last-level) pass: v, its Gauss weights, _node_factors with
-    their temporaries and indices (45 floats), and one j_l argument.  Per
-    column block: 16 arrays of one block, at least one column of nodes
-    (_closed_form's 6 on far pairs, 14 if all are near; the l-batched
-    products of _small_block and _lommel_block _SMALL_L + 4).  The output
-    grid counts at _POINT_BYTES a point.
+    finest pass: v, two Gauss weights, _node_factors with temporaries and
+    indices (45 floats), and one j_l argument.  Per column block: 16 arrays
+    of one block, at least one column of nodes (_closed_form's 6 on far
+    pairs, 14 if all are near; _small_block's and _lommel_block's l-batched
+    products _SMALL_L + 4).  The output grid counts at _POINT_BYTES a point.
     """
     n_points = _grid_size(config)
     # the value's rule on panels split by the _LEVELS - 1 bisections
@@ -363,17 +362,16 @@ def _closed_form(v: np.ndarray, u: np.ndarray, nodes: np.ndarray,
     angle addition into sums of products of a function of v and one of u,
     of rank 2, 4 and 7, each taken as one matrix product:
 
-        N = v cos v sin u - sin v u cos u,
+        N = v cos v sin u - sin v u cos u     (the l = 0 term's),
         X = (v^2 + 3u^2) v cos 2v sin 2u - (3v^2 + u^2) sin 2v u cos 2u,
         Y = 4 u v (u^2 + v^2) (sin^2 v cos 2u + sin^2 u)
             - (u^4 + 6 u^2 v^2 + v^4) sin 2v sin 2u / 2.
 
-    Only sums of same-signed powers are expanded; a, N^2 and the powers of
-    a stay factored, since expanding them would cancel.  Where |u - v| < 1,
-    G and sinc of u - v are Taylor series (exact at v = u), on those pairs
-    only.  Either way the result is the l >= 0 series less its l = 0 term
-    (N is that term's), and loses digits at least as 1/min(u, v)^2 (see
-    _small_block and _lommel_block).
+    Only sums of same-signed powers are expanded; a, N^2 and the powers of a
+    stay factored, since expanding them would cancel.  Where |u - v| < 1, G
+    and sinc of u - v are Taylor series (exact at v = u), on those pairs
+    only.  Either way the result is the l >= 0 series less its l = 0 term:
+    it loses digits at least as 1/min(u, v)^2 (_small_block, _lommel_block).
     """
     vc = v[:, None]
     a = u - vc
@@ -499,9 +497,11 @@ class _SpectrumEngine:
         halves = 0.5 * (edges[1:] - edges[:-1])[:, None]
         rules = [_gauss_nodes(order) for order in orders]
         v = np.concatenate([(mids + halves * x).ravel() for x, _ in rules])
-        # a row per order: its Gauss weights / pi^2 (see _closed_form)
-        gauss = np.repeat(np.eye(len(orders)), [(edges.size - 1) * order
-                                                for order in orders], axis=1)
+        # Gauss weights / pi^2 (see _closed_form), a row per order and at
+        # least two: numpy sends 1 x 1 products to ddot, threaded above 1e4
+        gauss = np.repeat(np.eye(max(2, len(orders)), len(orders)),
+                          [(edges.size - 1) * order for order in orders],
+                          axis=1)
         gauss *= np.concatenate([(halves * w).ravel() / math.pi**2
                                  for _, w in rules])
         nodes = _node_factors(v)
@@ -519,7 +519,7 @@ class _SpectrumEngine:
             jl = sph_jn_table(_SMALL_L,
                               np.concatenate((u[:n_tiny], v[v_large])))
             ju_tiny, jv_large = jl[:, :n_tiny], jl[:, n_tiny:]
-        out = np.empty((len(orders), u.size))
+        out = np.empty((gauss.shape[0], u.size))
         width = max(1, _BLOCK_ELEMENTS // v.size)
         for c0 in range(0, u.size, width):
             c1 = min(c0 + width, u.size)
@@ -538,7 +538,7 @@ class _SpectrumEngine:
             w *= w
             f *= w
             out[:, c0:c1] = gauss @ f
-        return out
+        return out[:len(orders)]
 
     def sums(self) -> np.ndarray:
         """sum_l (2l+1) I_l(u) over every l >= 1 at every point u.
