@@ -184,8 +184,8 @@ _MIN_REL_TOL = 1e-13
 _MAX_ENGINE_BYTES = 1 << 30
 _MAX_NODE_PAIRS = 1 << 30
 # Upper estimate of the bytes a caller holds per output grid point: the
-# two float tuples, the value columns and one CSV row (~390 B measured
-# for `spectrum --model infinite`, ~370 B for `sweep`).
+# grid and value columns and one CSV row (~390 B measured for
+# `spectrum --model infinite`, ~370 B for `sweep`).
 _POINT_BYTES = 512
 # Taylor coefficients in k^2, to below 1e-17 at |k| = 1, of
 # G(k) = int_0^2 (s^3 - 12 s + 16) cos(k s) ds, whose moments are
@@ -580,13 +580,13 @@ def check_grid_points(n_points: int, knob: str) -> None:
 
 def spectral_grid(geometry: BubbleGeometry,
                   config: FiniteSpectrumConfig | None = None
-                  ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Output grid for spectra: (omega_out in rad/s, x = k_out R).
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Output grid for spectra, as read-only float arrays (omega_out, x).
 
     Runs from one spacing above zero to grid_extend times the gas-side
-    cutoff, with a sample exactly at the cutoff.  A grid whose points
-    would need more than _MAX_ENGINE_BYTES is refused with DomainError
-    before it is built.
+    cutoff, with a sample exactly at the cutoff; omega_out is in rad/s
+    and x = k_out R.  A grid whose points would need more than
+    _MAX_ENGINE_BYTES is refused with DomainError before it is built.
     """
     config = config or FiniteSpectrumConfig()
     n_points = _grid_size(config)
@@ -595,7 +595,8 @@ def spectral_grid(geometry: BubbleGeometry,
     h = kr / config.grid_points
     x_grid = h * np.arange(1, n_points + 1)
     omega_grid = x_grid * SPEED_OF_LIGHT / (geometry.n_out * geometry.radius)
-    return tuple(omega_grid.tolist()), tuple(x_grid.tolist())
+    x_grid.flags.writeable = omega_grid.flags.writeable = False
+    return omega_grid, x_grid
 
 
 def spectrum_finite(transition: MediumTransition, geometry: BubbleGeometry,
@@ -634,13 +635,12 @@ def spectrum_finite(transition: MediumTransition, geometry: BubbleGeometry,
             f"the {_MAX_ENGINE_BYTES / 2**30:g} GiB limit; lower K R or "
             f"grid_points")
 
-    omega_tuple, x_tuple = spectral_grid(geometry, config)
-    engine = _SpectrumEngine(n_in, n_out, kr, np.asarray(x_tuple), config)
+    omega_grid, x_grid = spectral_grid(geometry, config)
+    engine = _SpectrumEngine(n_in, n_out, kr, x_grid, config)
     dn = transition.delta_n
     prefactor = POLARIZATIONS * 0.25 * dn * dn * radius / (c * n_in)
-    values = tuple((prefactor * engine.sums()).tolist())
-    return SpectralDensity(grid=omega_tuple, values=values,
-                           dimensionless_x=x_tuple)
+    return SpectralDensity(grid=omega_grid, values=prefactor * engine.sums(),
+                           dimensionless_x=x_grid)
 
 
 def _trapz_richardson(x: np.ndarray, y: np.ndarray) -> float:
@@ -668,8 +668,7 @@ def totals_finite(transition: MediumTransition, geometry: BubbleGeometry,
         spectral = spectrum_finite(transition, geometry, config)
     if len(spectral.grid) < 2:
         raise DomainError("totals_finite needs a spectrum of >= 2 points")
-    x = np.asarray(spectral.grid)
-    y = np.asarray(spectral.values)
+    x, y = spectral.grid, spectral.values
     count = _trapz_richardson(x, y)
     energy = _trapz_richardson(x, HBAR * x * y)
     return EmissionSummary.from_totals(count, energy, HBAR * geometry.omega_max)

@@ -252,16 +252,15 @@ def _build_config_parser() -> _Parser:
 def _config_path(argv: list[str]) -> str | None:
     """--config from the command line of the command argv[0], read before
     the full parse so that a required parameter may come from the file."""
-    # argparse reads --config only from an argument whose part before any
-    # "=" is "--config" or a prefix of it: at least "--c", or "--" when an
-    # "=" follows ("--=PATH"); a bare "--" ends the options.  A named
-    # prefix that another option shares ("--c", --cutoff-nm) is ambiguous.
+    # argparse reads --config from an argument whose part before any "="
+    # prefixes "--config"; a bare "--" ends the options.  A prefix that
+    # another option shares ("--c": --cutoff-nm; "--=PATH": all) is ambiguous.
     names = {arg.partition("=")[0] for arg in argv[1:]
              if arg.startswith("--") and arg != "--"}
     names = {name for name in names if "--config".startswith(name)}
     options = _plain_table().get(argv[0], ({},))[0] if names else ()
     if not names or any(sum(o.startswith(name) for o in options) > 1
-                        for name in names - {"--"}):
+                        for name in names):
         return None
     return _build_config_parser().parse_known_args(argv[1:])[0].config
 
@@ -319,19 +318,19 @@ def cmd_spectrum(params: dict, output: str | None) -> int:
     fconfig = _finite_config(params)
     model = params["model"]
     if model == "infinite":
-        omega_grid, x_grid = spectral_grid(geometry, fconfig)
-        finite_vals = [None] * len(omega_grid)
+        omega, x = spectral_grid(geometry, fconfig)
+        finite_vals = [None] * omega.size
     else:
         dens = spectrum_finite(transition, geometry, fconfig)
-        omega_grid, x_grid, finite_vals = (dens.grid, dens.dimensionless_x,
-                                           dens.values)
-    omega = np.array(omega_grid)
-    infinite_vals = ([None] * len(omega_grid) if model == "finite" else
+        omega, x = dens.grid, dens.dimensionless_x
+        finite_vals = dens.values.tolist()
+    infinite_vals = ([None] * omega.size if model == "finite" else
                      spectrum_infinite(transition, geometry, omega).tolist())
     _write_csv("spectrum", params,
                "x,omega_out_rad_s,nu_Hz,dNdomega_infinite,dNdomega_finite",
-               zip(x_grid, omega_grid, (omega / (2.0 * math.pi)).tolist(),
-                   infinite_vals, finite_vals),
+               zip(x.tolist(), omega.tolist(),
+                   (omega / (2.0 * math.pi)).tolist(), infinite_vals,
+                   finite_vals),
                output, k_gas_cutoff_x=geometry.k_gas_cutoff * geometry.radius)
     return EXIT_OK
 

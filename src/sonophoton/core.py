@@ -192,32 +192,33 @@ class EmissionSummary:
                    mean_energy=mean, mean_over_cutoff=ratio)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDensity:
-    """Sampled dN/d omega_out curve.
+    """Sampled dN/d omega_out curve, held as float arrays.
 
     grid is strictly increasing in rad/s; values are in seconds (photons
     per unit angular frequency); dimensionless_x, when present, is
-    x = k_out * R for each grid point.
+    x = k_out * R for each grid point.  Fields are stored as float arrays
+    (a float array passed in is kept, not copied) and compare by identity.
     """
 
-    grid: tuple[float, ...]
-    values: tuple[float, ...]
-    dimensionless_x: tuple[float, ...] | None = None
+    grid: np.ndarray
+    values: np.ndarray
+    dimensionless_x: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if len(self.grid) != len(self.values):
+        for name in ("grid", "values", "dimensionless_x"):
+            if (field := getattr(self, name)) is not None:
+                object.__setattr__(self, name, np.asarray(field, dtype=float))
+        grid, values, x = self.grid, self.values, self.dimensionless_x
+        if len(grid) != len(values):
             raise DomainError("grid and values must have equal length")
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        x = () if self.dimensionless_x is None else self.dimensionless_x
         if not (np.isfinite(grid).all() and np.isfinite(values).all()
-                and np.isfinite(x).all()):
+                and (x is None or np.isfinite(x).all())):
             raise DomainError("grid, values and dimensionless_x must be finite")
         if (grid[1:] <= grid[:-1]).any():
             raise DomainError("grid must be strictly increasing")
         if (values < 0.0).any():
             raise DomainError("spectral values must be >= 0")
-        if self.dimensionless_x is not None and \
-                len(self.dimensionless_x) != len(self.grid):
+        if x is not None and len(x) != len(grid):
             raise DomainError("dimensionless_x length mismatch")

@@ -26,7 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DomainError, NumericalError, _require_finite_cubes
+from .core import (DomainError, NumericalError, _require_finite_cubes,
+                   _require_positive)
 from .homogeneous import photons_from_count_formula
 
 RESIDUAL_TOL = 1e-8
@@ -53,8 +54,7 @@ class BranchPair:
 def _check_inputs(n_out, n_target, n_liquid, k_obs_r) -> None:
     for name, val in (("n_out", n_out), ("n_target", n_target),
                       ("n_liquid", n_liquid), ("k_obs_r", k_obs_r)):
-        if not (val > 0.0) or not math.isfinite(val):
-            raise DomainError(f"{name} must be positive and finite, got {val!r}")
+        _require_positive(name, val)
     _require_finite_cubes(("n_liquid", n_liquid), ("k_obs_r", k_obs_r))
 
 

@@ -211,4 +211,4 @@ def spectrum_values(transition, geometry, config=None,
     prefactor = (POLARIZATIONS * 0.25 * dn * dn * geometry.radius
                  / (SPEED_OF_LIGHT * n_in))
     _, x_grid = spectral_grid(geometry, config)
-    return [prefactor * engine.sum_at(u) for u in x_grid]
+    return [prefactor * engine.sum_at(u) for u in x_grid.tolist()]

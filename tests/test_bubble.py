@@ -326,6 +326,12 @@ class TestSpectrumFinite:
         kr = self.geom.k_gas_cutoff * self.geom.radius
         assert math.isclose(x_grid[49], kr, rel_tol=1e-12)
         assert x_grid[-1] >= 1.28 * kr
+        # read-only float arrays, which spectrum_finite passes on unchanged
+        for grid in (omega_grid, x_grid):
+            assert grid.dtype == np.float64 and not grid.flags.writeable
+        dens = spectrum_finite(self.tr, self.geom, cfg)
+        assert np.array_equal(dens.grid, omega_grid)
+        assert np.array_equal(dens.dimensionless_x, x_grid)
 
     def test_trapezoid_of_density_matches_totals(self):
         cfg = FiniteSpectrumConfig(grid_points=80)

@@ -124,6 +124,16 @@ class TestSpectrumCommand:
         x1, y1 = below[19]
         assert rel_err(y1 / y0, (x1 / x0) ** 2) < 1e-12
 
+    def test_grid_columns_identical_across_models(self, tmp_path):
+        # each model writes x, omega and nu from its own arrays
+        base = FAST_SPECTRUM[:-1]
+        columns = []
+        for model in ("infinite", "finite", "both"):
+            code, text = run(base + [model], tmp_path, f"{model}.csv")
+            assert code == 0
+            columns.append([row[:3] for row in parse_csv(text)[2]])
+        assert columns[0] == columns[1] == columns[2]
+
     def test_no_change_zero_spectrum(self, tmp_path):
         args = ["spectrum", "--n-gas-in", "5", "--n-gas-out", "5",
                 "--k-obs-r", "5", "--grid-points", "12", "--model", "both"]
@@ -336,10 +346,11 @@ class TestConfigFile:
         assert code == 0
         assert "# grid_points = 20" in parse_csv(text)[0]
 
-    def test_empty_prefix_with_value_reads_the_file(self, tmp_path):
-        # argparse takes "--=PATH" for --config=PATH too ("--" prefixes
-        # every option): the file is read before the full parse refuses it
-        assert main(["solve-nin", "--=" + str(tmp_path / "nope.cfg")]) == 2
+    def test_empty_prefix_with_value_is_usage(self, tmp_path, capsys):
+        # "--" in "--=PATH" prefixes every option: argparse's ambiguity
+        # error (exit 1), before the missing file could be read (exit 2)
+        assert main(["solve-nin", "--=" + str(tmp_path / "nope.cfg")]) == 1
+        assert "error: ambiguous option: --=" in capsys.readouterr().err
 
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["solve-nin", "--config", str(tmp_path / "nope.cfg"),

@@ -129,6 +129,12 @@ class TestSpectralDensity:
         with pytest.raises(DomainError):
             SpectralDensity(grid=(0.0, 1.0), values=(1.0, 1.0),
                             dimensionless_x=(0.0,))
+        # tuples are stored as float arrays
+        density = SpectralDensity(grid=(1, 2), values=(0.0, 3.0),
+                                  dimensionless_x=(0.5, 1.0))
+        for field in (density.grid, density.values, density.dimensionless_x):
+            assert isinstance(field, np.ndarray) and field.dtype == np.float64
+        assert density.grid.tolist() == [1.0, 2.0]
 
     def test_rejects_non_finite(self):
         for bad in (math.nan, math.inf, -math.inf):
