@@ -327,19 +327,46 @@ def _trig(x: np.ndarray) -> tuple[np.ndarray, ...]:
 def _node_factors(v: np.ndarray) -> np.ndarray:
     """Rows of the nodes v: _trig(v), then their factors in _closed_form's
     2N (2 rows), X and Y (7 rows each; 3 of X's are zero)."""
-    (s, c, s2, c2), v2, z = _trig(v), v * v, np.zeros_like(v)
-    return np.stack((s, c, s2, c2, 2.0 * v * c, -2.0 * s,
-                     -3.0 * v2 * s2, -s2, z, z, v2 * v * c2, 3.0 * v * c2, z,
-                     4.0 * v2 * v * s * s, 4.0 * v * s * s, 4.0 * v2 * v,
-                     4.0 * v, -0.5 * v2 * v2 * s2, -3.0 * v2 * s2, -0.5 * s2))
+    # filled row by row, so that one row's temporaries are live at a time:
+    # ~25 floats a node at the peak, ~39 for a stack of the rows
+    t = np.empty((20, v.size))
+    t[0], t[1], t[2], t[3] = _trig(v)
+    (s, c, s2, c2), v2 = t[:4], v * v
+    t[4] = 2.0 * v * c
+    t[5] = -2.0 * s
+    t[6] = -3.0 * v2 * s2
+    t[7] = -s2
+    t[8:10] = 0.0
+    t[10] = v2 * v * c2
+    t[11] = 3.0 * v * c2
+    t[12] = 0.0
+    t[13] = 4.0 * v2 * v * s * s
+    t[14] = 4.0 * v * s * s
+    t[15] = 4.0 * v2 * v
+    t[16] = 4.0 * v
+    t[17] = -0.5 * v2 * v2 * s2
+    t[18] = -3.0 * v2 * s2
+    t[19] = -0.5 * s2
+    return t
 
 
 def _point_factors(u: np.ndarray) -> np.ndarray:
     """Rows of the output points u: _trig(u), then their factors in
     _closed_form's N (2 rows) and in X and Y (7 rows, shared)."""
-    (s, c, s2, c2), u2 = _trig(u), u * u
-    return np.stack((s, c, s2, c2, s, u * c, u * c2, u2 * u * c2, u * s * s,
-                     u2 * u * s * s, s2, u2 * s2, u2 * u2 * s2))
+    # filled row by row, as _node_factors's rows are
+    t = np.empty((13, u.size))
+    t[0], t[1], t[2], t[3] = _trig(u)
+    (s, c, s2, c2), u2 = t[:4], u * u
+    t[4] = s
+    t[5] = u * c
+    t[6] = u * c2
+    t[7] = u2 * u * c2
+    t[8] = u * s * s
+    t[9] = u2 * u * s * s
+    t[10] = s2
+    t[11] = u2 * s2
+    t[12] = u2 * u2 * s2
+    return t
 
 
 def _even_series(coeffs: np.ndarray, k2: np.ndarray) -> np.ndarray:

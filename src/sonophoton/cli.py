@@ -251,15 +251,18 @@ def _build_config_parser() -> _Parser:
 
 def _config_path(argv: list[str]) -> str | None:
     """--config from the command line of the command argv[0], read before
-    the full parse so that a required parameter may come from the file."""
+    the full parse so that a required parameter may come from the file;
+    None for an argv without a command, whose error is argparse's."""
+    entry = _plain_table().get(argv[0]) if argv else None
+    if entry is None:
+        return None
     # argparse reads --config from an argument whose part before any "="
     # prefixes "--config"; a bare "--" ends the options.  A prefix that
     # another option shares ("--c": --cutoff-nm; "--=PATH": all) is ambiguous.
     names = {arg.partition("=")[0] for arg in argv[1:]
              if arg.startswith("--") and arg != "--"}
     names = {name for name in names if "--config".startswith(name)}
-    options = _plain_table().get(argv[0], ({},))[0] if names else ()
-    if not names or any(sum(o.startswith(name) for o in options) > 1
+    if not names or any(sum(o.startswith(name) for o in entry[0]) > 1
                         for name in names):
         return None
     return _build_config_parser().parse_known_args(argv[1:])[0].config
@@ -284,23 +287,23 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _write_csv(command: str, params: dict, header: str, rows,
+# Each command renders its own data lines: one f-string of its header's
+# shape with a "{cell!s}" slot per column, "" for a column left blank, so a
+# cell is its str (for a float the shortest round-trip repr, nearly all of
+# the cost).  On CPython 3.11 that spares each row an inner comprehension's
+# call and each cell a None test and a str call, 11-16 % of a row's time;
+# str.format templates, per-row % and one flat comprehension saved <= 6 %.
+def _write_csv(command: str, params: dict, header: str, lines: list[str],
                output: str | None, **extra) -> None:
     """Writes the '#' preamble (version, command, polarization factor,
-    then params and extra by sorted key), the header and a line of _cell
-    values per row to output or stdout; a row that raises writes nothing."""
+    then params and extra by sorted key), the header and the data lines
+    to output or stdout."""
     merged = {**params, **extra}
-    # row by row, _cell inlined: a call per cell made a 200-row sweep's
-    # formatting ~10 % slower.  One str pass per column saved ~1 % of a
-    # 261-row spectrum's formatting (str itself is the cost) but added
-    # ~2-4 us (+40-80 %) to the one- and two-row outputs of totals and
-    # solve-nin
-    lines = [f"# sonophoton {__version__}", f"# command = {command}",
-             f"# polarization_factor = {_cell(POLARIZATIONS)}",
-             *[f"# {key} = {_cell(merged[key])}" for key in sorted(merged)],
-             header, *[",".join(["" if cell is None else str(cell)
-                                 for cell in row]) for row in rows]]
-    text = "\n".join(lines) + "\n"
+    text = "\n".join([f"# sonophoton {__version__}", f"# command = {command}",
+                      f"# polarization_factor = {_cell(POLARIZATIONS)}",
+                      *[f"# {key} = {_cell(merged[key])}"
+                        for key in sorted(merged)],
+                      header, *lines]) + "\n"
     if output is None:
         sys.stdout.write(text)
         return
@@ -319,19 +322,30 @@ def cmd_spectrum(params: dict, output: str | None) -> int:
     model = params["model"]
     if model == "infinite":
         omega, x = spectral_grid(geometry, fconfig)
-        finite_vals = [None] * omega.size
     else:
         dens = spectrum_finite(transition, geometry, fconfig)
         omega, x = dens.grid, dens.dimensionless_x
-        finite_vals = dens.values.tolist()
-    infinite_vals = ([None] * omega.size if model == "finite" else
-                     spectrum_infinite(transition, geometry, omega).tolist())
+    columns = [x.tolist(), omega.tolist(),
+               (omega / (2.0 * math.pi)).tolist()]
+    if model != "finite":
+        columns.append(
+            spectrum_infinite(transition, geometry, omega).tolist())
+    if model != "infinite":
+        columns.append(dens.values.tolist())
+    # the model not run leaves its column blank
+    if model == "both":
+        lines = [f"{a!s},{w!s},{nu!s},{inf!s},{fin!s}"
+                 for a, w, nu, inf, fin in zip(*columns)]
+    elif model == "infinite":
+        lines = [f"{a!s},{w!s},{nu!s},{inf!s},"
+                 for a, w, nu, inf in zip(*columns)]
+    else:
+        lines = [f"{a!s},{w!s},{nu!s},,{fin!s}"
+                 for a, w, nu, fin in zip(*columns)]
     _write_csv("spectrum", params,
                "x,omega_out_rad_s,nu_Hz,dNdomega_infinite,dNdomega_finite",
-               zip(x.tolist(), omega.tolist(),
-                   (omega / (2.0 * math.pi)).tolist(), infinite_vals,
-                   finite_vals),
-               output, k_gas_cutoff_x=geometry.k_gas_cutoff * geometry.radius)
+               lines, output,
+               k_gas_cutoff_x=geometry.k_gas_cutoff * geometry.radius)
     return EXIT_OK
 
 
@@ -348,9 +362,9 @@ def cmd_totals(params: dict, output: str | None) -> int:
     _write_csv("totals", params,
                "model,photon_count,total_energy_J,mean_energy_J,"
                "mean_energy_eV,mean_over_cutoff",
-               [(name, summary.photon_count, summary.total_energy,
-                 summary.mean_energy, joule_to_ev(summary.mean_energy),
-                 summary.mean_over_cutoff) for name, summary in rows],
+               [f"{name!s},{s.photon_count!s},{s.total_energy!s},"
+                f"{s.mean_energy!s},{joule_to_ev(s.mean_energy)!s},"
+                f"{s.mean_over_cutoff!s}" for name, s in rows],
                output)
     return EXIT_OK
 
@@ -358,13 +372,14 @@ def cmd_totals(params: dict, output: str | None) -> int:
 def cmd_solve_nin(params: dict, output: str | None) -> int:
     n_out, target = params["n_out"], params["target"]
     pair = solve_n_in(n_out, target, params["n_liquid"], params["k_obs_r"])
-    rows = []
+    lines = []
     for name, root in (("low", pair.n_in_low), ("high", pair.n_in_high)):
         back = photons_from_count_formula(root, n_out, params["n_liquid"],
                                           params["k_obs_r"])
-        rows.append((name, root, back, abs(back - target) / target))
+        lines.append(
+            f"{name!s},{root!s},{back!s},{abs(back - target) / target!s}")
     _write_csv("solve-nin", params,
-               "branch,n_in,back_substituted_count,relative_residual", rows,
+               "branch,n_in,back_substituted_count,relative_residual", lines,
                output)
     return EXIT_OK
 
@@ -387,10 +402,13 @@ def cmd_table1(params: dict, output: str | None) -> int:
         rows.append((n_in, n_out, n_fin, ref_n, n_fin / ref_n - 1.0, ratio,
                      ref_ratio, ratio - ref_ratio, closed, n_fin / closed,
                      "ok"))
+    # a failed case's missing values are blank cells
     _write_csv("table1", params,
                "n_gas_in,n_gas_out,N_finite,N_reference,N_rel_dev,"
                "ratio_finite,ratio_reference,ratio_dev,N_closed_form,"
-               "finite_over_closed,status", rows, output)
+               "finite_over_closed,status",
+               [",".join([_cell(cell) for cell in row]) for row in rows],
+               output)
     report = [_TABLE1_HEAD] + [
         _TABLE1_ROW.format(*row[:4], 100 * row[4], *row[5:10])
         if row[-1] == "ok" else
@@ -411,9 +429,10 @@ def cmd_sweep(params: dict, output: str | None) -> int:
     # which sweep_figure1 refuses
     with np.errstate(all="ignore"):
         grid = lo + (hi - lo) * np.arange(npts) / (npts - 1)
+    rows = sweep_figure1(params["target"], params["n_liquid"],
+                         params["k_obs_r"], grid)
     _write_csv("sweep", params, "n_out,n_in_low,n_in_high",
-               sweep_figure1(params["target"], params["n_liquid"],
-                             params["k_obs_r"], grid), output)
+               [f"{n!s},{low!s},{high!s}" for n, low, high in rows], output)
     return EXIT_OK
 
 
@@ -430,12 +449,13 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
-        # File values go before the flags, so the flags win.
-        path = _config_path(argv)
-        if path:
-            argv = argv[:1] + _config_tokens(path) + argv[1:]
+        # A plain argv can name --config only by its exact string.
         params = _parse_plain(argv)
-        if params is None:
+        if params is None or params["config"] is not None:
+            # File values go before the flags, so the flags win.
+            path = _config_path(argv)
+            if path:
+                argv = argv[:1] + _config_tokens(path) + argv[1:]
             params = vars(parser.parse_args(argv))
         command = params.pop("command")
         if command is None:

@@ -12,6 +12,7 @@ import pytest
 import sonophoton
 from sonophoton import bubble, cli, specfun
 from sonophoton.cli import main
+from sonophoton.core import nm_to_m
 
 from oracles import rel_err
 
@@ -134,6 +135,30 @@ class TestSpectrumCommand:
             columns.append([row[:3] for row in parse_csv(text)[2]])
         assert columns[0] == columns[1] == columns[2]
 
+    @pytest.mark.parametrize("model", ["both", "finite", "infinite"])
+    def test_rows_are_the_cells_str(self, model, tmp_path):
+        # each model's row template: a cell per column, its str, and the
+        # model not run left as an empty field
+        code, text = run(HEADLINE_SPECTRUM[:-1] + [model], tmp_path)
+        assert code == 0
+        transition = sonophoton.MediumTransition(n_in=2e4, n_out=1.0)
+        geometry = sonophoton.BubbleGeometry(nm_to_m(500.0), 1.3,
+                                             nm_to_m(200.0), 1.0)
+        dens = sonophoton.spectrum_finite(transition, geometry)
+        omega = dens.grid
+        infinite = sonophoton.spectrum_infinite(transition, geometry,
+                                                omega).tolist()
+        finite = dens.values.tolist()
+        blank = [None] * omega.size
+        rows = zip(dens.dimensionless_x.tolist(), omega.tolist(),
+                   (omega / (2.0 * math.pi)).tolist(),
+                   blank if model == "finite" else infinite,
+                   blank if model == "infinite" else finite)
+        data = [line for line in text.splitlines() if not line.startswith("#")]
+        assert data[1:] == [",".join("" if c is None else str(c) for c in row)
+                            for row in rows]
+        assert len(data) == 262
+
     def test_no_change_zero_spectrum(self, tmp_path):
         args = ["spectrum", "--n-gas-in", "5", "--n-gas-out", "5",
                 "--k-obs-r", "5", "--grid-points", "12", "--model", "both"]
@@ -141,6 +166,35 @@ class TestSpectrumCommand:
         assert code == 0
         _, _, rows = parse_csv(text)
         assert all(float(r[3]) == 0.0 and float(r[4]) == 0.0 for r in rows)
+
+
+class TestTable1Command:
+    def test_failed_case_row_is_blank(self, tmp_path, monkeypatch):
+        # a case whose finite-volume run fails keeps its row, with the
+        # values it lacks blank, and the other four rows are written
+        totals = cli.totals_finite
+
+        def fail_68(transition, geometry, config):
+            if transition.n_in == 68.0:
+                raise sonophoton.NumericalError("no convergence")
+            return totals(transition, geometry, config)
+
+        monkeypatch.setattr(cli, "totals_finite", fail_68)
+        code, text = run(["table1", "--k-obs-r", "3", "--grid-points", "12"],
+                         tmp_path)
+        assert code == 3
+        _, header, rows = parse_csv(text)
+        assert len(header) == 11
+        assert [row[:2] for row in rows] == [
+            [repr(n_in), repr(n_out)] for n_in, n_out in cli.TABLE1_CASES]
+        assert [row[-1] for row in rows] == [
+            "ok", "ok", "failed: no convergence", "ok", "ok"]
+        failed = rows[2]
+        assert [i for i, cell in enumerate(failed) if cell == ""] == [
+            2, 4, 5, 7, 9]
+        assert failed[3] == "1060000.0" and failed[6] == "0.751"
+        assert float(failed[8]) > 0.0
+        assert all("" not in row for i, row in enumerate(rows) if i != 2)
 
 
 class TestTotalsCommand:
@@ -374,6 +428,16 @@ class TestExitCodes:
     def test_no_command_is_usage(self):
         assert main([]) == 1
 
+    @pytest.mark.parametrize("flag", [["--config", "{}"], ["--={}"]],
+                             ids=["config", "empty-prefix"])
+    def test_unknown_command_with_config_is_usage(self, flag, tmp_path,
+                                                  capsys):
+        # argparse refuses the argv (exit 1) before the missing file could
+        # be read (exit 2), as it refuses ["bogus"]
+        path = tmp_path / "nope.cfg"
+        assert main(["bogus"] + [t.format(path) for t in flag]) == 1
+        assert "cannot read config file" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["solve-nin", "--n-out", "abc", "--target", "1e6"],
         ["sweep", "--n-out-points", "2.5"],
@@ -512,7 +576,9 @@ def test_csv_writer_cells(capsys):
              None if i % 5 == 0 else forms[(3 * i) % len(forms)],
              None if i > 20 else "None")
             for i in range(40)]
-    cli._write_csv("test", {}, "a,b,c,d", rows, None)
+    cli._write_csv("test", {}, "a,b,c,d",
+                   [",".join([cli._cell(c) for c in row]) for row in rows],
+                   None)
     lines = capsys.readouterr().out.splitlines()
     assert lines[-len(rows) - 1] == "a,b,c,d"
     assert lines[-len(rows):] == [
