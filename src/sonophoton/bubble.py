@@ -122,6 +122,7 @@ and so it does for the output points below 1/2 against the nodes above 2
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -235,9 +236,7 @@ class FiniteSpectrumConfig:
             raise DomainError("grid_extend must lie in [1, 4]")
 
 
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
 
@@ -245,17 +244,15 @@ def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     Tricomi-style initial guess; no eigensolver, so numpy.polynomial is
     not imported and no LAPACK routine runs.
     """
-    if order not in _GAUSS_CACHE:
-        x = -np.cos(math.pi * (np.arange(order) + 0.75) / (order + 0.5))
-        for _ in range(8):
-            p_lo, p = np.ones_like(x), x.copy()
-            for n in range(2, order + 1):
-                p_lo, p = p, ((2 * n - 1) * x * p - (n - 1) * p_lo) / n
-            dp = order * (x * p - p_lo) / (x * x - 1.0)
-            x -= p / dp
-        w = 2.0 / ((1.0 - x * x) * dp * dp)
-        _GAUSS_CACHE[order] = (0.5 * (x - x[::-1]), 0.5 * (w + w[::-1]))
-    return _GAUSS_CACHE[order]
+    x = -np.cos(math.pi * (np.arange(order) + 0.75) / (order + 0.5))
+    for _ in range(8):
+        p_lo, p = np.ones_like(x), x.copy()
+        for n in range(2, order + 1):
+            p_lo, p = p, ((2 * n - 1) * x * p - (n - 1) * p_lo) / n
+        dp = order * (x * p - p_lo) / (x * x - 1.0)
+        x -= p / dp
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
 
 
 def _grid_size(config: FiniteSpectrumConfig) -> int:
@@ -479,119 +476,106 @@ def _l_weighted_sum(terms: np.ndarray) -> np.ndarray:
     return (weights @ terms.reshape(_SMALL_L, -1)).reshape(terms.shape[1:])
 
 
-class _SpectrumEngine:
-    """The angular sum's omega_in integral at every output point at once.
+def _rules(u: np.ndarray, n_in: float, n_out: float, edges: np.ndarray,
+           orders: tuple[int, ...]) -> np.ndarray:
+    """sum over the nodes of weight * Gauss weight * F(u, v) at the points
+    u, one row per Gauss-Legendre order, each on every panel of edges; one
+    pass over the nodes of all the orders."""
+    points = _point_factors(u)
+    mids = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    halves = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    rules = [_gauss_nodes(order) for order in orders]
+    v = np.concatenate([(mids + halves * x).ravel() for x, _ in rules])
+    # Gauss weights / pi^2 (see _closed_form), a row per order and at
+    # least two: numpy sends 1 x 1 products to ddot, threaded above 1e4
+    gauss = np.repeat(np.eye(max(2, len(orders)), len(orders)),
+                      [(edges.size - 1) * order for order in orders],
+                      axis=1)
+    gauss *= np.concatenate([(halves * w).ravel() / math.pi**2
+                             for _, w in rules])
+    nodes = _node_factors(v)
+    # the weight ((n_out v^2 + n_in u^2) / (n_out v + n_in u))^2, in parts
+    wv2, wv = (v * v * n_out)[:, None], (v * n_out)[:, None]
+    wu2, wu = u * u * n_in, u * n_in
+    # the pairs the closed form cannot take: the first n_small points
+    # (u ascends) against the nodes v_small, and the first n_tiny
+    # points against the nodes v_large, the latter from one j_l table
+    below = v < _SMALL_ARG
+    v_small, v_large = np.flatnonzero(below), np.flatnonzero(~below)
+    n_small = int(np.searchsorted(u, _SMALL_ARG)) if v_small.size else 0
+    n_tiny = int(np.searchsorted(u, _TINY_ARG)) if v_large.size else 0
+    if n_tiny:
+        jl = sph_jn_table(_SMALL_L, np.concatenate((u[:n_tiny], v[v_large])))
+        ju_tiny, jv_large = jl[:, :n_tiny], jl[:, n_tiny:]
+    out = np.empty((gauss.shape[0], u.size))
+    width = max(1, _BLOCK_ELEMENTS // v.size)
+    for c0 in range(0, u.size, width):
+        c1 = min(c0 + width, u.size)
+        # finite where u or v is >= _SMALL_ARG; the rest is replaced below
+        f = _closed_form(v, u[c0:c1], nodes, points[:, c0:c1])
+        if c0 < n_small:
+            m = min(c1, n_small)
+            f[v_small, :m - c0] = _small_block(v[v_small], u[c0:m])
+        if c0 < n_tiny:
+            m = min(c1, n_tiny)
+            f[v_large, :m - c0] = _lommel_block(v[v_large], u[c0:m],
+                                                jv_large, ju_tiny[:, c0:m])
+        w = wv2 + wu2[c0:c1]
+        w /= wv + wu[c0:c1]
+        w *= w
+        f *= w
+        out[:, c0:c1] = gauss @ f
+    return out[:len(orders)]
+
+
+def _sums(u: np.ndarray, n_in: float, n_out: float, kr: float,
+          tol: float) -> np.ndarray:
+    """sum_l (2l+1) I_l(u) over every l >= 1 at every output point u.
 
     Works in the dimensionless variables u = n_gas_out w_out R / c (the
-    output points) and v = n_gas_in w_in R / c on [v_min, K R].  All
-    points share one set of Gauss-Legendre panels (_panel_edges): equal
+    output points, ascending) and v = n_gas_in w_in R / c on [v_min, K R].
+    All points share one set of Gauss-Legendre panels (_panel_edges): equal
     panels no wider than _PANEL_WIDTH, the first one graded where
     n_out > n_in.  They depend on K R and the indices, not on the output
     grid.  The integrand at a (node, point) pair is weight times
     F(u, v) = sum_{l>=1} (2l+1) lambda_l(u, v)^2, summed over every l in
     closed form (_closed_form) from factors of u and of v tabulated once
-    per pass, so no transcendental function runs per pair.  A pass sums
-    all the rules of a level over column blocks of about _BLOCK_ELEMENTS
-    pairs, each block in one product with their Gauss weights.  The pairs
-    with u and v both below _SMALL_ARG take the explicit l sum of
-    _small_block instead (each L_l from its power series), and the points
-    below _TINY_ARG against the nodes at or above _SMALL_ARG that of
-    _lommel_block, from one j_l table per pass.  The value is the order
-    _VALUE_ORDER rule's.  At the first level order _ESTIMATE_ORDER against
-    it on the same panels estimates the error: |sum_l (I_l^24 - I_l^16)|,
-    the difference of the l-summed integrals, since no single l is formed.
-    Points that miss quad_rel_tol are redone with the value's rule on
-    bisected panels, up to _LEVELS - 1 times, each against the one before.
+    per pass, so no transcendental function runs per pair.  A pass
+    (_rules) sums all the rules of a level over column blocks of about
+    _BLOCK_ELEMENTS pairs, each block in one product with their Gauss
+    weights.  The pairs with u and v both below _SMALL_ARG take the
+    explicit l sum of _small_block instead (each L_l from its power
+    series), and the points below _TINY_ARG against the nodes at or above
+    _SMALL_ARG that of _lommel_block, from one j_l table per pass.  The
+    value is the order _VALUE_ORDER rule's.  At the first level order
+    _ESTIMATE_ORDER against it on the same panels estimates the error:
+    |sum_l (I_l^24 - I_l^16)|, the difference of the l-summed integrals,
+    since no single l is formed.  Points that miss the relative tolerance
+    tol are redone with the value's rule on bisected panels, up to
+    _LEVELS - 1 times, each against the one before.
+
+    Raises NumericalError for the lowest point whose quadrature does not
+    converge.
     """
-
-    def __init__(self, n_gas_in: float, n_gas_out: float, kr: float,
-                 u: np.ndarray, config: FiniteSpectrumConfig):
-        self.n_in = n_gas_in
-        self.n_out = n_gas_out
-        self.config = config
-        self.u = u
-        self.points = _point_factors(u)
-        self.edges = _panel_edges(kr, n_gas_out > n_gas_in)
-
-    def _rules(self, edges: np.ndarray, orders: tuple[int, ...],
-               cols: np.ndarray) -> np.ndarray:
-        """sum over the nodes of weight * Gauss weight * F(u, v) at the
-        points u[cols], one row per Gauss-Legendre order, each on every
-        panel of edges; one pass over the nodes of all the orders."""
-        u = self.u[cols]
-        points = self.points[:, cols]
-        mids = 0.5 * (edges[1:] + edges[:-1])[:, None]
-        halves = 0.5 * (edges[1:] - edges[:-1])[:, None]
-        rules = [_gauss_nodes(order) for order in orders]
-        v = np.concatenate([(mids + halves * x).ravel() for x, _ in rules])
-        # Gauss weights / pi^2 (see _closed_form), a row per order and at
-        # least two: numpy sends 1 x 1 products to ddot, threaded above 1e4
-        gauss = np.repeat(np.eye(max(2, len(orders)), len(orders)),
-                          [(edges.size - 1) * order for order in orders],
-                          axis=1)
-        gauss *= np.concatenate([(halves * w).ravel() / math.pi**2
-                                 for _, w in rules])
-        nodes = _node_factors(v)
-        # the weight ((n_out v^2 + n_in u^2) / (n_out v + n_in u))^2, in parts
-        wv2, wv = (v * v * self.n_out)[:, None], (v * self.n_out)[:, None]
-        wu2, wu = u * u * self.n_in, u * self.n_in
-        # the pairs the closed form cannot take: the first n_small points
-        # (u ascends) against the nodes v_small, and the first n_tiny
-        # points against the nodes v_large, the latter from one j_l table
-        below = v < _SMALL_ARG
-        v_small, v_large = np.flatnonzero(below), np.flatnonzero(~below)
-        n_small = int(np.searchsorted(u, _SMALL_ARG)) if v_small.size else 0
-        n_tiny = int(np.searchsorted(u, _TINY_ARG)) if v_large.size else 0
-        if n_tiny:
-            jl = sph_jn_table(_SMALL_L,
-                              np.concatenate((u[:n_tiny], v[v_large])))
-            ju_tiny, jv_large = jl[:, :n_tiny], jl[:, n_tiny:]
-        out = np.empty((gauss.shape[0], u.size))
-        width = max(1, _BLOCK_ELEMENTS // v.size)
-        for c0 in range(0, u.size, width):
-            c1 = min(c0 + width, u.size)
-            # finite where u or v is >= _SMALL_ARG; the rest is replaced below
-            f = _closed_form(v, u[c0:c1], nodes, points[:, c0:c1])
-            if c0 < n_small:
-                m = min(c1, n_small)
-                f[v_small, :m - c0] = _small_block(v[v_small], u[c0:m])
-            if c0 < n_tiny:
-                m = min(c1, n_tiny)
-                f[v_large, :m - c0] = _lommel_block(v[v_large], u[c0:m],
-                                                    jv_large,
-                                                    ju_tiny[:, c0:m])
-            w = wv2 + wu2[c0:c1]
-            w /= wv + wu[c0:c1]
-            w *= w
-            f *= w
-            out[:, c0:c1] = gauss @ f
-        return out[:len(orders)]
-
-    def sums(self) -> np.ndarray:
-        """sum_l (2l+1) I_l(u) over every l >= 1 at every point u.
-
-        Raises NumericalError for the lowest point whose quadrature does
-        not converge.
-        """
-        tol = self.config.quad_rel_tol
-        cols = np.arange(self.u.size)
-        edges = self.edges
-        prev, cur = self._rules(edges, (_ESTIMATE_ORDER, _VALUE_ORDER), cols)
-        out = np.empty(self.u.size)
-        for level in range(1, _LEVELS + 1):
-            if level >= 2:                 # bisect every panel
-                edges = np.insert(edges, np.arange(1, edges.size),
-                                  0.5 * (edges[1:] + edges[:-1]))
-                prev, (cur,) = cur, self._rules(edges, (_VALUE_ORDER,), cols)
-            scale = np.where(cur != 0.0, np.abs(cur), 1.0)
-            done = np.abs(cur - prev) <= tol * scale
-            out[cols[done]] = cur[done]
-            cols, cur = cols[~done], cur[~done]
-            if cols.size == 0:
-                return out
-        raise NumericalError(
-            f"omega_in quadrature failed to reach rel tol {tol} at "
-            f"x_out={float(self.u[cols[0]])!r}")
+    edges = _panel_edges(kr, n_out > n_in)
+    cols = np.arange(u.size)
+    prev, cur = _rules(u, n_in, n_out, edges, (_ESTIMATE_ORDER, _VALUE_ORDER))
+    out = np.empty(u.size)
+    for level in range(1, _LEVELS + 1):
+        if level >= 2:                 # bisect every panel
+            edges = np.insert(edges, np.arange(1, edges.size),
+                              0.5 * (edges[1:] + edges[:-1]))
+            prev, (cur,) = cur, _rules(u[cols], n_in, n_out, edges,
+                                       (_VALUE_ORDER,))
+        scale = np.where(cur != 0.0, np.abs(cur), 1.0)
+        done = np.abs(cur - prev) <= tol * scale
+        out[cols[done]] = cur[done]
+        cols, cur = cols[~done], cur[~done]
+        if cols.size == 0:
+            return out
+    raise NumericalError(
+        f"omega_in quadrature failed to reach rel tol {tol} at "
+        f"x_out={float(u[cols[0]])!r}")
 
 
 def check_grid_points(n_points: int, knob: str) -> None:
@@ -633,7 +617,7 @@ def spectrum_finite(transition: MediumTransition, geometry: BubbleGeometry,
     The grid runs from one spacing above zero up to grid_extend times
     the gas-side cutoff frequency, with a sample exactly at the cutoff.
     All points are evaluated together on one shared node set (see
-    _SpectrumEngine).  A problem whose first pass would sum more than
+    _sums).  A problem whose first pass would sum more than
     _MAX_NODE_PAIRS (node, point) pairs, or whose engine arrays would
     exceed _MAX_ENGINE_BYTES, is refused with DomainError before any
     array is built.
@@ -663,10 +647,10 @@ def spectrum_finite(transition: MediumTransition, geometry: BubbleGeometry,
             f"grid_points")
 
     omega_grid, x_grid = spectral_grid(geometry, config)
-    engine = _SpectrumEngine(n_in, n_out, kr, x_grid, config)
+    sums = _sums(x_grid, n_in, n_out, kr, config.quad_rel_tol)
     dn = transition.delta_n
     prefactor = POLARIZATIONS * 0.25 * dn * dn * radius / (c * n_in)
-    return SpectralDensity(grid=omega_grid, values=prefactor * engine.sums(),
+    return SpectralDensity(grid=omega_grid, values=prefactor * sums,
                            dimensionless_x=x_grid)
 
 

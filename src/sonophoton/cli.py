@@ -173,11 +173,7 @@ def _plain_table() -> dict[str, tuple[dict, dict, frozenset]]:
         for action in sub._actions:
             if argparse.SUPPRESS in (action.dest, action.default):
                 continue
-            default = action.default
-            # argparse converts a string default when the option is absent
-            if isinstance(default, str) and action.type is not None:
-                default = action.type(default)
-            defaults.setdefault(action.dest, default)
+            defaults.setdefault(action.dest, action.default)
             if type(action) is argparse._StoreAction and action.nargs is None:
                 options.update(dict.fromkeys(action.option_strings, action))
         table[name] = (options, defaults,
@@ -243,8 +239,9 @@ def _config_tokens(path: str) -> list[str]:
 @functools.cache
 def _build_config_parser() -> _Parser:
     """The pre-parser of _config_path, built once per process like
-    _build_parser's."""
-    pre = _Parser(prog="sonophoton", add_help=False)
+    _build_parser's.  It raises argparse.ArgumentError instead of printing
+    its own usage, so that the full parse reports the error."""
+    pre = _Parser(prog="sonophoton", add_help=False, exit_on_error=False)
     pre.add_argument("--config")
     return pre
 
@@ -252,7 +249,8 @@ def _build_config_parser() -> _Parser:
 def _config_path(argv: list[str]) -> str | None:
     """--config from the command line of the command argv[0], read before
     the full parse so that a required parameter may come from the file;
-    None for an argv without a command, whose error is argparse's."""
+    None for an argv without a command or a --config without a value,
+    whose error is argparse's."""
     entry = _plain_table().get(argv[0]) if argv else None
     if entry is None:
         return None
@@ -265,7 +263,10 @@ def _config_path(argv: list[str]) -> str | None:
     if not names or any(sum(o.startswith(name) for o in entry[0]) > 1
                         for name in names):
         return None
-    return _build_config_parser().parse_known_args(argv[1:])[0].config
+    try:
+        return _build_config_parser().parse_known_args(argv[1:])[0].config
+    except argparse.ArgumentError:
+        return None  # "--config" without a value
 
 
 def _geometry(params: dict, n_out: float):
@@ -454,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
         if params is None or params["config"] is not None:
             # File values go before the flags, so the flags win.
             path = _config_path(argv)
-            if path:
+            if path is not None:
                 argv = argv[:1] + _config_tokens(path) + argv[1:]
             params = vars(parser.parse_args(argv))
         command = params.pop("command")

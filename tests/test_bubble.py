@@ -319,6 +319,9 @@ class TestSpectrumFinite:
             FiniteSpectrumConfig(quad_rel_tol=2.0)
         with pytest.raises(DomainError):
             FiniteSpectrumConfig(quad_rel_tol=0.5 * bubble._MIN_REL_TOL)
+        for extend in (0.99, 4.01):
+            with pytest.raises(DomainError, match="grid_extend"):
+                FiniteSpectrumConfig(grid_extend=extend)
 
     def test_spectral_grid_contains_cutoff(self):
         cfg = FiniteSpectrumConfig(grid_points=50, grid_extend=1.3)
@@ -570,7 +573,7 @@ def test_output_points_on_and_beside_gauss_nodes():
         u = np.sort(np.concatenate((on, on - 1e-9, on + 1e-9)))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = bubble._SpectrumEngine(n_in, n_out, kr, u, cfg).sums()
+            got = bubble._sums(u, n_in, n_out, kr, cfg.quad_rel_tol)
         oracle = engine_oracle._SpectrumEngine(n_in, n_out, kr, cfg)
         want = np.array([oracle.sum_at(float(x)) for x in u])
         assert np.all(np.isfinite(got))
@@ -602,14 +605,12 @@ def test_first_level_estimate_bounds_the_error(n_in, n_out, geom):
     kr = geom.k_gas_cutoff * geom.radius
     cfg = FiniteSpectrumConfig()
     u = np.asarray(spectral_grid(geom, cfg)[1])
-    engine = bubble._SpectrumEngine(n_in, n_out, kr, u, cfg)
-    cols = np.arange(u.size)
-    low, value = engine._rules(engine.edges, (_ESTIMATE_ORDER, _VALUE_ORDER),
-                               cols)
-    edges = engine.edges
+    edges = _panel_edges(kr, n_out > n_in)
+    low, value = bubble._rules(u, n_in, n_out, edges,
+                               (_ESTIMATE_ORDER, _VALUE_ORDER))
     for _ in range(3):
         edges = bisected(edges)
-    (reference,) = engine._rules(edges, (_VALUE_ORDER,), cols)
+    (reference,) = bubble._rules(u, n_in, n_out, edges, (_VALUE_ORDER,))
     error = np.abs(value - reference) / reference
     estimate = np.abs(value - low) / reference
     resolved = error > 3e-14
@@ -715,6 +716,25 @@ class TestProblemSizeGuard:
         start = time.perf_counter()
         with pytest.raises(DomainError, match="too large"):
             spectrum_finite(tr, geom)
+        assert time.perf_counter() - start < 1.0
+
+    def test_too_many_node_pairs_refused(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("a Bessel table or a pass was built")
+
+        # 27 300 output points against 41 520 first-pass nodes: the node
+        # pairs pass _MAX_NODE_PAIRS while the arrays (~175 MB) stay below
+        # _MAX_ENGINE_BYTES, so the pair guard alone refuses the problem
+        monkeypatch.setattr(bubble, "sph_jn_table", no_table)
+        monkeypatch.setattr(bubble, "_closed_form", no_table)
+        tr = MediumTransition(n_in=2.0, n_out=1.5)
+        geom = kr_geometry(13000.0, 1.5)
+        cfg = FiniteSpectrumConfig(grid_points=21000)
+        kr = geom.k_gas_cutoff * geom.radius
+        assert _engine_bytes(kr, cfg) < bubble._MAX_ENGINE_BYTES
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="node pairs"):
+            spectrum_finite(tr, geom, cfg)
         assert time.perf_counter() - start < 1.0
 
     def test_benchmark_table_fits(self):

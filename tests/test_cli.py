@@ -252,6 +252,14 @@ class TestSweepCommand:
         # grid without a RuntimeWarning, and sweep_figure1 refuses them
         assert main(["sweep", "--n-out-max", n_out_max]) == 1
 
+    @pytest.mark.parametrize("args", [
+        ["--n-out-min", "5", "--n-out-max", "2"],
+        ["--n-out-points", "1"],
+    ], ids=["descending", "one-point"])
+    def test_bad_grid_is_usage(self, args, capsys):
+        assert main(["sweep", *args]) == 1
+        assert "need 0 < n-out-min < n-out-max" in capsys.readouterr().err
+
     def test_default_grid_rows_are_pointwise_solves(self, tmp_path):
         code, text = run(["sweep"], tmp_path)
         assert code == 0
@@ -278,6 +286,21 @@ class TestConfigFile:
         assert any("n_out = 12" in line for line in preamble)
 
     SOLVE = ["solve-nin", "--n-out", "12", "--target", "1e6"]
+
+    def test_blank_and_comment_lines_skipped(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n# a comment\n   \nn_out = 12\n  # indented\n"
+                       "target = 1e6\n")
+        code, text = run(["solve-nin", "--config", str(cfg)], tmp_path)
+        assert code == 0
+        preamble, _, _ = parse_csv(text)
+        assert "# n_out = 12.0" in preamble
+
+    def test_line_without_equals_is_usage(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_out = 12\ntarget 1e6\n")
+        assert main(["solve-nin", "--config", str(cfg)]) == 1
+        assert f"{cfg}:2: expected 'key = value'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, entry", [
         (SOLVE, "bogus = 1"),
@@ -410,6 +433,25 @@ class TestConfigFile:
         assert main(["solve-nin", "--config", str(tmp_path / "nope.cfg"),
                      "--n-out", "12", "--target", "1e6"]) == 2
 
+    @pytest.mark.parametrize("flag", [["--config="], ["--config", ""]],
+                             ids=["config=", "config-empty"])
+    def test_empty_config_path_is_io_error(self, flag, capsys):
+        # an empty path names no file that can be read, as a missing one
+        assert main(self.SOLVE + flag) == 2
+        assert "error: cannot read config file" in capsys.readouterr().err
+
+    def test_config_without_value_is_commands_usage(self, capsys,
+                                                    monkeypatch):
+        # the same usage and error as any other option with no value
+        monkeypatch.setenv("COLUMNS", "80")
+        errs = {}
+        for flag in ("--config", "--output"):
+            assert main(self.SOLVE + [flag]) == 1
+            *errs[flag], last = capsys.readouterr().err.splitlines()
+            assert last == f"error: argument {flag}: expected one argument"
+        assert errs["--config"][0].startswith("usage: sonophoton solve-nin ")
+        assert errs["--config"] == errs["--output"]
+
 
 class TestExitCodes:
     def test_missing_required_is_usage(self):
@@ -507,7 +549,7 @@ class TestExitCodes:
         def no_engine(*args):
             raise AssertionError("the engine was built")
 
-        monkeypatch.setattr(bubble, "_SpectrumEngine", no_engine)
+        monkeypatch.setattr(bubble, "_sums", no_engine)
         for argv in (HEADLINE_SPECTRUM + ["--model", "finite"], ["table1"]):
             assert main(argv + ["--tol", "9e-14"]) == 1
             out, err = capsys.readouterr()

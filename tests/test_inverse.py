@@ -63,6 +63,12 @@ class TestSolveNIn:
         with pytest.raises(DomainError):
             solve_n_in(12.0, 0.0)
 
+    def test_n_liquid_cube_underflow_is_numerical(self):
+        # the roots are finite, but the back-substituted count divides by
+        # n_liquid^3, which underflows to 0
+        with pytest.raises(NumericalError, match="n_liquid\\^3 underflows"):
+            solve_n_in(1e-160, 1e6, n_liquid=1e-110)
+
     def test_branch_pair_ordering_enforced(self):
         with pytest.raises(DomainError):
             BranchPair(n_in_low=2.0, n_in_high=1.0, discriminant=1.0)

@@ -47,13 +47,17 @@ class TestSphericalJ:
         # to 463, x up to the top of the 68/34 output grid, 1.305 K R with
         # K R = 392.3), on both recurrence branches: x < lmax goes
         # downward, x >= lmax upward
+        # (the mpmath oracle is slow: each (l, x) is evaluated once)
         xs = np.array([92.0, 137.5, 250.0, 391.9, 462.5, 470.0, 490.0,
                        511.96])
+        want = {}
         for lmax in (100, 300, 400, 463):
             tab = sph_jn_table(lmax, xs)
             for l in sorted({0, 1, 100, 250, lmax} & set(range(lmax + 1))):
-                for x, got in zip(xs, tab[l]):
-                    assert_close(got, oracle_j(l, float(x)), rel=1e-12,
+                for x, got in zip(xs.tolist(), tab[l]):
+                    if (l, x) not in want:
+                        want[l, x] = oracle_j(l, x)
+                    assert_close(got, want[l, x], rel=1e-12,
                                  what=f"j_{l}({x}) in a table to {lmax}")
 
     def test_small_argument_table_to_lmax_10(self):
@@ -124,6 +128,13 @@ class TestSphericalJ:
             spherical_j(2, -0.5)
         with pytest.raises(DomainError):
             spherical_j(2, math.inf)
+
+    def test_table_domain_errors(self):
+        with pytest.raises(DomainError, match="one-dimensional"):
+            sph_jn_table(3, np.ones((2, 2)))
+        for bad in (-0.5, math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite and >= 0"):
+                sph_jn_table(3, np.array([1.0, bad]))
 
 
 class TestSphericalY:
