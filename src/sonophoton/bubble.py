@@ -83,10 +83,10 @@ sum_l (2l+1) J_nu(x)^2 = 2x/pi, and numerically in the test suite).
 Off resonance the bracket pairs each index with its own frequency,
 (n_out w_out^2 + n_in w_in^2); the alternative cross pairing
 (n_in + n_out) w_in w_out agrees on resonance (and therefore in every
-closed-form limit) but disagrees in the smeared-edge region, and the
-benchmark emission scenarios with extreme index asymmetry single out
-the direct pairing (see the decision notes shipped with the test
-suite; the benchmark table itself is regression-tested).
+closed-form limit) but disagrees in the smeared-edge region.  What
+pins the direct pairing is the benchmark table's regression test (the
+cross pairing moves its 2e4/1 row out of bounds); the off-resonance
+bracket has no first-principles check yet (ROADMAP).
 
 Angular sum in closed form.  In u = a R and v = b R the kernel is
 lambda_l(u, v) = (2 sqrt(uv) / pi) L_l(u, v), with the Lommel integral
@@ -293,8 +293,8 @@ def _engine_bytes(kr: float, config: FiniteSpectrumConfig,
     nodes at the last level): its series powers and their product with
     _LOMMEL_SERIES (2 _SERIES_POWERS.size floats), and one j_l argument
     for the points below _TINY_ARG.  Per j_l argument: the table
-    sph_jn_table returns and the table it gathers its branches into, with
-    the recurrence's buffers ((2 _SMALL_L + 15) floats).  Per node of the
+    sph_jn_table returns, the branch table it fills that from, j_0, j_1
+    and the ratio buffers ((2 _SMALL_L + 15) floats).  Per node of the
     finest pass: v, two Gauss weights, _node_factors with temporaries and
     indices (45 floats), and one j_l argument.  Per column block: 16 arrays
     of one block, at least one column of nodes (_closed_form's 6 on far

@@ -162,8 +162,9 @@ def _solve_grid(grid: np.ndarray, n_target: float, n_liquid: float,
     """(low, high, flagged) over the whole grid in one array pass.
 
     flagged marks every point where solve_n_in or the Vieta check could
-    fail, a superset of where they do: an invalid n_out, roots out of
-    order, at 0, at inf or NaN, or a failing root or Vieta check.
+    fail: an invalid n_out, roots out of order, at 0, at inf or NaN, or a
+    failing root or Vieta check.  Where neither does fail, low and high
+    hold solve_n_in's own bits: both paths run the same operations.
     n_liquid becomes a numpy float, so where its cube underflows the
     count formula gives inf, not the ZeroDivisionError of Python's float
     division.
@@ -207,7 +208,6 @@ def sweep_figure1(n_target: float, n_liquid: float, k_obs_r: float,
     # so numpy's warnings for the same values are not wanted
     with np.errstate(all="ignore"):
         low, high, flagged = _solve_grid(grid, n_target, n_liquid, k_obs_r)
-    rows = list(zip(n_outs, low.tolist(), high.tolist()))
     # One at a time and in grid order, the flagged points raise what the
     # point-by-point loop would have raised first.
     for i in np.flatnonzero(flagged).tolist():
@@ -217,5 +217,4 @@ def sweep_figure1(n_target: float, n_liquid: float, k_obs_r: float,
             raise NumericalError(
                 f"Vieta identity violated at n_out={n_out!r}: "
                 f"{pair.n_in_low * pair.n_in_high!r}")
-        rows[i] = (n_out, pair.n_in_low, pair.n_in_high)
-    return rows
+    return list(zip(n_outs, low.tolist(), high.tolist()))

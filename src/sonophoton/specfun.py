@@ -4,9 +4,10 @@ Spherical Bessel functions j_l of integer order as a table over
 l = 0..lmax and an array of arguments, and an overflow-safe log(sinh).
 
 Evaluation strategy for j_l: upward recurrence where it is stable
-(x >= l), otherwise Miller-style downward recurrence from a padded
-start order, normalized against the closed forms of j_0 / j_1
-(whichever is farther from a zero).
+(x >= l), otherwise Miller's downward recurrence from a padded start
+order, run on the ratios j_l / j_{l-1} (its continued-fraction form)
+and normalized against the closed forms of j_0 / j_1 (whichever is
+farther from a zero).
 """
 
 from __future__ import annotations
@@ -18,12 +19,6 @@ import numpy as np
 from .core import DomainError
 
 _LN2 = math.log(2.0)
-# Rescale threshold and factor for the downward recurrence trial solution:
-# exact powers of two, so a rescale never rounds.  Values below _BIG may
-# grow by 2**_HEADROOM_BITS before they overflow.
-_BIG = 2.0**830
-_SMALL = 2.0**-830
-_HEADROOM_BITS = 193
 
 
 def log_sinh(x: float) -> float:
@@ -63,84 +58,57 @@ def sph_jn_table(lmax: int, x: np.ndarray) -> np.ndarray:
         raise DomainError("x must be one-dimensional")
     if np.any(~np.isfinite(x)) or np.any(x < 0.0):
         raise DomainError("x must be finite and >= 0")
-    n = x.size
-    # (columns, table) per branch; one table that covers every column is
-    # returned as it is, otherwise the branches are gathered into one
-    parts = []
-
-    tiny = x < 1e-8
-    live = np.flatnonzero(~tiny)
-    if live.size < n:
-        # leading series term x^l / (2l+1)!!: exact in double below 1e-8,
-        # and it underflows gracefully to 0 as l grows
-        cols = np.flatnonzero(tiny)
-        xt = x[cols]
-        tab = np.empty((lmax + 1, xt.size))
-        tab[0] = 1.0
-        for l in range(1, lmax + 1):
-            tab[l] = tab[l - 1] * xt / (2 * l + 1)
-        parts.append((cols, tab))
-
-    xl = x if live.size == n else x[live]
-    sinx = np.sin(xl)
-    cosx = np.cos(xl)
-    j0 = sinx / xl
-    j1 = sinx / xl**2 - cosx / xl
-
-    up = xl >= lmax  # upward stable: every order l <= lmax sits below x
-    if np.any(up):
-        xu = xl[up]
-        tab = np.empty((lmax + 1, xu.size))
-        tab[0] = j0[up]
-        if lmax:
-            tab[1] = j1[up]
-        for l in range(1, lmax):
-            tab[l + 1] = (2 * l + 1) / xu * tab[l] - tab[l - 1]
-        parts.append((live[up], tab))
-
-    down = ~up
-    if np.any(down):
-        xd = xl[down]
-        lstart = _miller_start(lmax)
-        inv = 1.0 / xd
-        tab = np.empty((lmax + 1, xd.size))
-        # Trial value at order k lives in rows[k]: the table's own rows up
-        # to lmax, three rotating buffers above it.
-        ring = np.zeros((3, xd.size))
-        rows = list(tab) + [ring[k % 3] for k in range(lmax + 1, lstart + 2)]
-        rows[lstart].fill(1e-30)
-        # Each step grows max(|p_l|, |p_{l+1}|) by at most this factor, so
-        # from below _BIG no value overflows within `stride` steps.
-        growth = (2 * lstart + 1) * float(inv.max()) + 1.0
-        stride = max(1, int(_HEADROOM_BITS / math.log2(growth)))
-        for l in range(lstart, 0, -1):
-            lo, mid = rows[l - 1], rows[l]
-            # positional out: keyword arguments cost more than the step
-            np.multiply(inv, 2 * l + 1, lo)
-            np.multiply(lo, mid, lo)
-            np.subtract(lo, rows[l + 1], lo)
-            if l % stride == 0:
-                big = np.maximum(np.abs(lo), np.abs(mid)) > _BIG
-                if big.any():
-                    if l - 1 <= lmax:
-                        tab[l - 1:, big] *= _SMALL
-                    else:
-                        lo[big] *= _SMALL
-                    if l > lmax:
-                        mid[big] *= _SMALL
-        # Normalize against j_0, or j_1 near a zero of sin(x).
-        ref0 = j0[down]
-        ref1 = j1[down]
-        use1 = np.abs(ref0) < np.abs(ref1)
-        scale = np.where(use1,
-                         ref1 / np.where(tab[1] != 0.0, tab[1], 1.0),
-                         ref0 / np.where(tab[0] != 0.0, tab[0], 1.0))
-        tab *= scale
-        parts.append((live[down], tab))
-
-    if len(parts) == 1 and parts[0][0].size == n:
-        return parts[0][1]
-    out = np.empty((lmax + 1, n))
-    for cols, tab in parts:
-        out[:, cols] = tab
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sinx = np.sin(x)
+        j0 = np.where(x > 0.0, sinx / x, 1.0)
+        # cancels below x ~ 1, inf or NaN where x^2 underflows: x >= 1 only
+        j1 = sinx / x**2 - np.cos(x) / x
+    up = x >= lmax  # upward stable: every order l <= lmax sits below x
+    if up.all():
+        return _upward(lmax, x, j0, j1)
+    if not up.any():
+        return _downward(lmax, x, j0, j1)
+    out = np.empty((lmax + 1, x.size))
+    for cols, branch in ((up, _upward), (~up, _downward)):
+        out[:, cols] = branch(lmax, x[cols], j0[cols], j1[cols])
     return out
+
+
+def _upward(lmax: int, x: np.ndarray, j0: np.ndarray,
+            j1: np.ndarray) -> np.ndarray:
+    tab = np.empty((lmax + 1, x.size))
+    tab[0] = j0
+    if lmax:
+        tab[1] = j1
+    for l in range(1, lmax):
+        tab[l + 1] = (2 * l + 1) / x * tab[l] - tab[l - 1]
+    return tab
+
+
+def _downward(lmax: int, x: np.ndarray, j0: np.ndarray,
+              j1: np.ndarray) -> np.ndarray:
+    # Miller's recurrence on the ratios r_l = j_l / j_{l-1}, which cannot
+    # overflow: r_l = 1 / ((2l+1)/x - r_{l+1}) from r = 0 above the start
+    # order (Miller's p_{N+1} = 0), then j_l = j_{l-1} r_l.  At x = 0,
+    # 1/x = inf makes every r_l = 0.  Where l < x the denominator is
+    # j_{l-1}/j_l and nears 0 at zeros of j_{l-1}; the rounding error of
+    # the large r_l then cancels in the product r_l r_{l-1}.
+    lstart = _miller_start(lmax)
+    tab = np.empty((lmax + 1, x.size))
+    t = np.empty(x.size)
+    # r_l in rows[l]: the table's own rows up to lmax, one buffer above
+    rows = list(tab) + [np.zeros(x.size)] * (lstart + 1 - lmax)
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / x
+        for l in range(lstart, 0, -1):
+            # positional out: keyword arguments cost more than the step
+            np.multiply(inv, 2 * l + 1, t)
+            np.subtract(t, rows[l + 1], t)
+            np.divide(1.0, t, rows[l])
+    # normalize against j_1 where it is farther from a zero than j_0
+    # (x < lmax here, so lmax >= 1)
+    tab[0] = j0
+    tab[1] = np.where((x >= 1.0) & (np.abs(j0) < np.abs(j1)), j1, j0 * tab[1])
+    for l in range(2, lmax + 1):
+        np.multiply(rows[l], rows[l - 1], rows[l])
+    return tab

@@ -31,7 +31,8 @@ class TestSphericalJ:
                              what=f"j_{l}({x})")
 
     def test_deep_evanescent(self):
-        # x << l exercises the downward recurrence rescaling
+        # x << l: the ratios j_l / j_{l-1} ~ x / (2l+1) are small and
+        # their product falls toward the bottom of the double range
         assert_close(spherical_j(10, 0.5), 7.064123963661878e-14, rel=1e-12)
         assert_close(spherical_j(60, 2.0), oracle_j(60, 2.0), rel=1e-11)
 
@@ -79,7 +80,7 @@ class TestSphericalJ:
 
     def test_table_at_engine_smallest_nodes(self):
         # the engine's first node chunk starts near 1e-6 K R, where the
-        # downward trial solution grows fastest and is rescaled most often.
+        # downward ratios j_l / j_{l-1} are smallest and j_l falls fastest.
         # At these x, j_l falls monotonically in l; once it leaves the
         # normal range the table must hold underflowed values only
         xs = [1.2e-5, 3.7e-5, 4e-4, 3e-3]
@@ -99,9 +100,9 @@ class TestSphericalJ:
                         assert abs(got) < normal, what
 
     def test_table_at_tiny_arguments(self):
-        # below 1e-8 the table is the leading series term x^l / (2l+1)!!,
-        # which must agree with the series oracle across the switch and
-        # underflow to 0, never to NaN, as x^l leaves the double range
+        # the ratio recurrence runs down to x = 0 (where 1/x = inf makes
+        # every ratio 0); it must agree with the series oracle at tiny x
+        # and underflow to 0, never to NaN, as x^l leaves the double range
         xs = [0.0, 1e-300, 1e-200, 1e-100, 1e-60, 1e-20, 0.99e-8, 1e-8,
               1.01e-8, 1e-6]
         normal = np.finfo(float).tiny
@@ -120,6 +121,32 @@ class TestSphericalJ:
                         assert_close(got, want[x][l], rel=5e-15, what=what)
                     else:
                         assert abs(got) < normal, what
+
+    def test_mixed_call_equals_one_column_calls(self):
+        # both branches and the edges of the downward one in one call:
+        # x = 0 and tiny x, the oscillatory region l < x < lmax, x = lmax
+        # (upward) and beyond; each column bit for bit as if alone
+        xs = np.array([0.0, 1e-300, 1e-9, 0.3, 5.0, 20.5, 47.3, 62.9, 63.0,
+                       80.0, 0.0, 400.0])
+        tab = sph_jn_table(63, xs)
+        assert tab.shape == (64, xs.size)
+        for col, x in enumerate(xs.tolist()):
+            alone = sph_jn_table(63, np.array([x]))[:, 0]
+            assert tab[:, col].tobytes() == alone.tobytes(), x
+
+    def test_random_arguments_below_lmax(self):
+        # x < lmax recurs downward on the ratios j_l / j_{l-1}; where
+        # l < x their denominators j_{l-1} / j_l pass through zeros.  Every
+        # order of each random column, against the column's largest |j_l|
+        rng = np.random.default_rng(20240521)
+        for lmax, n in ((10, 60), (63, 40), (463, 20)):
+            xs = rng.uniform(0.0, lmax, n)
+            tab = sph_jn_table(lmax, xs)
+            for col, x in enumerate(xs.tolist()):
+                want = np.array([float(w) for w in oracle_j_table_mp(lmax, x)])
+                err = np.abs(tab[:, col] - want).max()
+                assert err <= 1e-13 * np.abs(want).max(), \
+                    f"j_l({x}) in a table to {lmax}: {err!r}"
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
