@@ -59,22 +59,38 @@ class _Parser(argparse.ArgumentParser):
         raise _Failure(message, EXIT_USAGE)
 
 
+class _QuietParser(_Parser):
+    # argparse prints usage, help and the version through _print_message,
+    # then ends -h and --version with exit
+    def _print_message(self, message, file=None):
+        pass
+
+    def exit(self, status=0, message=None):
+        raise _Failure(message or "", status)
+
+
 # CLI key -> FiniteSpectrumConfig field; the field defaults are the CLI's.
 _NUMERICS_FIELDS = {"grid_points": "grid_points", "tol": "quad_rel_tol",
                     "grid_extend": "grid_extend"}
 
 
 @functools.cache
-def _build_parser() -> _Parser:
+def _build_parser(quiet: bool = False) -> _Parser:
     """The one declaration of every parameter: name, type, default and
     allowed values.  Config-file entries are parsed by the same subparsers.
 
-    Built on the first main() call, not at import, and reused for the rest
-    of the process: the build costs ~20x a parse.
+    Strict (the default), it is the CLI's parser.  Quiet, no option is
+    required and the parser prints nothing: -h, --version and every error
+    end its parse with _Failure.  main() reads --config with the quiet one,
+    so that a required parameter may come from the file.
+
+    Each is built on the first main() call that needs it, not at import,
+    and reused for the rest of the process: the build costs ~20x a parse.
     """
-    parser = _Parser(prog="sonophoton",
-                     description="Photon emission from a sudden refractive-"
-                                 "index change inside a dielectric bubble")
+    parser = (_QuietParser if quiet else _Parser)(
+        prog="sonophoton",
+        description="Photon emission from a sudden refractive-index change "
+                    "inside a dielectric bubble")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
     numerics = FiniteSpectrumConfig()
@@ -120,9 +136,9 @@ def _build_parser() -> _Parser:
             ("totals", "photon count and emitted energy", "--n-in", "--n-out",
              "infinite")):
         p = sub.add_parser(name, help=summary)
-        p.add_argument(n_in, type=float, required=True,
+        p.add_argument(n_in, type=float, required=not quiet,
                        help="gas refractive index before the change")
-        p.add_argument(n_out, type=float, required=True,
+        p.add_argument(n_out, type=float, required=not quiet,
                        help="gas refractive index after the change")
         p.add_argument("--model", choices=("infinite", "finite", "both"),
                        default=model,
@@ -132,9 +148,9 @@ def _build_parser() -> _Parser:
         add_common(p)
 
     p = sub.add_parser("solve-nin", help="both n_in branches for a target count")
-    p.add_argument("--n-out", type=float, required=True,
+    p.add_argument("--n-out", type=float, required=not quiet,
                    help="gas refractive index after the change")
-    p.add_argument("--target", type=float, required=True,
+    p.add_argument("--target", type=float, required=not quiet,
                    help="photon count to reach")
     add_cutoff(p)
     add_common(p)
@@ -218,11 +234,11 @@ def _config_tokens(path: str) -> list[str]:
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
-                if "=" not in line:
+                key, equals, val = line.partition("=")
+                key = key.strip().replace("_", "-")
+                if not (equals and key):
                     raise DomainError(
                         f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-                key, _, val = line.partition("=")
-                key = key.strip().replace("_", "-")
                 # A key that abbreviates "config" would set --config, which
                 # the command line's --config then overrides without notice.
                 if "config".startswith(key):
@@ -230,43 +246,10 @@ def _config_tokens(path: str) -> list[str]:
                         f"{path}:{lineno}: key {key!r} is not allowed in a "
                         f"config file")
                 tokens.append(f"--{key}={val.strip()}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _Failure(f"cannot read config file {path}: {exc}",
                        EXIT_IO) from exc
     return tokens
-
-
-@functools.cache
-def _build_config_parser() -> _Parser:
-    """The pre-parser of _config_path, built once per process like
-    _build_parser's.  It raises argparse.ArgumentError instead of printing
-    its own usage, so that the full parse reports the error."""
-    pre = _Parser(prog="sonophoton", add_help=False, exit_on_error=False)
-    pre.add_argument("--config")
-    return pre
-
-
-def _config_path(argv: list[str]) -> str | None:
-    """--config from the command line of the command argv[0], read before
-    the full parse so that a required parameter may come from the file;
-    None for an argv without a command or a --config without a value,
-    whose error is argparse's."""
-    entry = _plain_table().get(argv[0]) if argv else None
-    if entry is None:
-        return None
-    # argparse reads --config from an argument whose part before any "="
-    # prefixes "--config"; a bare "--" ends the options.  A prefix that
-    # another option shares ("--c": --cutoff-nm; "--=PATH": all) is ambiguous.
-    names = {arg.partition("=")[0] for arg in argv[1:]
-             if arg.startswith("--") and arg != "--"}
-    names = {name for name in names if "--config".startswith(name)}
-    if not names or any(sum(o.startswith(name) for o in entry[0]) > 1
-                        for name in names):
-        return None
-    try:
-        return _build_config_parser().parse_known_args(argv[1:])[0].config
-    except argparse.ArgumentError:
-        return None  # "--config" without a value
 
 
 def _geometry(params: dict, n_out: float):
@@ -453,9 +436,17 @@ def main(argv: list[str] | None = None) -> int:
         # A plain argv can name --config only by its exact string.
         params = _parse_plain(argv)
         if params is None or params["config"] is not None:
-            # File values go before the flags, so the flags win.
-            path = _config_path(argv)
+            # argparse says which token is --config; an argv it refuses is
+            # left for the strict parse to report, before any file is read.
+            # Unknown arguments are the strict parse's to report too, once
+            # the file has supplied any required option.
+            quiet = _build_parser(quiet=True)
+            try:
+                path = vars(quiet.parse_known_args(argv)[0]).get("config")
+            except _Failure:
+                path = None
             if path is not None:
+                # File values go before the flags, so the flags win.
                 argv = argv[:1] + _config_tokens(path) + argv[1:]
             params = vars(parser.parse_args(argv))
         command = params.pop("command")

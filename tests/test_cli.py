@@ -302,6 +302,21 @@ class TestConfigFile:
         assert main(["solve-nin", "--config", str(cfg)]) == 1
         assert f"{cfg}:2: expected 'key = value'" in capsys.readouterr().err
 
+    def test_empty_key_is_usage(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_out = 12\n = 5\n")
+        assert main(["solve-nin", "--config", str(cfg), "--target", "1e6"]) == 1
+        assert f"{cfg}:2: expected 'key = value'" in capsys.readouterr().err
+
+    def test_undecodable_file_is_io_error(self, tmp_path, capsys):
+        # a file that is not UTF-8 cannot be read, as a missing one
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"n_out = 12\n\xff = 3\n")
+        assert main(["solve-nin", "--config", str(cfg), "--target", "1e6"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {cfg}: ")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("argv, entry", [
         (SOLVE, "bogus = 1"),
         (["totals", "--n-in", "2", "--n-out", "12"], "model = bogus"),
@@ -344,36 +359,23 @@ class TestConfigFile:
             assert found[:2] == ["command", "polarization_factor"]
             assert found[2:] == sorted(keys), command
 
-    def test_config_beside_cutoff_pre_parsed_once(self, tmp_path,
-                                                  monkeypatch):
-        # --cutoff-nm starts with "--c", as --config does, so the request
-        # takes the pre-parse; the file is still read, and one pre-parser
-        # serves both requests
-        built = []
-
-        class RecordingParser(cli._Parser):
-            def __init__(self, *args, **kwargs):
-                built.append(kwargs)
-                super().__init__(*args, **kwargs)
-
-        cli._build_parser()
-        monkeypatch.setattr(cli, "_Parser", RecordingParser)
-        cli._build_config_parser.cache_clear()
+    def test_config_beside_cutoff_pre_parsed_once(self, tmp_path):
+        # --cutoff-nm starts with "--c", as --config does; the file is
+        # still read, and the parsers of the first request serve the second
         cfg = tmp_path / "run.cfg"
         cfg.write_text("grid_points = 20\n")
-        try:
-            for name in ("a.csv", "b.csv"):
-                code, text = run(["spectrum", "--config", str(cfg),
-                                  "--n-gas-in", "3", "--n-gas-out", "1.5",
-                                  "--cutoff-nm", "2000", "--model",
-                                  "infinite"], tmp_path, name)
-                assert code == 0
-                preamble, _, _ = parse_csv(text)
-                assert "# grid_points = 20" in preamble
-                assert "# cutoff_nm = 2000.0" in preamble
-        finally:
-            cli._build_config_parser.cache_clear()
-        assert len(built) == 1
+        misses = []
+        for name in ("a.csv", "b.csv"):
+            code, text = run(["spectrum", "--config", str(cfg),
+                              "--n-gas-in", "3", "--n-gas-out", "1.5",
+                              "--cutoff-nm", "2000", "--model", "infinite"],
+                             tmp_path, name)
+            assert code == 0
+            preamble, _, _ = parse_csv(text)
+            assert "# grid_points = 20" in preamble
+            assert "# cutoff_nm = 2000.0" in preamble
+            misses.append(cli._build_parser.cache_info().misses)
+        assert misses[0] == misses[1]
 
     @pytest.mark.parametrize("cutoff", [["--cutoff-nm", "200"],
                                         ["--cutoff=200"]],
@@ -382,14 +384,51 @@ class TestConfigFile:
                                                         tmp_path,
                                                         monkeypatch):
         # --cutoff-nm starts with "--c" but can never be --config
-        def no_pre_parser():
-            raise AssertionError("the --config pre-parser was built")
+        def no_file(path):
+            raise AssertionError(f"config file {path!r} read")
 
-        monkeypatch.setattr(cli, "_build_config_parser", no_pre_parser)
+        monkeypatch.setattr(cli, "_config_tokens", no_file)
         code, text = run(["spectrum", "--n-gas-in", "2e4", "--n-gas-out", "1",
                           *cutoff, "--model", "infinite"], tmp_path)
         assert code == 0
         assert "# cutoff_nm = 200.0" in text.splitlines()
+
+    def test_last_config_wins(self, tmp_path):
+        # as for any option given twice; only the last file is read
+        first, last = tmp_path / "first.cfg", tmp_path / "last.cfg"
+        first.write_text("n_out = 12\ntarget = 1e6\n")
+        last.write_text("n_out = 25\ntarget = 1e6\n")
+        for earlier in (first, tmp_path / "nope.cfg"):
+            code, text = run(["solve-nin", "--config", str(earlier),
+                              "--config", str(last)], tmp_path)
+            assert code == 0
+            preamble, _, _ = parse_csv(text)
+            assert "# n_out = 25.0" in preamble
+
+    @pytest.mark.parametrize("extra", [["--frequency", "3"], ["--", "x"],
+                                       ["--version"]],
+                             ids=["unknown-flag", "after-dashes", "version"])
+    def test_unknown_argument_beside_config_is_usage(self, extra, tmp_path,
+                                                     capsys):
+        # the file is read, so argparse reports the unknown argument, not
+        # the --target the file supplies
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("target = 1e6\n")
+        argv = ["solve-nin", "--config", str(cfg), "--n-out", "12", *extra]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == "error: unrecognized arguments: " + " ".join(extra)
+
+    def test_required_split_between_file_and_flag(self, tmp_path):
+        # "--n-out=12" is not plain, so argparse reads the --config path
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("target = 1e6\n")
+        code, text = run(["solve-nin", "--n-out=12", "--config", str(cfg)],
+                         tmp_path)
+        assert code == 0
+        preamble, _, _ = parse_csv(text)
+        assert "# n_out = 12.0" in preamble
+        assert "# target = 1000000.0" in preamble
 
     @pytest.mark.parametrize("flag", [["--c", "{}"], ["--conf", "{}"],
                                       ["--config={}"]],
@@ -487,8 +526,8 @@ class TestExitCodes:
         ["solve-nin", "--n-out", "25"],
         ["totals", "--n-in", "2", "--n-out", "12", "--frequency", "12"],
         ["solve-nin", "--n-out", "25", "--target", "-1e5"],
-        # with a config file: --c is --config to the pre-parse, but on
-        # spectrum it also abbreviates --cutoff-nm
+        # with a config file: --c starts --config, but on spectrum it also
+        # abbreviates --cutoff-nm, so no file is read
         ["spectrum", "--n-gas-in", "2", "--n-gas-out", "1.5", "--c", "{}"],
     ], ids=["non-numeric", "non-integer", "bad-choice", "missing-required",
             "unknown-flag", "dashed-value", "ambiguous-c"])
@@ -672,18 +711,48 @@ def test_headline_spectrum_calls_the_bessel_table(monkeypatch, tmp_path):
 
 
 class TestParserReuse:
-    def test_requests_match_fresh_processes(self, capsys, monkeypatch):
-        # one parser serves every main() call of a process; an invalid
-        # request must leave it as a fresh process would find it
+    def test_requests_match_fresh_processes(self, capsys, monkeypatch,
+                                            tmp_path):
+        # one strict and one quiet parser serve every main() call of a
+        # process; an invalid, --config or -h request must leave them as a
+        # fresh process would find them
         monkeypatch.setenv("COLUMNS", "80")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("target = 1e6\n")
         requests = [["totals", "--n-in", "2", "--n-out", "12",
                      "--model", "bogus"],
+                    ["solve-nin", "--config", str(cfg), "--n-out", "12"],
+                    ["solve-nin", "-h"],
                     ["solve-nin", "--n-out", "25", "--target", "1e6"]]
         in_process = []
         for args in requests:
-            code = main(args)
+            try:
+                code = main(args)
+            except SystemExit as exc:  # -h: argparse's exit
+                code = exc.code
             out, err = capsys.readouterr()
             in_process.append((code, out.encode(), err.encode()))
         assert in_process == [run_child(args) for args in requests]
-        assert [code for code, _, _ in in_process] == [1, 0]
+        assert [code for code, _, _ in in_process] == [1, 0, 0, 0]
         assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["solve-nin", "-h"], ["--version"]],
+                         ids=["help", "command-help", "version"])
+def test_help_and_version_print_once(argv, capsys, monkeypatch):
+    # the quiet parse that looks for --config prints nothing; the strict
+    # parse prints what argparse alone prints, and exits 0
+    monkeypatch.setenv("COLUMNS", "80")
+    printed = []
+    for parse in (main, cli._build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1]
+    out, err = printed[0]
+    assert err == ""
+    if argv[-1] == "--version":
+        assert out == sonophoton.__version__ + "\n"
+    else:
+        assert out.startswith("usage: sonophoton ") and out.count("usage:") == 1
