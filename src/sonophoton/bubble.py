@@ -140,12 +140,12 @@ from .specfun import sph_jn_table
 # rule's difference from it is >= 300x inside the default tolerance
 # (README).
 _PANEL_WIDTH = 4.0 * math.pi
-# Gauss-Legendre orders: the value at every level, and the first level's
-# error estimate |I^_VALUE_ORDER - I^_ESTIMATE_ORDER| on the same panels.
+# Gauss-Legendre orders: at every level, the value and its error estimate
+# |I^_VALUE_ORDER - I^_ESTIMATE_ORDER| on the same panels.
 _VALUE_ORDER = 24
 _ESTIMATE_ORDER = 16
-# Each level after the first bisects every panel and compares the value
-# with the previous level's; the finest panels are pi/2 wide.
+# Each level after the first bisects every panel; the finest panels are
+# pi/2 wide.
 _LEVELS = 4
 # In-side integration starts at this fraction of the cutoff; the kernel
 # vanishes like a power of w_in at the origin so nothing is lost.
@@ -173,8 +173,8 @@ _TINY_ARG = 0.5
 _SMALL_L = 10
 # The lowest quad_rel_tol a FiniteSpectrumConfig accepts.  The headline
 # spectrum converges down to 1e-15 and the five table1 cases down to
-# 1e-14; at 7e-15 the 68/34 case fails at x_out ~394, where the levels'
-# difference is at the roundoff of the sums it compares (README
+# 3e-15; at 2e-15 the 68/34 case fails at x_out ~394, where the two
+# orders' difference is at the roundoff of the sums it compares (README
 # numerical notes).
 _MIN_REL_TOL = 1e-13
 # spectrum_finite refuses a problem whose engine arrays (_engine_bytes)
@@ -295,15 +295,16 @@ def _engine_bytes(kr: float, config: FiniteSpectrumConfig,
     for the points below _TINY_ARG.  Per j_l argument: the table
     sph_jn_table returns, the branch table it fills that from, j_0, j_1
     and the ratio buffers ((2 _SMALL_L + 15) floats).  Per node of the
-    finest pass: v, two Gauss weights, _node_factors with temporaries and
-    indices (45 floats), and one j_l argument.  Per column block: 16 arrays
-    of one block, at least one column of nodes (_closed_form's 6 on far
-    pairs, 14 if all are near; _small_block's and _lommel_block's l-batched
-    products _SMALL_L + 4).  The output grid counts at _POINT_BYTES a point.
+    finest pass, of both orders: v, two Gauss weights, _node_factors with
+    temporaries and indices (45 floats), and one j_l argument.  Per column
+    block: 16 arrays of one block, at least one column of nodes
+    (_closed_form's 6 on far pairs, 14 if all are near; _small_block's and
+    _lommel_block's l-batched products _SMALL_L + 4).  The output grid
+    counts at _POINT_BYTES a point.
     """
     n_points = _grid_size(config)
-    # the value's rule on panels split by the _LEVELS - 1 bisections
-    per_panel = 2**(_LEVELS - 1) * _VALUE_ORDER
+    # both rules on panels split by the _LEVELS - 1 bisections
+    per_panel = 2**(_LEVELS - 1) * (_ESTIMATE_ORDER + _VALUE_ORDER)
     panels = _panel_total(kr, graded)
     first = panels - _panel_count(kr) + 1  # the first panel's pieces
     n_small = first * per_panel + min(
@@ -476,20 +477,18 @@ def _l_weighted_sum(terms: np.ndarray) -> np.ndarray:
     return (weights @ terms.reshape(_SMALL_L, -1)).reshape(terms.shape[1:])
 
 
-def _rules(u: np.ndarray, n_in: float, n_out: float, edges: np.ndarray,
-           orders: tuple[int, ...]) -> np.ndarray:
+def _rules(u: np.ndarray, n_in: float, n_out: float,
+           edges: np.ndarray) -> np.ndarray:
     """sum over the nodes of weight * Gauss weight * F(u, v) at the points
-    u, one row per Gauss-Legendre order, each on every panel of edges; one
-    pass over the nodes of all the orders."""
+    u, by the orders _ESTIMATE_ORDER and _VALUE_ORDER on every panel of
+    edges: rows I^16 and I^24, from one pass over the nodes of both."""
     points = _point_factors(u)
     mids = 0.5 * (edges[1:] + edges[:-1])[:, None]
     halves = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    rules = [_gauss_nodes(order) for order in orders]
+    rules = [_gauss_nodes(_ESTIMATE_ORDER), _gauss_nodes(_VALUE_ORDER)]
     v = np.concatenate([(mids + halves * x).ravel() for x, _ in rules])
-    # Gauss weights / pi^2 (see _closed_form), a row per order and at
-    # least two: numpy sends 1 x 1 products to ddot, threaded above 1e4
-    gauss = np.repeat(np.eye(max(2, len(orders)), len(orders)),
-                      [(edges.size - 1) * order for order in orders],
+    # Gauss weights / pi^2 (see _closed_form), a row per order
+    gauss = np.repeat(np.eye(2), [x.size * mids.size for x, _ in rules],
                       axis=1)
     gauss *= np.concatenate([(halves * w).ravel() / math.pi**2
                              for _, w in rules])
@@ -507,7 +506,7 @@ def _rules(u: np.ndarray, n_in: float, n_out: float, edges: np.ndarray,
     if n_tiny:
         jl = sph_jn_table(_SMALL_L, np.concatenate((u[:n_tiny], v[v_large])))
         ju_tiny, jv_large = jl[:, :n_tiny], jl[:, n_tiny:]
-    out = np.empty((gauss.shape[0], u.size))
+    out = np.empty((2, u.size))
     width = max(1, _BLOCK_ELEMENTS // v.size)
     for c0 in range(0, u.size, width):
         c1 = min(c0 + width, u.size)
@@ -525,7 +524,7 @@ def _rules(u: np.ndarray, n_in: float, n_out: float, edges: np.ndarray,
         w *= w
         f *= w
         out[:, c0:c1] = gauss @ f
-    return out[:len(orders)]
+    return out
 
 
 def _sums(u: np.ndarray, n_in: float, n_out: float, kr: float,
@@ -541,38 +540,33 @@ def _sums(u: np.ndarray, n_in: float, n_out: float, kr: float,
     F(u, v) = sum_{l>=1} (2l+1) lambda_l(u, v)^2, summed over every l in
     closed form (_closed_form) from factors of u and of v tabulated once
     per pass, so no transcendental function runs per pair.  A pass
-    (_rules) sums all the rules of a level over column blocks of about
+    (_rules) sums both rules of a level over column blocks of about
     _BLOCK_ELEMENTS pairs, each block in one product with their Gauss
     weights.  The pairs with u and v both below _SMALL_ARG take the
     explicit l sum of _small_block instead (each L_l from its power
     series), and the points below _TINY_ARG against the nodes at or above
-    _SMALL_ARG that of _lommel_block, from one j_l table per pass.  The
-    value is the order _VALUE_ORDER rule's.  At the first level order
-    _ESTIMATE_ORDER against it on the same panels estimates the error:
-    |sum_l (I_l^24 - I_l^16)|, the difference of the l-summed integrals,
-    since no single l is formed.  Points that miss the relative tolerance
-    tol are redone with the value's rule on bisected panels, up to
-    _LEVELS - 1 times, each against the one before.
+    _SMALL_ARG that of _lommel_block, from one j_l table per pass.  Every
+    level estimates the error of its order _VALUE_ORDER value by order
+    _ESTIMATE_ORDER on the same panels, |I^24 - I^16| with I the l-summed
+    integral (no single l is formed).  Points where that exceeds
+    tol |I^24| go on to bisected panels, for _LEVELS levels in all.
 
     Raises NumericalError for the lowest point whose quadrature does not
     converge.
     """
     edges = _panel_edges(kr, n_out > n_in)
     cols = np.arange(u.size)
-    prev, cur = _rules(u, n_in, n_out, edges, (_ESTIMATE_ORDER, _VALUE_ORDER))
     out = np.empty(u.size)
-    for level in range(1, _LEVELS + 1):
-        if level >= 2:                 # bisect every panel
-            edges = np.insert(edges, np.arange(1, edges.size),
-                              0.5 * (edges[1:] + edges[:-1]))
-            prev, (cur,) = cur, _rules(u[cols], n_in, n_out, edges,
-                                       (_VALUE_ORDER,))
+    for _ in range(_LEVELS):
+        low, cur = _rules(u[cols], n_in, n_out, edges)
         scale = np.where(cur != 0.0, np.abs(cur), 1.0)
-        done = np.abs(cur - prev) <= tol * scale
+        done = np.abs(cur - low) <= tol * scale
         out[cols[done]] = cur[done]
-        cols, cur = cols[~done], cur[~done]
+        cols = cols[~done]
         if cols.size == 0:
             return out
+        edges = np.insert(edges, np.arange(1, edges.size),
+                          0.5 * (edges[1:] + edges[:-1]))
     raise NumericalError(
         f"omega_in quadrature failed to reach rel tol {tol} at "
         f"x_out={float(u[cols[0]])!r}")

@@ -309,23 +309,15 @@ def cmd_spectrum(params: dict, output: str | None) -> int:
     else:
         dens = spectrum_finite(transition, geometry, fconfig)
         omega, x = dens.grid, dens.dimensionless_x
-    columns = [x.tolist(), omega.tolist(),
-               (omega / (2.0 * math.pi)).tolist()]
-    if model != "finite":
-        columns.append(
-            spectrum_infinite(transition, geometry, omega).tolist())
-    if model != "infinite":
-        columns.append(dens.values.tolist())
     # the model not run leaves its column blank
-    if model == "both":
-        lines = [f"{a!s},{w!s},{nu!s},{inf!s},{fin!s}"
-                 for a, w, nu, inf, fin in zip(*columns)]
-    elif model == "infinite":
-        lines = [f"{a!s},{w!s},{nu!s},{inf!s},"
-                 for a, w, nu, inf in zip(*columns)]
-    else:
-        lines = [f"{a!s},{w!s},{nu!s},,{fin!s}"
-                 for a, w, nu, fin in zip(*columns)]
+    blank = [""] * x.size
+    infinite = (blank if model == "finite" else
+                spectrum_infinite(transition, geometry, omega).tolist())
+    finite = blank if model == "infinite" else dens.values.tolist()
+    lines = [f"{a!s},{w!s},{nu!s},{inf!s},{fin!s}"
+             for a, w, nu, inf, fin in zip(
+                 x.tolist(), omega.tolist(),
+                 (omega / (2.0 * math.pi)).tolist(), infinite, finite)]
     _write_csv("spectrum", params,
                "x,omega_out_rad_s,nu_Hz,dNdomega_infinite,dNdomega_finite",
                lines, output,

@@ -22,8 +22,7 @@ import math
 import numpy as np
 
 from .core import (HBAR, SPEED_OF_LIGHT, BubbleGeometry, DomainError,
-                   EmissionSummary, MediumTransition)
-from .specfun import log_sinh
+                   EmissionSummary, MediumTransition, NumericalError)
 
 # Photon polarization multiplicity, applied at spectrum level only.
 POLARIZATIONS = 2.0
@@ -59,37 +58,57 @@ def omega_sudden(transition: MediumTransition) -> float:
         2.0 * math.pi * transition.t0 * n_out * max(n_in, n_out))
 
 
+def _log_sinhc(x: float) -> float:
+    """ln(sinh(x) / x) for finite x >= 0 (0 at x = 0) as
+    x + ln((1 - e^-2x) / x / 2), which neither overflows nor underflows."""
+    if not math.isfinite(x):
+        raise DomainError(f"sinh argument must be finite, got {x!r}")
+    if x == 0.0:
+        return 0.0
+    return x + math.log(-math.expm1(-2.0 * x) / x * 0.5)
+
+
 def beta_sq_density_log(transition: MediumTransition, omega_out: float) -> float:
     """ln of the on-shell sinh-ratio density at omega_out (per polarization).
 
-    Returns -inf when n_in == n_out.  Computed via log_sinh so it stays
-    finite-precision far into the exponentially suppressed tail.
+    Returns -inf when n_in == n_out.  Computed as ln sudden_beta_sq plus
+    logs of sinh(x) / x, so it holds its precision from underflowed sinh
+    arguments far into the exponentially suppressed tail.
     """
     if not (omega_out > 0.0) or not math.isfinite(omega_out):
         raise DomainError(f"omega_out must be positive, got {omega_out!r}")
     n_in, n_out, t0 = transition.n_in, transition.n_out, transition.t0
+    dn = transition.delta_n
+    if dn == 0.0:
+        return -math.inf
     mean = transition.n_sq_mean
     # On shell n_in omega_in = n_out omega_out, so the sinh arguments are
     #   numerator: pi |n_in^2 w_in - n_out^2 w_out| t0 / (2 <n^2>)
     #            = pi n_out w_out |n_in - n_out| t0 / (2 <n^2>)
     #   denominators: pi n_in n_out w_out t0 / <n^2>, pi n_out^2 w_out t0 / <n^2>
-    arg_num = math.pi * n_out * omega_out * abs(n_in - n_out) * t0 / (2.0 * mean)
+    # and arg_num^2 / (arg_in arg_out) is sudden_beta_sq, here in logs
+    arg_num = math.pi * n_out * omega_out * abs(dn) * t0 / (2.0 * mean)
     arg_in = math.pi * n_in * n_out * omega_out * t0 / mean
     arg_out = math.pi * n_out * n_out * omega_out * t0 / mean
-    if arg_num == 0.0:
-        return -math.inf
-    return 2.0 * log_sinh(arg_num) - log_sinh(arg_in) - log_sinh(arg_out)
+    log_sudden = 2.0 * math.log(0.5 * abs(dn)) - math.log(n_in) - math.log(n_out)
+    return (log_sudden + 2.0 * _log_sinhc(arg_num) - _log_sinhc(arg_in)
+            - _log_sinhc(arg_out))
 
 
 def beta_sq_density(transition: MediumTransition, omega_out: float) -> float:
     """On-shell pair-creation density at omega_out (per polarization).
 
-    Values whose log falls below UNDERFLOW_LOG are reported as exactly 0.0.
+    Values whose log falls below UNDERFLOW_LOG are reported as exactly 0.0;
+    one above the float range raises NumericalError.
     """
     log_val = beta_sq_density_log(transition, omega_out)
     if log_val < UNDERFLOW_LOG:
         return 0.0
-    return math.exp(log_val)
+    try:
+        return math.exp(log_val)
+    except OverflowError:
+        raise NumericalError(f"pair density exp({log_val:.6g}) exceeds the "
+                             f"float range") from None
 
 
 def tail_log_slope(transition: MediumTransition) -> float:

@@ -22,21 +22,13 @@ _LN2 = math.log(2.0)
 
 
 def log_sinh(x: float) -> float:
-    """ln(sinh x) for x >= 0 without overflow (good up to x ~ 1e6 and beyond).
-
-    Uses x + log1p(-exp(-2x)) - ln 2 for large x and the series
-    sinh x = x (1 + x^2/6 + x^4/120 + ...) for small x.
-    """
+    """ln(sinh x) for finite x >= 0 without overflow: x - ln 2 + ln(1 - e^-2x),
+    with 1 - e^-2x = -expm1(-2x) exact to rounding down to subnormal x."""
     if x < 0.0 or not math.isfinite(x):
         raise DomainError(f"log_sinh requires x >= 0, got {x!r}")
     if x == 0.0:
         return -math.inf
-    if x < 1e-4:
-        x2 = x * x
-        return math.log(x) + math.log1p(x2 / 6.0 * (1.0 + x2 / 20.0))
-    if x < 20.0:
-        return math.log(math.sinh(x))
-    return x + math.log1p(-math.exp(-2.0 * x)) - _LN2
+    return x - _LN2 + math.log(-math.expm1(-2.0 * x))
 
 
 def _miller_start(lmax: int) -> int:
@@ -53,6 +45,8 @@ def sph_jn_table(lmax: int, x: np.ndarray) -> np.ndarray:
     Returns an array of shape (lmax + 1, len(x)).  Vectorized over x;
     each column uses the recurrence direction that is stable for it.
     """
+    if not isinstance(lmax, (int, np.integer)) or lmax < 0:
+        raise DomainError(f"lmax must be a non-negative integer, got {lmax!r}")
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DomainError("x must be one-dimensional")

@@ -559,16 +559,15 @@ def test_output_points_on_and_beside_gauss_nodes():
     kr, cfg = 6.0, FiniteSpectrumConfig()
     for n_in, n_out in ((2.0, 1.5), (1.5, 2.0)):
         level_edges = _panel_edges(kr, n_out > n_in)
-        orders = (_ESTIMATE_ORDER, _VALUE_ORDER)
         on = []
         for _ in range(_LEVELS):
             mids = 0.5 * (level_edges[1:] + level_edges[:-1])
             halves = 0.5 * (level_edges[1:] - level_edges[:-1])
-            for order in orders:
+            for order in (_ESTIMATE_ORDER, _VALUE_ORDER):
                 x, _ = _gauss_nodes(order)
                 nodes = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
                 on.extend(nodes[::19])
-            level_edges, orders = bisected(level_edges), (_VALUE_ORDER,)
+            level_edges = bisected(level_edges)
         on = np.unique(on)
         u = np.sort(np.concatenate((on, on - 1e-9, on + 1e-9)))
         with warnings.catch_warnings():
@@ -595,27 +594,42 @@ def kr_geometry(kr, n_out):
 ], ids=["headline", "2e4/1", "71/25", "68/34", "9/25", "1/12", "1/50",
         "1.01/1", "1.5/1"])
 def test_first_level_estimate_bounds_the_error(n_in, n_out, geom):
-    # the first level's |I^24 - I^16| on the same panels must be at least
-    # the order-24 value's error against the order-24 rule on panels
-    # bisected three times, wherever that error is resolved: the reference
-    # itself moves by up to 1.7e-14 when bisected once more (1/50), so
-    # errors below 3e-14 are its roundoff.  And it must stay far inside
-    # the default tolerance, so that the estimate, not the value, never
-    # sends a point to the next level
+    # at the first level and at the second (its panels bisected), the
+    # level's |I^24 - I^16| on its own panels must be at least its order-24
+    # value's error against the order-24 rule on the first level's panels
+    # bisected three times (the last level's), wherever that error is
+    # resolved: the reference itself moves by up to 1.7e-14 when bisected
+    # once more (1/50), so errors below 3e-14 are its roundoff.  And it
+    # must stay far inside the default tolerance, so that the estimate,
+    # not the value, never sends a point to the next level
     kr = geom.k_gas_cutoff * geom.radius
     cfg = FiniteSpectrumConfig()
     u = np.asarray(spectral_grid(geom, cfg)[1])
-    edges = _panel_edges(kr, n_out > n_in)
-    low, value = bubble._rules(u, n_in, n_out, edges,
-                               (_ESTIMATE_ORDER, _VALUE_ORDER))
-    for _ in range(3):
-        edges = bisected(edges)
-    (reference,) = bubble._rules(u, n_in, n_out, edges, (_VALUE_ORDER,))
-    error = np.abs(value - reference) / reference
-    estimate = np.abs(value - low) / reference
-    resolved = error > 3e-14
-    assert np.all(estimate[resolved] >= error[resolved])
-    assert np.max(estimate) <= 1e-8
+    levels = [_panel_edges(kr, n_out > n_in)]
+    levels.append(bisected(levels[0]))
+    finest = bisected(bisected(levels[1]))
+    _, reference = bubble._rules(u, n_in, n_out, finest)
+    for edges in levels:
+        low, value = bubble._rules(u, n_in, n_out, edges)
+        error = np.abs(value - reference) / reference
+        estimate = np.abs(value - low) / reference
+        resolved = error > 3e-14
+        assert np.all(estimate[resolved] >= error[resolved])
+        assert np.max(estimate) <= 1e-8
+
+
+def test_tight_tolerance_converges():
+    # a refined point is accepted by its level's own |I^24 - I^16|, not by
+    # the difference of two levels' values, which stalls at their roundoff:
+    # the 68/34 row (K R 392) converges at 7e-15, below _MIN_REL_TOL, and
+    # agrees with its result at the floor
+    n_in, n_out = 68.0, 34.0
+    geom = build_geometry_from_kr(15.0, 1.3, n_out)
+    kr = geom.k_gas_cutoff * geom.radius
+    u = np.asarray(spectral_grid(geom, FiniteSpectrumConfig())[1])
+    tight = bubble._sums(u, n_in, n_out, kr, 7e-15)
+    floor = bubble._sums(u, n_in, n_out, kr, bubble._MIN_REL_TOL)
+    assert np.all(np.abs(tight - floor) <= 1e-13 * np.abs(tight))
 
 
 def test_direct_sum_is_a_narrow_band(monkeypatch):
@@ -654,7 +668,7 @@ def test_direct_sum_is_a_narrow_band(monkeypatch):
      FiniteSpectrumConfig(grid_points=100, quad_rel_tol=1e-11)),
 ], ids=["headline", "second-level"])
 def test_column_blocks_do_not_change_spectra(monkeypatch, tr, geom, cfg):
-    # column blocks of 6 points at the headline's first level (6 and 5 at
+    # column blocks of 6 points at the headline's first level (6 and 3 at
     # the second case's first and second) cut both small-argument blocks:
     # the points of each are summed in more than one column block of a
     # pass
@@ -684,9 +698,10 @@ def test_column_blocks_do_not_change_spectra(monkeypatch, tr, geom, cfg):
     assert [v is blocks[0] for v in blocks].count(True) >= 5
     assert [v is blocks[0] for v in small].count(True) >= 2
     assert [v is blocks[0] for v in tiny].count(True) >= 2
-    if cfg.quad_rel_tol == 1e-11:   # a pass on bisected order-24 panels
+    if cfg.quad_rel_tol == 1e-11:   # a pass of both orders on bisected panels
         panels = blocks[0].size // (_ESTIMATE_ORDER + _VALUE_ORDER)
-        assert any(v.size == 2 * panels * _VALUE_ORDER for v in blocks)
+        assert any(v.size == 2 * panels * (_ESTIMATE_ORDER + _VALUE_ORDER)
+                   for v in blocks)
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -723,7 +738,7 @@ class TestProblemSizeGuard:
             raise AssertionError("a Bessel table or a pass was built")
 
         # 27 300 output points against 41 520 first-pass nodes: the node
-        # pairs pass _MAX_NODE_PAIRS while the arrays (~175 MB) stay below
+        # pairs pass _MAX_NODE_PAIRS while the arrays (~280 MB) stay below
         # _MAX_ENGINE_BYTES, so the pair guard alone refuses the problem
         monkeypatch.setattr(bubble, "sph_jn_table", no_table)
         monkeypatch.setattr(bubble, "_closed_form", no_table)

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from sonophoton import (BubbleGeometry, DomainError, MediumTransition,
-                        build_geometry_from_kr)
+                        NumericalError, build_geometry_from_kr)
 from sonophoton.core import SPEED_OF_LIGHT as C
 from sonophoton.homogeneous import (UNDERFLOW_LOG, beta_sq_density,
                                     beta_sq_density_log, epsilon_profile,
@@ -81,6 +82,47 @@ class TestSuddenLimit:
             for frac in (1e-3, 1e-4):
                 got = beta_sq_density(tr, frac * cap)
                 assert rel_err(got, target) < 1e-4
+
+    @pytest.mark.parametrize("tr, omega", [
+        (MediumTransition(n_in=1e-10, n_out=1.0, t0=1e-15), 1e-300),
+        (MediumTransition(n_in=1.0, n_out=2.0, t0=1e-15), 1e-320),
+    ], ids=["denominator-underflows", "all-underflow"])
+    def test_density_where_sinh_arguments_underflow(self, tr, omega):
+        # sinh arguments that underflow to 0 (a denominator's, or all three)
+        # leave the density at its sudden value, not inf or 0.0
+        assert rel_err(beta_sq_density(tr, omega), sudden_beta_sq(tr)) <= 1e-12
+
+    def test_density_beyond_float_range_refused(self):
+        tr = MediumTransition(n_in=1e-320, n_out=1.0)
+        with pytest.raises(NumericalError, match="float range"):
+            beta_sq_density(tr, 1e10)
+        # omega_out t0 itself overflows
+        tr = MediumTransition(n_in=1.0, n_out=2.0, t0=1e300)
+        with pytest.raises(DomainError, match="must be finite"):
+            beta_sq_density(tr, 1e300)
+
+
+def test_density_log_against_mpmath():
+    # ln(sinh^2 a / (sinh b sinh c)) at 60 digits from the same double
+    # inputs; its error scales with the terms that cancel in it
+    rng = np.random.default_rng(1998)
+    for _ in range(600):
+        n_in, n_out = 10.0 ** rng.uniform(-3.0, 4.0, 2)
+        tr = MediumTransition(n_in=float(n_in), n_out=float(n_out),
+                              t0=float(10.0 ** rng.uniform(-18.0, -12.0)))
+        omega = float(10.0 ** rng.uniform(-300.0, 19.0))
+        with mp.workdps(60):
+            n_i, n_o, t0, w = (mpf(v) for v in (n_in, n_out, tr.t0, omega))
+            mean = (n_i**2 + n_o**2) / 2
+            a = mp.pi * n_o * w * abs(n_i - n_o) * t0 / (2 * mean)
+            b = mp.pi * n_i * n_o * w * t0 / mean
+            c = mp.pi * n_o**2 * w * t0 / mean
+            want = (2 * mp.log(mp.sinh(a)) - mp.log(mp.sinh(b))
+                    - mp.log(mp.sinh(c)))
+            scale = (1 + 2 * a + b + c + abs(mp.log(n_i)) + abs(mp.log(n_o))
+                     + 2 * abs(mp.log(abs(n_i - n_o))))
+            err = abs(beta_sq_density_log(tr, omega) - want)
+            assert err <= 1e-15 * scale, (n_in, n_out, tr.t0, omega)
 
 
 class TestOmegaSudden:

@@ -163,6 +163,13 @@ class TestSphericalJ:
             with pytest.raises(DomainError, match="finite and >= 0"):
                 sph_jn_table(3, np.array([1.0, bad]))
 
+    def test_table_lmax_errors(self):
+        # a negative order indexed past the table, a float one broke range()
+        for bad in (-1, 2.5, None):
+            with pytest.raises(DomainError, match="non-negative integer"):
+                sph_jn_table(bad, np.array([1.0]))
+        assert sph_jn_table(np.int64(2), np.array([1.0])).shape == (3, 1)
+
 
 class TestSphericalY:
     def test_y0_at_half_pi(self):
@@ -322,6 +329,17 @@ class TestLogSinh:
             lo = log_sinh(x0 * (1 - 1e-9))
             hi = log_sinh(x0 * (1 + 1e-9))
             assert abs(lo - hi) < 1e-7 * max(abs(lo), 1.0)
+
+    def test_against_mpmath(self):
+        # log-uniform arguments from subnormal to 1e3, and a dense run
+        # through the region where ln(sinh x) crosses zero
+        rng = np.random.default_rng(2026)
+        xs = np.concatenate((10.0 ** rng.uniform(-320.0, 3.0, 1500),
+                             rng.uniform(0.0, 5.0, 500)))
+        with mp.workdps(40):
+            for x in xs.tolist():
+                want = mp.log(mp.sinh(mp.mpf(x)))
+                assert abs(log_sinh(x) - want) <= 5e-16 * max(1, abs(want)), x
 
     def test_zero_and_negative(self):
         assert log_sinh(0.0) == -math.inf
