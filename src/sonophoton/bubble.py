@@ -124,13 +124,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (HBAR, SPEED_OF_LIGHT, BubbleGeometry, DomainError,
-                   EmissionSummary, MediumTransition, NumericalError,
-                   SpectralDensity)
+# the engine's settings live in core (the parser reads them without this
+# module); they are imported back under their old names
+from .core import (_MAX_ENGINE_BYTES, _MAX_NODE_PAIRS, _MIN_REL_TOL,
+                   _POINT_BYTES, HBAR, SPEED_OF_LIGHT, BubbleGeometry,
+                   DomainError, EmissionSummary, FiniteSpectrumConfig,
+                   MediumTransition, NumericalError, SpectralDensity,
+                   check_grid_points)
 from .homogeneous import POLARIZATIONS, _check_consistent
 from .specfun import sph_jn_table
 
@@ -171,23 +174,6 @@ _BLOCK_ELEMENTS = 1 << 15
 _SMALL_ARG = 2.0
 _TINY_ARG = 0.5
 _SMALL_L = 10
-# The lowest quad_rel_tol a FiniteSpectrumConfig accepts.  The headline
-# spectrum converges down to 1e-15 and the five table1 cases down to
-# 3e-15; at 2e-15 the 68/34 case fails at x_out ~394, where the two
-# orders' difference is at the roundoff of the sums it compares (README
-# numerical notes).
-_MIN_REL_TOL = 1e-13
-# spectrum_finite refuses a problem whose engine arrays (_engine_bytes)
-# would need more bytes than _MAX_ENGINE_BYTES, or whose first pass would
-# sum more than _MAX_NODE_PAIRS (node, point) pairs; and
-# check_grid_points an output grid (a spectrum's or a sweep's) whose
-# points would need more than _MAX_ENGINE_BYTES (at _POINT_BYTES each).
-_MAX_ENGINE_BYTES = 1 << 30
-_MAX_NODE_PAIRS = 1 << 30
-# Upper estimate of the bytes a caller holds per output grid point: the
-# grid and value columns and one CSV row (~390 B measured for
-# `spectrum --model infinite`, ~370 B for `sweep`).
-_POINT_BYTES = 512
 # Taylor coefficients in k^2, to below 1e-17 at |k| = 1, of
 # G(k) = int_0^2 (s^3 - 12 s + 16) cos(k s) ds, whose moments are
 # int_0^2 s^j (s^3 - 12 s + 16) ds = 96 2^j / ((j + 1)(j + 2)(j + 4)),
@@ -207,33 +193,6 @@ _SERIES_C = np.array([[(-1)**a / (2**a * math.factorial(a) * math.prod(
 _LOMMEL_SERIES = (_SERIES_C[:, :, None] * _SERIES_C[:, None, :]
                   / (_SERIES_POWERS[:, :, None] + _SERIES_POWERS[:, None, :]
                      + 3))
-
-
-@dataclass(frozen=True)
-class FiniteSpectrumConfig:
-    """Controls for the finite-volume spectrum evaluation.
-
-    The angular sum is exact (summed in closed form), so there is no l
-    truncation to set.  quad_rel_tol is the omega_in quadrature's relative
-    tolerance, at least _MIN_REL_TOL.  grid_points sets the number of
-    samples up to the cutoff; the grid continues at the same spacing to
-    grid_extend * cutoff so the smeared roll-off is part of the curve.
-    """
-
-    quad_rel_tol: float = 1e-6
-    grid_points: int = 200
-    grid_extend: float = 1.3
-
-    def __post_init__(self) -> None:
-        if not (_MIN_REL_TOL <= self.quad_rel_tol < 1.0):
-            raise DomainError(
-                f"quad_rel_tol must lie in [{_MIN_REL_TOL:g}, 1), got "
-                f"{self.quad_rel_tol!r}: below {_MIN_REL_TOL:g} the omega_in "
-                f"quadrature's error estimate nears roundoff")
-        if self.grid_points < 2:
-            raise DomainError("grid_points must be >= 2")
-        if not (1.0 <= self.grid_extend <= 4.0):
-            raise DomainError("grid_extend must lie in [1, 4]")
 
 
 @functools.cache
@@ -570,17 +529,6 @@ def _sums(u: np.ndarray, n_in: float, n_out: float, kr: float,
     raise NumericalError(
         f"omega_in quadrature failed to reach rel tol {tol} at "
         f"x_out={float(u[cols[0]])!r}")
-
-
-def check_grid_points(n_points: int, knob: str) -> None:
-    """Refuse with DomainError an output grid whose points would need more
-    than _MAX_ENGINE_BYTES at _POINT_BYTES each; knob names the setting
-    to lower.  Callers check before they allocate the grid."""
-    if n_points * _POINT_BYTES > _MAX_ENGINE_BYTES:
-        raise DomainError(
-            f"output grid too large: {n_points} points need "
-            f"~{n_points * _POINT_BYTES / 2**30:.3g} GiB, above the "
-            f"{_MAX_ENGINE_BYTES / 2**30:g} GiB limit; lower {knob}")
 
 
 def spectral_grid(geometry: BubbleGeometry,

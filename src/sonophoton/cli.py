@@ -13,13 +13,11 @@ import functools
 import math
 import sys
 
-import numpy as np
-
-from . import __version__
-from .bubble import (_MIN_REL_TOL, FiniteSpectrumConfig, check_grid_points,
-                     spectral_grid, spectrum_finite, totals_finite)
-from .core import (BubbleGeometry, DomainError, MediumTransition,
-                   NumericalError, build_geometry_from_kr, check_n_liquid,
+# bubble is executed, and numpy imported, on the first engine call
+from . import __version__, bubble
+from .core import (_MIN_REL_TOL, BubbleGeometry, DomainError,
+                   FiniteSpectrumConfig, MediumTransition, NumericalError,
+                   build_geometry_from_kr, check_grid_points, check_n_liquid,
                    joule_to_ev, nm_to_m)
 from .homogeneous import (POLARIZATIONS, photons_from_count_formula,
                           spectrum_infinite, total_photons_closed_form,
@@ -305,9 +303,9 @@ def cmd_spectrum(params: dict, output: str | None) -> int:
     fconfig = _finite_config(params)
     model = params["model"]
     if model == "infinite":
-        omega, x = spectral_grid(geometry, fconfig)
+        omega, x = bubble.spectral_grid(geometry, fconfig)
     else:
-        dens = spectrum_finite(transition, geometry, fconfig)
+        dens = bubble.spectrum_finite(transition, geometry, fconfig)
         omega, x = dens.grid, dens.dimensionless_x
     # the model not run leaves its column blank
     blank = [""] * x.size
@@ -333,8 +331,8 @@ def cmd_totals(params: dict, output: str | None) -> int:
     if model in ("infinite", "both"):
         rows.append(("infinite", totals_closed_form(transition, geometry)))
     if model in ("finite", "both"):
-        rows.append(("finite", totals_finite(transition, geometry,
-                                             _finite_config(params))))
+        rows.append(("finite", bubble.totals_finite(transition, geometry,
+                                                    _finite_config(params))))
     _write_csv("totals", params,
                "model,photon_count,total_energy_J,mean_energy_J,"
                "mean_energy_eV,mean_over_cutoff",
@@ -369,7 +367,7 @@ def cmd_table1(params: dict, output: str | None) -> int:
         geometry = _geometry(params, n_out)
         closed = total_photons_closed_form(transition, geometry)
         try:
-            summary = totals_finite(transition, geometry, fconfig)
+            summary = bubble.totals_finite(transition, geometry, fconfig)
         except NumericalError as exc:
             rows.append((n_in, n_out, None, ref_n, None, None, ref_ratio,
                          None, closed, None, f"failed: {exc}"))
@@ -400,6 +398,8 @@ def cmd_sweep(params: dict, output: str | None) -> int:
     if npts < 2 or not (0.0 < lo < hi):
         raise DomainError("need 0 < n-out-min < n-out-max and n-out-points >= 2")
     check_grid_points(npts, "n-out-points")
+    import numpy as np
+
     # each n_out is lo + (hi - lo) * i / (npts - 1) evaluated in that
     # order, as in Python floats; an infinite n-out-max gives NaN and inf,
     # which sweep_figure1 refuses

@@ -1,4 +1,5 @@
-"""Shared domain types, physical constants and unit conversions.
+"""Shared domain types, physical constants, unit conversions and the
+finite-volume engine's settings.
 
 Everything internal is SI: meters, seconds, joules, rad/s.  Display
 units (nm, eV) are converted only at the command-line boundary, so the
@@ -8,9 +9,12 @@ formulas that mix hbar, c, K and R never see mixed units.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # CODATA: c and hbar (J s).  c is exact by definition.
 SPEED_OF_LIGHT = 2.99792458e8
@@ -69,7 +73,7 @@ class MediumTransition:
     n_in, n_out are the dimensionless indices before and after; t0 is the
     physical timescale of the change in seconds.  The pseudo-time scale
     tau0 and the mean squared index are derived on access so they can
-    never go stale.
+    never go stale.  n_in^2 + n_out^2 must be a normal float.
     """
 
     n_in: float
@@ -80,6 +84,15 @@ class MediumTransition:
         _require_positive("n_in", self.n_in)
         _require_positive("n_out", self.n_out)
         _require_positive("t0", self.t0)
+        # the tanh profile sums the squared indices; below the smallest
+        # normal float that sum has lost digits or underflowed to 0 (and
+        # n * n, unlike n**2, overflows to inf rather than raising)
+        sum_sq = self.n_in * self.n_in + self.n_out * self.n_out
+        if not sys.float_info.min <= sum_sq < math.inf:
+            raise DomainError(
+                f"n_in^2 + n_out^2 = {sum_sq!r} is not a normal float: the "
+                f"indices must not both lie below 1.5e-154, nor either above "
+                f"9.4e153")
 
     @property
     def n_sq_mean(self) -> float:
@@ -207,6 +220,8 @@ class SpectralDensity:
     dimensionless_x: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         for name in ("grid", "values", "dimensionless_x"):
             if (field := getattr(self, name)) is not None:
                 object.__setattr__(self, name, np.asarray(field, dtype=float))
@@ -222,3 +237,64 @@ class SpectralDensity:
             raise DomainError("spectral values must be >= 0")
         if x is not None and len(x) != len(grid):
             raise DomainError("dimensionless_x length mismatch")
+
+
+# finite-volume engine settings ----------------------------------------------
+# Kept here, not in bubble, so that the command-line parser and the sweep
+# check read them without loading the engine and numpy.
+
+# The lowest quad_rel_tol a FiniteSpectrumConfig accepts.  The headline
+# spectrum converges down to 1e-15 and the five table1 cases down to
+# 3e-15; at 2e-15 the 68/34 case fails at x_out ~394, where the two
+# orders' difference is at the roundoff of the sums it compares (README
+# numerical notes).
+_MIN_REL_TOL = 1e-13
+# bubble.spectrum_finite refuses a problem whose engine arrays
+# (bubble._engine_bytes) would need more bytes than _MAX_ENGINE_BYTES, or
+# whose first pass would sum more than _MAX_NODE_PAIRS (node, point) pairs;
+# and check_grid_points an output grid (a spectrum's or a sweep's) whose
+# points would need more than _MAX_ENGINE_BYTES (at _POINT_BYTES each).
+_MAX_ENGINE_BYTES = 1 << 30
+_MAX_NODE_PAIRS = 1 << 30
+# Upper estimate of the bytes a caller holds per output grid point: the
+# grid and value columns and one CSV row (~390 B measured for
+# `spectrum --model infinite`, ~370 B for `sweep`).
+_POINT_BYTES = 512
+
+
+@dataclass(frozen=True)
+class FiniteSpectrumConfig:
+    """Controls for the finite-volume spectrum evaluation.
+
+    The angular sum is exact (summed in closed form), so there is no l
+    truncation to set.  quad_rel_tol is the omega_in quadrature's relative
+    tolerance, at least _MIN_REL_TOL.  grid_points sets the number of
+    samples up to the cutoff; the grid continues at the same spacing to
+    grid_extend * cutoff so the smeared roll-off is part of the curve.
+    """
+
+    quad_rel_tol: float = 1e-6
+    grid_points: int = 200
+    grid_extend: float = 1.3
+
+    def __post_init__(self) -> None:
+        if not (_MIN_REL_TOL <= self.quad_rel_tol < 1.0):
+            raise DomainError(
+                f"quad_rel_tol must lie in [{_MIN_REL_TOL:g}, 1), got "
+                f"{self.quad_rel_tol!r}: below {_MIN_REL_TOL:g} the omega_in "
+                f"quadrature's error estimate nears roundoff")
+        if self.grid_points < 2:
+            raise DomainError("grid_points must be >= 2")
+        if not (1.0 <= self.grid_extend <= 4.0):
+            raise DomainError("grid_extend must lie in [1, 4]")
+
+
+def check_grid_points(n_points: int, knob: str) -> None:
+    """Refuse with DomainError an output grid whose points would need more
+    than _MAX_ENGINE_BYTES at _POINT_BYTES each; knob names the setting
+    to lower.  Callers check before they allocate the grid."""
+    if n_points * _POINT_BYTES > _MAX_ENGINE_BYTES:
+        raise DomainError(
+            f"output grid too large: {n_points} points need "
+            f"~{n_points * _POINT_BYTES / 2**30:.3g} GiB, above the "
+            f"{_MAX_ENGINE_BYTES / 2**30:g} GiB limit; lower {knob}")

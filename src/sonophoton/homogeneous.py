@@ -13,16 +13,22 @@ energy are elementary integrals.
 Conventions: the factor 2 for the photon polarizations enters exactly
 once, at spectrum level (spectrum_infinite and the closed-form totals);
 beta_sq_density and sudden_beta_sq are per polarization.
+
+Only spectrum_infinite takes arrays; it imports numpy when it runs, so
+the scalar functions here (and log_sinh, the overflow-safe ln sinh) run
+without it.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (HBAR, SPEED_OF_LIGHT, BubbleGeometry, DomainError,
                    EmissionSummary, MediumTransition, NumericalError)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Photon polarization multiplicity, applied at spectrum level only.
 POLARIZATIONS = 2.0
@@ -35,27 +41,43 @@ def epsilon_profile(transition: MediumTransition, tau: float) -> float:
     """Permittivity profile in pseudo-time tau (seconds).
 
     (n_in^2 + n_out^2)/2 + (n_out^2 - n_in^2)/2 * tanh(tau / tau0);
-    runs monotonically from n_in^2 to n_out^2.
+    runs monotonically from n_in^2 to n_out^2.  tau / tau0 is taken as
+    tau / t0 * (n_in^2 + n_out^2) / 2, since tau0 underflows at large indices.
     """
+    mean = transition.n_sq_mean
     half_diff = 0.5 * (transition.n_out**2 - transition.n_in**2)
-    return transition.n_sq_mean + half_diff * math.tanh(tau / transition.tau0)
+    return mean + half_diff * math.tanh(tau / transition.t0 * mean)
 
 
 def sudden_beta_sq(transition: MediumTransition) -> float:
-    """Sudden-limit pair density per polarization: (Dn)^2 / (4 n_in n_out)."""
+    """Sudden-limit pair density per polarization: (Dn)^2 / (4 n_in n_out),
+    as (Dn / n_in) (Dn / n_out) / 4 so that no factor underflows.  A value
+    above the float range raises NumericalError."""
     dn = transition.delta_n
-    return 0.25 * dn * dn / (transition.n_in * transition.n_out)
+    return _finite("sudden pair density",
+                   0.25 * (dn / transition.n_in) * (dn / transition.n_out))
 
 
 def omega_sudden(transition: MediumTransition) -> float:
     """Frequency up to which the sudden approximation holds, rad/s.
 
     Omega = (n_in^2 + n_out^2) / (2 pi t0 n_out max(n_in, n_out)); the
-    index dependence can push this far above 1/t0.
+    index dependence can push this far above 1/t0.  It is taken through
+    the index ratio r = min / max <= 1, as (1 + r^2) (max / n_out) / (2 pi t0),
+    so nothing underflows; a value above the float range raises
+    NumericalError.
     """
-    n_in, n_out = transition.n_in, transition.n_out
-    return (n_in**2 + n_out**2) / (
-        2.0 * math.pi * transition.t0 * n_out * max(n_in, n_out))
+    lo, hi = sorted((transition.n_in, transition.n_out))
+    r = lo / hi
+    return _finite("omega_sudden", (1.0 + r * r) * (hi / transition.n_out)
+                   / (2.0 * math.pi) / transition.t0)
+
+
+def _finite(name: str, value: float) -> float:
+    """value, or NumericalError if it overflowed to +-inf."""
+    if math.isinf(value):
+        raise NumericalError(f"{name} exceeds the float range")
+    return value
 
 
 def _log_sinhc(x: float) -> float:
@@ -66,6 +88,16 @@ def _log_sinhc(x: float) -> float:
     if x == 0.0:
         return 0.0
     return x + math.log(-math.expm1(-2.0 * x) / x * 0.5)
+
+
+def log_sinh(x: float) -> float:
+    """ln(sinh x) for finite x >= 0 (-inf at x = 0) without overflow, as
+    _log_sinhc(x) + ln x."""
+    if x < 0.0 or not math.isfinite(x):
+        raise DomainError(f"log_sinh requires x >= 0, got {x!r}")
+    if x == 0.0:
+        return -math.inf
+    return _log_sinhc(x) + math.log(x)
 
 
 def beta_sq_density_log(transition: MediumTransition, omega_out: float) -> float:
@@ -115,11 +147,15 @@ def tail_log_slope(transition: MediumTransition) -> float:
     """Analytic large-omega slope of ln(beta_sq_density) per unit omega_out.
 
     From sinh x -> e^x / 2: the exponent tends to
-    -2 pi n_out t0 min(n_in, n_out) / <n^2> * omega_out.
+    -2 pi n_out t0 min(n_in, n_out) / <n^2> * omega_out, taken through the
+    index ratio r = min / max <= 1 as -2 pi t0 2 r (n_out / max) / (1 + r^2),
+    so nothing underflows; a value beyond the float range raises
+    NumericalError.
     """
-    n_in, n_out = transition.n_in, transition.n_out
-    return -2.0 * math.pi * n_out * transition.t0 * min(n_in, n_out) / \
-        transition.n_sq_mean
+    lo, hi = sorted((transition.n_in, transition.n_out))
+    r = lo / hi
+    share = 2.0 * r * (transition.n_out / hi) / (1.0 + r * r)
+    return _finite("tail_log_slope", -2.0 * math.pi * (transition.t0 * share))
 
 
 def _check_consistent(transition: MediumTransition,
@@ -141,6 +177,8 @@ def spectrum_infinite(transition: MediumTransition, geometry: BubbleGeometry,
     (a float is returned) or an array (an array of the same shape is
     returned, each entry equal to the float call at that point).
     """
+    import numpy as np
+
     _check_consistent(transition, geometry)
     w = np.asarray(omega_out, dtype=float)
     bad = ~(w >= 0.0) | ~np.isfinite(w)

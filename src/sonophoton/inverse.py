@@ -12,8 +12,8 @@ the branch pair an involution under n_in -> n_out^2 / n_in.
 
 The algebra and the root checks are written once, elementwise in n_out:
 solve_n_in runs them on a float and sweep_figure1 on the whole grid as
-arrays.  numpy's elementwise + - * / and sqrt round as Python's float
-operations do, so both give the same bits.  Where the count formula
+arrays (importing numpy when it runs).  numpy's elementwise + - * / and
+sqrt round as Python's float operations do, so both give the same bits.  Where the count formula
 over- or underflows, both raise DomainError or NumericalError, never a
 Python ArithmeticError or a NaN root.
 """
@@ -22,13 +22,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (DomainError, NumericalError, _require_finite_cubes,
                    _require_positive)
 from .homogeneous import photons_from_count_formula
+
+if TYPE_CHECKING:
+    from typing import Sequence
+
+    import numpy as np
 
 RESIDUAL_TOL = 1e-8
 # Near the double root a root must solve the quadratic to 64 ulp of its
@@ -169,6 +172,8 @@ def _solve_grid(grid: np.ndarray, n_target: float, n_liquid: float,
     count formula gives inf, not the ZeroDivisionError of Python's float
     division.
     """
+    import numpy as np
+
     n_liquid = np.float64(n_liquid)
     s, disc = _quadratic(grid, n_target, n_liquid, k_obs_r)
     low, high = _roots(grid, s, np.sqrt(disc))
@@ -195,6 +200,8 @@ def sweep_figure1(n_target: float, n_liquid: float, k_obs_r: float,
     that fails raises the error that solve_n_in, or the Vieta check,
     raises at its lowest failing n_out.  An empty grid gives [].
     """
+    import numpy as np
+
     grid = np.asarray(n_out_grid, dtype=float)
     if np.any(grid[1:] <= grid[:-1]):
         raise DomainError("n_out grid must be strictly increasing")

@@ -1,7 +1,7 @@
-"""Numerically robust special functions for the radial mode problem.
+"""Spherical Bessel functions for the radial mode problem.
 
-Spherical Bessel functions j_l of integer order as a table over
-l = 0..lmax and an array of arguments, and an overflow-safe log(sinh).
+j_l of integer order as a table over l = 0..lmax and an array of
+arguments.
 
 Evaluation strategy for j_l: upward recurrence where it is stable
 (x >= l), otherwise Miller's downward recurrence from a padded start
@@ -17,18 +17,6 @@ import math
 import numpy as np
 
 from .core import DomainError
-
-_LN2 = math.log(2.0)
-
-
-def log_sinh(x: float) -> float:
-    """ln(sinh x) for finite x >= 0 without overflow: x - ln 2 + ln(1 - e^-2x),
-    with 1 - e^-2x = -expm1(-2x) exact to rounding down to subnormal x."""
-    if x < 0.0 or not math.isfinite(x):
-        raise DomainError(f"log_sinh requires x >= 0, got {x!r}")
-    if x == 0.0:
-        return -math.inf
-    return x - _LN2 + math.log(-math.expm1(-2.0 * x))
 
 
 def _miller_start(lmax: int) -> int:

@@ -8,7 +8,8 @@ import pytest
 from mpmath import mp, mpf
 
 from sonophoton import (BubbleGeometry, DomainError, MediumTransition,
-                        NumericalError, build_geometry_from_kr, bubble)
+                        NumericalError, build_geometry_from_kr, bubble,
+                        core)
 from sonophoton.bubble import (_ESTIMATE_ORDER, _LEVELS, _VALUE_ORDER,
                                FiniteSpectrumConfig,
                                _engine_bytes, _gauss_nodes, _grid_size,
@@ -499,7 +500,7 @@ class TestEngineAgainstOracle:
         # two rules meets, sends both engines to their failure path at the
         # lowest point (at 1e-300 a point whose rules agree to the last bit
         # would pass)
-        monkeypatch.setattr(bubble, "_MIN_REL_TOL", -math.inf)
+        monkeypatch.setattr(core, "_MIN_REL_TOL", -math.inf)
         got, want = self.failure_messages(
             FiniteSpectrumConfig(grid_points=8, quad_rel_tol=-1.0))
         assert got == want

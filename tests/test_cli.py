@@ -172,14 +172,14 @@ class TestTable1Command:
     def test_failed_case_row_is_blank(self, tmp_path, monkeypatch):
         # a case whose finite-volume run fails keeps its row, with the
         # values it lacks blank, and the other four rows are written
-        totals = cli.totals_finite
+        totals = bubble.totals_finite
 
         def fail_68(transition, geometry, config):
             if transition.n_in == 68.0:
                 raise sonophoton.NumericalError("no convergence")
             return totals(transition, geometry, config)
 
-        monkeypatch.setattr(cli, "totals_finite", fail_68)
+        monkeypatch.setattr(bubble, "totals_finite", fail_68)
         code, text = run(["table1", "--k-obs-r", "3", "--grid-points", "12"],
                          tmp_path)
         assert code == 3
@@ -637,9 +637,10 @@ class TestExitCodes:
         ["totals", "--n-in", "1", "--n-out", "12", "--radius-nm", "1e300",
          "--cutoff-nm", "1e-300"],
         ["totals", "--n-in", "1e300", "--n-out", "1e-300"],
+        ["totals", "--n-in", "1e-320", "--n-out", "1e-10"],
     ], ids=["solve-c0-underflow", "solve-n-liquid-cube", "solve-k-obs-r-cube",
             "solve-nan-discriminant", "totals-k-obs-r", "totals-radius",
-            "totals-indices"])
+            "totals-indices", "totals-index-product-underflow"])
     def test_over_and_underflow_is_a_one_line_error(self, argv, capsys):
         # no traceback and no nan cell: usage or numerical exit, one line
         code = main(argv)
@@ -756,3 +757,30 @@ def test_help_and_version_print_once(argv, capsys, monkeypatch):
         assert out == sonophoton.__version__ + "\n"
     else:
         assert out.startswith("usage: sonophoton ") and out.count("usage:") == 1
+
+
+STARTUP_CHILD = """
+import contextlib, io, sys
+import sonophoton.cli
+assert "numpy" not in sys.modules, "import sonophoton.cli loaded numpy"
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["solve-nin", "--n-out", "12", "--target", "1e6"],
+                 ["totals", "--n-in", "1", "--n-out", "12",
+                  "--model", "infinite"]):
+        assert sonophoton.cli.main(argv) == 0, argv
+        assert "numpy" not in sys.modules, f"{argv} loaded numpy"
+assert {"sonophoton.bubble", "sonophoton.specfun"} <= set(sys.modules)
+for name in sonophoton.__all__:
+    getattr(sonophoton, name)
+assert "numpy" in sys.modules
+"""
+
+
+def test_closed_form_commands_start_without_numpy():
+    # the engine modules are registered at import and executed on first
+    # use, so the closed-form commands never import numpy; every public
+    # name still resolves, the engine's through the package
+    proc = subprocess.run([sys.executable, "-c", STARTUP_CHILD],
+                          env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

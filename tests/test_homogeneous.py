@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -339,3 +340,46 @@ class TestClosedFormTotals:
         ev = summary.mean_energy / 1.602176634e-19
         assert rel_err(ev, 3.576467260304791) < 1e-12
         assert 3.0 < ev < 4.0  # "a few eV"
+
+
+class TestExtremeIndices:
+    def test_squares_that_underflow_are_refused(self):
+        with pytest.raises(DomainError, match="not a normal float"):
+            MediumTransition(n_in=1e-170, n_out=2e-170)
+
+    @pytest.mark.parametrize("n_in, n_out", [(1e200, 1.0), (1.0, 1e200)])
+    def test_squares_that_overflow_are_refused(self, n_in, n_out):
+        with pytest.raises(DomainError, match="not a normal float"):
+            MediumTransition(n_in=n_in, n_out=n_out)
+
+    def test_sudden_value_of_near_equal_tiny_indices(self):
+        # (Dn)^2 and n_in n_out both underflow here; their ratio does not
+        n_in = 1e-150
+        n_out = n_in * (1.0 + 1e-14)
+        tr = MediumTransition(n_in=n_in, n_out=n_out)
+        a, b = Fraction(n_in), Fraction(n_out)
+        want = float((a - b)**2 / (4 * a * b))
+        assert want > 2e-29
+        assert rel_err(sudden_beta_sq(tr), want) < 1e-15
+        assert rel_err(beta_sq_density(tr, 1.0), want) < 1e-12
+
+    def test_public_functions_give_a_finite_value_or_a_typed_error(self):
+        # indices at both ends of the accepted range, transition times from
+        # the smallest float to the largest
+        calls = (sudden_beta_sq, omega_sudden, tail_log_slope,
+                 lambda tr: beta_sq_density(tr, 1e10),
+                 lambda tr: epsilon_profile(tr, 1e-15))
+        ends = (5e-324, 1.5e-154, 1.0, 9.4e153)
+        for n_in in ends:
+            for n_out in ends:
+                for t0 in (5e-324, 1e-15, 1.7e308):
+                    try:
+                        tr = MediumTransition(n_in=n_in, n_out=n_out, t0=t0)
+                    except DomainError:
+                        assert n_in < 1.5e-154 and n_out < 1.5e-154
+                        continue
+                    for call in calls:
+                        try:
+                            assert math.isfinite(call(tr))
+                        except (DomainError, NumericalError):
+                            pass

@@ -5,7 +5,8 @@ import pytest
 from mpmath import mp
 
 from sonophoton import DomainError
-from sonophoton.specfun import log_sinh, sph_jn_table
+from sonophoton.homogeneous import log_sinh
+from sonophoton.specfun import sph_jn_table
 
 from kernel_oracle import cylinder_j, cylinder_pair_at, wronskian_kernel
 from oracles import (assert_close, oracle_j, oracle_j_table_mp,
