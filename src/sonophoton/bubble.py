@@ -127,14 +127,12 @@ import math
 
 import numpy as np
 
-# the engine's settings live in core (the parser reads them without this
-# module); they are imported back under their old names
-from .core import (_MAX_ENGINE_BYTES, _MAX_NODE_PAIRS, _MIN_REL_TOL,
-                   _POINT_BYTES, HBAR, SPEED_OF_LIGHT, BubbleGeometry,
-                   DomainError, EmissionSummary, FiniteSpectrumConfig,
-                   MediumTransition, NumericalError, SpectralDensity,
-                   check_grid_points)
-from .homogeneous import POLARIZATIONS, _check_consistent
+# the engine's settings live in core, where the parser reads them
+from .core import (_MAX_ENGINE_BYTES, _MAX_NODE_PAIRS, _POINT_BYTES, HBAR,
+                   SPEED_OF_LIGHT, BubbleGeometry, DomainError,
+                   EmissionSummary, FiniteSpectrumConfig, MediumTransition,
+                   NumericalError, SpectralDensity, check_grid_points)
+from .homogeneous import POLARIZATIONS
 from .specfun import sph_jn_table
 
 # Target quadrature panel width in units of the wall phase (radians).  The
@@ -531,23 +529,24 @@ def _sums(u: np.ndarray, n_in: float, n_out: float, kr: float,
         f"x_out={float(u[cols[0]])!r}")
 
 
-def spectral_grid(geometry: BubbleGeometry,
+def spectral_grid(transition: MediumTransition, geometry: BubbleGeometry,
                   config: FiniteSpectrumConfig | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Output grid for spectra, as read-only float arrays (omega_out, x).
 
     Runs from one spacing above zero to grid_extend times the gas-side
-    cutoff, with a sample exactly at the cutoff; omega_out is in rad/s
-    and x = k_out R.  A grid whose points would need more than
-    _MAX_ENGINE_BYTES is refused with DomainError before it is built.
+    cutoff geometry.k_gas_cutoff(transition.n_out), with a sample exactly
+    at the cutoff; omega_out is in rad/s and x = k_out R.  A grid whose
+    points would need more than _MAX_ENGINE_BYTES is refused with
+    DomainError before it is built.
     """
     config = config or FiniteSpectrumConfig()
+    kr = geometry.k_gas_cutoff(transition.n_out) * geometry.radius
     n_points = _grid_size(config)
     check_grid_points(n_points, "grid_points")
-    kr = geometry.k_gas_cutoff * geometry.radius
     h = kr / config.grid_points
     x_grid = h * np.arange(1, n_points + 1)
-    omega_grid = x_grid * SPEED_OF_LIGHT / (geometry.n_out * geometry.radius)
+    omega_grid = x_grid * SPEED_OF_LIGHT / (transition.n_out * geometry.radius)
     x_grid.flags.writeable = omega_grid.flags.writeable = False
     return omega_grid, x_grid
 
@@ -565,10 +564,9 @@ def spectrum_finite(transition: MediumTransition, geometry: BubbleGeometry,
     array is built.
     """
     config = config or FiniteSpectrumConfig()
-    _check_consistent(transition, geometry)
     n_in, n_out = transition.n_in, transition.n_out
     radius = geometry.radius
-    kr = geometry.k_gas_cutoff * radius
+    kr = geometry.k_gas_cutoff(n_out) * radius
     c = SPEED_OF_LIGHT
     n_points = _grid_size(config)
     graded = n_out > n_in
@@ -588,7 +586,7 @@ def spectrum_finite(transition: MediumTransition, geometry: BubbleGeometry,
             f"the {_MAX_ENGINE_BYTES / 2**30:g} GiB limit; lower K R or "
             f"grid_points")
 
-    omega_grid, x_grid = spectral_grid(geometry, config)
+    omega_grid, x_grid = spectral_grid(transition, geometry, config)
     sums = _sums(x_grid, n_in, n_out, kr, config.quad_rel_tol)
     dn = transition.delta_n
     prefactor = POLARIZATIONS * 0.25 * dn * dn * radius / (c * n_in)

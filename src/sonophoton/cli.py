@@ -250,13 +250,13 @@ def _config_tokens(path: str) -> list[str]:
     return tokens
 
 
-def _geometry(params: dict, n_out: float):
+def _geometry(params: dict) -> BubbleGeometry:
     radius = nm_to_m(params["radius_nm"])
     if params.get("cutoff_nm") is not None:
         return BubbleGeometry(radius, params["n_liquid"],
-                              nm_to_m(params["cutoff_nm"]), n_out)
+                              nm_to_m(params["cutoff_nm"]))
     return build_geometry_from_kr(params["k_obs_r"], params["n_liquid"],
-                                  n_out, radius)
+                                  radius)
 
 
 def _finite_config(params: dict) -> FiniteSpectrumConfig:
@@ -299,11 +299,12 @@ def _write_csv(command: str, params: dict, header: str, lines: list[str],
 def cmd_spectrum(params: dict, output: str | None) -> int:
     n_in, n_out = params["n_gas_in"], params["n_gas_out"]
     transition = MediumTransition(n_in=n_in, n_out=n_out)
-    geometry = _geometry(params, n_out)
+    geometry = _geometry(params)
+    cutoff_x = geometry.k_gas_cutoff(n_out) * geometry.radius
     fconfig = _finite_config(params)
     model = params["model"]
     if model == "infinite":
-        omega, x = bubble.spectral_grid(geometry, fconfig)
+        omega, x = bubble.spectral_grid(transition, geometry, fconfig)
     else:
         dens = bubble.spectrum_finite(transition, geometry, fconfig)
         omega, x = dens.grid, dens.dimensionless_x
@@ -319,13 +320,13 @@ def cmd_spectrum(params: dict, output: str | None) -> int:
     _write_csv("spectrum", params,
                "x,omega_out_rad_s,nu_Hz,dNdomega_infinite,dNdomega_finite",
                lines, output,
-               k_gas_cutoff_x=geometry.k_gas_cutoff * geometry.radius)
+               k_gas_cutoff_x=cutoff_x)
     return EXIT_OK
 
 
 def cmd_totals(params: dict, output: str | None) -> int:
     transition = MediumTransition(n_in=params["n_in"], n_out=params["n_out"])
-    geometry = _geometry(params, params["n_out"])
+    geometry = _geometry(params)
     model = params["model"]
     rows = []
     if model in ("infinite", "both"):
@@ -360,11 +361,11 @@ def cmd_solve_nin(params: dict, output: str | None) -> int:
 
 def cmd_table1(params: dict, output: str | None) -> int:
     fconfig = _finite_config(params)
+    geometry = _geometry(params)
     rows = []
     for (n_in, n_out), ref_n, ref_ratio in zip(
             TABLE1_CASES, TABLE1_REF_COUNT, TABLE1_REF_RATIO):
         transition = MediumTransition(n_in=n_in, n_out=n_out)
-        geometry = _geometry(params, n_out)
         closed = total_photons_closed_form(transition, geometry)
         try:
             summary = bubble.totals_finite(transition, geometry, fconfig)

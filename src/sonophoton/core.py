@@ -71,9 +71,9 @@ class MediumTransition:
     """Refractive indices of the gas before/after the change and its timescale.
 
     n_in, n_out are the dimensionless indices before and after; t0 is the
-    physical timescale of the change in seconds.  The pseudo-time scale
-    tau0 and the mean squared index are derived on access so they can
-    never go stale.  n_in^2 + n_out^2 must be a normal float.
+    physical timescale of the change in seconds.  The mean squared index
+    is derived on access so it can never go stale.  n_in^2 + n_out^2 must
+    be a normal float.
     """
 
     n_in: float
@@ -100,11 +100,6 @@ class MediumTransition:
         return 0.5 * (self.n_in**2 + self.n_out**2)
 
     @property
-    def tau0(self) -> float:
-        """Pseudo-time timescale: t0 = tau0 * (n_in^2 + n_out^2) / 2."""
-        return 2.0 * self.t0 / (self.n_in**2 + self.n_out**2)
-
-    @property
     def delta_n(self) -> float:
         return self.n_in - self.n_out
 
@@ -116,7 +111,8 @@ class BubbleGeometry:
     The sharp high-frequency cutoff is specified as a wavelength
     lambda_obs observed *in the liquid*; k_observed = 2 pi / lambda_obs.
     The gas-side cutoff wavevector appearing in the step function
-    Theta(K - k) is K = k_observed * n_out / n_liquid, the unique
+    Theta(K - k) belongs to the gas after the change, so it is the method
+    k_gas_cutoff(n_out) = k_observed * n_out / n_liquid: the unique
     convention under which the closed-form photon count and its
     "(k_observed R)^3 / (9 pi n_liquid^3)" rewriting coincide.
     """
@@ -124,16 +120,12 @@ class BubbleGeometry:
     radius: float
     n_liquid: float
     lambda_obs: float
-    n_out: float
 
     def __post_init__(self) -> None:
         _require_positive("radius", self.radius)
         _require_positive("lambda_obs", self.lambda_obs)
-        _require_positive("n_out", self.n_out)
         check_n_liquid(self.n_liquid)
-        _require_finite_cubes(("radius (m)", self.radius),  # closed forms cube
-                              ("K R", self.k_gas_cutoff * self.radius),
-                              ("K (1/m)", self.k_gas_cutoff))
+        _require_finite_cubes(("radius (m)", self.radius))  # closed forms cube
 
     @property
     def k_observed(self) -> float:
@@ -145,10 +137,13 @@ class BubbleGeometry:
         """Cutoff angular frequency, rad/s (same on both sides of the wall)."""
         return SPEED_OF_LIGHT * self.k_observed / self.n_liquid
 
-    @property
-    def k_gas_cutoff(self) -> float:
-        """Gas-side cutoff wavevector K, 1/m."""
-        return self.k_observed * self.n_out / self.n_liquid
+    def k_gas_cutoff(self, n_out: float) -> float:
+        """Gas-side cutoff wavevector K = k_observed n_out / n_liquid, 1/m;
+        DomainError unless n_out > 0 and K R and K have finite cubes."""
+        _require_positive("n_out", n_out)
+        k = self.k_observed * n_out / self.n_liquid
+        _require_finite_cubes(("K R", k * self.radius), ("K (1/m)", k))
+        return k
 
     @property
     def volume(self) -> float:
@@ -160,18 +155,16 @@ class BubbleGeometry:
         return self.k_observed * self.radius
 
 
-def build_geometry_from_kr(k_obs_r: float, n_liquid: float, n_out: float,
+def build_geometry_from_kr(k_obs_r: float, n_liquid: float,
                            radius: float = 500e-9) -> BubbleGeometry:
     """Construct a geometry with a prescribed dimensionless k_observed * R.
 
     Useful when the cutoff is calibrated as a pure number (e.g. 15)
     rather than as a physical wavelength; lambda_obs is back-computed.
     """
-    _require_positive("k_obs_r", k_obs_r)
-    _require_positive("radius", radius)
+    _require_positive("k_obs_r", k_obs_r)  # BubbleGeometry checks radius
     return BubbleGeometry(radius=radius, n_liquid=n_liquid,
-                          lambda_obs=2.0 * math.pi * radius / k_obs_r,
-                          n_out=n_out)
+                          lambda_obs=2.0 * math.pi * radius / k_obs_r)
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,14 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
+def _pair_ratio(transition: MediumTransition) -> float:
+    """(Dn)^2 / (n_in n_out) as (Dn / n_in) (Dn / n_out), for where n_in n_out
+    underflows to 0; NumericalError if it overflows."""
+    dn = transition.delta_n
+    return _finite("(Dn)^2 / (n_in n_out)",
+                   (dn / transition.n_in) * (dn / transition.n_out))
+
+
 def _log_sinhc(x: float) -> float:
     """ln(sinh(x) / x) for finite x >= 0 (0 at x = 0) as
     x + ln((1 - e^-2x) / x / 2), which neither overflows nor underflows."""
@@ -158,15 +166,6 @@ def tail_log_slope(transition: MediumTransition) -> float:
     return _finite("tail_log_slope", -2.0 * math.pi * (transition.t0 * share))
 
 
-def _check_consistent(transition: MediumTransition,
-                      geometry: BubbleGeometry) -> None:
-    if not math.isclose(transition.n_out, geometry.n_out,
-                        rel_tol=1e-12, abs_tol=0.0):
-        raise DomainError(
-            "geometry was built with n_out=%r but transition has n_out=%r"
-            % (geometry.n_out, transition.n_out))
-
-
 def spectrum_infinite(transition: MediumTransition, geometry: BubbleGeometry,
                       omega_out: float | np.ndarray) -> float | np.ndarray:
     """dN/d omega_out (seconds) in the sudden infinite-volume limit.
@@ -179,32 +178,35 @@ def spectrum_infinite(transition: MediumTransition, geometry: BubbleGeometry,
     """
     import numpy as np
 
-    _check_consistent(transition, geometry)
+    n_in, n_out, dn = transition.n_in, transition.n_out, transition.delta_n
+    k_cut = geometry.k_gas_cutoff(n_out)
     w = np.asarray(omega_out, dtype=float)
     bad = ~(w >= 0.0) | ~np.isfinite(w)
     if bad.any():
         raise DomainError(f"omega_out must be >= 0 and finite, got "
                           f"{float(w[bad][0])!r}")
     c = SPEED_OF_LIGHT
-    dn = transition.delta_n
     # the constant factors left to right, then k_out twice: the order
     # fixes each value's last bit, and the committed spectra use this one
-    coeff = (transition.n_out / (2.0 * c)
-             * dn * dn / (transition.n_out * transition.n_in)
-             * geometry.volume / (2.0 * math.pi)**3
-             * 4.0 * math.pi)
-    k_out = transition.n_out * w / c
-    vals = np.where(k_out > geometry.k_gas_cutoff, 0.0, coeff * k_out * k_out)
+    head = n_out / (2.0 * c)
+    pair = (head * dn * dn / (n_out * n_in) if n_out * n_in != 0.0
+            else head * _pair_ratio(transition))
+    coeff = pair * geometry.volume / (2.0 * math.pi)**3 * 4.0 * math.pi
+    k_out = n_out * w / c
+    vals = np.where(k_out > k_cut, 0.0, coeff * k_out * k_out)
     return float(vals) if vals.ndim == 0 else vals
 
 
 def total_photons_closed_form(transition: MediumTransition,
                               geometry: BubbleGeometry) -> float:
-    """Closed-form photon count N = (RK)^3 (Dn)^2 / (9 pi n_in n_out)."""
-    _check_consistent(transition, geometry)
+    """Closed-form photon count N = (RK)^3 (Dn)^2 / (9 pi n_in n_out); one
+    taken through _pair_ratio that overflows raises NumericalError."""
     dn = transition.delta_n
-    rk = geometry.radius * geometry.k_gas_cutoff
-    return dn * dn / (9.0 * math.pi * transition.n_in * transition.n_out) * rk**3
+    rk = geometry.radius * geometry.k_gas_cutoff(transition.n_out)
+    if (denom := 9.0 * math.pi * transition.n_in * transition.n_out) != 0.0:
+        return dn * dn / denom * rk**3
+    return _finite("photon count",
+                   _pair_ratio(transition) / (9.0 * math.pi) * rk**3)
 
 
 def photons_from_count_formula(n_in: float, n_out: float, n_liquid: float,
@@ -223,11 +225,15 @@ def photons_from_count_formula(n_in: float, n_out: float, n_liquid: float,
 
 def totals_closed_form(transition: MediumTransition,
                        geometry: BubbleGeometry) -> EmissionSummary:
-    """Closed-form totals; the identity E = (3/4) N hbar omega_max is exact."""
-    _check_consistent(transition, geometry)
+    """Closed-form totals; the identity E = (3/4) N hbar omega_max is exact.
+    An energy taken through _pair_ratio that overflows is a NumericalError."""
     n = total_photons_closed_form(transition, geometry)
-    dn = transition.delta_n
-    k = geometry.k_gas_cutoff
-    energy = (dn * dn / (16.0 * math.pi**2 * transition.n_in * transition.n_out**2)
-              * HBAR * SPEED_OF_LIGHT * k * geometry.volume * k**3)
+    n_in, n_out, dn = transition.n_in, transition.n_out, transition.delta_n
+    k = geometry.k_gas_cutoff(n_out)
+    denom = 16.0 * math.pi**2 * n_in * n_out**2
+    pair = (dn * dn / denom if denom != 0.0 else
+            _pair_ratio(transition) / (16.0 * math.pi**2 * n_out))
+    energy = pair * HBAR * SPEED_OF_LIGHT * k * geometry.volume * k**3
+    if denom == 0.0:
+        _finite("emitted energy", energy)
     return EmissionSummary.from_totals(n, energy, HBAR * geometry.omega_max)

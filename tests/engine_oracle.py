@@ -205,10 +205,10 @@ def spectrum_values(transition, geometry, config=None,
     _SpectrumEngine."""
     config = config or FiniteSpectrumConfig()
     n_in, n_out = transition.n_in, transition.n_out
-    kr = geometry.k_gas_cutoff * geometry.radius
+    kr = geometry.k_gas_cutoff(n_out) * geometry.radius
     engine = _SpectrumEngine(n_in, n_out, kr, config, l_max)
     dn = transition.delta_n
     prefactor = (POLARIZATIONS * 0.25 * dn * dn * geometry.radius
                  / (SPEED_OF_LIGHT * n_in))
-    _, x_grid = spectral_grid(geometry, config)
+    _, x_grid = spectral_grid(transition, geometry, config)
     return [prefactor * engine.sum_at(u) for u in x_grid.tolist()]

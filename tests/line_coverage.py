@@ -1,12 +1,15 @@
-"""List every statement under src/ that no test executes.
+"""List every statement under src/ that no test executes, and the size of
+each src/ module.
 
     python3 tests/line_coverage.py [pytest arguments]
 
 Runs the test suite in this process (pytest.main) under a sys.settrace
 line tracer that records the lines run in src/ files only, then prints
-each src/ statement none of whose lines ran, as path:line: source.  It
+each src/ statement none of whose lines ran, as path:line: source, and
+then each src/ file's line count and their total, as path: N lines.  It
 needs no coverage package.  Statements run only in a test's subprocess
-(the CLI's ``sys.exit(main())``, say) are not seen.  The name does not
+(the CLI's ``sys.exit(main())``, say) are not seen; those under
+``if TYPE_CHECKING:`` never run and are not listed.  The name does not
 match test_*.py, so pytest does not collect this file.  The exit code is
 pytest's.
 """
@@ -51,9 +54,17 @@ def _missed(path: Path, hits: set[int]) -> list[tuple[int, str]]:
     text = path.read_text()
     source = text.splitlines()
     runnable = _code_lines(compile(text, str(path), "exec"))
+    tree = ast.parse(text)
+    # the imports for type checkers only, which never run
+    typing_only = {node.lineno for guard in ast.walk(tree)
+                   if isinstance(guard, ast.If)
+                   and isinstance(guard.test, ast.Name)
+                   and guard.test.id == "TYPE_CHECKING"
+                   for stmt in guard.body for node in ast.walk(stmt)
+                   if isinstance(node, ast.stmt)}
     missed = []
-    for node in ast.walk(ast.parse(text)):
-        if not isinstance(node, ast.stmt):
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.stmt) or node.lineno in typing_only:
             continue
         first = min([node.lineno] + [d.lineno for d in
                                      getattr(node, "decorator_list", [])])
@@ -76,6 +87,12 @@ def main(args: list[str]) -> int:
     for path in SOURCES:
         for line, text in _missed(path, _hits[str(path)]):
             print(f"{path.relative_to(ROOT)}:{line}: {text}")
+    total = 0
+    for path in SOURCES:
+        count = len(path.read_text().splitlines())
+        total += count
+        print(f"{path.relative_to(ROOT)}: {count} lines")
+    print(f"src: {total} lines")
     return int(code)
 
 

@@ -74,7 +74,7 @@ def test_criterion_2_closed_form_identities():
         n_in, n_out = (float(v) for v in rng.uniform(1.0, 100.0, size=2))
         tr = MediumTransition(n_in=n_in, n_out=n_out)
         geom = build_geometry_from_kr(float(rng.uniform(5.0, 40.0)),
-                                      float(rng.uniform(1.0, 1.8)), n_out,
+                                      float(rng.uniform(1.0, 1.8)),
                                       radius=float(rng.uniform(0.2, 2.0)) * 1e-6)
         summary = totals_closed_form(tr, geom)
         want = 0.75 * summary.photon_count * HBAR * geom.omega_max
@@ -86,7 +86,7 @@ def test_criterion_2_closed_form_identities():
         n_in, n_out = (float(v) for v in rng.uniform(1.0, 100.0, size=2))
         n_liq = float(rng.uniform(1.0, 1.8))
         tr = MediumTransition(n_in=n_in, n_out=n_out)
-        geom = build_geometry_from_kr(15.0, n_liq, n_out)
+        geom = build_geometry_from_kr(15.0, n_liq)
         a = total_photons_closed_form(tr, geom)
         b = photons_from_count_formula(n_in, n_out, n_liq, 15.0)
         if b > 0.0:
@@ -131,8 +131,8 @@ def test_criterion_4_exponential_tail():
 def test_criterion_5_figure2_shape():
     n_liq = 1.3
     tr = MediumTransition(n_in=2e4, n_out=1.0)
-    geom = BubbleGeometry(500e-9, n_liq, 200e-9, 1.0)
-    kr = geom.k_gas_cutoff * geom.radius
+    geom = BubbleGeometry(500e-9, n_liq, 200e-9)
+    kr = geom.k_gas_cutoff(tr.n_out) * geom.radius
     cfg = FiniteSpectrumConfig()
     dens = spectrum_finite(tr, geom, cfg)
     x = np.array(dens.dimensionless_x)

@@ -131,12 +131,12 @@ class TestFiniteKernel:
         # far below the 5e-3 tolerance)
         n_in, n_out, n_liq = 2.0, 1.5, 1.3
         tr = MediumTransition(n_in=n_in, n_out=n_out)
-        geom = build_geometry_from_kr(5.0, n_liq, n_out)
+        geom = build_geometry_from_kr(5.0, n_liq)
         l_max = 10
         cfg = FiniteSpectrumConfig(grid_points=12, grid_extend=1.0,
                                    quad_rel_tol=1e-8)
         dens = spectrum_finite(tr, geom, cfg)
-        k_cut = geom.k_gas_cutoff
+        k_cut = geom.k_gas_cutoff(n_out)
         w_in_hi = C * k_cut / n_in
         w_in = np.linspace(1e-6 * w_in_hi, w_in_hi, 1500)
         for idx in (3, 9):
@@ -246,11 +246,11 @@ class TestSpectrumFinite:
     def setup_method(self):
         self.n_liq = 1.3
         self.tr = MediumTransition(n_in=2.0, n_out=1.5)
-        self.geom = build_geometry_from_kr(6.0, self.n_liq, 1.5)
+        self.geom = build_geometry_from_kr(6.0, self.n_liq)
 
     def test_no_change_gives_zero(self):
         tr = MediumTransition(n_in=2.0, n_out=2.0)
-        geom = build_geometry_from_kr(6.0, self.n_liq, 2.0)
+        geom = build_geometry_from_kr(6.0, self.n_liq)
         cfg = FiniteSpectrumConfig(grid_points=20)
         dens = spectrum_finite(tr, geom, cfg)
         assert all(v == 0.0 for v in dens.values)
@@ -259,7 +259,7 @@ class TestSpectrumFinite:
         cfg = FiniteSpectrumConfig(grid_points=40)
         dens = spectrum_finite(self.tr, self.geom, cfg)
         assert all(v >= 0.0 for v in dens.values)
-        kr = self.geom.k_gas_cutoff * self.geom.radius
+        kr = self.geom.k_gas_cutoff(self.tr.n_out) * self.geom.radius
         assert any(math.isclose(x, kr, rel_tol=1e-12)
                    for x in dens.dimensionless_x)
         for w, x in zip(dens.grid, dens.dimensionless_x):
@@ -291,7 +291,7 @@ class TestSpectrumFinite:
 
     def oracle_totals(self, cfg, l_max):
         """totals_finite of the per-l oracle's spectrum summed to l_max."""
-        omega, x = spectral_grid(self.geom, cfg)
+        omega, x = spectral_grid(self.tr, self.geom, cfg)
         values = engine_oracle.spectrum_values(self.tr, self.geom, cfg, l_max)
         return totals_finite(self.tr, self.geom, cfg, spectral=SpectralDensity(
             grid=omega, values=tuple(values), dimensionless_x=x))
@@ -299,7 +299,7 @@ class TestSpectrumFinite:
     def test_l_truncation(self):
         # the l sum cut a little above K R is already within 1e-2 of the
         # closed form, which sums every l
-        kr = self.geom.k_gas_cutoff * self.geom.radius
+        kr = self.geom.k_gas_cutoff(self.tr.n_out) * self.geom.radius
         base = math.ceil(kr) + 6
         cfg = FiniteSpectrumConfig(grid_points=60)
         n_a = self.oracle_totals(cfg, base).photon_count
@@ -308,7 +308,7 @@ class TestSpectrumFinite:
 
     def test_auto_matches_generous_explicit(self):
         cfg = FiniteSpectrumConfig(grid_points=60)
-        kr = self.geom.k_gas_cutoff * self.geom.radius
+        kr = self.geom.k_gas_cutoff(self.tr.n_out) * self.geom.radius
         n_auto = totals_finite(self.tr, self.geom, cfg)
         n_full = self.oracle_totals(cfg, math.ceil(kr) + 30)
         assert rel_err(n_auto.photon_count, n_full.photon_count) < 5e-4
@@ -319,15 +319,15 @@ class TestSpectrumFinite:
         with pytest.raises(DomainError):
             FiniteSpectrumConfig(quad_rel_tol=2.0)
         with pytest.raises(DomainError):
-            FiniteSpectrumConfig(quad_rel_tol=0.5 * bubble._MIN_REL_TOL)
+            FiniteSpectrumConfig(quad_rel_tol=0.5 * core._MIN_REL_TOL)
         for extend in (0.99, 4.01):
             with pytest.raises(DomainError, match="grid_extend"):
                 FiniteSpectrumConfig(grid_extend=extend)
 
     def test_spectral_grid_contains_cutoff(self):
         cfg = FiniteSpectrumConfig(grid_points=50, grid_extend=1.3)
-        omega_grid, x_grid = spectral_grid(self.geom, cfg)
-        kr = self.geom.k_gas_cutoff * self.geom.radius
+        omega_grid, x_grid = spectral_grid(self.tr, self.geom, cfg)
+        kr = self.geom.k_gas_cutoff(self.tr.n_out) * self.geom.radius
         assert math.isclose(x_grid[49], kr, rel_tol=1e-12)
         assert x_grid[-1] >= 1.28 * kr
         # read-only float arrays, which spectrum_finite passes on unchanged
@@ -350,7 +350,7 @@ class TestSpectrumFinite:
         # the smeared curve climbs quadratically through the bulk of the
         # band (steeper only below x ~ l_min where no partial wave fits)
         tr = MediumTransition(n_in=2e4, n_out=1.0)
-        geom = build_geometry_from_kr(5.0 * math.pi, 1.3, 1.0)
+        geom = build_geometry_from_kr(5.0 * math.pi, 1.3)
         dens = spectrum_finite(tr, geom)
         x = np.array(dens.dimensionless_x)
         y = np.array(dens.values)
@@ -365,7 +365,7 @@ class TestLargeVolumeConsistency:
         # acceptance suite
         for n_in, n_out in ((2e4, 1.0), (1.0, 12.0)):
             tr = MediumTransition(n_in=n_in, n_out=n_out)
-            geom = build_geometry_from_kr(15.0, 1.3, n_out)
+            geom = build_geometry_from_kr(15.0, 1.3)
             summary = totals_finite(tr, geom)
             closed = total_photons_closed_form(tr, geom)
             assert abs(summary.photon_count - closed) / closed < 0.10
@@ -377,7 +377,7 @@ class TestLargeVolumeConsistency:
         tr = MediumTransition(n_in=2.0, n_out=1.3)
         gaps = []
         for kr in (100.0, 300.0, 1000.0):
-            geom = build_geometry_from_kr(kr, 1.3, 1.3)   # gas-side K R
+            geom = build_geometry_from_kr(kr, 1.3)   # gas-side K R
             summary = totals_finite(tr, geom)
             closed = totals_closed_form(tr, geom)
             gaps.append((abs(summary.photon_count / closed.photon_count - 1.0),
@@ -442,7 +442,7 @@ def test_angular_sum_matches_mpmath(u, v):
 
 
 HEADLINE = (MediumTransition(n_in=2e4, n_out=1.0),
-            BubbleGeometry(nm_to_m(500.0), 1.3, nm_to_m(200.0), 1.0))
+            BubbleGeometry(nm_to_m(500.0), 1.3, nm_to_m(200.0)))
 
 
 def engine_and_oracle(tr, geom, cfg, l_max=None):
@@ -459,17 +459,17 @@ class TestEngineAgainstOracle:
         HEADLINE + (FiniteSpectrumConfig(), None),
         # grid spacing 3.5 > pi/2: several oracle panels between points
         (MediumTransition(n_in=2.0, n_out=1.5),
-         build_geometry_from_kr(6.0, 1.3, 1.5), FiniteSpectrumConfig(grid_points=2),
+         build_geometry_from_kr(6.0, 1.3), FiniteSpectrumConfig(grid_points=2),
          None),
         # grid spacing 0.009 at K R < pi/2: every point shares the one
         # panel, and every node pair has u and v below 2, so the engine
         # sums them all term by term (the small-argument block)
         (MediumTransition(n_in=3.0, n_out=1.5),
-         build_geometry_from_kr(1.5, 1.3, 1.5), FiniteSpectrumConfig(grid_points=200),
+         build_geometry_from_kr(1.5, 1.3), FiniteSpectrumConfig(grid_points=200),
          None),
         # the oracle summed to an explicit l_max, without its tail test
         (MediumTransition(n_in=2.0, n_out=1.5),
-         build_geometry_from_kr(5.0, 1.3, 1.5),
+         build_geometry_from_kr(5.0, 1.3),
          FiniteSpectrumConfig(grid_points=30), 40),
     ], ids=["headline", "split-intervals", "fine-grid", "explicit-lmax"])
     def test_pointwise_agreement(self, tr, geom, cfg, l_max):
@@ -479,13 +479,13 @@ class TestEngineAgainstOracle:
 
     def test_equal_indices_give_zero(self):
         got, want = engine_and_oracle(MediumTransition(n_in=2.0, n_out=2.0),
-                                      build_geometry_from_kr(5.0, 1.3, 2.0),
+                                      build_geometry_from_kr(5.0, 1.3),
                                       FiniteSpectrumConfig(grid_points=20))
         assert np.all(got == 0.0) and np.all(want == 0.0)
 
     def failure_messages(self, cfg):
         tr = MediumTransition(n_in=2.0, n_out=1.5)
-        geom = build_geometry_from_kr(3.0, 1.3, 1.5)
+        geom = build_geometry_from_kr(3.0, 1.3)
         messages = []
         for run in (lambda: spectrum_finite(tr, geom, cfg),
                     lambda: engine_oracle.spectrum_values(tr, geom, cfg)):
@@ -512,7 +512,7 @@ class TestEngineAgainstOracle:
         # test passes, and every converged point fails that test at this
         # threshold
         tr = MediumTransition(n_in=2.0, n_out=1.5)
-        geom = build_geometry_from_kr(3.0, 1.3, 1.5)
+        geom = build_geometry_from_kr(3.0, 1.3)
         got, want = engine_and_oracle(tr, geom,
                                       FiniteSpectrumConfig(grid_points=8))
         assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
@@ -582,14 +582,14 @@ def test_output_points_on_and_beside_gauss_nodes():
 
 def kr_geometry(kr, n_out):
     """The geometry at n_liquid 1.3 whose gas-side K R is kr."""
-    return build_geometry_from_kr(kr * 1.3 / n_out, 1.3, n_out)
+    return build_geometry_from_kr(kr * 1.3 / n_out, 1.3)
 
 
 @pytest.mark.parametrize("n_in, n_out, geom", [
     (2e4, 1.0, HEADLINE[1]),
-    *((n_in, n_out, build_geometry_from_kr(15.0, 1.3, n_out))
+    *((n_in, n_out, build_geometry_from_kr(15.0, 1.3))
       for n_in, n_out in TABLE1_CASES),
-    (1.0, 50.0, build_geometry_from_kr(15.0, 1.3, 50.0)),
+    (1.0, 50.0, build_geometry_from_kr(15.0, 1.3)),
     (1.01, 1.0, kr_geometry(23.0, 1.0)),
     (1.5, 1.0, kr_geometry(46.0, 1.0)),
 ], ids=["headline", "2e4/1", "71/25", "68/34", "9/25", "1/12", "1/50",
@@ -603,9 +603,10 @@ def test_first_level_estimate_bounds_the_error(n_in, n_out, geom):
     # once more (1/50), so errors below 3e-14 are its roundoff.  And it
     # must stay far inside the default tolerance, so that the estimate,
     # not the value, never sends a point to the next level
-    kr = geom.k_gas_cutoff * geom.radius
+    kr = geom.k_gas_cutoff(n_out) * geom.radius
     cfg = FiniteSpectrumConfig()
-    u = np.asarray(spectral_grid(geom, cfg)[1])
+    tr = MediumTransition(n_in=n_in, n_out=n_out)
+    u = np.asarray(spectral_grid(tr, geom, cfg)[1])
     levels = [_panel_edges(kr, n_out > n_in)]
     levels.append(bisected(levels[0]))
     finest = bisected(bisected(levels[1]))
@@ -625,11 +626,12 @@ def test_tight_tolerance_converges():
     # the 68/34 row (K R 392) converges at 7e-15, below _MIN_REL_TOL, and
     # agrees with its result at the floor
     n_in, n_out = 68.0, 34.0
-    geom = build_geometry_from_kr(15.0, 1.3, n_out)
-    kr = geom.k_gas_cutoff * geom.radius
-    u = np.asarray(spectral_grid(geom, FiniteSpectrumConfig())[1])
+    geom = build_geometry_from_kr(15.0, 1.3)
+    kr = geom.k_gas_cutoff(n_out) * geom.radius
+    tr = MediumTransition(n_in=n_in, n_out=n_out)
+    u = np.asarray(spectral_grid(tr, geom, FiniteSpectrumConfig())[1])
     tight = bubble._sums(u, n_in, n_out, kr, 7e-15)
-    floor = bubble._sums(u, n_in, n_out, kr, bubble._MIN_REL_TOL)
+    floor = bubble._sums(u, n_in, n_out, kr, core._MIN_REL_TOL)
     assert np.all(np.abs(tight - floor) <= 1e-13 * np.abs(tight))
 
 
@@ -665,7 +667,7 @@ def test_direct_sum_is_a_narrow_band(monkeypatch):
     # 11 of the 131 points miss the tolerance at order 16 against 24 and
     # are redone at the second level
     (MediumTransition(n_in=2.0, n_out=1.5),
-     build_geometry_from_kr(6.0, 1.3, 1.5),
+     build_geometry_from_kr(6.0, 1.3),
      FiniteSpectrumConfig(grid_points=100, quad_rel_tol=1e-11)),
 ], ids=["headline", "second-level"])
 def test_column_blocks_do_not_change_spectra(monkeypatch, tr, geom, cfg):
@@ -710,11 +712,11 @@ def test_column_blocks_do_not_change_spectra(monkeypatch, tr, geom, cfg):
     "point, so (1.3 - 1) * 200 = 60.00000000000001 adds one point past "
     "grid_extend * cutoff; the fix changes the benchmark golden files"))
 def test_grid_ends_at_grid_extend():
-    geom = HEADLINE[1]
-    kr = geom.k_gas_cutoff * geom.radius
+    tr, geom = HEADLINE
+    kr = geom.k_gas_cutoff(tr.n_out) * geom.radius
     for grid_points in (50, 200, 800):
         cfg = FiniteSpectrumConfig(grid_points=grid_points)
-        _, x = spectral_grid(geom, cfg)
+        _, x = spectral_grid(tr, geom, cfg)
         assert abs(x[-1] - cfg.grid_extend * kr) <= 1e-12 * x[-1]
 
 
@@ -728,7 +730,7 @@ class TestProblemSizeGuard:
         monkeypatch.setattr(bubble, "sph_jn_table", no_table)
         monkeypatch.setattr(bubble, "_closed_form", no_table)
         tr = MediumTransition(n_in=2.0, n_out=1.5)
-        geom = build_geometry_from_kr(1e6, 1.3, 1.5)
+        geom = build_geometry_from_kr(1e6, 1.3)
         start = time.perf_counter()
         with pytest.raises(DomainError, match="too large"):
             spectrum_finite(tr, geom)
@@ -746,7 +748,7 @@ class TestProblemSizeGuard:
         tr = MediumTransition(n_in=2.0, n_out=1.5)
         geom = kr_geometry(13000.0, 1.5)
         cfg = FiniteSpectrumConfig(grid_points=21000)
-        kr = geom.k_gas_cutoff * geom.radius
+        kr = geom.k_gas_cutoff(tr.n_out) * geom.radius
         assert _engine_bytes(kr, cfg) < bubble._MAX_ENGINE_BYTES
         start = time.perf_counter()
         with pytest.raises(DomainError, match="node pairs"):
@@ -778,8 +780,8 @@ class TestProblemSizeGuard:
     ], ids=["fine-grid", "small-refined", "headline-kr"])
     def test_ungraded_estimate_bounds_measured_peak(self, kr, cfg):
         tr = MediumTransition(n_in=2.0, n_out=1.5)
-        geom = build_geometry_from_kr(kr, 1.3, 1.5)
-        kr = geom.k_gas_cutoff * geom.radius
+        geom = build_geometry_from_kr(kr, 1.3)
+        kr = geom.k_gas_cutoff(tr.n_out) * geom.radius
         tracemalloc.start()
         try:
             spectrum_finite(tr, geom, cfg)
@@ -808,8 +810,8 @@ class TestProblemSizeGuard:
             "wide-grid", "graded", "tiny-grid"])
     def test_estimate_bounds_measured_peak(self, kr, cfg, n_in):
         tr = MediumTransition(n_in=n_in, n_out=1.5)
-        geom = build_geometry_from_kr(kr, 1.3, 1.5)
-        kr = geom.k_gas_cutoff * geom.radius
+        geom = build_geometry_from_kr(kr, 1.3)
+        kr = geom.k_gas_cutoff(tr.n_out) * geom.radius
         tracemalloc.start()
         try:
             spectrum_finite(tr, geom, cfg)

@@ -143,7 +143,7 @@ class TestSpectrumCommand:
         assert code == 0
         transition = sonophoton.MediumTransition(n_in=2e4, n_out=1.0)
         geometry = sonophoton.BubbleGeometry(nm_to_m(500.0), 1.3,
-                                             nm_to_m(200.0), 1.0)
+                                             nm_to_m(200.0))
         dens = sonophoton.spectrum_finite(transition, geometry)
         omega = dens.grid
         infinite = sonophoton.spectrum_infinite(transition, geometry,
@@ -648,6 +648,28 @@ class TestExitCodes:
         assert code in (1, 3) and out == ""
         assert err.startswith("error: " if code == 1 else "numerical error: ")
         assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_totals_where_the_index_product_underflows(capsys):
+    # n_in n_out underflows to 0; the count, ~1.6e-222, does not
+    assert main(["totals", "--n-in", "1e-200", "--n-out", "1e-150",
+                 "--k-obs-r", "1e60"]) == 0
+    out, err = capsys.readouterr()
+    name, count = out.splitlines()[-1].split(",")[:2]
+    assert err == "" and name == "infinite"
+    assert 1.6e-222 < float(count) < 1.62e-222
+
+
+def test_untyped_arithmetic_error_is_one_numerical_line(monkeypatch, capsys):
+    # main's last handler: an ArithmeticError that no function typed
+    def overflow(*args):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli, "totals_closed_form", overflow)
+    assert main(["totals", "--n-in", "2", "--n-out", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numerical error: OverflowError: math range error\n"
 
 
 def test_csv_writer_cells(capsys):

@@ -35,12 +35,6 @@ class TestMediumTransition:
     def test_derived_fields(self):
         tr = MediumTransition(n_in=3.0, n_out=2.0, t0=2e-15)
         assert tr.n_sq_mean == 0.5 * (9.0 + 4.0)
-        assert math.isclose(tr.t0, 0.5 * tr.tau0 * (9.0 + 4.0), rel_tol=1e-15)
-
-    def test_tau0_round_trip(self):
-        tr = MediumTransition(n_in=12.0, n_out=1.0, t0=1e-15)
-        rebuilt = 0.5 * tr.tau0 * (tr.n_in**2 + tr.n_out**2)
-        assert rebuilt == pytest.approx(tr.t0, rel=1e-15)
 
     def test_validation_names_field(self):
         with pytest.raises(DomainError, match="n_in"):
@@ -53,24 +47,24 @@ class TestMediumTransition:
 
 class TestBubbleGeometry:
     def test_standard_geometry(self):
-        geom = BubbleGeometry(500e-9, 1.3, 200e-9, 1.0)
+        geom = BubbleGeometry(500e-9, 1.3, 200e-9)
         assert math.isclose(geom.k_obs_r, 5.0 * math.pi, rel_tol=1e-14)
         assert 15.7 < geom.k_obs_r < 15.72
-        assert math.isclose(geom.k_gas_cutoff * geom.radius,
+        assert math.isclose(geom.k_gas_cutoff(1.0) * geom.radius,
                             5.0 * math.pi / 1.3, rel_tol=1e-14)
-        assert 12.0 < geom.k_gas_cutoff * geom.radius < 12.1
+        assert 12.0 < geom.k_gas_cutoff(1.0) * geom.radius < 12.1
 
     def test_vacuum_liquid_limits(self):
-        geom = BubbleGeometry(500e-9, 1.0, 200e-9, 1.0)
-        assert geom.k_gas_cutoff == geom.k_observed
+        geom = BubbleGeometry(500e-9, 1.0, 200e-9)
+        assert geom.k_gas_cutoff(1.0) == geom.k_observed
 
     def test_gas_side_cutoff_scaling(self):
-        geom = BubbleGeometry(500e-9, 1.3, 200e-9, 12.0)
+        geom = BubbleGeometry(500e-9, 1.3, 200e-9)
         want = 12.0 / 1.3 * 2.0 * math.pi / 200e-9
-        assert math.isclose(geom.k_gas_cutoff, want, rel_tol=1e-14)
+        assert math.isclose(geom.k_gas_cutoff(12.0), want, rel_tol=1e-14)
 
     def test_invariants(self):
-        geom = BubbleGeometry(430e-9, 1.4, 310e-9, 3.0)
+        geom = BubbleGeometry(430e-9, 1.4, 310e-9)
         assert math.isclose(geom.k_observed * geom.lambda_obs, 2.0 * math.pi,
                             rel_tol=1e-14)
         assert math.isclose(geom.volume, 4.0 / 3.0 * math.pi * geom.radius**3,
@@ -80,18 +74,29 @@ class TestBubbleGeometry:
                             rel_tol=1e-15)
 
     def test_from_kr(self):
-        geom = build_geometry_from_kr(15.0, 1.3, 25.0)
+        geom = build_geometry_from_kr(15.0, 1.3)
         assert math.isclose(geom.k_obs_r, 15.0, rel_tol=1e-14)
-        assert math.isclose(geom.k_gas_cutoff * geom.radius, 15.0 * 25.0 / 1.3,
-                            rel_tol=1e-14)
+        assert math.isclose(geom.k_gas_cutoff(25.0) * geom.radius,
+                            15.0 * 25.0 / 1.3, rel_tol=1e-14)
+
+    def test_cutoff_refuses_cubes_that_overflow(self):
+        # K R and K are cubed by the closed forms; the gas index sets both
+        geom = build_geometry_from_kr(1e120, 1.3)
+        with pytest.raises(DomainError, match="^K R must be at most"):
+            geom.k_gas_cutoff(12.0)
+        geom = BubbleGeometry(1e-109, 1.3, 1e-109)
+        with pytest.raises(DomainError, match=r"^K \(1/m\) must be at most"):
+            geom.k_gas_cutoff(1.0)
+        with pytest.raises(DomainError, match="n_out"):
+            geom.k_gas_cutoff(0.0)
 
     def test_validation_names_field(self):
         with pytest.raises(DomainError, match="radius"):
-            BubbleGeometry(0.0, 1.3, 200e-9, 1.0)
+            BubbleGeometry(0.0, 1.3, 200e-9)
         with pytest.raises(DomainError, match="lambda_obs"):
-            BubbleGeometry(500e-9, 1.3, -1.0, 1.0)
+            BubbleGeometry(500e-9, 1.3, -1.0)
         with pytest.raises(DomainError, match="n_liquid"):
-            BubbleGeometry(500e-9, 0.9, 200e-9, 1.0)
+            BubbleGeometry(500e-9, 0.9, 200e-9)
 
 
 class TestEmissionSummary:

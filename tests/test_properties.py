@@ -31,7 +31,7 @@ TARGET = st.floats(4.0, 8.0).map(lambda e: 10.0**e)
 
 def spectrum(n_in, n_out, n_liquid, kr, grid_points):
     tr = MediumTransition(n_in=n_in, n_out=n_out)
-    geom = build_geometry_from_kr(kr, n_liquid, n_out)
+    geom = build_geometry_from_kr(kr, n_liquid)
     cfg = FiniteSpectrumConfig(grid_points=grid_points)
     return tr, geom, cfg
 
