@@ -58,8 +58,8 @@ is exact up to O(1/(K R)) edge corrections.  The smooth form is what
 spectrum_finite integrates; the exact spiky form stays with the tests,
 where the delta-normalization oracle checks it.
 
-Assembled spectrum (both photon polarizations, applied here and only
-here):
+Assembled spectrum (both photon polarizations, entered once, through
+homogeneous._spectrum_root, as in spectrum_infinite):
 
     dN/dw_out = 2 * (1/4) R^2 (Dn)^2 * sum_{l>=1} (2l+1) *
                 int dw_in  K_l(w_in, w_out),
@@ -132,7 +132,7 @@ from .core import (_MAX_ENGINE_BYTES, _MAX_NODE_PAIRS, _POINT_BYTES, HBAR,
                    SPEED_OF_LIGHT, BubbleGeometry, DomainError,
                    EmissionSummary, FiniteSpectrumConfig, MediumTransition,
                    NumericalError, SpectralDensity, check_grid_points)
-from .homogeneous import POLARIZATIONS
+from .homogeneous import _finite, _spectrum_root
 from .specfun import sph_jn_table
 
 # Target quadrature panel width in units of the wall phase (radians).  The
@@ -561,13 +561,11 @@ def spectrum_finite(transition: MediumTransition, geometry: BubbleGeometry,
     _sums).  A problem whose first pass would sum more than
     _MAX_NODE_PAIRS (node, point) pairs, or whose engine arrays would
     exceed _MAX_ENGINE_BYTES, is refused with DomainError before any
-    array is built.
+    array is built; a value above the float range raises NumericalError.
     """
     config = config or FiniteSpectrumConfig()
     n_in, n_out = transition.n_in, transition.n_out
-    radius = geometry.radius
-    kr = geometry.k_gas_cutoff(n_out) * radius
-    c = SPEED_OF_LIGHT
+    kr = geometry.k_gas_cutoff(n_out) * geometry.radius
     n_points = _grid_size(config)
     graded = n_out > n_in
     pairs = ((_ESTIMATE_ORDER + _VALUE_ORDER) * _panel_total(kr, graded)
@@ -588,9 +586,9 @@ def spectrum_finite(transition: MediumTransition, geometry: BubbleGeometry,
 
     omega_grid, x_grid = spectral_grid(transition, geometry, config)
     sums = _sums(x_grid, n_in, n_out, kr, config.quad_rel_tol)
-    dn = transition.delta_n
-    prefactor = POLARIZATIONS * 0.25 * dn * dn * radius / (c * n_in)
-    return SpectralDensity(grid=omega_grid, values=prefactor * sums,
+    root = _spectrum_root(transition, geometry.radius)
+    _finite("finite-volume spectrum", root * (root * float(sums.max())))
+    return SpectralDensity(grid=omega_grid, values=root * (root * sums),
                            dimensionless_x=x_grid)
 
 

@@ -10,9 +10,9 @@ collapses to the frequency-flat value (n_in - n_out)^2 / (4 n_in n_out),
 and with a sharp gas-side cutoff K the spectrum, photon number and
 energy are elementary integrals.
 
-Conventions: the factor 2 for the photon polarizations enters exactly
-once, at spectrum level (spectrum_infinite and the closed-form totals);
-beta_sq_density and sudden_beta_sq are per polarization.
+Conventions: POLARIZATIONS enters each spectrum once, through _spectrum_root,
+and the closed-form totals through their constants; beta_sq_density and
+sudden_beta_sq are per polarization.
 
 Only spectrum_infinite takes arrays; it imports numpy when it runs, so
 the scalar functions here (and log_sinh, the overflow-safe ln sinh) run
@@ -81,8 +81,7 @@ def _finite(name: str, value: float) -> float:
 
 
 def _pair_ratio(transition: MediumTransition) -> float:
-    """(Dn)^2 / (n_in n_out) as (Dn / n_in) (Dn / n_out), for where n_in n_out
-    underflows to 0; NumericalError if it overflows."""
+    """(Dn / n_in) (Dn / n_out); NumericalError if it overflows."""
     dn = transition.delta_n
     return _finite("(Dn)^2 / (n_in n_out)",
                    (dn / transition.n_in) * (dn / transition.n_out))
@@ -166,46 +165,50 @@ def tail_log_slope(transition: MediumTransition) -> float:
     return _finite("tail_log_slope", -2.0 * math.pi * (transition.t0 * share))
 
 
+def _spectrum_root(transition: MediumTransition, radius: float) -> float:
+    """sqrt(POLARIZATIONS (Dn)^2 R / (4 c n_in)), the factor that both spectra
+    square last; NumericalError if the root leaves the float range."""
+    return _finite("spectrum prefactor", abs(transition.delta_n) * (
+        math.sqrt(radius) * math.sqrt(POLARIZATIONS * 0.25 / SPEED_OF_LIGHT)
+        / math.sqrt(transition.n_in)))
+
+
 def spectrum_infinite(transition: MediumTransition, geometry: BubbleGeometry,
                       omega_out: float | np.ndarray) -> float | np.ndarray:
     """dN/d omega_out (seconds) in the sudden infinite-volume limit.
 
-    (n_out / 2c) (n_out - n_in)^2/(n_out n_in) V/(2 pi)^3 4 pi k_out^2
-    below the gas-side cutoff K, zero above; both polarizations included.
-    Exactly quadratic in omega_out below the cutoff.  omega_out is a float
-    (a float is returned) or an array (an array of the same shape is
-    returned, each entry equal to the float call at that point).
+    (n_out / 2c) (n_out - n_in)^2/(n_out n_in) V/(2 pi)^3 4 pi k_out^2 =
+    (_spectrum_root x)^2 2 / (3 pi), x = k_out R, up to the gas-side cutoff
+    K, zero above; both polarizations.  omega_out is a float or an array
+    (the float call at each entry); NumericalError above the float range.
     """
     import numpy as np
 
-    n_in, n_out, dn = transition.n_in, transition.n_out, transition.delta_n
-    k_cut = geometry.k_gas_cutoff(n_out)
+    k_cut = geometry.k_gas_cutoff(transition.n_out)
     w = np.asarray(omega_out, dtype=float)
     bad = ~(w >= 0.0) | ~np.isfinite(w)
     if bad.any():
         raise DomainError(f"omega_out must be >= 0 and finite, got "
                           f"{float(w[bad][0])!r}")
-    c = SPEED_OF_LIGHT
-    # the constant factors left to right, then k_out twice: the order
-    # fixes each value's last bit, and the committed spectra use this one
-    head = n_out / (2.0 * c)
-    pair = (head * dn * dn / (n_out * n_in) if n_out * n_in != 0.0
-            else head * _pair_ratio(transition))
-    coeff = pair * geometry.volume / (2.0 * math.pi)**3 * 4.0 * math.pi
-    k_out = n_out * w / c
-    vals = np.where(k_out > k_cut, 0.0, coeff * k_out * k_out)
+    # above K, k_out may overflow and Dn = 0 give 0 * inf: np.where drops both
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_out = transition.n_out * w / SPEED_OF_LIGHT
+        amp = (_spectrum_root(transition, geometry.radius)
+               * math.sqrt(2.0 / (3.0 * math.pi)) * (k_out * geometry.radius))
+        vals = np.where(k_out > k_cut, 0.0, amp * amp)
+    _finite("infinite-volume spectrum", float(vals.max(initial=0.0)))
     return float(vals) if vals.ndim == 0 else vals
 
 
 def total_photons_closed_form(transition: MediumTransition,
                               geometry: BubbleGeometry) -> float:
-    """Closed-form photon count N = (RK)^3 (Dn)^2 / (9 pi n_in n_out); one
-    taken through _pair_ratio that overflows raises NumericalError."""
+    """Closed-form photon count N = (RK)^3 (Dn)^2 / (9 pi n_in n_out), through
+    _pair_ratio where n_in n_out is 0 or inf; NumericalError if N is inf."""
     dn = transition.delta_n
     rk = geometry.radius * geometry.k_gas_cutoff(transition.n_out)
-    if (denom := 9.0 * math.pi * transition.n_in * transition.n_out) != 0.0:
-        return dn * dn / denom * rk**3
-    return _finite("photon count",
+    denom = 9.0 * math.pi * transition.n_in * transition.n_out
+    return _finite("photon count", dn * dn / denom * rk**3
+                   if 0.0 < denom < math.inf else
                    _pair_ratio(transition) / (9.0 * math.pi) * rk**3)
 
 
@@ -226,14 +229,13 @@ def photons_from_count_formula(n_in: float, n_out: float, n_liquid: float,
 def totals_closed_form(transition: MediumTransition,
                        geometry: BubbleGeometry) -> EmissionSummary:
     """Closed-form totals; the identity E = (3/4) N hbar omega_max is exact.
-    An energy taken through _pair_ratio that overflows is a NumericalError."""
+    An energy above the float range raises NumericalError."""
     n = total_photons_closed_form(transition, geometry)
     n_in, n_out, dn = transition.n_in, transition.n_out, transition.delta_n
     k = geometry.k_gas_cutoff(n_out)
     denom = 16.0 * math.pi**2 * n_in * n_out**2
-    pair = (dn * dn / denom if denom != 0.0 else
+    pair = (dn * dn / denom if 0.0 < denom < math.inf else
             _pair_ratio(transition) / (16.0 * math.pi**2 * n_out))
-    energy = pair * HBAR * SPEED_OF_LIGHT * k * geometry.volume * k**3
-    if denom == 0.0:
-        _finite("emitted energy", energy)
+    energy = _finite("emitted energy",
+                     pair * HBAR * SPEED_OF_LIGHT * k * geometry.volume * k**3)
     return EmissionSummary.from_totals(n, energy, HBAR * geometry.omega_max)

@@ -17,7 +17,8 @@ from sonophoton.bubble import (_ESTIMATE_ORDER, _LEVELS, _VALUE_ORDER,
                                spectrum_finite, totals_finite)
 from sonophoton.cli import TABLE1_CASES
 from sonophoton.core import SPEED_OF_LIGHT as C, SpectralDensity, nm_to_m
-from sonophoton.homogeneous import (POLARIZATIONS, total_photons_closed_form,
+from sonophoton.homogeneous import (POLARIZATIONS, spectrum_infinite,
+                                    total_photons_closed_form,
                                     totals_closed_form)
 from sonophoton.specfun import sph_jn_table
 
@@ -386,6 +387,19 @@ class TestLargeVolumeConsistency:
         for near, far in zip(gaps[1:], gaps):
             assert near[0] < far[0] and near[1] < far[1]
         assert gaps[-1][0] < 1e-3 and gaps[-1][1] < 1e-3
+
+    @pytest.mark.parametrize("kr", [100.0, 300.0, 1000.0])
+    def test_large_bubble_approaches_infinite_spectrum_pointwise(self, kr):
+        # both spectra are the square of one factor times a function of
+        # x = k_out R, and the finite-volume l sum tends to 2 x^2 / (3 pi):
+        # at x = K R / 2, the first point of a two-point grid, within 1/(K R)
+        tr = MediumTransition(n_in=2.0, n_out=1.3)
+        geom = build_geometry_from_kr(kr, 1.3)   # gas-side K R
+        finite = spectrum_finite(tr, geom, FiniteSpectrumConfig(
+            grid_points=2, grid_extend=1.0))
+        assert rel_err(finite.dimensionless_x[0], 0.5 * kr) < 1e-12
+        infinite = spectrum_infinite(tr, geom, float(finite.grid[0]))
+        assert abs(finite.values[0] / infinite - 1.0) <= 1.0 / kr
 
 
 def f_mp(u, v):

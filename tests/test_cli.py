@@ -627,27 +627,74 @@ class TestExitCodes:
         assert out == "" and err.startswith(f"error: {name}")
         assert "so that its cube is finite" in err
 
-    @pytest.mark.parametrize("argv", [
-        ["solve-nin", "--n-out", "1e-170", "--target", "1e6"],
-        ["solve-nin", "--n-out", "12", "--target", "1e6", "--n-liquid", "1e200"],
-        ["solve-nin", "--n-out", "12", "--target", "1e6", "--k-obs-r", "1e120"],
-        ["solve-nin", "--n-out", "1e155", "--target", "1e300",
-         "--n-liquid", "1e3"],
-        ["totals", "--n-in", "1", "--n-out", "12", "--k-obs-r", "1e120"],
-        ["totals", "--n-in", "1", "--n-out", "12", "--radius-nm", "1e300",
-         "--cutoff-nm", "1e-300"],
-        ["totals", "--n-in", "1e300", "--n-out", "1e-300"],
-        ["totals", "--n-in", "1e-320", "--n-out", "1e-10"],
+    @pytest.mark.parametrize("argv, want", [
+        (["solve-nin", "--n-out", "1e-170", "--target", "1e6"], 3),
+        (["solve-nin", "--n-out", "12", "--target", "1e6",
+          "--n-liquid", "1e200"], 1),
+        (["solve-nin", "--n-out", "12", "--target", "1e6",
+          "--k-obs-r", "1e120"], 1),
+        (["solve-nin", "--n-out", "1e155", "--target", "1e300",
+          "--n-liquid", "1e3"], 3),
+        (["totals", "--n-in", "1", "--n-out", "12", "--k-obs-r", "1e120"], 1),
+        (["totals", "--n-in", "1", "--n-out", "12", "--radius-nm", "1e300",
+          "--cutoff-nm", "1e-300"], 1),
+        (["totals", "--n-in", "1e300", "--n-out", "1e-300"], 1),
+        (["totals", "--n-in", "1e-320", "--n-out", "1e-10"], 3),
+        # N ~ 1e338 itself leaves the float range
+        (["totals", "--n-in", "1e-300", "--n-out", "1e60",
+          "--k-obs-r", "1e-30"], 3),
+        # the infinite spectrum's values, ~1e323 at the first point
+        (["spectrum", "--n-gas-in", "1", "--n-gas-out", "1e110",
+          "--k-obs-r", "1e-50", "--model", "infinite", "--grid-points", "2",
+          "--grid-extend", "1"], 3),
+        # the spectra's common factor: its square root is ~4e362
+        (["spectrum", "--n-gas-in", "5e-324", "--n-gas-out", "9e153",
+          "--radius-nm", "5e111", "--cutoff-nm", "1e300", "--model", "both",
+          "--grid-points", "2", "--grid-extend", "1"], 3),
     ], ids=["solve-c0-underflow", "solve-n-liquid-cube", "solve-k-obs-r-cube",
             "solve-nan-discriminant", "totals-k-obs-r", "totals-radius",
-            "totals-indices", "totals-index-product-underflow"])
-    def test_over_and_underflow_is_a_one_line_error(self, argv, capsys):
+            "totals-indices", "totals-index-product-underflow",
+            "totals-count-overflow", "spectrum-infinite-overflow",
+            "spectrum-root-overflow"])
+    def test_over_and_underflow_is_a_one_line_error(self, argv, want, capsys):
         # no traceback and no nan cell: usage or numerical exit, one line
         code = main(argv)
         out, err = capsys.readouterr()
-        assert code in (1, 3) and out == ""
+        assert code == want and out == ""
         assert err.startswith("error: " if code == 1 else "numerical error: ")
         assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv, want", [
+    # (Dn)^2 R / (4 c n_in) 2 x^2 / (3 pi) at x = K R / 2, below the float
+    # maximum though a product of its factors in another order overflows
+    (["spectrum", "--n-gas-in", "1", "--n-gas-out", "1e110",
+      "--k-obs-r", "1e-60", "--model", "infinite"], 2.6177699501361663e+303),
+    # ... and above the smallest normal float though (Dn)^2 n_out / (2c)
+    # underflows: 3 N / (4 omega_max)
+    (["spectrum", "--n-gas-in", "1e-100", "--n-gas-out", "1e-150",
+      "--k-obs-r", "1e60", "--model", "infinite"], 2.6177699501361655e-297),
+], ids=["near-max", "near-min"])
+def test_infinite_spectrum_cell_is_the_value_where_that_is_a_float(
+        argv, want, capsys):
+    # a two-point grid, [K R / 2, K R]
+    assert main(argv + ["--grid-points", "2", "--grid-extend", "1"]) == 0
+    out, err = capsys.readouterr()
+    first = [line for line in out.splitlines() if not line.startswith("#")][1]
+    assert err == "" and rel_err(float(first.split(",")[3]), want) < 2e-15
+
+
+def test_spectra_where_the_index_difference_squared_times_radius_overflows(
+        capsys):
+    # (Dn)^2 R ~ 1e310; both spectra, ~1e149 to ~1e152, are floats
+    assert main(["spectrum", "--n-gas-in", "1e150", "--n-gas-out", "1",
+                 "--radius-nm", "1e19", "--k-obs-r", "3", "--grid-points",
+                 "2", "--grid-extend", "1"]) == 0
+    out, err = capsys.readouterr()
+    rows = [line.split(",") for line in out.splitlines()
+            if not line.startswith("#")][1:]
+    assert err == "" and len(rows) == 2
+    assert all(1e148 < float(cell) < 1e153 for row in rows for cell in row[3:])
 
 
 def test_totals_where_the_index_product_underflows(capsys):

@@ -7,7 +7,8 @@ from mpmath import mp, mpf
 
 from sonophoton import (BubbleGeometry, DomainError, FiniteSpectrumConfig,
                         MediumTransition, NumericalError,
-                        build_geometry_from_kr, spectral_grid)
+                        build_geometry_from_kr, spectral_grid,
+                        spectrum_finite)
 from sonophoton.core import SPEED_OF_LIGHT as C
 from sonophoton.homogeneous import (UNDERFLOW_LOG, beta_sq_density,
                                     beta_sq_density_log, epsilon_profile,
@@ -338,6 +339,26 @@ class TestClosedFormTotals:
         assert 3.0 < ev < 4.0  # "a few eV"
 
 
+def check_scaled_closed_forms(n_in, n_out, k_obs_r):
+    """The closed forms at these indices against those at n_in / n_out and
+    1, with k_obs_r scaled by n_out: the count is the same, and there the
+    products of the indices are normal floats."""
+    tr = MediumTransition(n_in=n_in, n_out=n_out)
+    geom = build_geometry_from_kr(k_obs_r, 1.3)
+    want = total_photons_closed_form(
+        MediumTransition(n_in=n_in / n_out, n_out=1.0),
+        build_geometry_from_kr(k_obs_r * n_out, 1.3))
+    assert 1e-250 < want < 1e300
+    summary = totals_closed_form(tr, geom)
+    assert rel_err(total_photons_closed_form(tr, geom), want) < 1e-12
+    assert rel_err(summary.photon_count, want) < 1e-12
+    assert rel_err(summary.mean_over_cutoff, 0.75) < 1e-12
+    # below the cutoff dN/domega = 3 N omega^2 / omega_max^3
+    w_max = geom.omega_max
+    assert rel_err(spectrum_infinite(tr, geom, 0.5 * w_max),
+                   0.75 * want / w_max) < 1e-12
+
+
 class TestExtremeIndices:
     def test_squares_that_underflow_are_refused(self):
         with pytest.raises(DomainError, match="not a normal float"):
@@ -362,9 +383,12 @@ class TestExtremeIndices:
     def test_public_functions_give_a_finite_value_or_a_typed_error(self):
         # indices at both ends of the accepted range, transition times from
         # the smallest float to the largest
+        geom = build_geometry_from_kr(15.0, 1.3)
         calls = (sudden_beta_sq, omega_sudden, tail_log_slope,
                  lambda tr: beta_sq_density(tr, 1e10),
-                 lambda tr: epsilon_profile(tr, 1e-15))
+                 lambda tr: epsilon_profile(tr, 1e-15),
+                 lambda tr: spectrum_infinite(tr, geom, 0.5 * geom.omega_max),
+                 lambda tr: totals_closed_form(tr, geom).total_energy)
         ends = (5e-324, 1.5e-154, 1.0, 9.4e153)
         for n_in in ends:
             for n_out in ends:
@@ -380,34 +404,74 @@ class TestExtremeIndices:
                         except (DomainError, NumericalError):
                             pass
 
-    @pytest.mark.parametrize("n_in, n_out", [(1e-200, 1e-150),
-                                             (1e-60, 1e-160)],
-                             ids=["index-product", "energy-denominator"])
-    def test_closed_forms_where_the_index_product_underflows(self, n_in,
-                                                             n_out):
-        # n_in n_out (or n_in n_out^2) underflows to 0 though the totals
-        # are normal floats.  Scaling both indices by 1 / n_out and
-        # k_obs_r by n_out leaves the count unchanged and the product normal
-        tr = MediumTransition(n_in=n_in, n_out=n_out)
-        geom = build_geometry_from_kr(1e60, 1.3)
-        want = total_photons_closed_form(
-            MediumTransition(n_in=n_in / n_out, n_out=1.0),
-            build_geometry_from_kr(1e60 * n_out, 1.3))
-        assert want > 1e-250
-        summary = totals_closed_form(tr, geom)
-        assert rel_err(total_photons_closed_form(tr, geom), want) < 1e-12
-        assert rel_err(summary.photon_count, want) < 1e-12
-        assert rel_err(summary.mean_over_cutoff, 0.75) < 1e-12
-        # below the cutoff dN/domega = 3 N omega^2 / omega_max^3
-        w_max = geom.omega_max
-        assert rel_err(spectrum_infinite(tr, geom, 0.5 * w_max),
-                       0.75 * want / w_max) < 1e-12
+    @pytest.mark.parametrize("n_in, n_out, k_obs_r", [
+        (1e-200, 1e-150, 1e60), (1e-60, 1e-160, 1e60),
+        (1e-100, 1e-150, 1e60)],
+        ids=["index-product", "energy-denominator", "spectrum-factor"])
+    def test_closed_forms_where_the_index_product_underflows(
+            self, n_in, n_out, k_obs_r):
+        # n_in n_out, n_in n_out^2 or (Dn)^2 n_out / (2c) underflows to 0
+        # though the totals and the spectrum are normal floats
+        check_scaled_closed_forms(n_in, n_out, k_obs_r)
+
+    @pytest.mark.parametrize("n_in, n_out", [(9.4e153, 9e153),
+                                             (9e153, 9.4e153)])
+    def test_closed_forms_where_the_index_product_overflows(self, n_in,
+                                                            n_out):
+        # 9 pi n_in n_out and 16 pi^2 n_in n_out^2 overflow; a count taken
+        # through them would be 0
+        check_scaled_closed_forms(n_in, n_out, 1e-80)
 
     def test_closed_forms_whose_index_ratio_overflows(self):
-        # (Dn)^2 / (n_in n_out) ~ 1e310: a typed error, not a division by 0
+        # (Dn)^2 / (n_in n_out) ~ 1e310: the totals raise a typed error, not
+        # a division by 0; the spectrum at omega_out = 1 rad/s,
+        # POLARIZATIONS (Dn)^2 R / (4 c n_in) 2 (n_out R / c)^2 / (3 pi)
+        # ~ 4.9e234, is a float
         tr = MediumTransition(n_in=1e-320, n_out=1e-10)
         geom = build_geometry_from_kr(15.0, 1.3)
-        for call in (total_photons_closed_form, totals_closed_form,
-                     lambda tr, geom: spectrum_infinite(tr, geom, 1.0)):
+        for call in (total_photons_closed_form, totals_closed_form):
             with pytest.raises(NumericalError, match="float range"):
                 call(tr, geom)
+        n_in, n_out = Fraction(tr.n_in), Fraction(tr.n_out)
+        r, c = Fraction(geom.radius), Fraction(C)
+        x = n_out / c * r
+        # Fraction(math.pi) errs by ~4e-17 relative
+        want = (2 * (n_in - n_out)**2 * r / (4 * c * n_in) * 2 * x * x
+                / (3 * Fraction(math.pi)))
+        assert rel_err(spectrum_infinite(tr, geom, 1.0), float(want)) < 2e-15
+
+    def test_count_above_the_float_range_is_a_numerical_error(self):
+        # N ~ 1e338; E = (3/4) N hbar omega_max is a float, but the count
+        # is not
+        tr = MediumTransition(n_in=1e-300, n_out=1e60)
+        geom = build_geometry_from_kr(1e-30, 1.3)
+        for call in (total_photons_closed_form, totals_closed_form):
+            with pytest.raises(NumericalError, match="photon count"):
+                call(tr, geom)
+
+    def test_spectra_whose_value_or_factor_leaves_the_range(self):
+        # x = K R / 2: the value ~1e323 is above the float range; at
+        # n_in 5e-324 and n_out 9e153 the square root of the spectra's
+        # common factor, ~4e362, already is
+        geom = build_geometry_from_kr(1e-50, 1.3)
+        tr = MediumTransition(n_in=1.0, n_out=1e110)
+        with pytest.raises(NumericalError, match="infinite-volume spectrum"):
+            spectrum_infinite(tr, geom, 0.5 * geom.omega_max)
+        tr = MediumTransition(n_in=5e-324, n_out=9e153)
+        geom = BubbleGeometry(5e102, 1.3, 1e291)
+        cfg = FiniteSpectrumConfig(grid_points=2, grid_extend=1.0)
+        for call in (lambda: spectrum_infinite(tr, geom, 0.5 * geom.omega_max),
+                     lambda: spectrum_finite(tr, geom, cfg)):
+            with pytest.raises(NumericalError, match="spectrum prefactor"):
+                call()
+
+    def test_finite_spectrum_scales_with_the_radius(self):
+        # (Dn)^2 R ~ 1e310 overflows at R = 1e10 m; the spectrum, linear in
+        # R at fixed K R, is 2e16 times the one at 500 nm
+        tr = MediumTransition(n_in=1e150, n_out=1.0)
+        cfg = FiniteSpectrumConfig(grid_points=6)
+        small = spectrum_finite(tr, build_geometry_from_kr(3.0, 1.3), cfg)
+        large = spectrum_finite(tr, build_geometry_from_kr(3.0, 1.3, 1e10),
+                                cfg)
+        assert np.all(np.abs(large.values / (2e16 * small.values) - 1.0)
+                      < 1e-13)

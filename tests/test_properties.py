@@ -8,13 +8,19 @@ Examples are derived from the test itself (derandomize), so a run is
 reproducible.
 """
 
+import math
+import sys
+
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from mpmath import mpf, workprec
 
 from sonophoton import MediumTransition, NumericalError, build_geometry_from_kr
 from sonophoton import cli
 from sonophoton.bubble import FiniteSpectrumConfig, spectrum_finite
-from sonophoton.homogeneous import photons_from_count_formula
+from sonophoton.core import SPEED_OF_LIGHT
+from sonophoton.homogeneous import (POLARIZATIONS, _spectrum_root,
+                                    photons_from_count_formula)
 from sonophoton.inverse import RESIDUAL_TOL, solve_n_in, sweep_figure1
 
 import engine_oracle
@@ -80,6 +86,41 @@ def test_no_index_change_gives_zero(n, n_liquid, kr, grid_points):
 def test_engine_matches_per_point_oracle(n_in, n_out, n_liquid, kr,
                                          grid_points):
     assert_matches_oracle(*spectrum(n_in, n_out, n_liquid, kr, grid_points))
+
+
+# Every accepted index (n_in^2 + n_out^2 a normal float) and radius (up to
+# 5.6e102 m), log-uniform, and indices that differ by a relative 1e-15..1.
+LOG_INDEX = st.floats(-323.3, 153.97).map(lambda e: 10.0**e)
+LOG_RADIUS = st.floats(-323.3, 102.74).map(lambda e: 10.0**e)
+# The first-order bound on the relative error of the squared root: 12
+# roundings inside it count twice or once, and the squaring once.
+ROOT_SQ_TOL = 13 * 2.0**-53
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(n_in=LOG_INDEX, n_out=LOG_INDEX, radius=LOG_RADIUS,
+       near=st.one_of(st.none(), st.floats(-15.0, 0.0)))
+def test_spectrum_root_squared_matches_mpmath(n_in, n_out, radius, near):
+    # the square of _spectrum_root against POLARIZATIONS (Dn)^2 R /
+    # (4 c n_in) at 200 bits: within ROOT_SQ_TOL wherever that is a normal
+    # float, and above the float range only where it is
+    if near is not None:
+        n_out = n_in * (1.0 + 10.0**near)
+    assume(sys.float_info.min <= n_in * n_in + n_out * n_out < math.inf)
+    with workprec(200):
+        exact = (POLARIZATIONS * (mpf(n_in) - mpf(n_out))**2 * mpf(radius)
+                 / (4 * mpf(SPEED_OF_LIGHT) * mpf(n_in)))
+        try:
+            root = _spectrum_root(MediumTransition(n_in=n_in, n_out=n_out),
+                                  radius)
+        except NumericalError:
+            root = math.inf
+        square = root * root
+        top = sys.float_info.max
+        if sys.float_info.min <= exact <= top * (1 - ROOT_SQ_TOL):
+            assert abs(square - exact) <= ROOT_SQ_TOL * exact
+        elif exact >= top * (1 + ROOT_SQ_TOL):
+            assert square == math.inf
 
 
 def test_small_bubble_matches_per_point_oracle():
