@@ -157,7 +157,8 @@ _OMEGA_IN_FLOOR = 1e-6
 # 138); that panel is split at these fractions of its width, and then errs
 # <= 1.5e-14.
 _GRADING = 0.25**np.arange(3, 0, -1)
-# (node, output point) pairs per column block of the engine.
+# The most (node, output point) pairs in a column block of the engine and
+# nodes in a tile of a pass, small enough for OpenBLAS to use one thread.
 _BLOCK_ELEMENTS = 1 << 15
 # The closed form cancels against its l = 0 term: with one argument small
 # to ~4e-16 / min(u, v)^2 relative, with both far worse (1e-4 at u, v ~
@@ -239,10 +240,9 @@ def _panel_edges(kr: float, graded: bool) -> np.ndarray:
     return edges
 
 
-def _engine_bytes(kr: float, config: FiniteSpectrumConfig,
-                  graded: bool = True) -> int:
-    """Upper estimate of the engine's live array bytes on the panels of
-    _panel_edges(kr, graded); the graded (default) bound holds for either.
+def _engine_bytes(kr: float, config: FiniteSpectrumConfig) -> int:
+    """Upper estimate of the engine's live array bytes on the graded panels
+    of _panel_edges(kr, True); the bound holds for the ungraded ones too.
 
     Per output point: u, its _point_factors with their temporaries and
     their copy in a pass, the rule sums and level bookkeeping (36 floats).
@@ -254,23 +254,21 @@ def _engine_bytes(kr: float, config: FiniteSpectrumConfig,
     and the ratio buffers ((2 _SMALL_L + 15) floats).  Per node of the
     finest pass, of both orders: v, two Gauss weights, _node_factors with
     temporaries and indices (45 floats), and one j_l argument.  Per column
-    block: 16 arrays of one block, at least one column of nodes
-    (_closed_form's 6 on far pairs, 14 if all are near; _small_block's and
-    _lommel_block's l-batched products _SMALL_L + 4).  The output grid
-    counts at _POINT_BYTES a point.
+    block: 16 arrays of _BLOCK_ELEMENTS pairs (_closed_form's 6 on far
+    pairs, 14 if all are near; _small_block's and _lommel_block's l-batched
+    products _SMALL_L + 4).  The output grid counts at _POINT_BYTES a point.
     """
     n_points = _grid_size(config)
     # both rules on panels split by the _LEVELS - 1 bisections
     per_panel = 2**(_LEVELS - 1) * (_ESTIMATE_ORDER + _VALUE_ORDER)
-    panels = _panel_total(kr, graded)
+    panels = _panel_total(kr, True)
     first = panels - _panel_count(kr) + 1  # the first panel's pieces
     n_small = first * per_panel + min(
         n_points, math.ceil(_SMALL_ARG * config.grid_points / kr))
     nodes = per_panel * panels
-    block = max(_BLOCK_ELEMENTS, nodes)
     floats = (36 * n_points + 2 * _SERIES_POWERS.size * n_small
               + (2 * _SMALL_L + 15) * (nodes + n_small) + 45 * nodes
-              + 16 * block)
+              + 16 * _BLOCK_ELEMENTS)
     return 8 * floats + _POINT_BYTES * n_points
 
 
@@ -440,47 +438,50 @@ def _rules(u: np.ndarray, n_in: float, n_out: float,
     u, by the orders _ESTIMATE_ORDER and _VALUE_ORDER on every panel of
     edges: rows I^16 and I^24, from one pass over the nodes of both."""
     points = _point_factors(u)
-    mids = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    halves = 0.5 * (edges[1:] - edges[:-1])[:, None]
     rules = [_gauss_nodes(_ESTIMATE_ORDER), _gauss_nodes(_VALUE_ORDER)]
-    v = np.concatenate([(mids + halves * x).ravel() for x, _ in rules])
-    # Gauss weights / pi^2 (see _closed_form), a row per order
-    gauss = np.repeat(np.eye(2), [x.size * mids.size for x, _ in rules],
-                      axis=1)
-    gauss *= np.concatenate([(halves * w).ravel() / math.pi**2
-                             for _, w in rules])
-    nodes = _node_factors(v)
     # the weight ((n_out v^2 + n_in u^2) / (n_out v + n_in u))^2, in parts
-    wv2, wv = (v * v * n_out)[:, None], (v * n_out)[:, None]
     wu2, wu = u * u * n_in, u * n_in
-    # the pairs the closed form cannot take: the first n_small points
-    # (u ascends) against the nodes v_small, and the first n_tiny
-    # points against the nodes v_large, the latter from one j_l table
-    below = v < _SMALL_ARG
-    v_small, v_large = np.flatnonzero(below), np.flatnonzero(~below)
-    n_small = int(np.searchsorted(u, _SMALL_ARG)) if v_small.size else 0
-    n_tiny = int(np.searchsorted(u, _TINY_ARG)) if v_large.size else 0
-    if n_tiny:
-        jl = sph_jn_table(_SMALL_L, np.concatenate((u[:n_tiny], v[v_large])))
-        ju_tiny, jv_large = jl[:, :n_tiny], jl[:, n_tiny:]
-    out = np.empty((2, u.size))
-    width = max(1, _BLOCK_ELEMENTS // v.size)
-    for c0 in range(0, u.size, width):
-        c1 = min(c0 + width, u.size)
-        # finite where u or v is >= _SMALL_ARG; the rest is replaced below
-        f = _closed_form(v, u[c0:c1], nodes, points[:, c0:c1])
-        if c0 < n_small:
-            m = min(c1, n_small)
-            f[v_small, :m - c0] = _small_block(v[v_small], u[c0:m])
-        if c0 < n_tiny:
-            m = min(c1, n_tiny)
-            f[v_large, :m - c0] = _lommel_block(v[v_large], u[c0:m],
-                                                jv_large, ju_tiny[:, c0:m])
-        w = wv2 + wu2[c0:c1]
-        w /= wv + wu[c0:c1]
-        w *= w
-        f *= w
-        out[:, c0:c1] = gauss @ f
+    out = np.zeros((2, u.size))
+    tile = _BLOCK_ELEMENTS // (_ESTIMATE_ORDER + _VALUE_ORDER)
+    for p0 in range(0, edges.size - 1, tile):
+        e = edges[p0:p0 + tile + 1]
+        mids = 0.5 * (e[1:] + e[:-1])[:, None]
+        halves = 0.5 * (e[1:] - e[:-1])[:, None]
+        v = np.concatenate([(mids + halves * x).ravel() for x, _ in rules])
+        # Gauss weights / pi^2 (see _closed_form), a row per order
+        gauss = np.repeat(np.eye(2), [x.size * mids.size for x, _ in rules],
+                          axis=1)
+        gauss *= np.concatenate([(halves * w).ravel() / math.pi**2
+                                 for _, w in rules])
+        nodes = _node_factors(v)
+        wv2, wv = (v * v * n_out)[:, None], (v * n_out)[:, None]
+        # the pairs the closed form cannot take: the first n_small points
+        # (u ascends) against the nodes v_small, and the first n_tiny
+        # points against the nodes v_large, the latter from one j_l table
+        below = v < _SMALL_ARG
+        v_small, v_large = np.flatnonzero(below), np.flatnonzero(~below)
+        n_small = int(np.searchsorted(u, _SMALL_ARG)) if v_small.size else 0
+        n_tiny = int(np.searchsorted(u, _TINY_ARG)) if v_large.size else 0
+        if n_tiny:
+            jl = sph_jn_table(_SMALL_L, np.append(u[:n_tiny], v[v_large]))
+            ju_tiny, jv_large = jl[:, :n_tiny], jl[:, n_tiny:]
+        width = _BLOCK_ELEMENTS // v.size
+        for c0 in range(0, u.size, width):
+            c1 = min(c0 + width, u.size)
+            # finite where u or v is >= _SMALL_ARG; the rest is replaced
+            f = _closed_form(v, u[c0:c1], nodes, points[:, c0:c1])
+            if c0 < n_small:
+                m = min(c1, n_small)
+                f[v_small, :m - c0] = _small_block(v[v_small], u[c0:m])
+            if c0 < n_tiny:
+                m = min(c1, n_tiny)
+                f[v_large, :m - c0] = _lommel_block(
+                    v[v_large], u[c0:m], jv_large, ju_tiny[:, c0:m])
+            w = wv2 + wu2[c0:c1]
+            w /= wv + wu[c0:c1]
+            w *= w
+            f *= w
+            out[:, c0:c1] += gauss @ f
     return out
 
 
@@ -496,16 +497,16 @@ def _sums(u: np.ndarray, n_in: float, n_out: float, kr: float,
     grid.  The integrand at a (node, point) pair is weight times
     F(u, v) = sum_{l>=1} (2l+1) lambda_l(u, v)^2, summed over every l in
     closed form (_closed_form) from factors of u and of v tabulated once
-    per pass, so no transcendental function runs per pair.  A pass
-    (_rules) sums both rules of a level over column blocks of about
-    _BLOCK_ELEMENTS pairs, each block in one product with their Gauss
-    weights.  The pairs with u and v both below _SMALL_ARG take the
-    explicit l sum of _small_block instead (each L_l from its power
-    series), and the points below _TINY_ARG against the nodes at or above
-    _SMALL_ARG that of _lommel_block, from one j_l table per pass.  Every
-    level estimates the error of its order _VALUE_ORDER value by order
-    _ESTIMATE_ORDER on the same panels, |I^24 - I^16| with I the l-summed
-    integral (no single l is formed).  Points where that exceeds
+    per pass and tile, so no transcendental function runs per pair.  A
+    pass (_rules) sums both rules of a level in tiles of whole panels, each
+    over column blocks, of at most _BLOCK_ELEMENTS nodes and pairs, each
+    block in one product with their Gauss weights.  The pairs with u and v
+    both below _SMALL_ARG take _small_block's explicit l sum instead (each
+    L_l from its power series), and the points below _TINY_ARG against the
+    nodes at or above _SMALL_ARG _lommel_block's, from one j_l table per
+    tile.  Every level estimates the error of its order _VALUE_ORDER value
+    by order _ESTIMATE_ORDER on the same panels, |I^24 - I^16| with I the
+    l-summed integral (no single l is formed).  Points where that exceeds
     tol |I^24| go on to bisected panels, for _LEVELS levels in all.
 
     Raises NumericalError for the lowest point whose quadrature does not
@@ -567,16 +568,15 @@ def spectrum_finite(transition: MediumTransition, geometry: BubbleGeometry,
     n_in, n_out = transition.n_in, transition.n_out
     kr = geometry.k_gas_cutoff(n_out) * geometry.radius
     n_points = _grid_size(config)
-    graded = n_out > n_in
-    pairs = ((_ESTIMATE_ORDER + _VALUE_ORDER) * _panel_total(kr, graded)
-             * n_points)
+    pairs = ((_ESTIMATE_ORDER + _VALUE_ORDER)
+             * _panel_total(kr, n_out > n_in) * n_points)
     if pairs > _MAX_NODE_PAIRS:
         raise DomainError(
             f"finite-volume spectrum too large: {n_points} output points "
             f"against {pairs // n_points} omega_in nodes are {pairs:.3g} "
             f"node pairs, above the limit of {_MAX_NODE_PAIRS:.3g}; lower "
             f"K R or grid_points")
-    need = _engine_bytes(kr, config, graded)
+    need = _engine_bytes(kr, config)
     if need > _MAX_ENGINE_BYTES:
         raise DomainError(
             f"finite-volume spectrum too large: {n_points} output points at "

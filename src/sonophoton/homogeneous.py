@@ -22,6 +22,7 @@ without it.
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING
 
 from .core import (HBAR, SPEED_OF_LIGHT, BubbleGeometry, DomainError,
@@ -78,13 +79,6 @@ def _finite(name: str, value: float) -> float:
     if math.isinf(value):
         raise NumericalError(f"{name} exceeds the float range")
     return value
-
-
-def _pair_ratio(transition: MediumTransition) -> float:
-    """(Dn / n_in) (Dn / n_out); NumericalError if it overflows."""
-    dn = transition.delta_n
-    return _finite("(Dn)^2 / (n_in n_out)",
-                   (dn / transition.n_in) * (dn / transition.n_out))
 
 
 def _log_sinhc(x: float) -> float:
@@ -202,14 +196,18 @@ def spectrum_infinite(transition: MediumTransition, geometry: BubbleGeometry,
 
 def total_photons_closed_form(transition: MediumTransition,
                               geometry: BubbleGeometry) -> float:
-    """Closed-form photon count N = (RK)^3 (Dn)^2 / (9 pi n_in n_out), through
-    _pair_ratio where n_in n_out is 0 or inf; NumericalError if N is inf."""
-    dn = transition.delta_n
+    """Closed-form photon count N = (RK)^3 (Dn)^2 / (9 pi n_in n_out): the
+    plain quotient of the factors' frexp mantissas, scaled once by their
+    exponents, so that no product of indices leaves the float range.
+    NumericalError if N does."""
     rk = geometry.radius * geometry.k_gas_cutoff(transition.n_out)
-    denom = 9.0 * math.pi * transition.n_in * transition.n_out
-    return _finite("photon count", dn * dn / denom * rk**3
-                   if 0.0 < denom < math.inf else
-                   _pair_ratio(transition) / (9.0 * math.pi) * rk**3)
+    (d, ed), (a, ea), (b, eb), (r, er) = map(math.frexp, (
+        transition.delta_n, transition.n_in, transition.n_out, rk**3))
+    try:
+        return math.ldexp(d * d / (9.0 * math.pi * a * b) * r,
+                          2 * ed - ea - eb + er)
+    except OverflowError:
+        raise NumericalError("photon count exceeds the float range") from None
 
 
 def photons_from_count_formula(n_in: float, n_out: float, n_liquid: float,
@@ -228,14 +226,15 @@ def photons_from_count_formula(n_in: float, n_out: float, n_liquid: float,
 
 def totals_closed_form(transition: MediumTransition,
                        geometry: BubbleGeometry) -> EmissionSummary:
-    """Closed-form totals; the identity E = (3/4) N hbar omega_max is exact.
-    An energy above the float range raises NumericalError."""
+    """Closed-form totals.  E = (Dn)^2 / (16 pi^2 n_in n_out^2) hbar c K V K^3
+    where that denominator is a normal float; elsewhere the exact identity
+    E = N (3/4) hbar omega_max.  NumericalError above the float range."""
     n = total_photons_closed_form(transition, geometry)
     n_in, n_out, dn = transition.n_in, transition.n_out, transition.delta_n
-    k = geometry.k_gas_cutoff(n_out)
+    k, hw = geometry.k_gas_cutoff(n_out), HBAR * geometry.omega_max
     denom = 16.0 * math.pi**2 * n_in * n_out**2
-    pair = (dn * dn / denom if 0.0 < denom < math.inf else
-            _pair_ratio(transition) / (16.0 * math.pi**2 * n_out))
-    energy = _finite("emitted energy",
-                     pair * HBAR * SPEED_OF_LIGHT * k * geometry.volume * k**3)
-    return EmissionSummary.from_totals(n, energy, HBAR * geometry.omega_max)
+    energy = (dn * dn / denom * HBAR * SPEED_OF_LIGHT * k * geometry.volume
+              * k**3 if sys.float_info.min <= denom < math.inf else
+              n * (0.75 * hw))
+    return EmissionSummary.from_totals(n, _finite("emitted energy", energy),
+                                       hw)

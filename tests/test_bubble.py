@@ -676,26 +676,34 @@ def test_direct_sum_is_a_narrow_band(monkeypatch):
                           x[x < bubble._TINY_ARG])
 
 
-@pytest.mark.parametrize("tr, geom, cfg", [
-    HEADLINE + (FiniteSpectrumConfig(),),
+@pytest.mark.parametrize("tr, geom, cfg, block", [
+    HEADLINE + (FiniteSpectrumConfig(), 250),
     # 11 of the 131 points miss the tolerance at order 16 against 24 and
     # are redone at the second level
     (MediumTransition(n_in=2.0, n_out=1.5),
      build_geometry_from_kr(6.0, 1.3),
-     FiniteSpectrumConfig(grid_points=100, quad_rel_tol=1e-11)),
-], ids=["headline", "second-level"])
-def test_column_blocks_do_not_change_spectra(monkeypatch, tr, geom, cfg):
-    # column blocks of 6 points at the headline's first level (6 and 3 at
-    # the second case's first and second) cut both small-argument blocks:
-    # the points of each are summed in more than one column block of a
-    # pass
+     FiniteSpectrumConfig(grid_points=100, quad_rel_tol=1e-11), 250),
+    # K R 11 538: 919 panels, 36 760 nodes a pass, in two tiles
+    (MediumTransition(n_in=2.0, n_out=1.5),
+     build_geometry_from_kr(1e4, 1.3), FiniteSpectrumConfig(grid_points=8),
+     bubble._BLOCK_ELEMENTS),
+], ids=["headline", "second-level", "tiles"])
+def test_column_blocks_do_not_change_spectra(monkeypatch, tr, geom, cfg,
+                                             block):
+    # against one tile and one column block a pass: column blocks of 6
+    # points at the headline's first level (6 and 3 at the second case's
+    # first and second) cut both small-argument blocks, so the points of
+    # each are summed in more than one column block of a pass; at K R
+    # 11 538 the default size cuts each pass into tiles
+    monkeypatch.setattr(bubble, "_BLOCK_ELEMENTS", 1 << 20)
     want = np.array(spectrum_finite(tr, geom, cfg).values)
-    blocks, small, tiny = [], [], []    # per call: the nodes of its pass
+    blocks, shapes, small, tiny = [], [], [], []    # per call: its nodes
     closed_form = bubble._closed_form
     small_block, lommel_block = bubble._small_block, bubble._lommel_block
 
     def recording_closed_form(v, u, tv, tu):
         blocks.append(v)
+        shapes.append((v.size, u.size))
         return closed_form(v, u, tv, tu)
 
     def recording_block(v, u):
@@ -709,12 +717,16 @@ def test_column_blocks_do_not_change_spectra(monkeypatch, tr, geom, cfg):
     monkeypatch.setattr(bubble, "_closed_form", recording_closed_form)
     monkeypatch.setattr(bubble, "_small_block", recording_block)
     monkeypatch.setattr(bubble, "_lommel_block", recording_lommel)
-    monkeypatch.setattr(bubble, "_BLOCK_ELEMENTS", 250)
+    monkeypatch.setattr(bubble, "_BLOCK_ELEMENTS", block)
     got = np.array(spectrum_finite(tr, geom, cfg).values)
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
-    assert [v is blocks[0] for v in blocks].count(True) >= 5
-    assert [v is blocks[0] for v in small].count(True) >= 2
-    assert [v is blocks[0] for v in tiny].count(True) >= 2
+    assert all(rows * cols <= block for rows, cols in shapes)
+    if block != 250:    # a pass's nodes in more than one tile
+        assert len({id(v) for v in blocks}) >= 2
+    else:
+        assert [v is blocks[0] for v in blocks].count(True) >= 5
+        assert [v is blocks[0] for v in small].count(True) >= 2
+        assert [v is blocks[0] for v in tiny].count(True) >= 2
     if cfg.quad_rel_tol == 1e-11:   # a pass of both orders on bisected panels
         panels = blocks[0].size // (_ESTIMATE_ORDER + _VALUE_ORDER)
         assert any(v.size == 2 * panels * (_ESTIMATE_ORDER + _VALUE_ORDER)
@@ -778,31 +790,12 @@ class TestProblemSizeGuard:
     @pytest.mark.parametrize("kr", [0.5, 12.1, 392.0, 1e6])
     def test_ungraded_estimate_below_graded(self, kr):
         # both size guards count the panels the run sums: the first panel
-        # is split only where n_out > n_in
+        # is split only where n_out > n_in (the node-pair guard), and
+        # _engine_bytes counts the split panels for either
         for graded in (False, True):
             assert _panel_total(kr, graded) \
                 == len(_panel_edges(kr, graded)) - 1
-        cfg = FiniteSpectrumConfig()
-        assert _engine_bytes(kr, cfg, graded=False) \
-            < _engine_bytes(kr, cfg, graded=True)
-        assert _engine_bytes(kr, cfg) == _engine_bytes(kr, cfg, graded=True)
-
-    @pytest.mark.parametrize("kr, cfg", [
-        (1.5, FiniteSpectrumConfig(grid_points=400)),
-        (0.3, FiniteSpectrumConfig(grid_points=400, quad_rel_tol=1e-12)),
-        (12.1, FiniteSpectrumConfig()),
-    ], ids=["fine-grid", "small-refined", "headline-kr"])
-    def test_ungraded_estimate_bounds_measured_peak(self, kr, cfg):
-        tr = MediumTransition(n_in=2.0, n_out=1.5)
-        geom = build_geometry_from_kr(kr, 1.3)
-        kr = geom.k_gas_cutoff(tr.n_out) * geom.radius
-        tracemalloc.start()
-        try:
-            spectrum_finite(tr, geom, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= _engine_bytes(kr, cfg, graded=False)
+        assert _panel_total(kr, False) < _panel_total(kr, True)
 
     @pytest.mark.parametrize("kr, cfg, n_in", [
         (6.0, FiniteSpectrumConfig(grid_points=40), 2.0),
@@ -820,8 +813,13 @@ class TestProblemSizeGuard:
         # 86 points below _TINY_ARG against 273 nodes above _SMALL_ARG:
         # the Lommel block's j_l table and its pairs
         (40.0, FiniteSpectrumConfig(grid_points=8000), 2.0),
+        (0.3, FiniteSpectrumConfig(grid_points=400, quad_rel_tol=1e-12), 2.0),
+        (12.1, FiniteSpectrumConfig(), 2.0),
+        # K R 11 538: each pass in two tiles, one point a column block
+        (1e4, FiniteSpectrumConfig(grid_points=8), 2.0),
     ], ids=["small", "fine-grid", "large-l", "refined", "long-grid",
-            "wide-grid", "graded", "tiny-grid"])
+            "wide-grid", "graded", "tiny-grid", "small-refined",
+            "headline-kr", "tiles"])
     def test_estimate_bounds_measured_peak(self, kr, cfg, n_in):
         tr = MediumTransition(n_in=n_in, n_out=1.5)
         geom = build_geometry_from_kr(kr, 1.3)

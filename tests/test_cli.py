@@ -84,7 +84,10 @@ class TestSpectrumCommand:
     @pytest.mark.parametrize("args", [
         FAST_SPECTRUM, HEADLINE_SPECTRUM,
         *(random_spectrum(seed) for seed in range(3)),
-    ], ids=["fast", "headline", "random-0", "random-1", "random-2"])
+        # K R 11 538: 36 760 nodes a pass, in tiles
+        ["spectrum", "--n-gas-in", "2", "--n-gas-out", "1.5", "--k-obs-r",
+         "1e4", "--model", "finite", "--grid-points", "8"],
+    ], ids=["fast", "headline", "random-0", "random-1", "random-2", "tiles"])
     def test_identical_across_blas_threads(self, tmp_path, args):
         outputs = []
         for threads in ("1", "2"):
@@ -639,7 +642,8 @@ class TestExitCodes:
         (["totals", "--n-in", "1", "--n-out", "12", "--radius-nm", "1e300",
           "--cutoff-nm", "1e-300"], 1),
         (["totals", "--n-in", "1e300", "--n-out", "1e-300"], 1),
-        (["totals", "--n-in", "1e-320", "--n-out", "1e-10"], 3),
+        # n_in n_out underflows, and N ~ 1e309 leaves the float range
+        (["totals", "--n-in", "5e-324", "--n-out", "1e-4"], 3),
         # N ~ 1e338 itself leaves the float range
         (["totals", "--n-in", "1e-300", "--n-out", "1e60",
           "--k-obs-r", "1e-30"], 3),

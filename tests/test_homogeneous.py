@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from sonophoton import (BubbleGeometry, DomainError, FiniteSpectrumConfig,
                         MediumTransition, NumericalError,
                         build_geometry_from_kr, spectral_grid,
                         spectrum_finite)
-from sonophoton.core import SPEED_OF_LIGHT as C
+from sonophoton.core import HBAR, SPEED_OF_LIGHT as C
 from sonophoton.homogeneous import (UNDERFLOW_LOG, beta_sq_density,
                                     beta_sq_density_log, epsilon_profile,
                                     omega_sudden, photons_from_count_formula,
@@ -339,24 +340,35 @@ class TestClosedFormTotals:
         assert 3.0 < ev < 4.0  # "a few eV"
 
 
-def check_scaled_closed_forms(n_in, n_out, k_obs_r):
-    """The closed forms at these indices against those at n_in / n_out and
-    1, with k_obs_r scaled by n_out: the count is the same, and there the
-    products of the indices are normal floats."""
+def exact_closed_forms(tr, geom):
+    """N = (RK)^3 (Dn)^2 / (9 pi n_in n_out) and E = N (3/4) hbar omega_max
+    at the exact values of the floats the closed forms read, with pi to 40
+    digits."""
+    rk = Fraction(geom.radius) * Fraction(geom.k_gas_cutoff(tr.n_out))
+    count = (rk**3 * Fraction(tr.delta_n)**2
+             / (9 * Fraction(tr.n_in) * Fraction(tr.n_out)))
+    energy = count * 3 * Fraction(HBAR) * Fraction(geom.omega_max) / 4
+    with mp.workdps(40):
+        return tuple(float(mpf(q.numerator) / q.denominator / mp.pi)
+                     for q in (count, energy))
+
+
+def check_closed_forms(n_in, n_out, k_obs_r):
+    """The closed forms at these indices against exact_closed_forms, where
+    the count is a normal float: the totals to 1e-15, mean_over_cutoff 3/4,
+    and the spectrum below the cutoff, 3 N omega^2 / omega_max^3."""
     tr = MediumTransition(n_in=n_in, n_out=n_out)
     geom = build_geometry_from_kr(k_obs_r, 1.3)
-    want = total_photons_closed_form(
-        MediumTransition(n_in=n_in / n_out, n_out=1.0),
-        build_geometry_from_kr(k_obs_r * n_out, 1.3))
-    assert 1e-250 < want < 1e300
+    count, energy = exact_closed_forms(tr, geom)
+    assert sys.float_info.min < count < sys.float_info.max
     summary = totals_closed_form(tr, geom)
-    assert rel_err(total_photons_closed_form(tr, geom), want) < 1e-12
-    assert rel_err(summary.photon_count, want) < 1e-12
-    assert rel_err(summary.mean_over_cutoff, 0.75) < 1e-12
-    # below the cutoff dN/domega = 3 N omega^2 / omega_max^3
+    assert rel_err(total_photons_closed_form(tr, geom), count) < 1e-15
+    assert rel_err(summary.photon_count, count) < 1e-15
+    assert rel_err(summary.total_energy, energy) < 1e-15
+    assert rel_err(summary.mean_over_cutoff, 0.75) < 1e-15
     w_max = geom.omega_max
     assert rel_err(spectrum_infinite(tr, geom, 0.5 * w_max),
-                   0.75 * want / w_max) < 1e-12
+                   0.75 * count / w_max) < 1e-12
 
 
 class TestExtremeIndices:
@@ -406,13 +418,17 @@ class TestExtremeIndices:
 
     @pytest.mark.parametrize("n_in, n_out, k_obs_r", [
         (1e-200, 1e-150, 1e60), (1e-60, 1e-160, 1e60),
-        (1e-100, 1e-150, 1e60)],
-        ids=["index-product", "energy-denominator", "spectrum-factor"])
+        (1e-100, 1e-150, 1e60), (1e-320, 1e-5, 15.0),
+        (1e-300, 1e-20, 1e10), (1e-310, 1e-4, 15.0)],
+        ids=["index-product", "energy-denominator", "spectrum-factor",
+             "subnormal-denominator", "subnormal-energy-denominator",
+             "subnormal-index"])
     def test_closed_forms_where_the_index_product_underflows(
             self, n_in, n_out, k_obs_r):
         # n_in n_out, n_in n_out^2 or (Dn)^2 n_out / (2c) underflows to 0
-        # though the totals and the spectrum are normal floats
-        check_scaled_closed_forms(n_in, n_out, k_obs_r)
+        # or to a subnormal float of a few bits, though the totals and the
+        # spectrum are normal floats
+        check_closed_forms(n_in, n_out, k_obs_r)
 
     @pytest.mark.parametrize("n_in, n_out", [(9.4e153, 9e153),
                                              (9e153, 9.4e153)])
@@ -420,18 +436,22 @@ class TestExtremeIndices:
                                                             n_out):
         # 9 pi n_in n_out and 16 pi^2 n_in n_out^2 overflow; a count taken
         # through them would be 0
-        check_scaled_closed_forms(n_in, n_out, 1e-80)
+        check_closed_forms(n_in, n_out, 1e-80)
+
+    def test_equal_indices_whose_product_overflows_give_zero(self):
+        # Dn = 0 where 9 pi n_in n_out overflows: no branch makes it 0
+        tr = MediumTransition(n_in=9e153, n_out=9e153)
+        summary = totals_closed_form(tr, build_geometry_from_kr(1e-80, 1.3))
+        assert summary.photon_count == summary.total_energy == 0.0
 
     def test_closed_forms_whose_index_ratio_overflows(self):
-        # (Dn)^2 / (n_in n_out) ~ 1e310: the totals raise a typed error, not
-        # a division by 0; the spectrum at omega_out = 1 rad/s,
-        # POLARIZATIONS (Dn)^2 R / (4 c n_in) 2 (n_out R / c)^2 / (3 pi)
-        # ~ 4.9e234, is a float
+        # (Dn)^2 / (n_in n_out) ~ 1e310 leaves the float range, but the
+        # totals, N ~ 5.4e281, do not; nor does the spectrum at omega_out =
+        # 1 rad/s, POLARIZATIONS (Dn)^2 R / (4 c n_in) 2 (n_out R / c)^2
+        # / (3 pi) ~ 4.9e234
+        check_closed_forms(1e-320, 1e-10, 15.0)
         tr = MediumTransition(n_in=1e-320, n_out=1e-10)
         geom = build_geometry_from_kr(15.0, 1.3)
-        for call in (total_photons_closed_form, totals_closed_form):
-            with pytest.raises(NumericalError, match="float range"):
-                call(tr, geom)
         n_in, n_out = Fraction(tr.n_in), Fraction(tr.n_out)
         r, c = Fraction(geom.radius), Fraction(C)
         x = n_out / c * r

@@ -15,12 +15,14 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mpf, workprec
 
-from sonophoton import MediumTransition, NumericalError, build_geometry_from_kr
+from sonophoton import (DomainError, MediumTransition, NumericalError,
+                        build_geometry_from_kr)
 from sonophoton import cli
 from sonophoton.bubble import FiniteSpectrumConfig, spectrum_finite
 from sonophoton.core import SPEED_OF_LIGHT
 from sonophoton.homogeneous import (POLARIZATIONS, _spectrum_root,
-                                    photons_from_count_formula)
+                                    photons_from_count_formula,
+                                    total_photons_closed_form)
 from sonophoton.inverse import RESIDUAL_TOL, solve_n_in, sweep_figure1
 
 import engine_oracle
@@ -121,6 +123,37 @@ def test_spectrum_root_squared_matches_mpmath(n_in, n_out, radius, near):
             assert abs(square - exact) <= ROOT_SQ_TOL * exact
         elif exact >= top * (1 + ROOT_SQ_TOL):
             assert square == math.inf
+
+
+def plain_count(tr, geom):
+    """The closed-form count in the operation order it had before its
+    mantissa form, (Dn)^2 / (9 pi n_in n_out) (RK)^3, and whether every step
+    of it is a normal float."""
+    dn = tr.delta_n
+    steps = [dn * dn, 9.0 * math.pi * tr.n_in]
+    steps.append(steps[1] * tr.n_out)
+    steps.append(steps[0] / steps[2] if steps[2] else math.inf)
+    steps.append((geom.radius * geom.k_gas_cutoff(tr.n_out))**3)
+    steps.append(steps[3] * steps[4])
+    return steps[-1], all(sys.float_info.min <= x < math.inf for x in steps)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(n_in=st.floats(-200.0, 153.97).map(lambda e: 10.0**e),
+       n_out=st.floats(-200.0, 153.97).map(lambda e: 10.0**e),
+       k_obs_r=st.floats(-100.0, 50.0).map(lambda e: 10.0**e))
+def test_count_keeps_the_plain_quotients_bits(n_in, n_out, k_obs_r):
+    # scaling by a power of two is exact, so wherever the plain quotient's
+    # steps are normal floats the mantissa form rounds as they do
+    assume(sys.float_info.min <= n_in * n_in + n_out * n_out < math.inf)
+    tr = MediumTransition(n_in=n_in, n_out=n_out)
+    geom = build_geometry_from_kr(k_obs_r, 1.3)
+    try:
+        want, normal = plain_count(tr, geom)
+    except DomainError:     # K R or K has no finite cube
+        normal = False
+    assume(normal)
+    assert total_photons_closed_form(tr, geom) == want
 
 
 def test_small_bubble_matches_per_point_oracle():
