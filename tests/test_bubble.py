@@ -797,6 +797,34 @@ class TestProblemSizeGuard:
                 == len(_panel_edges(kr, graded)) - 1
         assert _panel_total(kr, False) < _panel_total(kr, True)
 
+    @pytest.mark.parametrize("kr, cfg", [
+        (1.5, FiniteSpectrumConfig(grid_points=400)),
+    ], ids=["fine-grid"])
+    def test_ungraded_estimate_bounds_measured_peak(self, monkeypatch, kr,
+                                                    cfg):
+        # n_in > n_out: the run sums the ungraded panels, and the estimate,
+        # which counts the graded ones, still bounds its peak
+        tr = MediumTransition(n_in=2.0, n_out=1.5)
+        geom = build_geometry_from_kr(kr, 1.3)
+        kr = geom.k_gas_cutoff(tr.n_out) * geom.radius
+        sizes = []    # per call: the node count of its pass
+        closed_form = bubble._closed_form
+
+        def recording_closed_form(v, u, tv, tu):
+            sizes.append(v.size)
+            return closed_form(v, u, tv, tu)
+
+        monkeypatch.setattr(bubble, "_closed_form", recording_closed_form)
+        tracemalloc.start()
+        try:
+            spectrum_finite(tr, geom, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes[0] == _panel_total(kr, False) \
+            * (_ESTIMATE_ORDER + _VALUE_ORDER)
+        assert peak <= _engine_bytes(kr, cfg)
+
     @pytest.mark.parametrize("kr, cfg, n_in", [
         (6.0, FiniteSpectrumConfig(grid_points=40), 2.0),
         (1.5, FiniteSpectrumConfig(grid_points=400), 2.0),
