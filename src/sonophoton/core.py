@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -65,9 +64,42 @@ def check_n_liquid(n_liquid: float) -> None:
 
 
 # domain types --------------------------------------------------------------
+_set = object.__setattr__  # the one way past _Record.__setattr__
 
-@dataclass(frozen=True)
-class MediumTransition:
+
+class _Record:
+    """Base of the immutable domain records, whose fields are their
+    __slots__.  Each record's own __init__ checks its arguments and stores
+    them with _set.  Equality and hash go by class and fields, repr by
+    fields, and pickle and copy rebuild a record through its __init__."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        return (self._fields() == other._fields()
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class MediumTransition(_Record):
     """Refractive indices of the gas before/after the change and its timescale.
 
     n_in, n_out are the dimensionless indices before and after; t0 is the
@@ -76,23 +108,24 @@ class MediumTransition:
     be a normal float.
     """
 
-    n_in: float
-    n_out: float
-    t0: float = 1e-15
+    __slots__ = ("n_in", "n_out", "t0")
 
-    def __post_init__(self) -> None:
-        _require_positive("n_in", self.n_in)
-        _require_positive("n_out", self.n_out)
-        _require_positive("t0", self.t0)
+    def __init__(self, n_in: float, n_out: float, t0: float = 1e-15) -> None:
+        _require_positive("n_in", n_in)
+        _require_positive("n_out", n_out)
+        _require_positive("t0", t0)
         # the tanh profile sums the squared indices; below the smallest
         # normal float that sum has lost digits or underflowed to 0 (and
         # n * n, unlike n**2, overflows to inf rather than raising)
-        sum_sq = self.n_in * self.n_in + self.n_out * self.n_out
+        sum_sq = n_in * n_in + n_out * n_out
         if not sys.float_info.min <= sum_sq < math.inf:
             raise DomainError(
                 f"n_in^2 + n_out^2 = {sum_sq!r} is not a normal float: the "
                 f"indices must not both lie below 1.5e-154, nor either above "
                 f"9.4e153")
+        _set(self, "n_in", n_in)
+        _set(self, "n_out", n_out)
+        _set(self, "t0", t0)
 
     @property
     def n_sq_mean(self) -> float:
@@ -104,8 +137,7 @@ class MediumTransition:
         return self.n_in - self.n_out
 
 
-@dataclass(frozen=True)
-class BubbleGeometry:
+class BubbleGeometry(_Record):
     """Bubble radius, ambient liquid index and the observed cutoff.
 
     The sharp high-frequency cutoff is specified as a wavelength
@@ -117,15 +149,17 @@ class BubbleGeometry:
     "(k_observed R)^3 / (9 pi n_liquid^3)" rewriting coincide.
     """
 
-    radius: float
-    n_liquid: float
-    lambda_obs: float
+    __slots__ = ("radius", "n_liquid", "lambda_obs")
 
-    def __post_init__(self) -> None:
-        _require_positive("radius", self.radius)
-        _require_positive("lambda_obs", self.lambda_obs)
-        check_n_liquid(self.n_liquid)
-        _require_finite_cubes(("radius (m)", self.radius))  # closed forms cube
+    def __init__(self, radius: float, n_liquid: float,
+                 lambda_obs: float) -> None:
+        _require_positive("radius", radius)
+        _require_positive("lambda_obs", lambda_obs)
+        check_n_liquid(n_liquid)
+        _require_finite_cubes(("radius (m)", radius))  # closed forms cube
+        _set(self, "radius", radius)
+        _set(self, "n_liquid", n_liquid)
+        _set(self, "lambda_obs", lambda_obs)
 
     @property
     def k_observed(self) -> float:
@@ -167,8 +201,7 @@ def build_geometry_from_kr(k_obs_r: float, n_liquid: float,
                           lambda_obs=2.0 * math.pi * radius / k_obs_r)
 
 
-@dataclass(frozen=True)
-class EmissionSummary:
+class EmissionSummary(_Record):
     """Total photon number, emitted energy and mean photon energy.
 
     photon_count is an expectation value of a mode-density integral and
@@ -176,18 +209,20 @@ class EmissionSummary:
     <E> / (hbar omega_max), dimensionless.
     """
 
-    photon_count: float
-    total_energy: float
-    mean_energy: float
-    mean_over_cutoff: float
+    __slots__ = ("photon_count", "total_energy", "mean_energy",
+                 "mean_over_cutoff")
 
-    def __post_init__(self) -> None:
+    def __init__(self, photon_count: float, total_energy: float,
+                 mean_energy: float, mean_over_cutoff: float) -> None:
         if not all(math.isfinite(v) for v in (
-                self.photon_count, self.total_energy, self.mean_energy,
-                self.mean_over_cutoff)):
+                photon_count, total_energy, mean_energy, mean_over_cutoff)):
             raise DomainError("emission totals must be finite")
-        if self.photon_count < 0.0 or self.total_energy < 0.0:
+        if photon_count < 0.0 or total_energy < 0.0:
             raise DomainError("photon_count and total_energy must be >= 0")
+        _set(self, "photon_count", photon_count)
+        _set(self, "total_energy", total_energy)
+        _set(self, "mean_energy", mean_energy)
+        _set(self, "mean_over_cutoff", mean_over_cutoff)
 
     @classmethod
     def from_totals(cls, photon_count: float, total_energy: float,
@@ -198,9 +233,8 @@ class EmissionSummary:
                    mean_energy=mean, mean_over_cutoff=ratio)
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralDensity:
-    """Sampled dN/d omega_out curve, held as float arrays.
+class SpectralDensity(_Record):
+    """Sampled dN/d omega_out curve, held as 1-D float arrays.
 
     grid is strictly increasing in rad/s; values are in seconds (photons
     per unit angular frequency); dimensionless_x, when present, is
@@ -208,16 +242,18 @@ class SpectralDensity:
     (a float array passed in is kept, not copied) and compare by identity.
     """
 
-    grid: np.ndarray
-    values: np.ndarray
-    dimensionless_x: np.ndarray | None = None
+    __slots__ = ("grid", "values", "dimensionless_x")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
+    def __init__(self, grid: np.ndarray, values: np.ndarray,
+                 dimensionless_x: np.ndarray | None = None) -> None:
         import numpy as np
 
-        for name in ("grid", "values", "dimensionless_x"):
-            if (field := getattr(self, name)) is not None:
-                object.__setattr__(self, name, np.asarray(field, dtype=float))
+        for name, field in zip(self.__slots__, (grid, values, dimensionless_x)):
+            if field is not None:
+                if (field := np.asarray(field, dtype=float)).ndim != 1:
+                    raise DomainError(f"{name} must be 1-D, got {field.ndim}-D")
+            _set(self, name, field)
         grid, values, x = self.grid, self.values, self.dimensionless_x
         if len(grid) != len(values):
             raise DomainError("grid and values must have equal length")
@@ -255,31 +291,35 @@ _MAX_NODE_PAIRS = 1 << 30
 _POINT_BYTES = 512
 
 
-@dataclass(frozen=True)
-class FiniteSpectrumConfig:
+class FiniteSpectrumConfig(_Record):
     """Controls for the finite-volume spectrum evaluation.
 
     The angular sum is exact (summed in closed form), so there is no l
     truncation to set.  quad_rel_tol is the omega_in quadrature's relative
     tolerance, at least _MIN_REL_TOL.  grid_points sets the number of
-    samples up to the cutoff; the grid continues at the same spacing to
-    grid_extend * cutoff so the smeared roll-off is part of the curve.
+    samples up to the cutoff (an integer); the grid continues at the same
+    spacing to grid_extend * cutoff so the smeared roll-off is part of it.
     """
 
-    quad_rel_tol: float = 1e-6
-    grid_points: int = 200
-    grid_extend: float = 1.3
+    __slots__ = ("quad_rel_tol", "grid_points", "grid_extend")
 
-    def __post_init__(self) -> None:
-        if not (_MIN_REL_TOL <= self.quad_rel_tol < 1.0):
+    def __init__(self, quad_rel_tol: float = 1e-6, grid_points: int = 200,
+                 grid_extend: float = 1.3) -> None:
+        if not (_MIN_REL_TOL <= quad_rel_tol < 1.0):
             raise DomainError(
                 f"quad_rel_tol must lie in [{_MIN_REL_TOL:g}, 1), got "
-                f"{self.quad_rel_tol!r}: below {_MIN_REL_TOL:g} the omega_in "
+                f"{quad_rel_tol!r}: below {_MIN_REL_TOL:g} the omega_in "
                 f"quadrature's error estimate nears roundoff")
-        if self.grid_points < 2:
-            raise DomainError("grid_points must be >= 2")
-        if not (1.0 <= self.grid_extend <= 4.0):
+        np = sys.modules.get("numpy")  # a numpy integer needs numpy loaded
+        if (not isinstance(grid_points, (int, np.integer) if np else int)
+                or grid_points < 2):
+            raise DomainError(
+                f"grid_points must be an integer >= 2, got {grid_points!r}")
+        if not (1.0 <= grid_extend <= 4.0):
             raise DomainError("grid_extend must lie in [1, 4]")
+        _set(self, "quad_rel_tol", quad_rel_tol)
+        _set(self, "grid_points", grid_points)
+        _set(self, "grid_extend", grid_extend)
 
 
 def check_grid_points(n_points: int, knob: str) -> None:

@@ -21,11 +21,10 @@ Python ArithmeticError or a NaN root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import (DomainError, NumericalError, _require_finite_cubes,
-                   _require_positive)
+from .core import (DomainError, NumericalError, _Record,
+                   _require_finite_cubes, _require_positive, _set)
 from .homogeneous import photons_from_count_formula
 
 if TYPE_CHECKING:
@@ -41,17 +40,18 @@ _QUADRATIC_TOL = 64.0 * 2.220446049250313e-16
 _VIETA_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class BranchPair:
+class BranchPair(_Record):
     """Both refractive-index branches solving the target photon count."""
 
-    n_in_low: float
-    n_in_high: float
-    discriminant: float
+    __slots__ = ("n_in_low", "n_in_high", "discriminant")
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.n_in_low <= self.n_in_high:
+    def __init__(self, n_in_low: float, n_in_high: float,
+                 discriminant: float) -> None:
+        if not 0.0 < n_in_low <= n_in_high:
             raise DomainError("branch roots must satisfy 0 < low <= high")
+        _set(self, "n_in_low", n_in_low)
+        _set(self, "n_in_high", n_in_high)
+        _set(self, "discriminant", discriminant)
 
 
 def _check_inputs(n_out, n_target, n_liquid, k_obs_r) -> None:

@@ -857,3 +857,14 @@ def test_closed_form_commands_start_without_numpy():
                           env={**os.environ, "PYTHONPATH": SRC},
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_loads_neither_dataclasses_inspect_nor_numpy():
+    # -S: no site .pth file preloads any of them before the check
+    code = ("import sys, sonophoton.cli; print(sorted({'dataclasses', "
+            "'inspect', 'numpy'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,12 +1,16 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from sonophoton.core import (ELECTRON_VOLT, HBAR, SPEED_OF_LIGHT,
                              BubbleGeometry, DomainError, EmissionSummary,
-                             MediumTransition, SpectralDensity,
-                             build_geometry_from_kr, joule_to_ev, nm_to_m)
+                             FiniteSpectrumConfig, MediumTransition,
+                             SpectralDensity, build_geometry_from_kr,
+                             joule_to_ev, nm_to_m)
+from sonophoton.inverse import BranchPair
 
 
 def test_physical_constants_values():
@@ -159,3 +163,132 @@ class TestSpectralDensity:
         with pytest.raises(DomainError):
             SpectralDensity(grid=x, values=x,
                             dimensionless_x=np.array([0.5, math.nan]))
+
+    def test_refuses_fields_that_are_not_1d(self):
+        pair, square = np.array([1.0, 2.0]), np.ones((2, 2))
+        with pytest.raises(DomainError, match="grid must be 1-D"):
+            SpectralDensity(1.0, 1.0)
+        with pytest.raises(DomainError, match="grid must be 1-D"):
+            SpectralDensity(square, square)
+        with pytest.raises(DomainError, match="values must be 1-D"):
+            SpectralDensity(pair, square)
+        with pytest.raises(DomainError, match="dimensionless_x must be 1-D"):
+            SpectralDensity(pair, pair, dimensionless_x=square)
+
+
+class TestFiniteSpectrumConfig:
+    def test_refuses_non_integer_grid_points(self):
+        # 200.5 would build a 262-point grid ending past grid_extend * K R,
+        # and inf an OverflowError in spectral_grid
+        for bad in (200.5, 200.0, math.inf, math.nan, "200", None):
+            with pytest.raises(DomainError, match="grid_points"):
+                FiniteSpectrumConfig(grid_points=bad)
+
+    def test_accepts_numpy_integers(self):
+        for points in (np.int64(200), np.int32(3), np.uint16(2)):
+            assert FiniteSpectrumConfig(grid_points=points).grid_points == points
+
+
+# The six domain records: (class, field names, positional arguments for the
+# required fields, the defaults of the others, arguments that differ in one
+# field, repr of the record built from the positional arguments).
+RECORDS = [
+    (MediumTransition, ("n_in", "n_out", "t0"), (2.0, 1.5), (1e-15,),
+     (2.0, 1.25), "MediumTransition(n_in=2.0, n_out=1.5, t0=1e-15)"),
+    (BubbleGeometry, ("radius", "n_liquid", "lambda_obs"),
+     (5e-07, 1.3, 2e-07), (), (5e-07, 1.4, 2e-07),
+     "BubbleGeometry(radius=5e-07, n_liquid=1.3, lambda_obs=2e-07)"),
+    (EmissionSummary,
+     ("photon_count", "total_energy", "mean_energy", "mean_over_cutoff"),
+     (4.0, 8.0, 2.0, 0.5), (), (4.0, 8.0, 2.0, 0.25),
+     "EmissionSummary(photon_count=4.0, total_energy=8.0, mean_energy=2.0, "
+     "mean_over_cutoff=0.5)"),
+    (SpectralDensity, ("grid", "values", "dimensionless_x"),
+     ((1.0, 2.0), (0.0, 3.0)), (None,), ((1.0, 2.0), (0.0, 3.0)),
+     "SpectralDensity(grid=array([1., 2.]), values=array([0., 3.]), "
+     "dimensionless_x=None)"),
+    (FiniteSpectrumConfig, ("quad_rel_tol", "grid_points", "grid_extend"),
+     (), (1e-06, 200, 1.3), (1e-06, 201),
+     "FiniteSpectrumConfig(quad_rel_tol=1e-06, grid_points=200, "
+     "grid_extend=1.3)"),
+    (BranchPair, ("n_in_low", "n_in_high", "discriminant"), (1.0, 4.0, 9.0),
+     (), (1.0, 4.0, 8.0),
+     "BranchPair(n_in_low=1.0, n_in_high=4.0, discriminant=9.0)"),
+]
+RECORD_IDS = [case[0].__name__ for case in RECORDS]
+
+
+def _field_values(record, names):
+    return [getattr(record, name) for name in names]
+
+
+def _same_fields(a, b, names):
+    """a and b hold equal values in every field; arrays compare by value."""
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+               for x, y in zip(_field_values(a, names), _field_values(b, names)))
+
+
+@pytest.mark.parametrize("cls, names, args, defaults, other, text", RECORDS,
+                         ids=RECORD_IDS)
+class TestRecords:
+    def test_positional_and_keyword_construction(self, cls, names, args,
+                                                 defaults, other, text):
+        by_position = cls(*args)
+        by_keyword = cls(**dict(zip(names, args)))
+        every_field = cls(*args, *defaults)
+        want = [*args, *defaults]
+        for record in (by_position, by_keyword, every_field):
+            for got, value in zip(_field_values(record, names), want):
+                if isinstance(got, np.ndarray):
+                    assert got.tolist() == list(value)
+                else:
+                    assert got == value and type(got) is type(value)
+
+    def test_missing_or_unknown_argument(self, cls, names, args, defaults,
+                                         other, text):
+        if args:
+            with pytest.raises(TypeError):
+                cls(*args[:-1])
+        with pytest.raises(TypeError):
+            cls(*args, unknown=1.0)
+        every = (*args, *defaults)
+        with pytest.raises(TypeError):
+            cls(*every, 1.0)
+        with pytest.raises(TypeError):  # the first field twice
+            cls(*every, **{names[0]: every[0]})
+
+    def test_immutable(self, cls, names, args, defaults, other, text):
+        record = cls(*args)
+        for name in (*names, "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1.0)
+        for name in names:
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert _same_fields(record, cls(*args), names)
+
+    def test_equality_and_hash(self, cls, names, args, defaults, other, text):
+        a, b, c = cls(*args), cls(*args), cls(*other)
+        assert a == a and hash(a) == hash(a)
+        assert a != c
+        assert a != tuple(_field_values(a, names))
+        if cls is SpectralDensity:
+            # arrays compare by identity
+            assert a != b and hash(a) == object.__hash__(a)
+        else:
+            assert a == b and hash(a) == hash(b)
+            assert {a, b, c} == {a, c}
+
+    def test_repr(self, cls, names, args, defaults, other, text):
+        assert repr(cls(*args)) == text
+
+    def test_pickle_and_deepcopy(self, cls, names, args, defaults, other,
+                                 text):
+        record = cls(*args)
+        for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record),
+                     copy.copy(record)):
+            assert type(twin) is cls
+            assert _same_fields(twin, record, names)
+            assert repr(twin) == text
+            if cls is not SpectralDensity:
+                assert twin == record and hash(twin) == hash(record)
