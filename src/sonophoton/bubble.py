@@ -219,21 +219,17 @@ def _grid_size(config: FiniteSpectrumConfig) -> int:
         (config.grid_extend - 1.0) * config.grid_points)
 
 
-def _panel_count(kr: float) -> int:
-    """The fewest equal panels on [_OMEGA_IN_FLOOR K R, K R] no wider
-    than _PANEL_WIDTH."""
-    return math.ceil((kr - _OMEGA_IN_FLOOR * kr) / _PANEL_WIDTH)
-
-
 def _panel_total(kr: float, graded: bool) -> int:
     """len(_panel_edges(kr, graded)) - 1, without building the edges."""
-    return _panel_count(kr) + (_GRADING.size if graded else 0)
+    return (math.ceil((kr - _OMEGA_IN_FLOOR * kr) / _PANEL_WIDTH)
+            + (_GRADING.size if graded else 0))
 
 
 def _panel_edges(kr: float, graded: bool) -> np.ndarray:
-    """Edges of the _panel_count(kr) panels, the first one split at the
-    _GRADING fractions of its width if graded."""
-    edges = np.linspace(_OMEGA_IN_FLOOR * kr, kr, _panel_count(kr) + 1)
+    """Edges of the fewest equal panels on [_OMEGA_IN_FLOOR K R, K R] no
+    wider than _PANEL_WIDTH, the first one split at the _GRADING fractions
+    of its width if graded."""
+    edges = np.linspace(_OMEGA_IN_FLOOR * kr, kr, _panel_total(kr, False) + 1)
     if graded:
         edges = np.insert(edges, 1,
                           edges[0] + (edges[1] - edges[0]) * _GRADING)
@@ -241,34 +237,33 @@ def _panel_edges(kr: float, graded: bool) -> np.ndarray:
 
 
 def _engine_bytes(kr: float, config: FiniteSpectrumConfig) -> int:
-    """Upper estimate of the engine's live array bytes on the graded panels
-    of _panel_edges(kr, True); the bound holds for the ungraded ones too.
+    """Upper estimate of the engine's live array bytes, graded or not.
 
-    Per output point: u, its _point_factors with their temporaries and
-    their copy in a pass, the rule sums and level bookkeeping (36 floats).
-    Per output point or node below _SMALL_ARG (at most the first panel's
-    nodes at the last level): its series powers and their product with
-    _LOMMEL_SERIES (2 _SERIES_POWERS.size floats), and one j_l argument
-    for the points below _TINY_ARG.  Per j_l argument: the table
-    sph_jn_table returns, the branch table it fills that from, j_0, j_1
-    and the ratio buffers ((2 _SMALL_L + 15) floats).  Per node of the
-    finest pass, of both orders: v, two Gauss weights, _node_factors with
-    temporaries and indices (45 floats), and one j_l argument.  Per column
-    block: 16 arrays of _BLOCK_ELEMENTS pairs (_closed_form's 6 on far
-    pairs, 14 if all are near; _small_block's and _lommel_block's l-batched
-    products _SMALL_L + 4).  The output grid counts at _POINT_BYTES a point.
+    Per output point: _POINT_BYTES for the output grid; u, its
+    _point_factors with temporaries and their copy in a pass, the rule sums
+    and level bookkeeping (36 floats); a j_l argument below _TINY_ARG.  Per
+    j_l argument: sph_jn_table's table, the branch table it fills that
+    from, j_0, j_1 and the ratio buffers (2 _SMALL_L + 15).  Per graded
+    first-pass panel: its edges after the _LEVELS - 1 bisections, with
+    np.insert's indices and midpoints (8 a piece).  Per node of a tile (at
+    most _BLOCK_ELEMENTS, and the last pass's): v, two Gauss weights,
+    _node_factors with temporaries (45) and a j_l argument.  Per node below
+    _SMALL_ARG, all in the first panel's last-level pieces: its series
+    powers and their product with _LOMMEL_SERIES (2 _SERIES_POWERS.size).
+    Per column block: 16 arrays of _BLOCK_ELEMENTS pairs (_closed_form's 6
+    on far pairs, 14 if all are near; _small_block's and _lommel_block's
+    _SMALL_L + 4).
     """
     n_points = _grid_size(config)
-    # both rules on panels split by the _LEVELS - 1 bisections
-    per_panel = 2**(_LEVELS - 1) * (_ESTIMATE_ORDER + _VALUE_ORDER)
-    panels = _panel_total(kr, True)
-    first = panels - _panel_count(kr) + 1  # the first panel's pieces
-    n_small = first * per_panel + min(
-        n_points, math.ceil(_SMALL_ARG * config.grid_points / kr))
-    nodes = per_panel * panels
-    floats = (36 * n_points + 2 * _SERIES_POWERS.size * n_small
-              + (2 * _SMALL_L + 15) * (nodes + n_small) + 45 * nodes
-              + 16 * _BLOCK_ELEMENTS)
+    # the points below _TINY_ARG: all of them unless the last one is above
+    n_tiny = (n_points if kr * n_points < _TINY_ARG * config.grid_points
+              else math.ceil(_TINY_ARG * config.grid_points / kr))
+    nodes = _ESTIMATE_ORDER + _VALUE_ORDER      # a panel's, both orders
+    pieces = 2**(_LEVELS - 1) * _panel_total(kr, True)  # at the last level
+    tile = min(_BLOCK_ELEMENTS, nodes * pieces)
+    floats = (36 * n_points + (2 * _SMALL_L + 15) * (n_tiny + tile) + 45 * tile
+              + 8 * pieces + 16 * _BLOCK_ELEMENTS + 2 * _SERIES_POWERS.size
+              * nodes * 2**(_LEVELS - 1) * (_GRADING.size + 1))
     return 8 * floats + _POINT_BYTES * n_points
 
 
@@ -558,11 +553,11 @@ def spectrum_finite(transition: MediumTransition, geometry: BubbleGeometry,
 
     The grid runs from one spacing above zero up to grid_extend times
     the gas-side cutoff frequency, with a sample exactly at the cutoff.
-    All points are evaluated together on one shared node set (see
-    _sums).  A problem whose first pass would sum more than
-    _MAX_NODE_PAIRS (node, point) pairs, or whose engine arrays would
-    exceed _MAX_ENGINE_BYTES, is refused with DomainError before any
-    array is built; a value above the float range raises NumericalError.
+    All points share one node set (_sums).  A problem whose first pass
+    would sum more than _MAX_NODE_PAIRS (node, point) pairs, or whose
+    arrays (_engine_bytes: points, panel edges, one tile) would exceed
+    _MAX_ENGINE_BYTES, is refused with DomainError before any array is
+    built; a value above the float range raises NumericalError.
     """
     config = config or FiniteSpectrumConfig()
     n_in, n_out = transition.n_in, transition.n_out

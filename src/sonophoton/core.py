@@ -176,6 +176,8 @@ class BubbleGeometry(_Record):
         DomainError unless n_out > 0 and K R and K have finite cubes."""
         _require_positive("n_out", n_out)
         k = self.k_observed * n_out / self.n_liquid
+        if k == math.inf:  # K overflowed: not K R, which inherits its inf
+            _require_finite_cubes(("K (1/m)", k))
         _require_finite_cubes(("K R", k * self.radius), ("K (1/m)", k))
         return k
 
@@ -197,8 +199,11 @@ def build_geometry_from_kr(k_obs_r: float, n_liquid: float,
     rather than as a physical wavelength; lambda_obs is back-computed.
     """
     _require_positive("k_obs_r", k_obs_r)  # BubbleGeometry checks radius
-    return BubbleGeometry(radius=radius, n_liquid=n_liquid,
-                          lambda_obs=2.0 * math.pi * radius / k_obs_r)
+    lambda_obs = 2.0 * math.pi * radius / k_obs_r
+    if not 0.0 < lambda_obs < math.inf and 0.0 < radius < math.inf:
+        raise DomainError(f"k_obs_r {k_obs_r!r} at radius {radius!r} m puts "
+                          "2 pi radius / k_obs_r outside the float range")
+    return BubbleGeometry(radius, n_liquid, lambda_obs)
 
 
 class EmissionSummary(_Record):
@@ -278,11 +283,10 @@ class SpectralDensity(_Record):
 # orders' difference is at the roundoff of the sums it compares (README
 # numerical notes).
 _MIN_REL_TOL = 1e-13
-# bubble.spectrum_finite refuses a problem whose engine arrays
-# (bubble._engine_bytes) would need more bytes than _MAX_ENGINE_BYTES, or
-# whose first pass would sum more than _MAX_NODE_PAIRS (node, point) pairs;
-# and check_grid_points an output grid (a spectrum's or a sweep's) whose
-# points would need more than _MAX_ENGINE_BYTES (at _POINT_BYTES each).
+# bubble.spectrum_finite refuses a problem whose first pass would sum more
+# than _MAX_NODE_PAIRS (node, point) pairs, for time, or whose arrays
+# (bubble._engine_bytes) need more than _MAX_ENGINE_BYTES; and
+# check_grid_points any output grid at _POINT_BYTES a point the same way.
 _MAX_ENGINE_BYTES = 1 << 30
 _MAX_NODE_PAIRS = 1 << 30
 # Upper estimate of the bytes a caller holds per output grid point: the

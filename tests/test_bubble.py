@@ -751,12 +751,13 @@ class TestProblemSizeGuard:
         def no_table(*args):
             raise AssertionError("a Bessel table or a pass was built")
 
-        # no output point of K R = 1e6 lies below _TINY_ARG, so only
+        # K R 2.3e6: 1.9e9 first-pass node pairs on the default grid, above
+        # _MAX_NODE_PAIRS.  No output point lies below _TINY_ARG, so only
         # _closed_form, which every pass calls, shows a pass began
         monkeypatch.setattr(bubble, "sph_jn_table", no_table)
         monkeypatch.setattr(bubble, "_closed_form", no_table)
         tr = MediumTransition(n_in=2.0, n_out=1.5)
-        geom = build_geometry_from_kr(1e6, 1.3)
+        geom = build_geometry_from_kr(2e6, 1.3)
         start = time.perf_counter()
         with pytest.raises(DomainError, match="too large"):
             spectrum_finite(tr, geom)
@@ -766,8 +767,8 @@ class TestProblemSizeGuard:
         def no_table(*args):
             raise AssertionError("a Bessel table or a pass was built")
 
-        # 27 300 output points against 41 520 first-pass nodes: the node
-        # pairs pass _MAX_NODE_PAIRS while the arrays (~280 MB) stay below
+        # 27 300 output points against 41 400 first-pass nodes: the node
+        # pairs pass _MAX_NODE_PAIRS while the arrays (~50 MB) stay below
         # _MAX_ENGINE_BYTES, so the pair guard alone refuses the problem
         monkeypatch.setattr(bubble, "sph_jn_table", no_table)
         monkeypatch.setattr(bubble, "_closed_form", no_table)
@@ -787,11 +788,19 @@ class TestProblemSizeGuard:
         assert _engine_bytes(392.0, cfg) \
             < bubble._MAX_ENGINE_BYTES / 50
 
+    @pytest.mark.parametrize("kr", [0.0, 5e-324, 1e-310])
+    def test_estimate_where_every_point_is_tiny(self, kr):
+        # _TINY_ARG grid_points / kr is inf or a division by zero; every
+        # point takes a j_l argument
+        cfg = FiniteSpectrumConfig(grid_points=2000000, grid_extend=1.0)
+        assert _engine_bytes(kr, cfg) \
+            > (8 * (36 + 2 * bubble._SMALL_L + 15) + 512) * 2000000
+
     @pytest.mark.parametrize("kr", [0.5, 12.1, 392.0, 1e6])
     def test_ungraded_estimate_below_graded(self, kr):
-        # both size guards count the panels the run sums: the first panel
-        # is split only where n_out > n_in (the node-pair guard), and
-        # _engine_bytes counts the split panels for either
+        # the node-pair guard counts the panels the run sums (the first one
+        # is split only where n_out > n_in); _engine_bytes charges the
+        # bisected edges of the split panels for either
         for graded in (False, True):
             assert _panel_total(kr, graded) \
                 == len(_panel_edges(kr, graded)) - 1
@@ -845,9 +854,11 @@ class TestProblemSizeGuard:
         (12.1, FiniteSpectrumConfig(), 2.0),
         # K R 11 538: each pass in two tiles, one point a column block
         (1e4, FiniteSpectrumConfig(grid_points=8), 2.0),
+        # K R 69 231 at 2 points: 5 510 panels, 7 tiles a pass
+        (6e4, FiniteSpectrumConfig(grid_points=2, grid_extend=1.0), 2.0),
     ], ids=["small", "fine-grid", "large-l", "refined", "long-grid",
             "wide-grid", "graded", "tiny-grid", "small-refined",
-            "headline-kr", "tiles"])
+            "headline-kr", "tiles", "large-kr"])
     def test_estimate_bounds_measured_peak(self, kr, cfg, n_in):
         tr = MediumTransition(n_in=n_in, n_out=1.5)
         geom = build_geometry_from_kr(kr, 1.3)
@@ -859,3 +870,21 @@ class TestProblemSizeGuard:
         finally:
             tracemalloc.stop()
         assert peak <= _engine_bytes(kr, cfg)
+
+    def test_estimate_bounds_bisected_panel_edges(self, monkeypatch):
+        # what grows with K R is _sums' bisection of the panel edges: with
+        # _rules stubbed so that no point converges, _sums bisects the
+        # 79 578 panels of K R 1e6 _LEVELS - 1 times, and the peak is theirs
+        def unconverged(u, n_in, n_out, edges):
+            return np.stack((np.zeros(u.size), np.ones(u.size)))
+
+        monkeypatch.setattr(bubble, "_rules", unconverged)
+        kr, cfg = 1e6, FiniteSpectrumConfig(grid_points=2, grid_extend=1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalError):
+                bubble._sums(np.array([kr / 2, kr]), 2.0, 1.5, kr, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 10e6 < peak <= _engine_bytes(kr, cfg)

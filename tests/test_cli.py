@@ -553,14 +553,28 @@ class TestExitCodes:
         def no_table(*args):
             raise AssertionError("a Bessel table or a pass was built")
 
-        # no output point of K R = 1e6 lies below 1/2, so only
-        # _closed_form, which every pass calls, shows a pass began
+        # K R 2.3e6 on the default grid: 1.9e9 node pairs, above the limit.
+        # No output point lies below 1/2, so only _closed_form, which every
+        # pass calls, shows a pass began
         monkeypatch.setattr(bubble, "sph_jn_table", no_table)
         monkeypatch.setattr(bubble, "_closed_form", no_table)
         start = time.perf_counter()
         assert main(["totals", "--n-in", "2", "--n-out", "1.5",
-                     "--model", "finite", "--k-obs-r", "1e6"]) == 1
+                     "--model", "finite", "--k-obs-r", "2e6"]) == 1
         assert time.perf_counter() - start < 1.0
+
+    def test_oversized_finite_arrays_are_usage(self, monkeypatch, capsys):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("an output grid was built")
+
+        # 2e6 points, all below 1/2, at K R 1.15: 3.2e8 node pairs, below
+        # their limit, but ~2 GiB of arrays
+        monkeypatch.setattr(np, "arange", no_grid)
+        assert main(["spectrum", "--n-gas-in", "2", "--n-gas-out", "1.5",
+                     "--k-obs-r", "1", "--grid-points", "2000000",
+                     "--grid-extend", "1", "--model", "finite"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "GiB of arrays" in err
 
     def test_oversized_infinite_grid_is_usage(self, monkeypatch):
         def no_grid(*args, **kwargs):
@@ -623,12 +637,24 @@ class TestExitCodes:
          "K R"),
         (["totals", "--n-in", "1", "--n-out", "12", "--radius-nm", "1e300",
           "--cutoff-nm", "1e-300"], "radius"),
-    ], ids=["k-obs-r", "radius"])
+        # K overflows where K R is ~17: K is named, not K R
+        (["totals", "--n-in", "2", "--n-out", "1.5", "--radius-nm", "1e-300"],
+         "K (1/m)"),
+    ], ids=["k-obs-r", "radius", "k-overflow"])
     def test_geometry_whose_cube_overflows_is_usage(self, argv, name, capsys):
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {name}")
         assert "so that its cube is finite" in err
+
+    def test_cutoff_wavelength_overflow_names_k_obs_r(self, capsys):
+        # lambda_obs = 2 pi R / k_obs_r overflows: the error names the
+        # k_obs_r given, not a lambda_obs of inf
+        assert main(["spectrum", "--n-gas-in", "2", "--n-gas-out", "1.5",
+                     "--k-obs-r", "1e-320"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: k_obs_r 1e-320 at radius")
+        assert "inf" not in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, want", [
         (["solve-nin", "--n-out", "1e-170", "--target", "1e6"], 3),
@@ -699,6 +725,24 @@ def test_spectra_where_the_index_difference_squared_times_radius_overflows(
             if not line.startswith("#")][1:]
     assert err == "" and len(rows) == 2
     assert all(1e148 < float(cell) < 1e153 for row in rows for cell in row[3:])
+
+
+@pytest.mark.parametrize("k_obs_r", [
+    # K R 69 231: 5 510 panels in tiles, ~14 MB at the peak
+    "60000",
+    # K R 1.2e-310: every point below 1/2, and 1/2 grid_points / K R is inf
+    "1e-310",
+], ids=["large-kr", "vanishing-kr"])
+def test_finite_spectrum_at_extreme_kr(k_obs_r, capsys):
+    assert main(["spectrum", "--n-gas-in", "2", "--n-gas-out", "1.5",
+                 "--k-obs-r", k_obs_r, "--grid-points", "2", "--grid-extend",
+                 "1", "--model", "finite"]) == 0
+    out, err = capsys.readouterr()
+    rows = [line.split(",") for line in out.splitlines()
+            if not line.startswith("#")][1:]
+    cells = [float(row[4]) for row in rows]
+    assert err == "" and len(rows) == 2
+    assert all(math.isfinite(cell) and cell >= 0.0 for cell in cells)
 
 
 def test_totals_where_the_index_product_underflows(capsys):

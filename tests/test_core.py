@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,19 @@ class TestBubbleGeometry:
             geom.k_gas_cutoff(1.0)
         with pytest.raises(DomainError, match="n_out"):
             geom.k_gas_cutoff(0.0)
+
+    def test_overflow_names_the_quantity_that_overflows(self):
+        # K overflows at a K R of ~1.15: K names itself, not K R's inf
+        geom = BubbleGeometry(1e-309, 1.3, 2 * math.pi * 1e-309 / 1.0)
+        assert 2 * math.pi * geom.radius / geom.lambda_obs == 1.0
+        with pytest.raises(DomainError, match=r"^K \(1/m\) .* got inf$"):
+            geom.k_gas_cutoff(1.5)
+        # lambda_obs = 2 pi R / k_obs_r leaves the float range either way;
+        # the refusal names the k_obs_r given, not a lambda_obs of inf or 0
+        for k_obs_r, radius in ((1e-320, 500e-9), (1e300, 1e-309)):
+            want = "^" + re.escape(f"k_obs_r {k_obs_r!r} at radius")
+            with pytest.raises(DomainError, match=want):
+                build_geometry_from_kr(k_obs_r, 1.3, radius)
 
     def test_validation_names_field(self):
         with pytest.raises(DomainError, match="radius"):
