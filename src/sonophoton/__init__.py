@@ -16,7 +16,7 @@ from .core import (HBAR, SPEED_OF_LIGHT, BubbleGeometry, DomainError,
                    EmissionSummary, FiniteSpectrumConfig, MediumTransition,
                    NumericalError, SpectralDensity, build_geometry_from_kr)
 from .homogeneous import (POLARIZATIONS, beta_sq_density, beta_sq_density_log,
-                          epsilon_profile, log_sinh, omega_sudden,
+                          epsilon_profile, omega_sudden,
                           photons_from_count_formula, spectrum_infinite,
                           sudden_beta_sq, tail_log_slope,
                           total_photons_closed_form, totals_closed_form)
@@ -61,5 +61,4 @@ __all__ = [
     "photons_from_count_formula", "totals_closed_form",
     "spectrum_finite", "totals_finite",
     "spectral_grid", "solve_n_in", "sweep_figure1",
-    "log_sinh",
 ]

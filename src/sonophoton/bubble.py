@@ -127,11 +127,10 @@ import math
 
 import numpy as np
 
-# the engine's settings live in core, where the parser reads them
-from .core import (_MAX_ENGINE_BYTES, _MAX_NODE_PAIRS, _POINT_BYTES, HBAR,
-                   SPEED_OF_LIGHT, BubbleGeometry, DomainError,
-                   EmissionSummary, FiniteSpectrumConfig, MediumTransition,
-                   NumericalError, SpectralDensity, check_grid_points)
+from .core import (_MAX_ENGINE_BYTES, _POINT_BYTES, HBAR, SPEED_OF_LIGHT,
+                   BubbleGeometry, DomainError, EmissionSummary,
+                   FiniteSpectrumConfig, MediumTransition, NumericalError,
+                   SpectralDensity, check_grid_points)
 from .homogeneous import _finite, _spectrum_root
 from .specfun import sph_jn_table
 
@@ -148,6 +147,8 @@ _ESTIMATE_ORDER = 16
 # Each level after the first bisects every panel; the finest panels are
 # pi/2 wide.
 _LEVELS = 4
+# spectrum_finite refuses a first pass of more (node, point) pairs, for time.
+_MAX_NODE_PAIRS = 1 << 30
 # In-side integration starts at this fraction of the cutoff; the kernel
 # vanishes like a power of w_in at the origin so nothing is lost.
 _OMEGA_IN_FLOOR = 1e-6
@@ -533,16 +534,21 @@ def spectral_grid(transition: MediumTransition, geometry: BubbleGeometry,
     Runs from one spacing above zero to grid_extend times the gas-side
     cutoff geometry.k_gas_cutoff(transition.n_out), with a sample exactly
     at the cutoff; omega_out is in rad/s and x = k_out R.  A grid whose
-    points would need more than _MAX_ENGINE_BYTES is refused with
-    DomainError before it is built.
+    points would need more than _MAX_ENGINE_BYTES, or whose omega_out =
+    x c / (n_out R) would divide by an n_out R that underflowed, is
+    refused with DomainError before it is built.
     """
     config = config or FiniteSpectrumConfig()
     kr = geometry.k_gas_cutoff(transition.n_out) * geometry.radius
     n_points = _grid_size(config)
     check_grid_points(n_points, "grid_points")
+    n_out_r = transition.n_out * geometry.radius
+    if not n_out_r > 0.0:
+        raise DomainError(f"n_out {transition.n_out!r} times the radius "
+                          f"underflows to 0: omega_out = x c / (n_out R)")
     h = kr / config.grid_points
     x_grid = h * np.arange(1, n_points + 1)
-    omega_grid = x_grid * SPEED_OF_LIGHT / (transition.n_out * geometry.radius)
+    omega_grid = x_grid * SPEED_OF_LIGHT / n_out_r
     x_grid.flags.writeable = omega_grid.flags.writeable = False
     return omega_grid, x_grid
 
@@ -553,15 +559,23 @@ def spectrum_finite(transition: MediumTransition, geometry: BubbleGeometry,
 
     The grid runs from one spacing above zero up to grid_extend times
     the gas-side cutoff frequency, with a sample exactly at the cutoff.
-    All points share one node set (_sums).  A problem whose first pass
-    would sum more than _MAX_NODE_PAIRS (node, point) pairs, or whose
-    arrays (_engine_bytes: points, panel edges, one tile) would exceed
-    _MAX_ENGINE_BYTES, is refused with DomainError before any array is
-    built; a value above the float range raises NumericalError.
+    All points share one node set (_sums).  A grid spacing that underflows
+    to 0 or a weight of 0 / 0, or a first pass that would sum more than
+    _MAX_NODE_PAIRS (node, point) pairs, or arrays (_engine_bytes: points,
+    panel edges, one tile) above _MAX_ENGINE_BYTES, is refused with
+    DomainError before any array is built; a value above the float range
+    raises NumericalError.
     """
     config = config or FiniteSpectrumConfig()
     n_in, n_out = transition.n_in, transition.n_out
     kr = geometry.k_gas_cutoff(n_out) * geometry.radius
+    # the grid spacing h must not underflow, nor both n_in h and n_out
+    # times the lowest edge, the least terms of the weight's denominator
+    # n_out v + n_in u, or a pass divides 0 by 0
+    h = kr / config.grid_points
+    if not (h > 0.0 and n_in * h + n_out * (_OMEGA_IN_FLOOR * kr) > 0.0):
+        raise DomainError(f"finite-volume spectrum underflows at K R {kr!r}, "
+                          f"n_in {n_in!r}, n_out {n_out!r}; raise K R")
     n_points = _grid_size(config)
     pairs = ((_ESTIMATE_ORDER + _VALUE_ORDER)
              * _panel_total(kr, n_out > n_in) * n_points)
@@ -606,13 +620,17 @@ def totals_finite(transition: MediumTransition, geometry: BubbleGeometry,
     refinement); mean photon energy is reported against hbar times the
     cutoff frequency.  A precomputed SpectralDensity for the same
     parameters may be passed to avoid recomputation; one of fewer than
-    two points is refused with DomainError.
+    two points is refused with DomainError, and totals above the float
+    range raise NumericalError.
     """
     if spectral is None:
         spectral = spectrum_finite(transition, geometry, config)
     if len(spectral.grid) < 2:
         raise DomainError("totals_finite needs a spectrum of >= 2 points")
     x, y = spectral.grid, spectral.values
-    count = _trapz_richardson(x, y)
-    energy = _trapz_richardson(x, HBAR * x * y)
+    with np.errstate(over="ignore"):
+        count = _trapz_richardson(x, y)
+        energy = _trapz_richardson(x, HBAR * x * y)
+    if not (math.isfinite(count) and math.isfinite(energy)):
+        raise NumericalError("finite-volume totals exceed the float range")
     return EmissionSummary.from_totals(count, energy, HBAR * geometry.omega_max)

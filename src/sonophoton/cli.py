@@ -67,11 +67,6 @@ class _QuietParser(_Parser):
         raise _Failure(message or "", status)
 
 
-# CLI key -> FiniteSpectrumConfig field; the field defaults are the CLI's.
-_NUMERICS_FIELDS = {"grid_points": "grid_points", "tol": "quad_rel_tol",
-                    "grid_extend": "grid_extend"}
-
-
 @functools.cache
 def _build_parser(quiet: bool = False) -> _Parser:
     """The one declaration of every parameter: name, type, default and
@@ -260,8 +255,8 @@ def _geometry(params: dict) -> BubbleGeometry:
 
 
 def _finite_config(params: dict) -> FiniteSpectrumConfig:
-    return FiniteSpectrumConfig(**{field: params[key]
-                                   for key, field in _NUMERICS_FIELDS.items()})
+    return FiniteSpectrumConfig(params["tol"], params["grid_points"],
+                                params["grid_extend"])
 
 
 def _cell(value) -> str:
@@ -351,6 +346,10 @@ def cmd_solve_nin(params: dict, output: str | None) -> int:
     for name, root in (("low", pair.n_in_low), ("high", pair.n_in_high)):
         back = photons_from_count_formula(root, n_out, params["n_liquid"],
                                           params["k_obs_r"])
+        # beside the double root, one ulp of n_in can overflow the count
+        if back == math.inf:
+            raise NumericalError(f"the count at n_in={root!r} exceeds the "
+                                 f"float range")
         lines.append(
             f"{name!s},{root!s},{back!s},{abs(back - target) / target!s}")
     _write_csv("solve-nin", params,

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -185,11 +185,6 @@ class BubbleGeometry(_Record):
     def volume(self) -> float:
         return 4.0 / 3.0 * math.pi * self.radius**3
 
-    @property
-    def k_obs_r(self) -> float:
-        """Diagnostic: k_observed * radius (dimensionless)."""
-        return self.k_observed * self.radius
-
 
 def build_geometry_from_kr(k_obs_r: float, n_liquid: float,
                            radius: float = 500e-9) -> BubbleGeometry:
@@ -274,8 +269,9 @@ class SpectralDensity(_Record):
 
 
 # finite-volume engine settings ----------------------------------------------
-# Kept here, not in bubble, so that the command-line parser and the sweep
-# check read them without loading the engine and numpy.
+# Kept here, not in bubble, because the command-line parser reads
+# _MIN_REL_TOL and check_grid_points _POINT_BYTES and _MAX_ENGINE_BYTES
+# without loading the engine and numpy.
 
 # The lowest quad_rel_tol a FiniteSpectrumConfig accepts.  The headline
 # spectrum converges down to 1e-15 and the five table1 cases down to
@@ -283,12 +279,10 @@ class SpectralDensity(_Record):
 # orders' difference is at the roundoff of the sums it compares (README
 # numerical notes).
 _MIN_REL_TOL = 1e-13
-# bubble.spectrum_finite refuses a problem whose first pass would sum more
-# than _MAX_NODE_PAIRS (node, point) pairs, for time, or whose arrays
-# (bubble._engine_bytes) need more than _MAX_ENGINE_BYTES; and
+# bubble.spectrum_finite refuses a problem whose arrays
+# (bubble._engine_bytes) need more than _MAX_ENGINE_BYTES, and
 # check_grid_points any output grid at _POINT_BYTES a point the same way.
 _MAX_ENGINE_BYTES = 1 << 30
-_MAX_NODE_PAIRS = 1 << 30
 # Upper estimate of the bytes a caller holds per output grid point: the
 # grid and value columns and one CSV row (~390 B measured for
 # `spectrum --model infinite`, ~370 B for `sweep`).

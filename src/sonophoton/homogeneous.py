@@ -15,19 +15,18 @@ and the closed-form totals through their constants; beta_sq_density and
 sudden_beta_sq are per polarization.
 
 Only spectrum_infinite takes arrays; it imports numpy when it runs, so
-the scalar functions here (and log_sinh, the overflow-safe ln sinh) run
-without it.
+the scalar functions here run without it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING
 
 from .core import (HBAR, SPEED_OF_LIGHT, BubbleGeometry, DomainError,
                    EmissionSummary, MediumTransition, NumericalError)
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -89,16 +88,6 @@ def _log_sinhc(x: float) -> float:
     if x == 0.0:
         return 0.0
     return x + math.log(-math.expm1(-2.0 * x) / x * 0.5)
-
-
-def log_sinh(x: float) -> float:
-    """ln(sinh x) for finite x >= 0 (-inf at x = 0) without overflow, as
-    _log_sinhc(x) + ln x."""
-    if x < 0.0 or not math.isfinite(x):
-        raise DomainError(f"log_sinh requires x >= 0, got {x!r}")
-    if x == 0.0:
-        return -math.inf
-    return _log_sinhc(x) + math.log(x)
 
 
 def beta_sq_density_log(transition: MediumTransition, omega_out: float) -> float:

@@ -21,12 +21,12 @@ Python ArithmeticError or a NaN root.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .core import (DomainError, NumericalError, _Record,
                    _require_finite_cubes, _require_positive, _set)
 from .homogeneous import photons_from_count_formula
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Sequence
 

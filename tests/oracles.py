@@ -145,38 +145,11 @@ def trapz(ys, xs):
     return total
 
 
-def two_point_slope(f, x, rel=1e-6):
-    h = x * rel
-    return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-def is_quadratic(xs, ys, tol=1e-9):
-    """True if ys is proportional to xs^2 on the sample."""
-    base = ys[0] / xs[0] ** 2
-    return all(abs(y - base * x * x) <= tol * abs(base) * x * x
-               for x, y in zip(xs, ys))
-
-
 def double_factorial(n):
     out = 1
     for m in range(n, 1, -2):
         out *= m
     return out
-
-
-def sph_j_small_x(l, x):
-    """Leading small-argument behavior x^l / (2l+1)!!."""
-    return x**l / double_factorial(2 * l + 1)
-
-
-def planck_mean_quadratic(x_cut):
-    """Mean of x over an x^2 density on [0, x_cut], per unit x_cut: 3/4."""
-    num = x_cut**4 / 4.0
-    den = x_cut**3 / 3.0
-    return num / den / x_cut
-
-
-assert math.isclose(planck_mean_quadratic(3.7), 0.75)
 
 
 # The code below is not a reference.  sph_yn_table is the float y_l table

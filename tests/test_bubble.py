@@ -290,6 +290,13 @@ class TestSpectrumFinite:
                 totals_finite(self.tr, self.geom, spectral=SpectralDensity(
                     grid=grid, values=grid))
 
+    def test_totals_above_the_float_range_are_numerical(self):
+        # finite values whose trapezoid sum overflows: NumericalError, not
+        # an overflow warning and an inf count
+        with pytest.raises(NumericalError, match="exceed the float range"):
+            totals_finite(self.tr, self.geom, spectral=SpectralDensity(
+                grid=(1.0, 2.0, 3.0), values=(1e308, 1.7e308, 1e308)))
+
     def oracle_totals(self, cfg, l_max):
         """totals_finite of the per-l oracle's spectrum summed to l_max."""
         omega, x = spectral_grid(self.tr, self.geom, cfg)
@@ -781,6 +788,38 @@ class TestProblemSizeGuard:
         with pytest.raises(DomainError, match="node pairs"):
             spectrum_finite(tr, geom, cfg)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("n_in, n_out, radius, lambda_obs", [
+        (1e-160, 1e-150, 1e-209, 1e191), (2.0, 1.5, 1e-209, 1e191),
+        (2.0, 1.5, 2e-323, 4.0), (1e-4, 1e-317, 5e-7, 2 * math.pi * 5e-6)],
+        ids=["graded", "ungraded", "spacing", "weight"])
+    def test_kr_that_underflows_refused(self, n_in, n_out, radius, lambda_obs,
+                                        monkeypatch):
+        # K R ~1e-399 underflows to 0, graded or not, K R ~3e-323 over 200
+        # points leaves a grid spacing of 0, and n_in times the spacing
+        # ~4e-321 and the lowest edge, 1e-6 K R ~8e-325, underflow to 0:
+        # each is refused before the panel edges (an IndexError) or a pass
+        # (the weight's 0 / 0) are reached
+        def no_table(*args):
+            raise AssertionError("a Bessel table or a pass was built")
+
+        monkeypatch.setattr(bubble, "sph_jn_table", no_table)
+        monkeypatch.setattr(bubble, "_closed_form", no_table)
+        monkeypatch.setattr(bubble, "_panel_edges", no_table)
+        tr = MediumTransition(n_in=n_in, n_out=n_out)
+        geom = BubbleGeometry(radius, 1.3, lambda_obs)
+        with pytest.raises(DomainError, match="underflows at K R"):
+            spectrum_finite(tr, geom)
+
+    def test_grid_refused_where_n_out_r_underflows(self):
+        # n_out R underflows to 0 while K R does not: omega_out = x c /
+        # (n_out R) would be inf, for either model's grid
+        tr = MediumTransition(n_in=1.0, n_out=1e-318)
+        geom = build_geometry_from_kr(15.0, 1.3)
+        with pytest.raises(DomainError, match="underflows to 0"):
+            spectral_grid(tr, geom)
+        with pytest.raises(DomainError, match="underflows to 0"):
+            spectrum_finite(tr, geom)
 
     def test_benchmark_table_fits(self):
         # the largest table1 case: K R = 392

@@ -745,6 +745,23 @@ def test_finite_spectrum_at_extreme_kr(k_obs_r, capsys):
     assert all(math.isfinite(cell) and cell >= 0.0 for cell in cells)
 
 
+@pytest.mark.parametrize("argv", [
+    ["totals", "--n-in", "1e-160", "--n-out", "1e-150", "--model", "finite",
+     "--k-obs-r", "1e-300"],
+    ["spectrum", "--n-gas-in", "1", "--n-gas-out", "2", "--radius-nm",
+     "1e-200", "--cutoff-nm", "1e200", "--model", "finite"],
+    ["totals", "--n-in", "2", "--n-out", "1.5", "--radius-nm", "1e-200",
+     "--cutoff-nm", "1e200", "--model", "finite"],
+], ids=["graded-totals", "graded-spectrum", "ungraded-totals"])
+def test_finite_model_refuses_kr_that_underflows(argv, capsys):
+    # K R underflows to 0: one usage line naming K R, not an IndexError
+    # from the panel edges or a complaint about a grid never given
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: finite-volume spectrum underflows at K R")
+
+
 def test_totals_where_the_index_product_underflows(capsys):
     # n_in n_out underflows to 0; the count, ~1.6e-222, does not
     assert main(["totals", "--n-in", "1e-200", "--n-out", "1e-150",
@@ -753,6 +770,22 @@ def test_totals_where_the_index_product_underflows(capsys):
     name, count = out.splitlines()[-1].split(",")[:2]
     assert err == "" and name == "infinite"
     assert 1.6e-222 < float(count) < 1.62e-222
+
+
+@pytest.mark.parametrize("argv", [
+    # the spectrum is finite, its integral is not
+    ["totals", "--n-in", "2.2250738585072014e-308", "--n-out", "1",
+     "--radius-nm", "1", "--grid-extend", "1", "--model", "finite"],
+    # C0 n_out^2 overflows, so L is 0 and the low root lies one ulp below
+    # the double root, where the count is ~1e375
+    ["solve-nin", "--n-out", "1.7395814803004553e+68", "--target",
+     "1.7395814803004553e+68", "--k-obs-r", "1.7395814803004553e+68"],
+], ids=["totals-finite", "solve-nin"])
+def test_count_above_the_float_range_is_numerical(argv, capsys):
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("numerical error:") and "float range" in err
 
 
 def test_untyped_arithmetic_error_is_one_numerical_line(monkeypatch, capsys):
@@ -903,10 +936,10 @@ def test_closed_form_commands_start_without_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_import_loads_neither_dataclasses_inspect_nor_numpy():
+def test_cli_import_loads_neither_dataclasses_inspect_numpy_nor_typing():
     # -S: no site .pth file preloads any of them before the check
     code = ("import sys, sonophoton.cli; print(sorted({'dataclasses', "
-            "'inspect', 'numpy'} & set(sys.modules)))")
+            "'inspect', 'numpy', 'typing'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           env={**os.environ, "PYTHONPATH": SRC},
                           capture_output=True, text=True, timeout=300)

@@ -53,8 +53,9 @@ class TestMediumTransition:
 class TestBubbleGeometry:
     def test_standard_geometry(self):
         geom = BubbleGeometry(500e-9, 1.3, 200e-9)
-        assert math.isclose(geom.k_obs_r, 5.0 * math.pi, rel_tol=1e-14)
-        assert 15.7 < geom.k_obs_r < 15.72
+        assert math.isclose(geom.k_observed * geom.radius, 5.0 * math.pi,
+                            rel_tol=1e-14)
+        assert 15.7 < geom.k_observed * geom.radius < 15.72
         assert math.isclose(geom.k_gas_cutoff(1.0) * geom.radius,
                             5.0 * math.pi / 1.3, rel_tol=1e-14)
         assert 12.0 < geom.k_gas_cutoff(1.0) * geom.radius < 12.1
@@ -80,7 +81,7 @@ class TestBubbleGeometry:
 
     def test_from_kr(self):
         geom = build_geometry_from_kr(15.0, 1.3)
-        assert math.isclose(geom.k_obs_r, 15.0, rel_tol=1e-14)
+        assert math.isclose(geom.k_observed * geom.radius, 15.0, rel_tol=1e-14)
         assert math.isclose(geom.k_gas_cutoff(25.0) * geom.radius,
                             15.0 * 25.0 / 1.3, rel_tol=1e-14)
 
