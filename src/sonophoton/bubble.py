@@ -124,6 +124,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -534,21 +535,29 @@ def spectral_grid(transition: MediumTransition, geometry: BubbleGeometry,
     Runs from one spacing above zero to grid_extend times the gas-side
     cutoff geometry.k_gas_cutoff(transition.n_out), with a sample exactly
     at the cutoff; omega_out is in rad/s and x = k_out R.  A grid whose
-    points would need more than _MAX_ENGINE_BYTES, or whose omega_out =
-    x c / (n_out R) would divide by an n_out R that underflowed, is
-    refused with DomainError before it is built.
+    points would need more than _MAX_ENGINE_BYTES, whose spacing in x
+    underflows to 0 or in omega_out = x c / (n_out R) is not a normal
+    float, or whose n_out R underflows to 0, is refused with DomainError.
     """
     config = config or FiniteSpectrumConfig()
     kr = geometry.k_gas_cutoff(transition.n_out) * geometry.radius
     n_points = _grid_size(config)
     check_grid_points(n_points, "grid_points")
+    h = kr / config.grid_points
+    if not h > 0.0:
+        raise DomainError(f"output grid spacing underflows to 0 at K R "
+                          f"{kr!r}; raise K R")
     n_out_r = transition.n_out * geometry.radius
     if not n_out_r > 0.0:
         raise DomainError(f"n_out {transition.n_out!r} times the radius "
                           f"underflows to 0: omega_out = x c / (n_out R)")
-    h = kr / config.grid_points
     x_grid = h * np.arange(1, n_points + 1)
     omega_grid = x_grid * SPEED_OF_LIGHT / n_out_r
+    # a normal spacing keeps omega_out and omega_out / (2 pi) rising
+    # strictly from above 0
+    if not omega_grid[0] >= sys.float_info.min:
+        raise DomainError(f"output grid spacing {float(omega_grid[0])!r} "
+                          f"rad/s is below the smallest normal float")
     x_grid.flags.writeable = omega_grid.flags.writeable = False
     return omega_grid, x_grid
 
@@ -612,21 +621,14 @@ def _trapz_richardson(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def totals_finite(transition: MediumTransition, geometry: BubbleGeometry,
-                  config: FiniteSpectrumConfig | None = None,
-                  spectral: SpectralDensity | None = None) -> EmissionSummary:
+                  config: FiniteSpectrumConfig | None = None) -> EmissionSummary:
     """Photon number and energy from the finite-volume spectrum.
 
-    Integrates the sampled spectrum (trapezoid plus Richardson
+    Integrates spectrum_finite's samples (trapezoid plus Richardson
     refinement); mean photon energy is reported against hbar times the
-    cutoff frequency.  A precomputed SpectralDensity for the same
-    parameters may be passed to avoid recomputation; one of fewer than
-    two points is refused with DomainError, and totals above the float
-    range raise NumericalError.
+    cutoff frequency.  Totals above the float range raise NumericalError.
     """
-    if spectral is None:
-        spectral = spectrum_finite(transition, geometry, config)
-    if len(spectral.grid) < 2:
-        raise DomainError("totals_finite needs a spectrum of >= 2 points")
+    spectral = spectrum_finite(transition, geometry, config)
     x, y = spectral.grid, spectral.values
     with np.errstate(over="ignore"):
         count = _trapz_richardson(x, y)

@@ -237,34 +237,33 @@ class SpectralDensity(_Record):
     """Sampled dN/d omega_out curve, held as 1-D float arrays.
 
     grid is strictly increasing in rad/s; values are in seconds (photons
-    per unit angular frequency); dimensionless_x, when present, is
-    x = k_out * R for each grid point.  Fields are stored as float arrays
-    (a float array passed in is kept, not copied) and compare by identity.
+    per unit angular frequency); dimensionless_x is x = k_out * R for
+    each grid point.  Fields are stored as float arrays (a float array
+    passed in is kept, not copied) and compare by identity.
     """
 
     __slots__ = ("grid", "values", "dimensionless_x")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, grid: np.ndarray, values: np.ndarray,
-                 dimensionless_x: np.ndarray | None = None) -> None:
+                 dimensionless_x: np.ndarray) -> None:
         import numpy as np
 
         for name, field in zip(self.__slots__, (grid, values, dimensionless_x)):
-            if field is not None:
-                if (field := np.asarray(field, dtype=float)).ndim != 1:
-                    raise DomainError(f"{name} must be 1-D, got {field.ndim}-D")
+            if (field := np.asarray(field, dtype=float)).ndim != 1:
+                raise DomainError(f"{name} must be 1-D, got {field.ndim}-D")
             _set(self, name, field)
         grid, values, x = self.grid, self.values, self.dimensionless_x
         if len(grid) != len(values):
             raise DomainError("grid and values must have equal length")
         if not (np.isfinite(grid).all() and np.isfinite(values).all()
-                and (x is None or np.isfinite(x).all())):
+                and np.isfinite(x).all()):
             raise DomainError("grid, values and dimensionless_x must be finite")
         if (grid[1:] <= grid[:-1]).any():
             raise DomainError("grid must be strictly increasing")
         if (values < 0.0).any():
             raise DomainError("spectral values must be >= 0")
-        if x is not None and len(x) != len(grid):
+        if len(x) != len(grid):
             raise DomainError("dimensionless_x length mismatch")
 
 

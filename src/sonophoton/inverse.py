@@ -43,15 +43,13 @@ _VIETA_TOL = 1e-10
 class BranchPair(_Record):
     """Both refractive-index branches solving the target photon count."""
 
-    __slots__ = ("n_in_low", "n_in_high", "discriminant")
+    __slots__ = ("n_in_low", "n_in_high")
 
-    def __init__(self, n_in_low: float, n_in_high: float,
-                 discriminant: float) -> None:
+    def __init__(self, n_in_low: float, n_in_high: float) -> None:
         if not 0.0 < n_in_low <= n_in_high:
             raise DomainError("branch roots must satisfy 0 < low <= high")
         _set(self, "n_in_low", n_in_low)
         _set(self, "n_in_high", n_in_high)
-        _set(self, "discriminant", discriminant)
 
 
 def _check_inputs(n_out, n_target, n_liquid, k_obs_r) -> None:
@@ -157,7 +155,7 @@ def solve_n_in(n_out: float, n_target: float, n_liquid: float = 1.3,
                 raise NumericalError(
                     f"quadratic residual {resid!r} too large at "
                     f"n_in={root!r}, n_out={n_out!r}")
-    return BranchPair(n_in_low=low, n_in_high=high, discriminant=disc)
+    return BranchPair(n_in_low=low, n_in_high=high)
 
 
 def _solve_grid(grid: np.ndarray, n_target: float, n_liquid: float,

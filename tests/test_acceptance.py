@@ -150,7 +150,7 @@ def test_criterion_5_figure2_shape():
     max_jump = float(np.max(np.abs(np.diff(y)))) / float(np.max(y))
     smooth = max_jump <= 0.05
 
-    summary = totals_finite(tr, geom, cfg, spectral=dens)
+    summary = totals_finite(tr, geom, cfg)
     closed = total_photons_closed_form(tr, geom)
     n_dev = summary.photon_count / closed - 1.0
     n_ok = abs(n_dev) <= 0.10

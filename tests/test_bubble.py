@@ -16,7 +16,7 @@ from sonophoton.bubble import (_ESTIMATE_ORDER, _LEVELS, _VALUE_ORDER,
                                _panel_edges, _panel_total, spectral_grid,
                                spectrum_finite, totals_finite)
 from sonophoton.cli import TABLE1_CASES
-from sonophoton.core import SPEED_OF_LIGHT as C, SpectralDensity, nm_to_m
+from sonophoton.core import SPEED_OF_LIGHT as C, nm_to_m
 from sonophoton.homogeneous import (POLARIZATIONS, spectrum_infinite,
                                     total_photons_closed_form,
                                     totals_closed_form)
@@ -282,27 +282,22 @@ class TestSpectrumFinite:
                                                  quad_rel_tol=1e-8)).photon_count
         assert rel_err(n_a, n_b) < 1e-5
 
-    def test_totals_refuse_fewer_than_two_points(self):
-        # neither an empty nor a one-point spectrum has a trapezoid sum
-        for n in (0, 1):
-            grid = tuple(float(k + 1) for k in range(n))
-            with pytest.raises(DomainError, match=">= 2 points"):
-                totals_finite(self.tr, self.geom, spectral=SpectralDensity(
-                    grid=grid, values=grid))
-
     def test_totals_above_the_float_range_are_numerical(self):
-        # finite values whose trapezoid sum overflows: NumericalError, not
-        # an overflow warning and an inf count
+        # n_in at the smallest normal float: the spectrum is finite, its
+        # integral is not, so NumericalError, not an overflow warning and
+        # an inf count
+        tr = MediumTransition(n_in=2.2250738585072014e-308, n_out=1.0)
+        geom = build_geometry_from_kr(15.0, 1.3, radius=1e-9)
+        cfg = FiniteSpectrumConfig(grid_extend=1.0)
+        assert np.isfinite(spectrum_finite(tr, geom, cfg).values).all()
         with pytest.raises(NumericalError, match="exceed the float range"):
-            totals_finite(self.tr, self.geom, spectral=SpectralDensity(
-                grid=(1.0, 2.0, 3.0), values=(1e308, 1.7e308, 1e308)))
+            totals_finite(tr, geom, cfg)
 
     def oracle_totals(self, cfg, l_max):
-        """totals_finite of the per-l oracle's spectrum summed to l_max."""
-        omega, x = spectral_grid(self.tr, self.geom, cfg)
+        """Photon count of the per-l oracle's spectrum summed to l_max."""
+        omega, _ = spectral_grid(self.tr, self.geom, cfg)
         values = engine_oracle.spectrum_values(self.tr, self.geom, cfg, l_max)
-        return totals_finite(self.tr, self.geom, cfg, spectral=SpectralDensity(
-            grid=omega, values=tuple(values), dimensionless_x=x))
+        return bubble._trapz_richardson(omega, np.array(values))
 
     def test_l_truncation(self):
         # the l sum cut a little above K R is already within 1e-2 of the
@@ -310,7 +305,7 @@ class TestSpectrumFinite:
         kr = self.geom.k_gas_cutoff(self.tr.n_out) * self.geom.radius
         base = math.ceil(kr) + 6
         cfg = FiniteSpectrumConfig(grid_points=60)
-        n_a = self.oracle_totals(cfg, base).photon_count
+        n_a = self.oracle_totals(cfg, base)
         n_b = totals_finite(self.tr, self.geom, cfg).photon_count
         assert rel_err(n_a, n_b) < 1e-2
 
@@ -319,7 +314,7 @@ class TestSpectrumFinite:
         kr = self.geom.k_gas_cutoff(self.tr.n_out) * self.geom.radius
         n_auto = totals_finite(self.tr, self.geom, cfg)
         n_full = self.oracle_totals(cfg, math.ceil(kr) + 30)
-        assert rel_err(n_auto.photon_count, n_full.photon_count) < 5e-4
+        assert rel_err(n_auto.photon_count, n_full) < 5e-4
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -348,8 +343,7 @@ class TestSpectrumFinite:
     def test_trapezoid_of_density_matches_totals(self):
         cfg = FiniteSpectrumConfig(grid_points=80)
         dens = spectrum_finite(self.tr, self.geom, cfg)
-        total = totals_finite(self.tr, self.geom, cfg,
-                              spectral=dens)
+        total = totals_finite(self.tr, self.geom, cfg)
         # totals adds one Richardson step on the same grid, so plain
         # trapezoid agrees to the quadrature (grid) tolerance
         assert rel_err(trapz(dens.values, dens.grid), total.photon_count) < 2e-3
@@ -820,6 +814,26 @@ class TestProblemSizeGuard:
             spectral_grid(tr, geom)
         with pytest.raises(DomainError, match="underflows to 0"):
             spectrum_finite(tr, geom)
+
+    def test_grid_refused_where_kr_spacing_underflows(self):
+        # K R ~1e-399 underflows to 0: the grid's spacing K R / grid_points
+        # is 0, and so would be every x and omega_out of the infinite model
+        tr = MediumTransition(n_in=1.0, n_out=2.0)
+        geom = BubbleGeometry(1e-209, 1.3, 1e191)
+        with pytest.raises(DomainError, match="spacing underflows to 0 at "
+                                              "K R 0.0"):
+            spectral_grid(tr, geom)
+
+    def test_grid_refused_where_omega_spacing_is_subnormal(self):
+        # K R ~6e-200, but the cutoff frequency 2 pi c / (n_liquid
+        # lambda_obs) ~2e-382 rad/s underflows: omega_out would be all 0,
+        # for either model's grid
+        tr = MediumTransition(n_in=1.0, n_out=1e100)
+        geom = BubbleGeometry(1e91, 1e100, 1e291)
+        assert geom.k_gas_cutoff(tr.n_out) * geom.radius > 1e-200
+        for build in (spectral_grid, spectrum_finite):
+            with pytest.raises(DomainError, match="smallest normal float"):
+                build(tr, geom, FiniteSpectrumConfig(grid_points=2))
 
     def test_benchmark_table_fits(self):
         # the largest table1 case: K R = 392

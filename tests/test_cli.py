@@ -762,6 +762,24 @@ def test_finite_model_refuses_kr_that_underflows(argv, capsys):
     assert err.startswith("error: finite-volume spectrum underflows at K R")
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["spectrum", "--n-gas-in", "1", "--n-gas-out", "2", "--radius-nm",
+      "1e-200", "--cutoff-nm", "1e200", "--model", "infinite"],
+     "error: output grid spacing underflows to 0 at K R"),
+    (["spectrum", "--n-gas-in", "1", "--n-gas-out", "1e100", "--n-liquid",
+      "1e100", "--radius-nm", "1e100", "--cutoff-nm", "1e300",
+      "--grid-points", "2"],
+     "error: output grid spacing 0.0 rad/s is below the smallest normal"),
+], ids=["kr-spacing", "omega-spacing"])
+def test_grid_spacing_that_underflows_is_refused(argv, reason, capsys):
+    # not 261 rows of x = omega = nu = 0, nor a complaint about a grid
+    # never given
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(reason)
+
+
 def test_totals_where_the_index_product_underflows(capsys):
     # n_in n_out underflows to 0; the count, ~1.6e-222, does not
     assert main(["totals", "--n-in", "1e-200", "--n-out", "1e-150",

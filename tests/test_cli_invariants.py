@@ -2,8 +2,10 @@
 
 `cli.main` returns 0 to 3 and never raises.  On exit 0 every numeric
 cell of the CSV rows is finite and >= 0, apart from table1's signed
-deviations (N_rel_dev, ratio_dev) and blank cells.  On exit 1 or 3
-stderr holds exactly one "error:" or "numerical error:" line.
+deviations (N_rel_dev, ratio_dev) and blank cells, and a spectrum's
+grid columns (x, omega_out_rad_s, nu_Hz) start above 0 and strictly
+increase.  On exit 1 or 3 stderr holds exactly one "error:" or
+"numerical error:" line.
 
 Argvs are drawn from `cli._plain_table()`: each command's option strings,
 types and choices, so a new option is fuzzed without editing this file.
@@ -42,6 +44,8 @@ LEFT_OUT = frozenset({"--config", "--output"})
 # table1's signed deviations; text columns hold names, not numbers
 SIGNED = frozenset({"N_rel_dev", "ratio_dev"})
 TEXT = frozenset({"model", "branch", "status"})
+# a spectrum's grid columns
+GRID = ("x", "omega_out_rad_s", "nu_Hz")
 FLOAT_EDGES = (0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
                math.inf, math.nan)
 INT_EDGES = (0, 2**31, 2**63, 10**30, 10**308, 10**309)
@@ -101,6 +105,11 @@ def check(argv) -> int:
                 if cell and name not in SIGNED | TEXT:
                     assert math.isfinite(float(cell)) and float(cell) >= 0.0, (
                         name, cell)
+        if argv[0] == "spectrum":
+            for name in GRID:
+                column = [float(row[header.index(name)]) for row in rows]
+                assert 0.0 < column[0] and all(
+                    a < b for a, b in zip(column, column[1:])), name
     return code
 
 
@@ -109,6 +118,10 @@ def check(argv) -> int:
 # K R underflows to 0 on a graded problem: an IndexError before it was refused
 @example(argv=["totals", "--n-in", "1e-160", "--n-out", "1e-150", "--model",
                "finite", "--k-obs-r", "1e-300"])
+# K R underflows to 0 on the infinite model: 261 rows of x = omega = nu = 0
+@example(argv=["spectrum", "--n-gas-in", "1", "--n-gas-out", "2",
+               "--radius-nm", "1e-200", "--cutoff-nm", "1e200", "--model",
+               "infinite"])
 def test_cli_invariant(argv):
     check(argv)
 

@@ -144,28 +144,34 @@ class TestEmissionSummary:
 
 class TestSpectralDensity:
     def test_validation(self):
+        x = (0.5, 1.0)
         with pytest.raises(DomainError):
-            SpectralDensity(grid=(0.0, 0.0), values=(1.0, 1.0))
+            SpectralDensity(grid=(0.0, 0.0), values=(1.0, 1.0),
+                            dimensionless_x=x)
         with pytest.raises(DomainError):
-            SpectralDensity(grid=(0.0, 1.0), values=(1.0,))
+            SpectralDensity(grid=(0.0, 1.0), values=(1.0,), dimensionless_x=x)
         with pytest.raises(DomainError):
-            SpectralDensity(grid=(0.0, 1.0), values=(1.0, -1.0))
+            SpectralDensity(grid=(0.0, 1.0), values=(1.0, -1.0),
+                            dimensionless_x=x)
         with pytest.raises(DomainError):
             SpectralDensity(grid=(0.0, 1.0), values=(1.0, 1.0),
                             dimensionless_x=(0.0,))
         # tuples are stored as float arrays
         density = SpectralDensity(grid=(1, 2), values=(0.0, 3.0),
-                                  dimensionless_x=(0.5, 1.0))
+                                  dimensionless_x=x)
         for field in (density.grid, density.values, density.dimensionless_x):
             assert isinstance(field, np.ndarray) and field.dtype == np.float64
         assert density.grid.tolist() == [1.0, 2.0]
 
     def test_rejects_non_finite(self):
+        x = (0.5, 1.0)
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
-                SpectralDensity(grid=(0.0, 1.0), values=(1.0, bad))
+                SpectralDensity(grid=(0.0, 1.0), values=(1.0, bad),
+                                dimensionless_x=x)
             with pytest.raises(DomainError):
-                SpectralDensity(grid=(0.0, bad), values=(1.0, 1.0))
+                SpectralDensity(grid=(0.0, bad), values=(1.0, 1.0),
+                                dimensionless_x=x)
             with pytest.raises(DomainError):
                 SpectralDensity(grid=(0.0, 1.0), values=(1.0, 1.0),
                                 dimensionless_x=(0.0, bad))
@@ -182,11 +188,11 @@ class TestSpectralDensity:
     def test_refuses_fields_that_are_not_1d(self):
         pair, square = np.array([1.0, 2.0]), np.ones((2, 2))
         with pytest.raises(DomainError, match="grid must be 1-D"):
-            SpectralDensity(1.0, 1.0)
+            SpectralDensity(1.0, 1.0, 1.0)
         with pytest.raises(DomainError, match="grid must be 1-D"):
-            SpectralDensity(square, square)
+            SpectralDensity(square, square, square)
         with pytest.raises(DomainError, match="values must be 1-D"):
-            SpectralDensity(pair, square)
+            SpectralDensity(pair, square, pair)
         with pytest.raises(DomainError, match="dimensionless_x must be 1-D"):
             SpectralDensity(pair, pair, dimensionless_x=square)
 
@@ -219,16 +225,16 @@ RECORDS = [
      "EmissionSummary(photon_count=4.0, total_energy=8.0, mean_energy=2.0, "
      "mean_over_cutoff=0.5)"),
     (SpectralDensity, ("grid", "values", "dimensionless_x"),
-     ((1.0, 2.0), (0.0, 3.0)), (None,), ((1.0, 2.0), (0.0, 3.0)),
+     ((1.0, 2.0), (0.0, 3.0), (0.5, 1.0)), (),
+     ((1.0, 2.0), (0.0, 3.0), (0.5, 1.0)),
      "SpectralDensity(grid=array([1., 2.]), values=array([0., 3.]), "
-     "dimensionless_x=None)"),
+     "dimensionless_x=array([0.5, 1. ]))"),
     (FiniteSpectrumConfig, ("quad_rel_tol", "grid_points", "grid_extend"),
      (), (1e-06, 200, 1.3), (1e-06, 201),
      "FiniteSpectrumConfig(quad_rel_tol=1e-06, grid_points=200, "
      "grid_extend=1.3)"),
-    (BranchPair, ("n_in_low", "n_in_high", "discriminant"), (1.0, 4.0, 9.0),
-     (), (1.0, 4.0, 8.0),
-     "BranchPair(n_in_low=1.0, n_in_high=4.0, discriminant=9.0)"),
+    (BranchPair, ("n_in_low", "n_in_high"), (1.0, 4.0), (), (1.0, 5.0),
+     "BranchPair(n_in_low=1.0, n_in_high=4.0)"),
 ]
 RECORD_IDS = [case[0].__name__ for case in RECORDS]
 

@@ -54,8 +54,9 @@ class TestSolveNIn:
         assert abs(pair.n_in_high / 12.0 - 1.0) < 1e-5
 
     def test_discriminant_positive(self):
+        # a positive discriminant: two distinct roots
         pair = solve_n_in(12.0, 1e6, 1.3, 15.0)
-        assert pair.discriminant > 0.0
+        assert pair.n_in_low < pair.n_in_high
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
@@ -71,7 +72,7 @@ class TestSolveNIn:
 
     def test_branch_pair_ordering_enforced(self):
         with pytest.raises(DomainError):
-            BranchPair(n_in_low=2.0, n_in_high=1.0, discriminant=1.0)
+            BranchPair(n_in_low=2.0, n_in_high=1.0)
 
 
 class TestSweep:
