@@ -535,29 +535,27 @@ def spectral_grid(transition: MediumTransition, geometry: BubbleGeometry,
     Runs from one spacing above zero to grid_extend times the gas-side
     cutoff geometry.k_gas_cutoff(transition.n_out), with a sample exactly
     at the cutoff; omega_out is in rad/s and x = k_out R.  A grid whose
-    points would need more than _MAX_ENGINE_BYTES, whose spacing in x
-    underflows to 0 or in omega_out = x c / (n_out R) is not a normal
-    float, or whose n_out R underflows to 0, is refused with DomainError.
+    points would need more than _MAX_ENGINE_BYTES is refused with
+    DomainError, and so is one whose omega_out = x c / (n_out R) does not
+    run from a normal float to a finite one: a spacing in x, in omega_out
+    or an n_out R that underflows, or an omega_out that overflows.
     """
     config = config or FiniteSpectrumConfig()
     kr = geometry.k_gas_cutoff(transition.n_out) * geometry.radius
     n_points = _grid_size(config)
     check_grid_points(n_points, "grid_points")
-    h = kr / config.grid_points
-    if not h > 0.0:
-        raise DomainError(f"output grid spacing underflows to 0 at K R "
-                          f"{kr!r}; raise K R")
-    n_out_r = transition.n_out * geometry.radius
-    if not n_out_r > 0.0:
-        raise DomainError(f"n_out {transition.n_out!r} times the radius "
-                          f"underflows to 0: omega_out = x c / (n_out R)")
-    x_grid = h * np.arange(1, n_points + 1)
-    omega_grid = x_grid * SPEED_OF_LIGHT / n_out_r
-    # a normal spacing keeps omega_out and omega_out / (2 pi) rising
-    # strictly from above 0
-    if not omega_grid[0] >= sys.float_info.min:
-        raise DomainError(f"output grid spacing {float(omega_grid[0])!r} "
-                          f"rad/s is below the smallest normal float")
+    with np.errstate(all="ignore"):
+        x_grid = kr / config.grid_points * np.arange(1, n_points + 1)
+        omega_grid = (x_grid * SPEED_OF_LIGHT
+                      / (transition.n_out * geometry.radius))
+    # an x of 0 gives an omega_out of 0 or NaN, so this holds x above 0
+    # too; from a normal float, omega_out and omega_out / (2 pi) rise
+    # strictly
+    lo, hi = float(omega_grid[0]), float(omega_grid[-1])
+    if not (lo >= sys.float_info.min and hi < math.inf):
+        raise DomainError(f"output grid not representable at K R {kr!r}: "
+                          f"omega_out runs from {lo!r} to {hi!r} rad/s, not "
+                          f"from a normal float to a finite one")
     x_grid.flags.writeable = omega_grid.flags.writeable = False
     return omega_grid, x_grid
 
@@ -566,25 +564,19 @@ def spectrum_finite(transition: MediumTransition, geometry: BubbleGeometry,
                     config: FiniteSpectrumConfig | None = None) -> SpectralDensity:
     """Sampled finite-volume dN/d omega_out (both polarizations).
 
-    The grid runs from one spacing above zero up to grid_extend times
-    the gas-side cutoff frequency, with a sample exactly at the cutoff.
-    All points share one node set (_sums).  A grid spacing that underflows
-    to 0 or a weight of 0 / 0, or a first pass that would sum more than
-    _MAX_NODE_PAIRS (node, point) pairs, or arrays (_engine_bytes: points,
-    panel edges, one tile) above _MAX_ENGINE_BYTES, is refused with
-    DomainError before any array is built; a value above the float range
-    raises NumericalError.
+    The grid (spectral_grid) runs from one spacing above zero up to
+    grid_extend times the gas-side cutoff frequency, with a sample exactly
+    at the cutoff.  All points share one node set (_sums).  A first pass
+    that would sum more than _MAX_NODE_PAIRS (node, point) pairs, or
+    arrays (_engine_bytes: points, panel edges, one tile) above
+    _MAX_ENGINE_BYTES, is refused with DomainError before any array is
+    built; a grid that spectral_grid refuses, or a weight of 0 / 0, is
+    refused with DomainError before any pass.  A value above the float
+    range raises NumericalError.
     """
     config = config or FiniteSpectrumConfig()
     n_in, n_out = transition.n_in, transition.n_out
     kr = geometry.k_gas_cutoff(n_out) * geometry.radius
-    # the grid spacing h must not underflow, nor both n_in h and n_out
-    # times the lowest edge, the least terms of the weight's denominator
-    # n_out v + n_in u, or a pass divides 0 by 0
-    h = kr / config.grid_points
-    if not (h > 0.0 and n_in * h + n_out * (_OMEGA_IN_FLOOR * kr) > 0.0):
-        raise DomainError(f"finite-volume spectrum underflows at K R {kr!r}, "
-                          f"n_in {n_in!r}, n_out {n_out!r}; raise K R")
     n_points = _grid_size(config)
     pairs = ((_ESTIMATE_ORDER + _VALUE_ORDER)
              * _panel_total(kr, n_out > n_in) * n_points)
@@ -603,6 +595,12 @@ def spectrum_finite(transition: MediumTransition, geometry: BubbleGeometry,
             f"grid_points")
 
     omega_grid, x_grid = spectral_grid(transition, geometry, config)
+    # n_in times the lowest point and n_out times the lowest edge, the
+    # least terms of the weight's denominator n_out v + n_in u, must not
+    # both underflow, or a pass divides 0 by 0
+    if not n_in * float(x_grid[0]) + n_out * (_OMEGA_IN_FLOOR * kr) > 0.0:
+        raise DomainError(f"finite-volume spectrum underflows at K R {kr!r}, "
+                          f"n_in {n_in!r}, n_out {n_out!r}; raise K R")
     sums = _sums(x_grid, n_in, n_out, kr, config.quad_rel_tol)
     root = _spectrum_root(transition, geometry.radius)
     _finite("finite-volume spectrum", root * (root * float(sums.max())))

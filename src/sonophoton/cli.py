@@ -17,8 +17,8 @@ import sys
 from . import __version__, bubble
 from .core import (_MIN_REL_TOL, BubbleGeometry, DomainError,
                    FiniteSpectrumConfig, MediumTransition, NumericalError,
-                   build_geometry_from_kr, check_grid_points, check_n_liquid,
-                   joule_to_ev, nm_to_m)
+                   build_geometry_from_kr, check_grid_points, joule_to_ev,
+                   nm_to_m)
 from .homogeneous import (POLARIZATIONS, photons_from_count_formula,
                           spectrum_infinite, total_photons_closed_form,
                           totals_closed_form)
@@ -446,7 +446,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
         del params["config"]
-        check_n_liquid(params["n_liquid"])
         output = params.pop("output")
         return _HANDLERS[command](params, output)
     except _Failure as exc:

@@ -41,9 +41,12 @@ def epsilon_profile(transition: MediumTransition, tau: float) -> float:
     """Permittivity profile in pseudo-time tau (seconds).
 
     (n_in^2 + n_out^2)/2 + (n_out^2 - n_in^2)/2 * tanh(tau / tau0);
-    runs monotonically from n_in^2 to n_out^2.  tau / tau0 is taken as
+    runs monotonically from n_in^2 to n_out^2, which tau = -inf and +inf
+    give; a NaN tau raises DomainError.  tau / tau0 is taken as
     tau / t0 * (n_in^2 + n_out^2) / 2, since tau0 underflows at large indices.
     """
+    if math.isnan(tau):
+        raise DomainError(f"tau must not be NaN, got {tau!r}")
     mean = transition.n_sq_mean
     half_diff = 0.5 * (transition.n_out**2 - transition.n_in**2)
     return mean + half_diff * math.tanh(tau / transition.t0 * mean)

@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 
 from .core import (DomainError, NumericalError, _Record,
-                   _require_finite_cubes, _require_positive, _set)
+                   _require_finite_cubes, _require_positive, _set,
+                   check_n_liquid)
 from .homogeneous import photons_from_count_formula
 
 TYPE_CHECKING = False
@@ -53,8 +54,9 @@ class BranchPair(_Record):
 
 
 def _check_inputs(n_out, n_target, n_liquid, k_obs_r) -> None:
+    check_n_liquid(n_liquid)
     for name, val in (("n_out", n_out), ("n_target", n_target),
-                      ("n_liquid", n_liquid), ("k_obs_r", k_obs_r)):
+                      ("k_obs_r", k_obs_r)):
         _require_positive(name, val)
     _require_finite_cubes(("n_liquid", n_liquid), ("k_obs_r", k_obs_r))
 
@@ -118,9 +120,10 @@ def solve_n_in(n_out: float, n_target: float, n_liquid: float = 1.3,
     neither suffers cancellation.  Each root is verified by substitution
     back into the count formula to RESIDUAL_TOL relative, or, within
     1e-7 of the double root n_out, by the quadratic's own residual.
-    Raises DomainError for a non-positive or non-finite argument, or an
-    n_liquid or k_obs_r whose cube overflows, and NumericalError where
-    the quadratic over- or underflows or a root fails its check.
+    Raises DomainError for a non-positive or non-finite argument, an
+    n_liquid below 1, or an n_liquid or k_obs_r whose cube overflows, and
+    NumericalError where the quadratic over- or underflows or a root fails
+    its check.
     """
     _check_inputs(n_out, n_target, n_liquid, k_obs_r)
     try:
@@ -137,13 +140,7 @@ def solve_n_in(n_out: float, n_target: float, n_liquid: float = 1.3,
             f"over- or underflows")
     for root in (low, high):
         if _far_from_double_root(root, n_out):
-            try:
-                back = photons_from_count_formula(root, n_out, n_liquid,
-                                                  k_obs_r)
-            except ZeroDivisionError:
-                raise NumericalError(
-                    f"n_liquid^3 underflows to 0, so the count cannot be "
-                    f"checked at n_in={root!r}, n_out={n_out!r}") from None
+            back = photons_from_count_formula(root, n_out, n_liquid, k_obs_r)
             if _count_fails(back, n_target):
                 raise NumericalError(
                     f"back-substitution residual "
@@ -166,13 +163,9 @@ def _solve_grid(grid: np.ndarray, n_target: float, n_liquid: float,
     fail: an invalid n_out, roots out of order, at 0, at inf or NaN, or a
     failing root or Vieta check.  Where neither does fail, low and high
     hold solve_n_in's own bits: both paths run the same operations.
-    n_liquid becomes a numpy float, so where its cube underflows the
-    count formula gives inf, not the ZeroDivisionError of Python's float
-    division.
     """
     import numpy as np
 
-    n_liquid = np.float64(n_liquid)
     s, disc = _quadratic(grid, n_target, n_liquid, k_obs_r)
     low, high = _roots(grid, s, np.sqrt(disc))
     flagged = (~((grid > 0.0) & np.isfinite(grid) & (0.0 < low)

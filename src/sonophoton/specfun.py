@@ -21,8 +21,8 @@ from .core import DomainError
 
 def _miller_start(lmax: int) -> int:
     # Start order for downward recurrence; validated against the
-    # arbitrary-precision oracle over l <= 463, x <= 470 (the range the
-    # benchmark table reaches), deep-evanescent arguments included, and
+    # arbitrary-precision oracle over l <= 463, x <= 470 (the validated
+    # range of the public table), deep-evanescent arguments included, and
     # at lmax 10 over x in [1e-7, 10) (README numerical notes).
     return lmax + math.ceil(math.sqrt(40.0 * lmax))
 

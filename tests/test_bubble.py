@@ -783,17 +783,21 @@ class TestProblemSizeGuard:
             spectrum_finite(tr, geom, cfg)
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("n_in, n_out, radius, lambda_obs", [
-        (1e-160, 1e-150, 1e-209, 1e191), (2.0, 1.5, 1e-209, 1e191),
-        (2.0, 1.5, 2e-323, 4.0), (1e-4, 1e-317, 5e-7, 2 * math.pi * 5e-6)],
+    @pytest.mark.parametrize("n_in, n_out, radius, lambda_obs, match", [
+        (1e-160, 1e-150, 1e-209, 1e191, "output grid not representable"),
+        (2.0, 1.5, 1e-209, 1e191, "output grid not representable"),
+        (2.0, 1.5, 2e-323, 4.0, "output grid not representable"),
+        (1e-4, 1e-317, 5e-7, 2 * math.pi * 5e-6,
+         "finite-volume spectrum underflows")],
         ids=["graded", "ungraded", "spacing", "weight"])
     def test_kr_that_underflows_refused(self, n_in, n_out, radius, lambda_obs,
-                                        monkeypatch):
+                                        match, monkeypatch):
         # K R ~1e-399 underflows to 0, graded or not, K R ~3e-323 over 200
-        # points leaves a grid spacing of 0, and n_in times the spacing
-        # ~4e-321 and the lowest edge, 1e-6 K R ~8e-325, underflow to 0:
-        # each is refused before the panel edges (an IndexError) or a pass
-        # (the weight's 0 / 0) are reached
+        # points leaves a grid spacing of 0 (spectral_grid's refusal), and
+        # n_in times the spacing ~4e-321 and the lowest edge, 1e-6 K R
+        # ~8e-325, underflow to 0 (the weight's): each is refused before
+        # the panel edges (an IndexError) or a pass (the weight's 0 / 0)
+        # are reached
         def no_table(*args):
             raise AssertionError("a Bessel table or a pass was built")
 
@@ -802,38 +806,36 @@ class TestProblemSizeGuard:
         monkeypatch.setattr(bubble, "_panel_edges", no_table)
         tr = MediumTransition(n_in=n_in, n_out=n_out)
         geom = BubbleGeometry(radius, 1.3, lambda_obs)
-        with pytest.raises(DomainError, match="underflows at K R"):
+        with pytest.raises(DomainError, match=match + " at K R"):
             spectrum_finite(tr, geom)
 
-    def test_grid_refused_where_n_out_r_underflows(self):
+    @pytest.mark.parametrize("build", [spectral_grid, spectrum_finite])
+    @pytest.mark.parametrize("n_in, n_out, geom, grid_points, match", [
         # n_out R underflows to 0 while K R does not: omega_out = x c /
-        # (n_out R) would be inf, for either model's grid
-        tr = MediumTransition(n_in=1.0, n_out=1e-318)
-        geom = build_geometry_from_kr(15.0, 1.3)
-        with pytest.raises(DomainError, match="underflows to 0"):
-            spectral_grid(tr, geom)
-        with pytest.raises(DomainError, match="underflows to 0"):
-            spectrum_finite(tr, geom)
-
-    def test_grid_refused_where_kr_spacing_underflows(self):
+        # (n_out R) would be inf
+        (1.0, 1e-318, build_geometry_from_kr(15.0, 1.3), 200,
+         r"1\.15\d*e-317: omega_out runs from inf to inf"),
         # K R ~1e-399 underflows to 0: the grid's spacing K R / grid_points
-        # is 0, and so would be every x and omega_out of the infinite model
-        tr = MediumTransition(n_in=1.0, n_out=2.0)
-        geom = BubbleGeometry(1e-209, 1.3, 1e191)
-        with pytest.raises(DomainError, match="spacing underflows to 0 at "
-                                              "K R 0.0"):
-            spectral_grid(tr, geom)
-
-    def test_grid_refused_where_omega_spacing_is_subnormal(self):
+        # is 0, and so would be every x and omega_out
+        (1.0, 2.0, BubbleGeometry(1e-209, 1.3, 1e191), 200,
+         r"0\.0: omega_out runs from 0\.0 to 0\.0"),
         # K R ~6e-200, but the cutoff frequency 2 pi c / (n_liquid
-        # lambda_obs) ~2e-382 rad/s underflows: omega_out would be all 0,
-        # for either model's grid
-        tr = MediumTransition(n_in=1.0, n_out=1e100)
-        geom = BubbleGeometry(1e91, 1e100, 1e291)
-        assert geom.k_gas_cutoff(tr.n_out) * geom.radius > 1e-200
-        for build in (spectral_grid, spectrum_finite):
-            with pytest.raises(DomainError, match="smallest normal float"):
-                build(tr, geom, FiniteSpectrumConfig(grid_points=2))
+        # lambda_obs) ~2e-382 rad/s underflows: omega_out would be all 0
+        (1.0, 1e100, BubbleGeometry(1e91, 1e100, 1e291), 2,
+         r"6\.28\d*e-200: omega_out runs from 0\.0 to 0\.0"),
+        # K R ~0.8, but omega_out = x c / (n_out R), up to ~x 3e308 rad/s,
+        # overflows
+        (1.0, 1e-200, BubbleGeometry(1e-100, 1.3, 6e-300), 200,
+         r"0\.80\d*: omega_out runs from 1\.2\d*e\+306 to inf"),
+    ], ids=["n-out-r", "kr-spacing", "omega-spacing", "omega-overflow"])
+    def test_grid_outside_the_float_range_refused(self, build, n_in, n_out,
+                                                   geom, grid_points, match):
+        # one refusal, from spectral_grid, for either model's grid, naming
+        # K R and the omega_out range
+        tr = MediumTransition(n_in=n_in, n_out=n_out)
+        with pytest.raises(DomainError, match="^output grid not representable "
+                                              "at K R " + match + " rad/s"):
+            build(tr, geom, FiniteSpectrumConfig(grid_points=grid_points))
 
     def test_benchmark_table_fits(self):
         # the largest table1 case: K R = 392

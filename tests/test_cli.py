@@ -745,39 +745,40 @@ def test_finite_spectrum_at_extreme_kr(k_obs_r, capsys):
     assert all(math.isfinite(cell) and cell >= 0.0 for cell in cells)
 
 
+# omega_out = x c / (n_out R) above the float range
+_OMEGA_OVERFLOW = ["--n-gas-in", "1", "--n-gas-out", "1e-200", "--radius-nm",
+                   "1e-91", "--cutoff-nm", "6e-291"]
+
+
 @pytest.mark.parametrize("argv", [
+    # K R underflows to 0, the first panel graded or not
     ["totals", "--n-in", "1e-160", "--n-out", "1e-150", "--model", "finite",
      "--k-obs-r", "1e-300"],
     ["spectrum", "--n-gas-in", "1", "--n-gas-out", "2", "--radius-nm",
      "1e-200", "--cutoff-nm", "1e200", "--model", "finite"],
     ["totals", "--n-in", "2", "--n-out", "1.5", "--radius-nm", "1e-200",
      "--cutoff-nm", "1e200", "--model", "finite"],
-], ids=["graded-totals", "graded-spectrum", "ungraded-totals"])
-def test_finite_model_refuses_kr_that_underflows(argv, capsys):
-    # K R underflows to 0: one usage line naming K R, not an IndexError
-    # from the panel edges or a complaint about a grid never given
+    ["spectrum", "--n-gas-in", "1", "--n-gas-out", "2", "--radius-nm",
+     "1e-200", "--cutoff-nm", "1e200", "--model", "infinite"],
+    # K R ~6e-200, but the omega_out spacing underflows to 0
+    ["spectrum", "--n-gas-in", "1", "--n-gas-out", "1e100", "--n-liquid",
+     "1e100", "--radius-nm", "1e100", "--cutoff-nm", "1e300",
+     "--grid-points", "2"],
+    *[["spectrum", *_OMEGA_OVERFLOW, "--model", model]
+      for model in ("infinite", "finite", "both")],
+    ["totals", "--n-in", "1", "--n-out", "1e-200", "--radius-nm", "1e-91",
+     "--cutoff-nm", "6e-291", "--model", "finite"],
+], ids=["graded-totals", "graded-spectrum", "ungraded-totals", "kr-spacing",
+        "omega-spacing", "overflow-infinite", "overflow-finite",
+        "overflow-both", "overflow-totals"])
+def test_grid_outside_the_float_range_is_refused(argv, capsys):
+    # one usage line naming K R and the omega_out range: not an IndexError
+    # from the panel edges, rows of x = omega = nu = 0, a numpy warning or
+    # a complaint about a grid or an inf never given
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
-    assert err.startswith("error: finite-volume spectrum underflows at K R")
-
-
-@pytest.mark.parametrize("argv, reason", [
-    (["spectrum", "--n-gas-in", "1", "--n-gas-out", "2", "--radius-nm",
-      "1e-200", "--cutoff-nm", "1e200", "--model", "infinite"],
-     "error: output grid spacing underflows to 0 at K R"),
-    (["spectrum", "--n-gas-in", "1", "--n-gas-out", "1e100", "--n-liquid",
-      "1e100", "--radius-nm", "1e100", "--cutoff-nm", "1e300",
-      "--grid-points", "2"],
-     "error: output grid spacing 0.0 rad/s is below the smallest normal"),
-], ids=["kr-spacing", "omega-spacing"])
-def test_grid_spacing_that_underflows_is_refused(argv, reason, capsys):
-    # not 261 rows of x = omega = nu = 0, nor a complaint about a grid
-    # never given
-    assert main(argv) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err.count("\n") == 1
-    assert err.startswith(reason)
+    assert err.startswith("error: output grid not representable at K R")
 
 
 def test_totals_where_the_index_product_underflows(capsys):

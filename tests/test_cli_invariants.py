@@ -122,6 +122,10 @@ def check(argv) -> int:
 @example(argv=["spectrum", "--n-gas-in", "1", "--n-gas-out", "2",
                "--radius-nm", "1e-200", "--cutoff-nm", "1e200", "--model",
                "infinite"])
+# omega_out = x c / (n_out R) overflows: numpy's overflow warning, then an
+# error about an inf never given
+@example(argv=["spectrum", "--n-gas-in", "1", "--n-gas-out", "1e-200",
+               "--radius-nm", "1e-91", "--cutoff-nm", "6e-291"])
 def test_cli_invariant(argv):
     check(argv)
 

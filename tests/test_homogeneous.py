@@ -52,6 +52,14 @@ class TestEpsilonProfile:
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert all(1.0 <= v <= 144.0 for v in vals)
 
+    def test_nan_refused_and_infinities_give_asymptotes(self):
+        # a finite value or a typed error: never NaN
+        tr = MediumTransition(n_in=1.0, n_out=2.0)
+        with pytest.raises(DomainError, match="tau must not be NaN"):
+            epsilon_profile(tr, math.nan)
+        assert epsilon_profile(tr, -math.inf) == 1.0
+        assert epsilon_profile(tr, math.inf) == 4.0
+
 
 class TestSuddenLimit:
     def test_no_change_no_photons(self):

@@ -64,11 +64,13 @@ class TestSolveNIn:
         with pytest.raises(DomainError):
             solve_n_in(12.0, 0.0)
 
-    def test_n_liquid_cube_underflow_is_numerical(self):
-        # the roots are finite, but the back-substituted count divides by
-        # n_liquid^3, which underflows to 0
-        with pytest.raises(NumericalError, match="n_liquid\\^3 underflows"):
-            solve_n_in(1e-160, 1e6, n_liquid=1e-110)
+    @pytest.mark.parametrize("n_out, n_liquid", [
+        (25.0, 0.5), (1e-160, 1e-110)])
+    def test_n_liquid_below_one_is_refused(self, n_out, n_liquid):
+        # as every geometry refuses it, so n_liquid^3 cannot underflow to 0
+        # and leave the back-substituted count to divide by it
+        with pytest.raises(DomainError, match="n_liquid must be >= 1"):
+            solve_n_in(n_out, 1e6, n_liquid=n_liquid)
 
     def test_branch_pair_ordering_enforced(self):
         with pytest.raises(DomainError):
@@ -176,12 +178,23 @@ class TestSweepErrors:
                 lambda: pointwise_sweep(target, n_liquid, k_obs_r, grid))
             assert got[0] is want[0]
 
-    def test_python_float_exceptions_match_pointwise(self):
-        # n_liquid**3 underflows to 0: the roots sit on the double root,
+    @pytest.mark.parametrize("n_liquid", [0.5, 1e-120])
+    def test_n_liquid_below_one_refused_as_pointwise(self, n_liquid):
+        # refused before any solve, so before n_liquid^3 could underflow
+        want = (DomainError,
+                f"n_liquid must be >= 1 and finite, got {n_liquid!r}")
+        assert outcome(lambda: solve_n_in(1.0, 1e6, n_liquid, 15.0)) == want
+        for sweep in (sweep_figure1, pointwise_sweep):
+            for grid in ([1.0, 2.0, 50.0], [1.0, 1e200]):
+                assert outcome(lambda: sweep(1e6, n_liquid, 15.0, grid)) \
+                    == want
+
+    def test_double_root_and_overflow_match_pointwise(self):
+        # a target of 5e-324 puts L at 0 and the roots on the double root,
         # except where n_out^2 overflows and the low root becomes inf
         on_double_root = [1.0, 2.0, 50.0]
-        assert (sweep_figure1(1e6, 1e-120, 15.0, on_double_root)
-                == pointwise_sweep(1e6, 1e-120, 15.0, on_double_root))
+        assert (sweep_figure1(5e-324, 1.3, 15.0, on_double_root)
+                == pointwise_sweep(5e-324, 1.3, 15.0, on_double_root))
         for sweep in (sweep_figure1, pointwise_sweep):
             with pytest.raises(NumericalError):
-                sweep(1e6, 1e-120, 15.0, [1.0, 1e200])
+                sweep(5e-324, 1.3, 15.0, [1.0, 1e200])
