@@ -63,6 +63,19 @@ def check_n_liquid(n_liquid: float) -> None:
         raise DomainError(f"n_liquid must be >= 1 and finite, got {n_liquid!r}")
 
 
+def _check_count_inputs(names: tuple[str, str], a: float, b: float,
+                        n_liquid: float, k_obs_r: float) -> None:
+    """DomainError unless a, b (named by names) and k_obs_r are positive
+    and finite and n_liquid >= 1, with both cubes finite: the count rule."""
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf
+            and 1.0 <= n_liquid <= _CUBE_MAX and 0.0 < k_obs_r <= _CUBE_MAX):
+        # the same rule in parts, to name the first input that fails it
+        check_n_liquid(n_liquid)
+        for name, val in ((names[0], a), (names[1], b), ("k_obs_r", k_obs_r)):
+            _require_positive(name, val)
+        _require_finite_cubes(("n_liquid", n_liquid), ("k_obs_r", k_obs_r))
+
+
 # domain types --------------------------------------------------------------
 _set = object.__setattr__  # the one way past _Record.__setattr__
 

@@ -14,8 +14,8 @@ Conventions: POLARIZATIONS enters each spectrum once, through _spectrum_root,
 and the closed-form totals through their constants; beta_sq_density and
 sudden_beta_sq are per polarization.
 
-Only spectrum_infinite takes arrays; it imports numpy when it runs, so
-the scalar functions here run without it.
+spectrum_infinite and _count_formula (the inverse sweep's) take arrays;
+spectrum_infinite imports numpy when it runs, so the rest runs without it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import math
 import sys
 
 from .core import (HBAR, SPEED_OF_LIGHT, BubbleGeometry, DomainError,
-                   EmissionSummary, MediumTransition, NumericalError)
+                   EmissionSummary, MediumTransition, NumericalError,
+                   _check_count_inputs)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -209,8 +210,16 @@ def photons_from_count_formula(n_in: float, n_out: float, n_liquid: float,
     C0 = (k_observed R)^3 / (9 pi); C0 ~ 119.4 for k_observed R = 15.
 
     Algebraically identical to total_photons_closed_form when
-    K = k_observed n_out / n_liquid (regression-tested).
+    K = k_observed n_out / n_liquid (regression-tested).  DomainError for
+    inputs that the inverse solve refuses, NumericalError past the float range.
     """
+    _check_count_inputs(("n_in", "n_out"), n_in, n_out, n_liquid, k_obs_r)
+    return _finite("photon count", _count_formula(n_in, n_out, n_liquid,
+                                                  k_obs_r))
+
+
+def _count_formula(n_in, n_out, n_liquid, k_obs_r):
+    """The count formula unchecked, elementwise in n_in and n_out."""
     c0 = k_obs_r**3 / (9.0 * math.pi)
     dn = n_out - n_in
     return c0 / n_liquid**3 * dn * dn * n_out * n_out / n_in

@@ -12,20 +12,20 @@ the branch pair an involution under n_in -> n_out^2 / n_in.
 
 The algebra and the root checks are written once, elementwise in n_out:
 solve_n_in runs them on a float and sweep_figure1 on the whole grid as
-arrays (importing numpy when it runs).  numpy's elementwise + - * / and
-sqrt round as Python's float operations do, so both give the same bits.  Where the count formula
-over- or underflows, both raise DomainError or NumericalError, never a
-Python ArithmeticError or a NaN root.
+arrays (importing numpy when it runs), but hands solve_n_in the points
+near the double root.  numpy's elementwise + - * / and sqrt round as
+Python's float operations do, so both give the same bits.  Where the
+count formula over- or underflows, both raise DomainError or
+NumericalError, never a Python ArithmeticError or a NaN root.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import (DomainError, NumericalError, _Record,
-                   _require_finite_cubes, _require_positive, _set,
-                   check_n_liquid)
-from .homogeneous import photons_from_count_formula
+from .core import (DomainError, NumericalError, _Record, _check_count_inputs,
+                   _set)
+from .homogeneous import _count_formula
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -53,14 +53,6 @@ class BranchPair(_Record):
         _set(self, "n_in_high", n_in_high)
 
 
-def _check_inputs(n_out, n_target, n_liquid, k_obs_r) -> None:
-    check_n_liquid(n_liquid)
-    for name, val in (("n_out", n_out), ("n_target", n_target),
-                      ("k_obs_r", k_obs_r)):
-        _require_positive(name, val)
-    _require_finite_cubes(("n_liquid", n_liquid), ("k_obs_r", k_obs_r))
-
-
 def _quadratic(n_out, n_target, n_liquid, k_obs_r):
     """(s, disc): the quadratic's s = 2 n_out + L and its discriminant
     s^2 - 4 n_out^2, elementwise in n_out (a float or an array)."""
@@ -84,7 +76,7 @@ def _far_from_double_root(root, n_out):
 
     Nearer to the double root the count is quadratically flat in n_in
     and the root-to-count map too ill-conditioned for a meaningful count
-    residual, so the quadratic's own residual is checked there instead.
+    residual, so solve_n_in alone checks the quadratic's residual there.
     """
     return abs(root - n_out) >= 1e-7 * root
 
@@ -93,17 +85,6 @@ def _count_fails(back, n_target):
     """Elementwise: the back-substituted count misses n_target by more
     than RESIDUAL_TOL relative."""
     return abs(back - n_target) > RESIDUAL_TOL * n_target
-
-
-def _quadratic_residual(root, n_out, s):
-    """(resid, too_large), elementwise: the quadratic's residual at root
-    and whether it exceeds _QUADRATIC_TOL times the largest term."""
-    rr, sr, nn = root * root, s * root, n_out * n_out
-    resid = rr - sr + nn
-    # |resid| > _QUADRATIC_TOL * max(rr, sr, nn), term by term
-    size = abs(resid)
-    return resid, ((size > _QUADRATIC_TOL * rr) & (size > _QUADRATIC_TOL * sr)
-                   & (size > _QUADRATIC_TOL * nn))
 
 
 def _vieta_fails(n_out, low, high):
@@ -119,13 +100,14 @@ def solve_n_in(n_out: float, n_target: float, n_liquid: float = 1.3,
     branch of the formula and the smaller from the Vieta product, so
     neither suffers cancellation.  Each root is verified by substitution
     back into the count formula to RESIDUAL_TOL relative, or, within
-    1e-7 of the double root n_out, by the quadratic's own residual.
-    Raises DomainError for a non-positive or non-finite argument, an
-    n_liquid below 1, or an n_liquid or k_obs_r whose cube overflows, and
-    NumericalError where the quadratic over- or underflows or a root fails
-    its check.
+    1e-7 of the double root n_out, by the quadratic's own residual, which
+    sweep_figure1 leaves to this function.  Raises DomainError for a
+    non-positive or non-finite argument, an n_liquid below 1, or an
+    n_liquid or k_obs_r whose cube overflows, and NumericalError where
+    the quadratic over- or underflows or a root fails its check.
     """
-    _check_inputs(n_out, n_target, n_liquid, k_obs_r)
+    _check_count_inputs(("n_out", "n_target"), n_out, n_target, n_liquid,
+                        k_obs_r)
     try:
         s, disc = _quadratic(n_out, n_target, n_liquid, k_obs_r)
     except ZeroDivisionError:
@@ -140,15 +122,16 @@ def solve_n_in(n_out: float, n_target: float, n_liquid: float = 1.3,
             f"over- or underflows")
     for root in (low, high):
         if _far_from_double_root(root, n_out):
-            back = photons_from_count_formula(root, n_out, n_liquid, k_obs_r)
+            back = _count_formula(root, n_out, n_liquid, k_obs_r)
             if _count_fails(back, n_target):
                 raise NumericalError(
                     f"back-substitution residual "
                     f"{abs(back - n_target) / n_target:.3e} exceeds "
                     f"{RESIDUAL_TOL} at n_in={root!r}, n_out={n_out!r}")
         else:
-            resid, too_large = _quadratic_residual(root, n_out, s)
-            if too_large:
+            rr, sr, nn = root * root, s * root, n_out * n_out
+            resid = rr - sr + nn
+            if abs(resid) > _QUADRATIC_TOL * max(rr, sr, nn):
                 raise NumericalError(
                     f"quadratic residual {resid!r} too large at "
                     f"n_in={root!r}, n_out={n_out!r}")
@@ -159,10 +142,10 @@ def _solve_grid(grid: np.ndarray, n_target: float, n_liquid: float,
                 k_obs_r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(low, high, flagged) over the whole grid in one array pass.
 
-    flagged marks every point where solve_n_in or the Vieta check could
-    fail: an invalid n_out, roots out of order, at 0, at inf or NaN, or a
-    failing root or Vieta check.  Where neither does fail, low and high
-    hold solve_n_in's own bits: both paths run the same operations.
+    flagged marks every point left to solve_n_in: an invalid n_out, roots
+    out of order, at 0, at inf or NaN, a failing count or Vieta check, or
+    a root within 1e-7 of n_out.  Where solve_n_in and the Vieta check
+    pass, low and high hold its own bits: both run the same operations.
     """
     import numpy as np
 
@@ -172,10 +155,9 @@ def _solve_grid(grid: np.ndarray, n_target: float, n_liquid: float,
                  & (low <= high) & (high < np.inf))
                | _vieta_fails(grid, low, high))
     for root in (low, high):
-        back = photons_from_count_formula(root, grid, n_liquid, k_obs_r)
-        flagged |= np.where(_far_from_double_root(root, grid),
-                            _count_fails(back, n_target),
-                            _quadratic_residual(root, grid, s)[1])
+        back = _count_formula(root, grid, n_liquid, k_obs_r)
+        flagged |= (~_far_from_double_root(root, grid)
+                    | _count_fails(back, n_target))
     return low, high, flagged
 
 
@@ -187,9 +169,10 @@ def sweep_figure1(n_target: float, n_liquid: float, k_obs_r: float,
     Returns rows (n_out, n_in_low, n_in_high) of Python floats in grid
     order, bit-identical to solve_n_in point by point; every row
     satisfies the Vieta identity n_in_low * n_in_high = n_out^2 to 1e-10
-    relative.  Every check of solve_n_in runs on every point, and a grid
-    that fails raises the error that solve_n_in, or the Vieta check,
-    raises at its lowest failing n_out.  An empty grid gives [].
+    relative.  The points that the array pass flags are solved again one
+    by one in grid order, so a grid that fails raises what solve_n_in, or
+    the Vieta check, raises at its lowest failing n_out.  An empty grid
+    gives [].
     """
     import numpy as np
 
@@ -198,16 +181,13 @@ def sweep_figure1(n_target: float, n_liquid: float, k_obs_r: float,
         raise DomainError("n_out grid must be strictly increasing")
     if not grid.size:
         return []
-    if grid[0] <= 0.0:
-        raise DomainError("n_out grid must be positive")
     n_outs = grid.tolist()
-    _check_inputs(n_outs[0], n_target, n_liquid, k_obs_r)
+    _check_count_inputs(("n_out", "n_target"), n_outs[0], n_target,
+                        n_liquid, k_obs_r)
     # the flagged points' errors are raised by solving them alone below,
     # so numpy's warnings for the same values are not wanted
     with np.errstate(all="ignore"):
         low, high, flagged = _solve_grid(grid, n_target, n_liquid, k_obs_r)
-    # One at a time and in grid order, the flagged points raise what the
-    # point-by-point loop would have raised first.
     for i in np.flatnonzero(flagged).tolist():
         n_out = n_outs[i]
         pair = solve_n_in(n_out, n_target, n_liquid, k_obs_r)

@@ -1,7 +1,9 @@
 """Time one-shot `python -m sonophoton.cli` processes of this tree and of a
-second source tree, alternating, and print medians and win counts.
+second source tree, alternating, and print medians and win counts; or
+time the compiling of the modules that `import sonophoton.cli` executes.
 
     python3 tests/startup_time.py OTHER_SRC [--pairs N] [--only NAME ...]
+    python3 tests/startup_time.py --compile
 
 OTHER_SRC is the src/ directory of another checkout of this package (the
 parent commit, say).  For each request below (import: `python -c "import
@@ -12,8 +14,16 @@ this tree first in even pairs and the other first in odd ones, so a
 drift of the host's speed falls on both.  Each time is the wall time of
 the whole process, start-up included, with its output discarded.  It
 prints per request the median time of each tree, their ratio and the
-number of pairs this tree won.  The name does not match test_*.py, so
-pytest does not collect this file.
+number of pairs this tree won.
+
+With --compile it imports sonophoton.cli from this tree, noting each of
+the package's modules that the import executes (through the "exec"
+audit event; the lazily registered bubble and specfun are not executed
+until first used), and prints for each module the fastest of 30
+compile() calls of its source, as the import compiles it when no
+bytecode cache is read, then their sum and whether
+sys.dont_write_bytecode is set (PYTHONDONTWRITEBYTECODE, -B).  The name
+does not match test_*.py, so pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ import statistics
 import subprocess
 import sys
 import time
+import timeit
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,13 +66,48 @@ def one_shot(src: Path, args: list[str]) -> float:
     return time.perf_counter() - start
 
 
+def compile_times(reps: int = 30) -> None:
+    """Print the fastest of reps compile() calls of each package module
+    that `import sonophoton.cli` executes, and their sum."""
+    package = str(ROOT / "src" / "sonophoton")
+    executed: list[str] = []
+
+    def on_exec(event: str, args: tuple) -> None:
+        name = getattr(args[0], "co_filename", "") if event == "exec" else ""
+        if name.startswith(package):
+            executed.append(name)
+
+    sys.addaudithook(on_exec)
+    sys.path.insert(0, str(ROOT / "src"))
+    import sonophoton.cli  # noqa: F401
+
+    total = 0.0
+    for path in executed:
+        source = Path(path).read_bytes()
+        best = min(timeit.repeat(
+            lambda: compile(source, path, "exec", dont_inherit=True),
+            number=1, repeat=reps))
+        total += best
+        lines = source.count(b"\n")
+        print(f"{Path(path).name:<15} {lines:5d} lines {1e3 * best:7.2f} ms")
+    print(f"{'sum':<27} {1e3 * total:7.2f} ms  "
+          f"sys.dont_write_bytecode={sys.dont_write_bytecode}")
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("other_src", type=Path)
+    parser.add_argument("other_src", type=Path, nargs="?")
     parser.add_argument("--pairs", type=int, default=12)
     parser.add_argument("--only", action="append", choices=REQUESTS,
                         help="time only this request (repeatable)")
+    parser.add_argument("--compile", action="store_true",
+                        help="time compiling the modules the CLI imports")
     args = parser.parse_args(argv)
+    if args.compile:
+        compile_times()
+        return 0
+    if args.other_src is None:
+        parser.error("OTHER_SRC is required without --compile")
     trees = (ROOT / "src", args.other_src.resolve())
     for name in args.only or REQUESTS:
         request = REQUESTS[name]

@@ -331,6 +331,24 @@ class TestClosedFormTotals:
             summary = totals_closed_form(tr, geom)
             assert rel_err(summary.mean_over_cutoff, 0.75) < 1e-12
 
+    @pytest.mark.parametrize("args, name", [
+        ((1.0, 2.0, 1.3, 1e103), "k_obs_r"),
+        ((1.0, 2.0, 1e-110, 15.0), "n_liquid"),
+        ((0.0, 2.0, 1.3, 15.0), "n_in"),
+        ((1e200, 0.0, 1.0, 1e100), "n_out"),
+        ((-1.0, 2.0, 1.3, 15.0), "n_in"),
+        ((1.0, 2.0, 1.3, -15.0), "k_obs_r")])
+    def test_count_formula_refuses_what_the_inverse_refuses(self, args, name):
+        # unchecked, the formula raises OverflowError (k_obs_r^3) or
+        # ZeroDivisionError, or gives nan or a negative count, on these
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            photons_from_count_formula(*args)
+
+    def test_count_formula_above_the_float_range_is_numerical(self):
+        # dn^2 n_out^2 / n_in ~ 1e400
+        with pytest.raises(NumericalError, match="float range"):
+            photons_from_count_formula(1e-10, 1e100, 1.3, 15.0)
+
     def test_no_change_zero_totals(self):
         tr = MediumTransition(n_in=5.0, n_out=5.0)
         geom = build_geometry_from_kr(15.0, 1.3)

@@ -135,9 +135,19 @@ class TestSweepErrors:
     def test_invalid_n_out(self, grid):
         got = outcome(lambda: sweep_figure1(1e6, 1.3, 15.0, grid))
         assert got[0] is DomainError
-        # a first point <= 0 is refused for the whole grid before any solve
-        if not grid[0] <= 0.0:
-            assert got == outcome(lambda: pointwise_sweep(1e6, 1.3, 15.0, grid))
+        assert got == outcome(lambda: pointwise_sweep(1e6, 1.3, 15.0, grid))
+
+    def test_passing_double_root_points_before_a_failing_one(self):
+        # both roots lie within 1e-7 of n_out at 1e3 and 1e4, so the array
+        # pass hands them to solve_n_in, which passes them; inf then fails
+        grid = [1e3, 1e4, math.inf]
+        for n_out in grid[:2]:
+            pair = solve_n_in(n_out, 1e-14, 1.3, 15.0)
+            assert not inverse._far_from_double_root(pair.n_in_low, n_out)
+            assert not inverse._far_from_double_root(pair.n_in_high, n_out)
+        got = outcome(lambda: sweep_figure1(1e-14, 1.3, 15.0, grid))
+        assert got[0] is DomainError
+        assert got == outcome(lambda: pointwise_sweep(1e-14, 1.3, 15.0, grid))
 
     @pytest.mark.parametrize("bad", [0.0, -2.0, math.nan, math.inf])
     @pytest.mark.parametrize("name", ["n_target", "n_liquid", "k_obs_r"])
@@ -161,6 +171,16 @@ class TestSweepErrors:
         want = outcome(lambda: pointwise_sweep(target, 1.3, 15.0, grid))
         assert want[0] is NumericalError
         assert outcome(lambda: sweep_figure1(target, 1.3, 15.0, grid)) == want
+
+    def test_double_root_points_get_the_quadratic_check(self, monkeypatch):
+        # with the count check off, only the quadratic residual, which
+        # solve_n_in alone tests, can fail these points near the double root
+        grid = (1.0 + 99.0 * np.arange(50) / 49).tolist()[2:]
+        monkeypatch.setattr(inverse, "RESIDUAL_TOL", math.inf)
+        monkeypatch.setattr(inverse, "_QUADRATIC_TOL", 0.0)
+        want = outcome(lambda: pointwise_sweep(1e-14, 1.3, 15.0, grid))
+        assert want[0] is NumericalError and "quadratic residual" in want[1]
+        assert outcome(lambda: sweep_figure1(1e-14, 1.3, 15.0, grid)) == want
 
     @pytest.mark.parametrize("n_out, target, n_liquid, k_obs_r", [
         (1e-170, 1e6, 1.3, 15.0), (12.0, 1e6, 1e200, 15.0),
