@@ -45,6 +45,8 @@ def _require_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
+_NORMAL_MIN = sys.float_info.min
+
 # Python's float ** raises OverflowError past the cube root of the largest
 # float, 5.64e102, so every cubed input is refused above this.
 _CUBE_MAX = 5.6e102
@@ -124,14 +126,16 @@ class MediumTransition(_Record):
     __slots__ = ("n_in", "n_out", "t0")
 
     def __init__(self, n_in: float, n_out: float, t0: float = 1e-15) -> None:
-        _require_positive("n_in", n_in)
-        _require_positive("n_out", n_out)
-        _require_positive("t0", t0)
         # the tanh profile sums the squared indices; below the smallest
         # normal float that sum has lost digits or underflowed to 0 (and
         # n * n, unlike n**2, overflows to inf rather than raising)
         sum_sq = n_in * n_in + n_out * n_out
-        if not sys.float_info.min <= sum_sq < math.inf:
+        if not (0.0 < n_in < math.inf and 0.0 < n_out < math.inf
+                and 0.0 < t0 < math.inf and _NORMAL_MIN <= sum_sq < math.inf):
+            # the same rule in parts, to name the first field that fails it
+            _require_positive("n_in", n_in)
+            _require_positive("n_out", n_out)
+            _require_positive("t0", t0)
             raise DomainError(
                 f"n_in^2 + n_out^2 = {sum_sq!r} is not a normal float: the "
                 f"indices must not both lie below 1.5e-154, nor either above "
@@ -166,10 +170,13 @@ class BubbleGeometry(_Record):
 
     def __init__(self, radius: float, n_liquid: float,
                  lambda_obs: float) -> None:
-        _require_positive("radius", radius)
-        _require_positive("lambda_obs", lambda_obs)
-        check_n_liquid(n_liquid)
-        _require_finite_cubes(("radius (m)", radius))  # closed forms cube
+        if not (0.0 < radius <= _CUBE_MAX and 0.0 < lambda_obs < math.inf
+                and 1.0 <= n_liquid < math.inf):
+            # the same rule in parts, to name the first field that fails it
+            _require_positive("radius", radius)
+            _require_positive("lambda_obs", lambda_obs)
+            check_n_liquid(n_liquid)
+            _require_finite_cubes(("radius (m)", radius))  # closed forms cube
         _set(self, "radius", radius)
         _set(self, "n_liquid", n_liquid)
         _set(self, "lambda_obs", lambda_obs)
@@ -187,11 +194,14 @@ class BubbleGeometry(_Record):
     def k_gas_cutoff(self, n_out: float) -> float:
         """Gas-side cutoff wavevector K = k_observed n_out / n_liquid, 1/m;
         DomainError unless n_out > 0 and K R and K have finite cubes."""
-        _require_positive("n_out", n_out)
         k = self.k_observed * n_out / self.n_liquid
-        if k == math.inf:  # K overflowed: not K R, which inherits its inf
-            _require_finite_cubes(("K (1/m)", k))
-        _require_finite_cubes(("K R", k * self.radius), ("K (1/m)", k))
+        if not (0.0 < n_out < math.inf and k <= _CUBE_MAX
+                and k * self.radius <= _CUBE_MAX):
+            # the same rule in parts, to name the first failure
+            _require_positive("n_out", n_out)
+            if k == math.inf:  # K overflowed: not K R, which inherits its inf
+                _require_finite_cubes(("K (1/m)", k))
+            _require_finite_cubes(("K R", k * self.radius), ("K (1/m)", k))
         return k
 
     @property
@@ -206,7 +216,8 @@ def build_geometry_from_kr(k_obs_r: float, n_liquid: float,
     Useful when the cutoff is calibrated as a pure number (e.g. 15)
     rather than as a physical wavelength; lambda_obs is back-computed.
     """
-    _require_positive("k_obs_r", k_obs_r)  # BubbleGeometry checks radius
+    if not 0.0 < k_obs_r < math.inf:
+        _require_positive("k_obs_r", k_obs_r)  # BubbleGeometry checks radius
     lambda_obs = 2.0 * math.pi * radius / k_obs_r
     if not 0.0 < lambda_obs < math.inf and 0.0 < radius < math.inf:
         raise DomainError(f"k_obs_r {k_obs_r!r} at radius {radius!r} m puts "
@@ -227,8 +238,9 @@ class EmissionSummary(_Record):
 
     def __init__(self, photon_count: float, total_energy: float,
                  mean_energy: float, mean_over_cutoff: float) -> None:
-        if not all(math.isfinite(v) for v in (
-                photon_count, total_energy, mean_energy, mean_over_cutoff)):
+        isfinite = math.isfinite
+        if not (isfinite(photon_count) and isfinite(total_energy)
+                and isfinite(mean_energy) and isfinite(mean_over_cutoff)):
             raise DomainError("emission totals must be finite")
         if photon_count < 0.0 or total_energy < 0.0:
             raise DomainError("photon_count and total_energy must be >= 0")
@@ -242,8 +254,7 @@ class EmissionSummary(_Record):
                     hbar_omega_max: float) -> "EmissionSummary":
         mean = total_energy / photon_count if photon_count > 0.0 else 0.0
         ratio = mean / hbar_omega_max if hbar_omega_max > 0.0 else 0.0
-        return cls(photon_count=photon_count, total_energy=total_energy,
-                   mean_energy=mean, mean_over_cutoff=ratio)
+        return cls(photon_count, total_energy, mean, ratio)
 
 
 class SpectralDensity(_Record):

@@ -21,11 +21,10 @@ spectrum_infinite imports numpy when it runs, so the rest runs without it.
 from __future__ import annotations
 
 import math
-import sys
 
 from .core import (HBAR, SPEED_OF_LIGHT, BubbleGeometry, DomainError,
                    EmissionSummary, MediumTransition, NumericalError,
-                   _check_count_inputs)
+                   _NORMAL_MIN, _check_count_inputs)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -33,6 +32,8 @@ if TYPE_CHECKING:
 
 # Photon polarization multiplicity, applied at spectrum level only.
 POLARIZATIONS = 2.0
+
+_PI_SQ = math.pi**2
 
 # Log-density below which the sinh ratio is reported as underflowed zero.
 UNDERFLOW_LOG = -700.0
@@ -189,13 +190,22 @@ def spectrum_infinite(transition: MediumTransition, geometry: BubbleGeometry,
 
 def total_photons_closed_form(transition: MediumTransition,
                               geometry: BubbleGeometry) -> float:
-    """Closed-form photon count N = (RK)^3 (Dn)^2 / (9 pi n_in n_out): the
-    plain quotient of the factors' frexp mantissas, scaled once by their
-    exponents, so that no product of indices leaves the float range.
-    NumericalError if N does."""
-    rk = geometry.radius * geometry.k_gas_cutoff(transition.n_out)
-    (d, ed), (a, ea), (b, eb), (r, er) = map(math.frexp, (
-        transition.delta_n, transition.n_in, transition.n_out, rk**3))
+    """Closed-form photon count N = (RK)^3 (Dn)^2 / (9 pi n_in n_out).
+    NumericalError if N leaves the float range."""
+    return _photon_count(transition.delta_n, transition.n_in, transition.n_out,
+                         geometry.radius * geometry.k_gas_cutoff(
+                             transition.n_out))
+
+
+def _photon_count(dn: float, n_in: float, n_out: float, rk: float) -> float:
+    """N = (RK)^3 (Dn)^2 / (9 pi n_in n_out) from rk = R K: the plain
+    quotient of the factors' frexp mantissas, scaled once by their
+    exponents, so that no product of indices leaves the float range."""
+    frexp = math.frexp
+    d, ed = frexp(dn)
+    a, ea = frexp(n_in)
+    b, eb = frexp(n_out)
+    r, er = frexp(rk**3)
     try:
         return math.ldexp(d * d / (9.0 * math.pi * a * b) * r,
                           2 * ed - ea - eb + er)
@@ -230,12 +240,12 @@ def totals_closed_form(transition: MediumTransition,
     """Closed-form totals.  E = (Dn)^2 / (16 pi^2 n_in n_out^2) hbar c K V K^3
     where that denominator is a normal float; elsewhere the exact identity
     E = N (3/4) hbar omega_max.  NumericalError above the float range."""
-    n = total_photons_closed_form(transition, geometry)
     n_in, n_out, dn = transition.n_in, transition.n_out, transition.delta_n
-    k, hw = geometry.k_gas_cutoff(n_out), HBAR * geometry.omega_max
-    denom = 16.0 * math.pi**2 * n_in * n_out**2
+    k = geometry.k_gas_cutoff(n_out)
+    n = _photon_count(dn, n_in, n_out, geometry.radius * k)
+    hw = HBAR * geometry.omega_max
+    denom = 16.0 * _PI_SQ * n_in * n_out**2
     energy = (dn * dn / denom * HBAR * SPEED_OF_LIGHT * k * geometry.volume
-              * k**3 if sys.float_info.min <= denom < math.inf else
-              n * (0.75 * hw))
+              * k**3 if _NORMAL_MIN <= denom < math.inf else n * (0.75 * hw))
     return EmissionSummary.from_totals(n, _finite("emitted energy", energy),
                                        hw)

@@ -3,18 +3,22 @@
 Slow, dumb and correct: j_l by its power series summed in mpmath
 arithmetic, y_l by exact closed trig forms propagated upward at high
 precision.  Every fast evaluation path in the package is refereed
-against these; they deliberately share no code with the library.  The
+against these; they deliberately share no code with the library, except
+the records' field-check references, which make the library's own
+per-field checks in the order the records must apply them.  The
 float y_l table and the scalar wrappers spherical_j, spherical_y and
 their derivatives at the end are not references: they are code under
 test.
 """
 
 import math
+import sys
 
 import numpy as np
 from mpmath import mp, mpf
 
-from sonophoton.core import DomainError
+from sonophoton.core import (DomainError, _require_finite_cubes,
+                             _require_positive, check_n_liquid)
 from sonophoton.specfun import sph_jn_table
 
 
@@ -150,6 +154,59 @@ def double_factorial(n):
     for m in range(n, 1, -2):
         out *= m
     return out
+
+
+# The records' field checks, one helper call a field in the order the
+# records have always made them: the reference for the single comparisons
+# that accept their fields first.  Each returns the accepted fields (K for
+# k_gas_cutoff_ref) or raises the record's DomainError.
+
+def medium_transition_ref(n_in, n_out, t0):
+    for name, value in (("n_in", n_in), ("n_out", n_out), ("t0", t0)):
+        _require_positive(name, value)
+    sum_sq = n_in * n_in + n_out * n_out
+    if not sys.float_info.min <= sum_sq < math.inf:
+        raise DomainError(
+            f"n_in^2 + n_out^2 = {sum_sq!r} is not a normal float: the "
+            f"indices must not both lie below 1.5e-154, nor either above "
+            f"9.4e153")
+    return n_in, n_out, t0
+
+
+def bubble_geometry_ref(radius, n_liquid, lambda_obs):
+    _require_positive("radius", radius)
+    _require_positive("lambda_obs", lambda_obs)
+    check_n_liquid(n_liquid)
+    _require_finite_cubes(("radius (m)", radius))
+    return radius, n_liquid, lambda_obs
+
+
+def build_geometry_from_kr_ref(k_obs_r, n_liquid, radius):
+    _require_positive("k_obs_r", k_obs_r)
+    lambda_obs = 2.0 * math.pi * radius / k_obs_r
+    if not 0.0 < lambda_obs < math.inf and 0.0 < radius < math.inf:
+        raise DomainError(f"k_obs_r {k_obs_r!r} at radius {radius!r} m puts "
+                          "2 pi radius / k_obs_r outside the float range")
+    return bubble_geometry_ref(radius, n_liquid, lambda_obs)
+
+
+def k_gas_cutoff_ref(geometry, n_out):
+    _require_positive("n_out", n_out)
+    k = geometry.k_observed * n_out / geometry.n_liquid
+    if k == math.inf:
+        _require_finite_cubes(("K (1/m)", k))
+    _require_finite_cubes(("K R", k * geometry.radius), ("K (1/m)", k))
+    return k
+
+
+def emission_summary_ref(photon_count, total_energy, mean_energy,
+                         mean_over_cutoff):
+    values = (photon_count, total_energy, mean_energy, mean_over_cutoff)
+    if not all(math.isfinite(v) for v in values):
+        raise DomainError("emission totals must be finite")
+    if photon_count < 0.0 or total_energy < 0.0:
+        raise DomainError("photon_count and total_energy must be >= 0")
+    return values
 
 
 # The code below is not a reference.  sph_yn_table is the float y_l table

@@ -837,6 +837,50 @@ def test_csv_writer_cells(capsys):
     assert lines[-len(rows)] == "2.0,s0,,None"
 
 
+PREAMBLE_HEAD = "# sonophoton 0.1.0\n# command = {}\n# polarization_factor = 2.0\n"
+# One argv of each command and its whole preamble after the three fixed
+# lines: a None cell (cutoff_nm), ints (grid_points, n_out_points), a str
+# (model), floats, spectrum's extra k_gas_cutoff_x, and neither --config
+# (sweep) nor --output (table1) among the parameters.
+PREAMBLES = (
+    (["totals", "--n-in", "729.385", "--n-out", "82.3594",
+      "--radius-nm", "1965.17", "--model", "infinite"],
+     "# cutoff_nm = \n# grid_extend = 1.3\n# grid_points = 200\n"
+     "# k_obs_r = 15.0\n# model = infinite\n# n_in = 729.385\n"
+     "# n_liquid = 1.3\n# n_out = 82.3594\n# radius_nm = 1965.17\n"
+     "# tol = 1e-06\n"),
+    (["spectrum", "--n-gas-in", "2", "--n-gas-out", "1", "--k-obs-r", "5",
+      "--grid-points", "19", "--model", "infinite"],
+     "# cutoff_nm = \n# grid_extend = 1.3\n# grid_points = 19\n"
+     "# k_gas_cutoff_x = 3.846153846153846\n# k_obs_r = 5.0\n"
+     "# model = infinite\n# n_gas_in = 2.0\n# n_gas_out = 1.0\n"
+     "# n_liquid = 1.3\n# radius_nm = 500.0\n# tol = 1e-06\n"),
+    (["solve-nin", "--n-out", "25", "--target", "1e6"],
+     "# k_obs_r = 15.0\n# n_liquid = 1.3\n# n_out = 25.0\n"
+     "# target = 1000000.0\n"),
+    (["sweep", "--n-out-points", "3", "--config", "{config}"],
+     "# k_obs_r = 15.0\n# n_liquid = 1.3\n# n_out_max = 100.0\n"
+     "# n_out_min = 1.0\n# n_out_points = 3\n# target = 2000000.0\n"),
+    (["table1", "--k-obs-r", "3", "--grid-points", "12", "--output", "{output}"],
+     "# cutoff_nm = \n# grid_extend = 1.3\n# grid_points = 12\n"
+     "# k_obs_r = 3.0\n# n_liquid = 1.3\n# radius_nm = 500.0\n"
+     "# tol = 1e-06\n"),
+)
+
+
+@pytest.mark.parametrize("argv,params", PREAMBLES,
+                         ids=[argv[0] for argv, _ in PREAMBLES])
+def test_preamble_bytes(argv, params, tmp_path, capsys):
+    config, output = tmp_path / "run.cfg", tmp_path / "out.csv"
+    config.write_text("target = 2e6\n")
+    argv = [a.format(config=config, output=output) for a in argv]
+    assert main(argv) == 0
+    text = output.read_text() if "--output" in argv else capsys.readouterr().out
+    preamble = PREAMBLE_HEAD.format(argv[0]) + params
+    assert text.startswith(preamble)
+    assert not text[len(preamble):].startswith("#")
+
+
 def test_closed_form_golden_replay(capsys):
     # every closed-form request of the benchmark pool, replayed in process:
     # the data lines (all but the '#' preamble) must equal the committed

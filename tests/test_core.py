@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sonophoton.core import (ELECTRON_VOLT, HBAR, SPEED_OF_LIGHT,
                              BubbleGeometry, DomainError, EmissionSummary,
@@ -12,6 +14,8 @@ from sonophoton.core import (ELECTRON_VOLT, HBAR, SPEED_OF_LIGHT,
                              SpectralDensity, build_geometry_from_kr,
                              joule_to_ev, nm_to_m)
 from sonophoton.inverse import BranchPair
+
+import oracles
 
 
 def test_physical_constants_values():
@@ -140,6 +144,92 @@ class TestEmissionSummary:
                 values[field] = bad
                 with pytest.raises(DomainError):
                     EmissionSummary(*values)
+
+
+# Each field of a record drawn from a valid range or from values that sit
+# on or beyond the edges of its rule: zero of either sign, negative, NaN,
+# infinite, the smallest subnormal, just past the cube limit 5.6e102 and
+# near the largest float.
+EDGES = (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 5.7e102,
+         1e308)
+REFUSALS = settings(max_examples=400, deadline=None, derandomize=True,
+                    database=None)
+
+
+def field(low, high):
+    return st.one_of(st.sampled_from(EDGES), st.floats(low, high))
+
+
+def outcome(make, *args):
+    """The exception's type and message, or the accepted fields' bits."""
+    try:
+        got = make(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(got, float):
+        return got.hex()
+    fields = got._fields() if hasattr(got, "_fields") else got
+    return tuple(float(v).hex() for v in fields)
+
+
+# Geometries whose K or K R passes the cube limit or overflows for some
+# n_out, and an ordinary one.
+CUTOFF_GEOMETRIES = (
+    BubbleGeometry(500e-9, 1.3, 200e-9),
+    build_geometry_from_kr(1e120, 1.3),               # K R past the limit
+    BubbleGeometry(1e-109, 1.3, 1e-109),              # K past the limit
+    BubbleGeometry(1e-309, 1.3, 2 * math.pi * 1e-309),  # K overflows
+    BubbleGeometry(500e-9, 1.3, 5e-324),              # k_observed is inf
+    BubbleGeometry(5e102, 1.0, 1e-300),               # K R overflows
+)
+
+
+class TestFieldRefusals:
+    """Each record accepts or refuses exactly as its per-field checks, made
+    one at a time in order (oracles), do: same exception type and message,
+    or the same accepted fields bit for bit."""
+
+    @REFUSALS
+    @given(n_in=field(1e-3, 1e5), n_out=field(1e-3, 1e5),
+           t0=field(1e-18, 1e-12))
+    def test_medium_transition(self, n_in, n_out, t0):
+        assert (outcome(MediumTransition, n_in, n_out, t0)
+                == outcome(oracles.medium_transition_ref, n_in, n_out, t0))
+
+    @REFUSALS
+    @given(radius=field(1e-9, 1e-3), n_liquid=field(1.0, 3.0),
+           lambda_obs=field(1e-9, 1e-3))
+    def test_bubble_geometry(self, radius, n_liquid, lambda_obs):
+        assert (outcome(BubbleGeometry, radius, n_liquid, lambda_obs)
+                == outcome(oracles.bubble_geometry_ref, radius, n_liquid,
+                           lambda_obs))
+
+    @REFUSALS
+    @given(k_obs_r=field(1e-3, 1e4), n_liquid=field(1.0, 3.0),
+           radius=field(1e-9, 1e-3))
+    def test_build_geometry_from_kr(self, k_obs_r, n_liquid, radius):
+        assert (outcome(build_geometry_from_kr, k_obs_r, n_liquid, radius)
+                == outcome(oracles.build_geometry_from_kr_ref, k_obs_r,
+                           n_liquid, radius))
+
+    @REFUSALS
+    @given(geometry=st.sampled_from(CUTOFF_GEOMETRIES),
+           n_out=field(1e-3, 1e5))
+    def test_k_gas_cutoff(self, geometry, n_out):
+        assert (outcome(geometry.k_gas_cutoff, n_out)
+                == outcome(oracles.k_gas_cutoff_ref, geometry, n_out))
+
+    @REFUSALS
+    @given(values=st.tuples(*[field(-1e30, 1e30)] * 4))
+    def test_emission_summary(self, values):
+        assert (outcome(EmissionSummary, *values)
+                == outcome(oracles.emission_summary_ref, *values))
+
+    def test_every_geometry_refuses_some_n_out(self):
+        # each special geometry above reaches a refusal past the n_out check
+        for geometry in CUTOFF_GEOMETRIES[1:]:
+            with pytest.raises(DomainError, match="^K"):
+                geometry.k_gas_cutoff(1.5)
 
 
 class TestSpectralDensity:
