@@ -81,12 +81,12 @@ fixed by requiring the R -> infinity limit to reproduce the closed-form
 quadratic spectrum exactly (checked analytically via
 sum_l (2l+1) J_nu(x)^2 = 2x/pi, and numerically in the test suite).
 Off resonance the bracket pairs each index with its own frequency,
-(n_out w_out^2 + n_in w_in^2); the alternative cross pairing
-(n_in + n_out) w_in w_out agrees on resonance (and therefore in every
-closed-form limit) but disagrees in the smeared-edge region.  What
-pins the direct pairing is the benchmark table's regression test (the
-cross pairing moves its 2e4/1 row out of bounds); the off-resonance
-bracket has no first-principles check yet (ROADMAP).
+(n_out w_out^2 + n_in w_in^2), in _direct_weight, its one home: the
+quadrature (_sums) integrates the weight spectrum_finite hands it.  The
+cross pairing (n_in + n_out) w_in w_out agrees on resonance (so in every
+closed-form limit) but not in the smeared-edge region; the benchmark
+table's regression test pins the direct one (the cross pairing moves its
+2e4/1 row out of bounds), and no first-principles check exists (ROADMAP).
 
 Angular sum in closed form.  In u = a R and v = b R the kernel is
 lambda_l(u, v) = (2 sqrt(uv) / pi) L_l(u, v), with the Lommel integral
@@ -153,9 +153,9 @@ _MAX_NODE_PAIRS = 1 << 30
 # In-side integration starts at this fraction of the cutoff; the kernel
 # vanishes like a power of w_in at the origin so nothing is lost.
 _OMEGA_IN_FLOOR = 1e-6
-# Where n_out > n_in the weight's pole at v = -(n_in / n_out) u lies a
-# small fraction of the first panel's width below its left end, and the
-# order-24 rule there errs by up to ~1.6e-9 (n_in / n_out = 1/25 at K R
+# If n_out exceeds n_in, the direct weight's pole at v = -(n_in / n_out) u
+# lies a small fraction of the first panel's width below its left end, and
+# the order-24 rule there errs by up to ~1.6e-9 (n_in / n_out = 1/25 at K R
 # 138); that panel is split at these fractions of its width, and then errs
 # <= 1.5e-14.
 _GRADING = 0.25**np.arange(3, 0, -1)
@@ -429,15 +429,27 @@ def _l_weighted_sum(terms: np.ndarray) -> np.ndarray:
     return (weights @ terms.reshape(_SMALL_L, -1)).reshape(terms.shape[1:])
 
 
-def _rules(u: np.ndarray, n_in: float, n_out: float,
-           edges: np.ndarray) -> np.ndarray:
+def _direct_weight(n_in: float, n_out: float, v: np.ndarray):
+    """The direct pairing's bracket ((n_out v^2 + n_in u^2) /
+    (n_out v + n_in u))^2 at the nodes v, as a function of the points u that
+    gives it on the (len(v), len(u)) grid, its parts in v formed once."""
+    wv2, wv = (v * v * n_out)[:, None], (v * n_out)[:, None]
+
+    def at(u: np.ndarray) -> np.ndarray:
+        w = wv2 + u * u * n_in
+        w /= wv + u * n_in
+        w *= w
+        return w
+    return at
+
+
+def _rules(u: np.ndarray, edges: np.ndarray, weight) -> np.ndarray:
     """sum over the nodes of weight * Gauss weight * F(u, v) at the points
     u, by the orders _ESTIMATE_ORDER and _VALUE_ORDER on every panel of
-    edges: rows I^16 and I^24, from one pass over the nodes of both."""
+    edges: rows I^16 and I^24, from one pass over the nodes of both;
+    weight(v), once a tile, gives the weight at a block's points u."""
     points = _point_factors(u)
     rules = [_gauss_nodes(_ESTIMATE_ORDER), _gauss_nodes(_VALUE_ORDER)]
-    # the weight ((n_out v^2 + n_in u^2) / (n_out v + n_in u))^2, in parts
-    wu2, wu = u * u * n_in, u * n_in
     out = np.zeros((2, u.size))
     tile = _BLOCK_ELEMENTS // (_ESTIMATE_ORDER + _VALUE_ORDER)
     for p0 in range(0, edges.size - 1, tile):
@@ -451,7 +463,7 @@ def _rules(u: np.ndarray, n_in: float, n_out: float,
         gauss *= np.concatenate([(halves * w).ravel() / math.pi**2
                                  for _, w in rules])
         nodes = _node_factors(v)
-        wv2, wv = (v * v * n_out)[:, None], (v * n_out)[:, None]
+        w_at = weight(v)
         # the pairs the closed form cannot take: the first n_small points
         # (u ascends) against the nodes v_small, and the first n_tiny
         # points against the nodes v_large, the latter from one j_l table
@@ -474,24 +486,18 @@ def _rules(u: np.ndarray, n_in: float, n_out: float,
                 m = min(c1, n_tiny)
                 f[v_large, :m - c0] = _lommel_block(
                     v[v_large], u[c0:m], jv_large, ju_tiny[:, c0:m])
-            w = wv2 + wu2[c0:c1]
-            w /= wv + wu[c0:c1]
-            w *= w
-            f *= w
+            f *= w_at(u[c0:c1])
             out[:, c0:c1] += gauss @ f
     return out
 
 
-def _sums(u: np.ndarray, n_in: float, n_out: float, kr: float,
-          tol: float) -> np.ndarray:
-    """sum_l (2l+1) I_l(u) over every l >= 1 at every output point u.
+def _sums(u: np.ndarray, edges: np.ndarray, weight, tol: float) -> np.ndarray:
+    """sum_l (2l+1) I_l(u) over every l >= 1 at every output point u, I_l
+    the integral of weight times lambda_l(u, v)^2 on the panels of edges.
 
-    Works in the dimensionless variables u = n_gas_out w_out R / c (the
-    output points, ascending) and v = n_gas_in w_in R / c on [v_min, K R].
-    All points share one set of Gauss-Legendre panels (_panel_edges): equal
-    panels no wider than _PANEL_WIDTH, the first one graded where
-    n_out > n_in.  They depend on K R and the indices, not on the output
-    grid.  The integrand at a (node, point) pair is weight times
+    Works in u = n_gas_out w_out R / c (the output points, ascending) and
+    v = n_gas_in w_in R / c; the caller chooses the edges and the weight
+    (_rules).  The integrand at a (node, point) pair is weight times
     F(u, v) = sum_{l>=1} (2l+1) lambda_l(u, v)^2, summed over every l in
     closed form (_closed_form) from factors of u and of v tabulated once
     per pass and tile, so no transcendental function runs per pair.  A
@@ -509,11 +515,10 @@ def _sums(u: np.ndarray, n_in: float, n_out: float, kr: float,
     Raises NumericalError for the lowest point whose quadrature does not
     converge.
     """
-    edges = _panel_edges(kr, n_out > n_in)
     cols = np.arange(u.size)
     out = np.empty(u.size)
     for _ in range(_LEVELS):
-        low, cur = _rules(u[cols], n_in, n_out, edges)
+        low, cur = _rules(u[cols], edges, weight)
         scale = np.where(cur != 0.0, np.abs(cur), 1.0)
         done = np.abs(cur - low) <= tol * scale
         out[cols[done]] = cur[done]
@@ -577,9 +582,10 @@ def spectrum_finite(transition: MediumTransition, geometry: BubbleGeometry,
     config = config or FiniteSpectrumConfig()
     n_in, n_out = transition.n_in, transition.n_out
     kr = geometry.k_gas_cutoff(n_out) * geometry.radius
+    graded = n_out > n_in
     n_points = _grid_size(config)
     pairs = ((_ESTIMATE_ORDER + _VALUE_ORDER)
-             * _panel_total(kr, n_out > n_in) * n_points)
+             * _panel_total(kr, graded) * n_points)
     if pairs > _MAX_NODE_PAIRS:
         raise DomainError(
             f"finite-volume spectrum too large: {n_points} output points "
@@ -595,13 +601,15 @@ def spectrum_finite(transition: MediumTransition, geometry: BubbleGeometry,
             f"grid_points")
 
     omega_grid, x_grid = spectral_grid(transition, geometry, config)
+    edges = _panel_edges(kr, graded)
     # n_in times the lowest point and n_out times the lowest edge, the
     # least terms of the weight's denominator n_out v + n_in u, must not
     # both underflow, or a pass divides 0 by 0
-    if not n_in * float(x_grid[0]) + n_out * (_OMEGA_IN_FLOOR * kr) > 0.0:
+    if not n_in * float(x_grid[0]) + n_out * float(edges[0]) > 0.0:
         raise DomainError(f"finite-volume spectrum underflows at K R {kr!r}, "
                           f"n_in {n_in!r}, n_out {n_out!r}; raise K R")
-    sums = _sums(x_grid, n_in, n_out, kr, config.quad_rel_tol)
+    sums = _sums(x_grid, edges, functools.partial(_direct_weight, n_in, n_out),
+                 config.quad_rel_tol)
     root = _spectrum_root(transition, geometry.radius)
     _finite("finite-volume spectrum", root * (root * float(sums.max())))
     return SpectralDensity(grid=omega_grid, values=root * (root * sums),

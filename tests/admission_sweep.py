@@ -8,13 +8,14 @@ parent commit, say).  For each tree one child process calls
 `spectrum_finite` on every problem of the grid below, with `bubble._sums`
 patched to raise a sentinel: a problem that reaches the sentinel passed
 both size guards (admitted), one that raises `DomainError` was refused,
-and no engine pass runs.  The grid: gas-side K R = 10^(k/4) for
-k = -8..32 (1e-2 to 1e8), grid_points = round(2 10^(k/2)) for k = 0..12
-(2 to 2e6), grid_extend 1, 1.3 and 4, and n_in 1 and 2 against n_out 1.5
-(the first panel graded and not).  It prints each tree's admitted count
-and every problem that OTHER_SRC admits and this tree refuses, and exits
-1 if there is one.  The name does not match test_*.py, so pytest does
-not collect this file.
+and no engine pass runs (`spectrum_finite` builds the first pass's
+`_panel_edges` before it calls the patched `_sums`).  The grid: gas-side
+K R = 10^(k/4) for k = -8..32 (1e-2 to 1e8), grid_points =
+round(2 10^(k/2)) for k = 0..12 (2 to 2e6), grid_extend 1, 1.3 and 4,
+and n_in 1 and 2 against n_out 1.5 (the first panel graded and not).  It
+prints each tree's admitted count and every problem that OTHER_SRC
+admits and this tree refuses, and exits 1 if there is one.  The name
+does not match test_*.py, so pytest does not collect this file.
 """
 
 from __future__ import annotations

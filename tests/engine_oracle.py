@@ -138,18 +138,27 @@ class _SpectrumEngine:
     integral is stable to quad_rel_tol.  l_max=None sums l up to
     l_hard(K R) and fails if the last term is _L_TAIL_TOL of the sum or
     more; an explicit l_max sums l = 1..l_max with no tail test.
+    weight(u, v) is the frequency bracket at one u and the nodes v; None
+    gives the direct pairing's (direct_weight).
     """
 
     def __init__(self, n_gas_in: float, n_gas_out: float, kr: float,
-                 config: FiniteSpectrumConfig, l_max: int | None = None):
+                 config: FiniteSpectrumConfig, l_max: int | None = None,
+                 weight=None):
         self.n_in = n_gas_in
         self.n_out = n_gas_out
+        self.weight = weight or self.direct_weight
         self.config = config
         self.auto = l_max is None
         self.l_hard = l_hard(kr) if l_max is None else l_max
         self.l_weights = 2.0 * np.arange(1, self.l_hard + 1) + 1.0
         self.v_min = _OMEGA_IN_FLOOR * kr
         self.v_max = kr
+
+    def direct_weight(self, u: float, v: np.ndarray) -> np.ndarray:
+        """((n_in u^2 + n_out v^2) / (n_in u + n_out v))^2."""
+        return ((u * u * self.n_in + v * v * self.n_out)
+                / (u * self.n_in + v * self.n_out))**2
 
     def _integrals_per_l(self, u: float, breaks: np.ndarray,
                          order: int) -> np.ndarray:
@@ -163,9 +172,7 @@ class _SpectrumEngine:
         ju = sph_jn_table(self.l_hard, np.array([u]))
         jv = sph_jn_table(self.l_hard, v)
         lam = lommel_kernel(u, v, ju, jv)
-        weight = ((u * u * self.n_in + v * v * self.n_out)
-                  / (u * self.n_in + v * self.n_out))**2
-        return (lam * lam) @ (weight * gw)
+        return (lam * lam) @ (self.weight(u, v) * gw)
 
     def sum_at(self, u: float) -> float:
         """sum_l (2l+1) I_l(u) over every l = 1..l_hard."""

@@ -5,15 +5,22 @@ second source tree, alternating, and print medians and win counts.
 
 OTHER_SRC is the src/ directory of another checkout of this package (the
 parent commit, say).  Each case below calls the engine's omega_in
-quadrature (`bubble._sums`, n_in 2 to n_out 1.5) on output points spread
-evenly up to K R, with tol 0, so that every point goes through all
-_LEVELS levels of panels before the expected NumericalError.  Each call
-runs in a child process that imports one tree; the N pairs (default 10)
-run this tree first in even pairs and the other first in odd ones, so a
-drift of the host's speed falls on both.  Wall and CPU time are those of
-the call alone, max RSS that of the whole child.  It prints per case the
-median of each tree and the number of pairs this tree won on each.  The
-name does not match test_*.py, so pytest does not collect this file.
+quadrature (`bubble._sums` with `_direct_weight`, n_in 2 to n_out 1.5,
+on the ungraded `_panel_edges` of K R, as `spectrum_finite` calls it) on
+output points spread evenly up to K R, with tol 0, so that every point
+goes through all _LEVELS levels of panels before the expected
+NumericalError.  A tree older than the weight argument takes the call of
+its own signature, `_sums(u, n_in, n_out, K R, tol)`, which builds the
+same edges itself; either way the edges are built inside the timed call.
+Each call runs in a child process that imports one tree; the N pairs
+(default 10) run this tree first in even pairs and the other first in
+odd ones, so a drift of the host's speed falls on both.  Wall and CPU
+time are those of the call alone, max RSS that of the whole child.  The
+children inherit the environment, so `OPENBLAS_NUM_THREADS=1 python3
+tests/large_kr_time.py OTHER_SRC` times both trees with one BLAS thread.
+It prints per case the median of each tree and the number of pairs this
+tree won on each.  The name does not match test_*.py, so pytest does not
+collect this file.
 """
 
 from __future__ import annotations
@@ -32,14 +39,18 @@ ROOT = Path(__file__).resolve().parents[1]
 CASES = ((11500.0, 10), (40000.0, 3))
 
 CHILD = """
-import json, resource, sys, time
+import functools, json, resource, sys, time
 import numpy as np
 from sonophoton import NumericalError, bubble
 kr, points = float(sys.argv[1]), int(sys.argv[2])
 u = kr * np.arange(1, points + 1) / points
 wall, cpu = time.perf_counter(), time.process_time()
 try:
-    bubble._sums(u, 2.0, 1.5, kr, 0.0)
+    if hasattr(bubble, "_direct_weight"):
+        bubble._sums(u, bubble._panel_edges(kr, False),
+                     functools.partial(bubble._direct_weight, 2.0, 1.5), 0.0)
+    else:
+        bubble._sums(u, 2.0, 1.5, kr, 0.0)
 except NumericalError:
     pass
 print(json.dumps({"wall_s": time.perf_counter() - wall,

@@ -9,12 +9,14 @@ OTHER_SRC is the src/ directory of another checkout of this package (the
 parent commit, say).  For each request below (import: `python -c "import
 sonophoton.cli"`, the shape of perfbench's set-up probe; then solve-nin,
 totals --model infinite, sweep, the headline spectrum and table1), or
-for those named by --only, it runs N pairs of processes (default 12),
-this tree first in even pairs and the other first in odd ones, so a
-drift of the host's speed falls on both.  Each time is the wall time of
-the whole process, start-up included, with its output discarded.  It
-prints per request the median time of each tree, their ratio and the
-number of pairs this tree won.
+for those named by --only, it first runs one process on each tree and
+compares their stdout, stderr and exit codes; if any request differs, it
+names the request and what differs and exits 1 without timing.  Then it
+runs N pairs of processes a request (default 12), this tree first in even
+pairs and the other first in odd ones, so a drift of the host's speed
+falls on both.  Each time is the wall time of the whole process, start-up
+included, with its output discarded.  It prints per request the median
+time of each tree, their ratio and the number of pairs this tree won.
 
 With --compile it imports sonophoton.cli from this tree, noting each of
 the package's modules that the import executes (through the "exec"
@@ -66,6 +68,16 @@ def one_shot(src: Path, args: list[str]) -> float:
     return time.perf_counter() - start
 
 
+def outcome(src: Path, args: list[str]) -> dict[str, object]:
+    """Exit code, stdout and stderr of one `python args` process with src on
+    its path."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True)
+    return {"exit code": done.returncode, "stdout": done.stdout,
+            "stderr": done.stderr}
+
+
 def compile_times(reps: int = 30) -> None:
     """Print the fastest of reps compile() calls of each package module
     that `import sonophoton.cli` executes, and their sum."""
@@ -109,7 +121,18 @@ def main(argv: list[str]) -> int:
     if args.other_src is None:
         parser.error("OTHER_SRC is required without --compile")
     trees = (ROOT / "src", args.other_src.resolve())
-    for name in args.only or REQUESTS:
+    names = args.only or list(REQUESTS)
+    differ = False
+    for name in names:
+        this, other = (outcome(tree, REQUESTS[name]) for tree in trees)
+        for part in this:
+            if this[part] != other[part]:
+                differ = True
+                print(f"{name}: {part} differs between the trees")
+    if differ:
+        return 1
+    print(f"outputs identical on both trees: {', '.join(names)}")
+    for name in names:
         request = REQUESTS[name]
         times: tuple[list[float], list[float]] = ([], [])
         for i in range(args.pairs):

@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 import tracemalloc
@@ -566,6 +567,11 @@ def bisected(edges):
                      0.5 * (edges[1:] + edges[:-1]))
 
 
+def direct(n_in, n_out):
+    """The direct weight as spectrum_finite hands it to bubble._sums."""
+    return functools.partial(bubble._direct_weight, n_in, n_out)
+
+
 def test_output_points_on_and_beside_gauss_nodes():
     # an output point that coincides with a node, of either order and at
     # any level, is a pair with v = u; the closed form's Taylor branch and
@@ -588,11 +594,46 @@ def test_output_points_on_and_beside_gauss_nodes():
         u = np.sort(np.concatenate((on, on - 1e-9, on + 1e-9)))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = bubble._sums(u, n_in, n_out, kr, cfg.quad_rel_tol)
+            got = bubble._sums(u, _panel_edges(kr, n_out > n_in),
+                               direct(n_in, n_out), cfg.quad_rel_tol)
         oracle = engine_oracle._SpectrumEngine(n_in, n_out, kr, cfg)
         want = np.array([oracle.sum_at(float(x)) for x in u])
         assert np.all(np.isfinite(got))
         assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+
+
+@pytest.mark.parametrize("n_in, n_out", [(2.0, 1.5), (1.5, 2.0), (1.0, 25.0),
+                                         (25.0, 1.0)])
+def test_sums_integrate_the_weight_they_are_handed(n_in, n_out):
+    # the cross pairing's bracket ((n_in + n_out) u v / (n_out v + n_in u))^2
+    # through _sums, against the per-l oracle under the same weight; on
+    # these points it is 0.006-6.4 times the direct bracket, so an engine
+    # that ignored its weight would fail.  Doubling the weight doubles the
+    # sums bit for bit: a power of two leaves every convergence decision the
+    # same
+    def cross_at(u, v):
+        return ((n_in + n_out) * u * v / (n_out * v + n_in * u))**2
+
+    def cross(v):
+        return functools.partial(cross_at, v=v[:, None])
+
+    def doubled(v):
+        return lambda u: 2.0 * cross(v)(u)
+
+    cfg = FiniteSpectrumConfig()
+    for kr in (1.0, 6.0, 15.0):
+        u = 1.3 * kr * np.arange(1, 21) / 20
+        edges = _panel_edges(kr, n_out > n_in)
+        got = bubble._sums(u, edges, cross, cfg.quad_rel_tol)
+        oracle = engine_oracle._SpectrumEngine(n_in, n_out, kr, cfg,
+                                               weight=cross_at)
+        want = np.array([oracle.sum_at(float(x)) for x in u])
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+        direct_sums = bubble._sums(u, edges, direct(n_in, n_out),
+                                   cfg.quad_rel_tol)
+        assert np.max(np.abs(got / direct_sums - 1.0)) > 0.1
+        assert np.array_equal(
+            bubble._sums(u, edges, doubled, cfg.quad_rel_tol), 2.0 * got)
 
 
 def kr_geometry(kr, n_out):
@@ -625,9 +666,9 @@ def test_first_level_estimate_bounds_the_error(n_in, n_out, geom):
     levels = [_panel_edges(kr, n_out > n_in)]
     levels.append(bisected(levels[0]))
     finest = bisected(bisected(levels[1]))
-    _, reference = bubble._rules(u, n_in, n_out, finest)
+    _, reference = bubble._rules(u, finest, direct(n_in, n_out))
     for edges in levels:
-        low, value = bubble._rules(u, n_in, n_out, edges)
+        low, value = bubble._rules(u, edges, direct(n_in, n_out))
         error = np.abs(value - reference) / reference
         estimate = np.abs(value - low) / reference
         resolved = error > 3e-14
@@ -645,8 +686,9 @@ def test_tight_tolerance_converges():
     kr = geom.k_gas_cutoff(n_out) * geom.radius
     tr = MediumTransition(n_in=n_in, n_out=n_out)
     u = np.asarray(spectral_grid(tr, geom, FiniteSpectrumConfig())[1])
-    tight = bubble._sums(u, n_in, n_out, kr, 7e-15)
-    floor = bubble._sums(u, n_in, n_out, kr, core._MIN_REL_TOL)
+    edges, weight = _panel_edges(kr, n_out > n_in), direct(n_in, n_out)
+    tight = bubble._sums(u, edges, weight, 7e-15)
+    floor = bubble._sums(u, edges, weight, core._MIN_REL_TOL)
     assert np.all(np.abs(tight - floor) <= 1e-13 * np.abs(tight))
 
 
@@ -796,14 +838,21 @@ class TestProblemSizeGuard:
         # points leaves a grid spacing of 0 (spectral_grid's refusal), and
         # n_in times the spacing ~4e-321 and the lowest edge, 1e-6 K R
         # ~8e-325, underflow to 0 (the weight's): each is refused before
-        # the panel edges (an IndexError) or a pass (the weight's 0 / 0)
-        # are reached
+        # the panel edges of a K R of 0 (an IndexError) or a pass (the
+        # weight's 0 / 0) are reached.  The weight's refusal reads the
+        # lowest edge, so it comes after the edges of its K R above 0
         def no_table(*args):
             raise AssertionError("a Bessel table or a pass was built")
 
+        def positive_edges(kr, graded):
+            assert kr > 0.0, "panel edges of a K R of 0"
+            return panel_edges(kr, graded)
+
+        panel_edges = bubble._panel_edges
         monkeypatch.setattr(bubble, "sph_jn_table", no_table)
         monkeypatch.setattr(bubble, "_closed_form", no_table)
-        monkeypatch.setattr(bubble, "_panel_edges", no_table)
+        monkeypatch.setattr(bubble, "_sums", no_table)
+        monkeypatch.setattr(bubble, "_panel_edges", positive_edges)
         tr = MediumTransition(n_in=n_in, n_out=n_out)
         geom = BubbleGeometry(radius, 1.3, lambda_obs)
         with pytest.raises(DomainError, match=match + " at K R"):
@@ -930,7 +979,7 @@ class TestProblemSizeGuard:
         # what grows with K R is _sums' bisection of the panel edges: with
         # _rules stubbed so that no point converges, _sums bisects the
         # 79 578 panels of K R 1e6 _LEVELS - 1 times, and the peak is theirs
-        def unconverged(u, n_in, n_out, edges):
+        def unconverged(u, edges, weight):
             return np.stack((np.zeros(u.size), np.ones(u.size)))
 
         monkeypatch.setattr(bubble, "_rules", unconverged)
@@ -938,7 +987,8 @@ class TestProblemSizeGuard:
         tracemalloc.start()
         try:
             with pytest.raises(NumericalError):
-                bubble._sums(np.array([kr / 2, kr]), 2.0, 1.5, kr, 1e-6)
+                bubble._sums(np.array([kr / 2, kr]), _panel_edges(kr, False),
+                             direct(2.0, 1.5), 1e-6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
