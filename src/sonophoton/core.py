@@ -336,6 +336,7 @@ class FiniteSpectrumConfig(_Record):
                 or grid_points < 2):
             raise DomainError(
                 f"grid_points must be an integer >= 2, got {grid_points!r}")
+        check_grid_points(grid_points, "grid_points")
         if not (1.0 <= grid_extend <= 4.0):
             raise DomainError("grid_extend must lie in [1, 4]")
         _set(self, "quad_rel_tol", quad_rel_tol)
@@ -344,11 +345,11 @@ class FiniteSpectrumConfig(_Record):
 
 
 def check_grid_points(n_points: int, knob: str) -> None:
-    """Refuse with DomainError an output grid whose points would need more
-    than _MAX_ENGINE_BYTES at _POINT_BYTES each; knob names the setting
-    to lower.  Callers check before they allocate the grid."""
-    if n_points * _POINT_BYTES > _MAX_ENGINE_BYTES:
+    """Refuse with DomainError an output grid of more points than fit in
+    _MAX_ENGINE_BYTES at _POINT_BYTES each, compared as integers; knob
+    names the setting to lower.  Callers check before the grid exists."""
+    if n_points > (limit := _MAX_ENGINE_BYTES // _POINT_BYTES):
         raise DomainError(
-            f"output grid too large: {n_points} points need "
-            f"~{n_points * _POINT_BYTES / 2**30:.3g} GiB, above the "
-            f"{_MAX_ENGINE_BYTES / 2**30:g} GiB limit; lower {knob}")
+            f"output grid too large: more than the {limit} points that fit "
+            f"in {_MAX_ENGINE_BYTES / 2**30:g} GiB at {_POINT_BYTES} B a "
+            f"point; lower {knob}")

@@ -4,7 +4,8 @@ compare it with the sph_jn_table of a second source tree.
     python3 tests/bessel_sweep.py OTHER_SRC [--n N] [--seed S]
 
 OTHER_SRC is the src/ directory of another checkout of this package
-(the parent commit, say).  At lmax 10, 63 and 463 the sweep takes N
+(the parent commit, say); both trees are loaded in this process
+(tests/two_trees.py).  At lmax 10, 63 and 463 the sweep takes N
 seeded arguments (default 1e6): x = 0 and x = lmax, half the rest
 log-uniform on [1e-12, lmax) (the downward branch down to tiny x), half
 uniform on [0, 2 lmax) (the oscillatory region and the upward branch).
@@ -18,32 +19,16 @@ test_*.py, so pytest does not collect this file.
 from __future__ import annotations
 
 import argparse
-import importlib
-import importlib.util
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+from two_trees import load
+
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
-
-from sonophoton.specfun import sph_jn_table  # noqa: E402
-
 CHUNK = 4096
-
-
-def load_other(src: Path):
-    """sonophoton.specfun of the tree src, imported as another package."""
-    name = "sonophoton_other"
-    spec = importlib.util.spec_from_file_location(
-        name, src / "sonophoton" / "__init__.py",
-        submodule_search_locations=[str(src / "sonophoton")])
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
-    spec.loader.exec_module(package)
-    return importlib.import_module(name + ".specfun")
 
 
 def arguments(lmax: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -54,12 +39,13 @@ def arguments(lmax: int, n: int, rng: np.random.Generator) -> np.ndarray:
         rng.uniform(0.0, 2.0 * lmax, n - 2 - half)))
 
 
-def sweep(lmax: int, xs: np.ndarray, other) -> tuple[float, int, float]:
-    """(largest relative difference, its order, its argument)."""
+def sweep(lmax: int, xs: np.ndarray, this, other) -> tuple[float, int, float]:
+    """(largest relative difference, its order, its argument) between the
+    specfun modules this and other."""
     worst = (0.0, 0, 0.0)
     for c0 in range(0, xs.size, CHUNK):
         x = xs[c0:c0 + CHUNK]
-        tab = sph_jn_table(lmax, x)
+        tab = this.sph_jn_table(lmax, x)
         assert np.all(np.isfinite(tab)), f"non-finite j_l at lmax {lmax}"
         rel = np.abs(tab - other.sph_jn_table(lmax, x)) / np.abs(tab).max(0)
         l, col = np.unravel_index(np.argmax(rel), rel.shape)
@@ -74,11 +60,13 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--n", type=int, default=10**6)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    other = load_other(args.other_src.resolve())
+    this = load(ROOT / "src", "sonophoton").specfun
+    other = load(args.other_src.resolve(), "sonophoton_other").specfun
     rng = np.random.default_rng(args.seed)
     for lmax in (10, 63, 463):
         start = time.perf_counter()
-        rel, l, x = sweep(lmax, arguments(lmax, args.n, rng), other)
+        rel, l, x = sweep(lmax, arguments(lmax, args.n, rng), this,
+                           other)
         print(f"lmax {lmax}: {args.n} arguments, largest |diff| / column "
               f"max {rel:.3g} at j_{l}({x!r}) "
               f"({time.perf_counter() - start:.1f} s)")

@@ -4,11 +4,10 @@ in one process, in pairs, and print medians, ratios and win counts.
     python3 tests/request_time.py OTHER_SRC [--rounds N]
 
 OTHER_SRC is the src/ directory of another checkout of this package (the
-parent commit, say).  This tree's package is imported as ``sonophoton``
-and OTHER_SRC's as ``sonophoton_other`` (every import inside the package
-is relative, so the alias loads that tree's modules only).  Each request
-is one ``cli.main(argv)`` call with stdout captured, as perfbench's
-worker makes it.
+parent commit, say).  Both trees are loaded in this process
+(tests/two_trees.py), this one as ``sonophoton`` and OTHER_SRC's as
+``sonophoton_other``.  Each request is one ``cli.main(argv)`` call with
+stdout captured, as perfbench's worker makes it.
 
 First every argv of perfbench's closed-form pool (256 solve-nin, 256
 totals --model infinite, 16 sweep) runs once on each tree, and the two
@@ -31,30 +30,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib.util
 import io
 import statistics
 import sys
 import time
 from pathlib import Path
 
+from two_trees import load
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402  (perfbench's request pool)
-
-ALIAS = "sonophoton_other"
-
-
-def load_other(src: Path):
-    """OTHER_SRC's package, imported under ALIAS; its cli module."""
-    spec = importlib.util.spec_from_file_location(
-        ALIAS, src / "sonophoton" / "__init__.py",
-        submodule_search_locations=[str(src / "sonophoton")])
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[ALIAS] = package
-    spec.loader.exec_module(package)
-    return importlib.import_module(f"{ALIAS}.cli")
 
 
 def run(main, argv: list[str]) -> tuple[float, int, str]:
@@ -95,10 +82,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("other_src", type=Path)
     parser.add_argument("--rounds", type=int, default=6)
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(ROOT / "src"))
-    from sonophoton import cli
-
-    mains = (cli.main, load_other(args.other_src.resolve()).main)
+    mains = (load(ROOT / "src", "sonophoton").cli.main,
+             load(args.other_src.resolve(), "sonophoton_other").cli.main)
     pools = dict(zip(("solve-nin", "totals", "sweep"),
                      ([list(a) for a in pool]
                       for pool in workloads.closed_form_pool())))

@@ -587,6 +587,28 @@ class TestExitCodes:
                      "--grid-points", "1000000000"]) == 1
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--n-gas-in", "2", "--n-gas-out", "1.5",
+         "--model", "infinite"],
+        ["spectrum", "--n-gas-in", "2", "--n-gas-out", "1.5",
+         "--model", "finite"],
+        ["totals", "--n-in", "2", "--n-out", "1.5", "--model", "finite"],
+        ["table1"],
+    ], ids=["spectrum-infinite", "spectrum-finite", "totals-finite",
+            "table1"])
+    def test_grid_points_past_float_range_are_usage(self, argv, monkeypatch,
+                                                    capsys):
+        # past the float range: the config must compare the count as an
+        # integer, before any float of it overflows (exit 3)
+        def no_grid(*args, **kwargs):
+            raise AssertionError("an output grid was built")
+
+        monkeypatch.setattr(np, "arange", no_grid)
+        assert main(argv + ["--grid-points", str(10**309)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: output grid too large")
+
     def test_oversized_sweep_grid_is_usage(self, monkeypatch, capsys):
         def no_grid(*args, **kwargs):
             raise AssertionError("an n_out grid was built")
@@ -594,11 +616,14 @@ class TestExitCodes:
         limit = bubble._MAX_ENGINE_BYTES // bubble._POINT_BYTES
         bubble.check_grid_points(limit, "n-out-points")
         monkeypatch.setattr(np, "arange", no_grid)
-        for points in (limit + 1, 10**12):
+        # 10**315: no float of the count may enter the message (exit 3)
+        for points in (limit + 1, 10**12, 10**315):
             start = time.perf_counter()
             assert main(["sweep", "--n-out-points", str(points)]) == 1
             assert time.perf_counter() - start < 1.0
-            assert "lower n-out-points" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("error: output grid too large")
+            assert err.count("\n") == 1 and "lower n-out-points" in err
 
     def test_tolerance_below_floor_is_usage(self, monkeypatch, capsys):
         # refused, naming the floor, before the engine is built

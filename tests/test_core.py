@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sonophoton.core import (ELECTRON_VOLT, HBAR, SPEED_OF_LIGHT,
-                             BubbleGeometry, DomainError, EmissionSummary,
+from sonophoton.core import (_MAX_ENGINE_BYTES, _POINT_BYTES, ELECTRON_VOLT,
+                             HBAR, SPEED_OF_LIGHT, BubbleGeometry,
+                             DomainError, EmissionSummary,
                              FiniteSpectrumConfig, MediumTransition,
                              SpectralDensity, build_geometry_from_kr,
                              joule_to_ev, nm_to_m)
@@ -298,6 +299,15 @@ class TestFiniteSpectrumConfig:
     def test_accepts_numpy_integers(self):
         for points in (np.int64(200), np.int32(3), np.uint16(2)):
             assert FiniteSpectrumConfig(grid_points=points).grid_points == points
+
+    def test_refuses_grids_past_the_engine_limit(self):
+        # compared as integers, past the float range (10**309), and the
+        # message echoes no count too long for str (10**5000)
+        limit = _MAX_ENGINE_BYTES // _POINT_BYTES
+        assert FiniteSpectrumConfig(grid_points=limit).grid_points == limit
+        for points in (limit + 1, np.int64(2**62), 10**309, 10**5000):
+            with pytest.raises(DomainError, match="output grid too large"):
+                FiniteSpectrumConfig(grid_points=points)
 
 
 # The six domain records: (class, field names, positional arguments for the
